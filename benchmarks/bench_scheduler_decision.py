@@ -18,7 +18,10 @@ Two layers:
   baseline (``results/decision_latency_baseline.json``) and fails
   when the fast path regressed more than 30%, stopped beating the
   reference path, or dropped under the tentpole speedup floors
-  (>= 5x for ``rest``/``overlap``, >= 2x for ``combined``).
+  (>= 5x for ``rest``/``overlap``, >= 50x for ``combined``, >= 5x for
+  ``combined-churn`` — the same decision with one reference to a
+  widely shared resident file before each call, so the lazily
+  maintained refsum order has ~500 ids to re-key every time).
 """
 
 import argparse
@@ -45,24 +48,43 @@ KERNEL_CONFIG = {
     "references": 3_000,
     "n": 2,
     "seed": 0,
+    # Churn rows only: every 20th task also holds one shared file,
+    # resident at the site and referenced before each timed decision.
+    "churn_hot_every": 20,
 }
 KERNEL_METRICS = ("overlap", "rest", "combined")
+#: Row name -> (metric, churn).  A static queue flatters a lazily
+#: maintained order (nothing to re-key between calls); the churn row
+#: is the honest one for ``combined``.
+KERNEL_ROWS = {
+    "overlap": ("overlap", False),
+    "rest": ("rest", False),
+    "combined": ("combined", False),
+    "combined-churn": ("combined", True),
+}
 REGRESSION_TOLERANCE = 0.30
-SPEEDUP_FLOORS = {"overlap": 5.0, "rest": 5.0, "combined": 2.0}
+SPEEDUP_FLOORS = {"overlap": 5.0, "rest": 5.0, "combined": 50.0,
+                  "combined-churn": 5.0}
 
 
 # -- decision-kernel ablation (standalone) -----------------------------------
 
-def build_kernel_engine(metric, fast_path, config=None):
-    """A warmed single-site engine over a synthetic pending set."""
+def build_kernel_engine(metric, fast_path, config=None, churn=False):
+    """A warmed single-site engine over a synthetic pending set.
+
+    With ``churn`` every ``churn_hot_every``-th task also holds the
+    shared file ``file_pool`` (resident); see :func:`measure_decision_us`.
+    """
     cfg = dict(KERNEL_CONFIG, **(config or {}))
     rng = random.Random(cfg["seed"])
     pool = range(cfg["file_pool"])
-    tasks = {
-        task_id: Task(task_id,
-                      frozenset(rng.sample(pool, cfg["files_per_task"])))
-        for task_id in range(cfg["pending_tasks"])
-    }
+    hot = cfg["file_pool"]
+    tasks = {}
+    for task_id in range(cfg["pending_tasks"]):
+        files = set(rng.sample(pool, cfg["files_per_task"]))
+        if churn and task_id % cfg["churn_hot_every"] == 0:
+            files.add(hot)
+        tasks[task_id] = Task(task_id, frozenset(files))
     engine = PolicyEngine(tasks, metric=metric, n=cfg["n"],
                           rng=random.Random(1), fast_path=fast_path)
     engine.attach_site(0)
@@ -72,44 +94,61 @@ def build_kernel_engine(metric, fast_path, config=None):
         engine.file_added(0, fid)
     for fid in rng.choices(pool, k=cfg["references"]):
         engine.file_referenced(0, fid)
+    if churn:
+        engine.file_added(0, hot)
     return engine
 
 
 def measure_decision_us(engine, repeats, target_seconds,
-                        max_calls=2000):
+                        max_calls=2000, churn_file=None):
     """Best-of-``repeats`` mean per-call latency of ``choose``, in us.
 
     ``choose`` does not retire the winner, so the measured state is
     identical across calls; only the RNG advances (n=2 consumes one
     draw per decision), which does not change the work done.
+
+    With ``churn_file`` each timed call is one ``file_referenced`` on
+    that file followed by the decision: the reference changes ``ref_t``
+    of every task holding the file, so the figure includes the index
+    write and whatever the kernel does to catch up with it.
     """
     clock = time.perf_counter
+
+    def call():
+        if churn_file is not None:
+            engine.file_referenced(0, churn_file)
+        return engine.choose(0)
+
     start = clock()
-    engine.choose(0)
+    call()
     once = clock() - start
     calls = max(2, min(max_calls, int(target_seconds / max(once, 1e-9))))
     best = float("inf")
     for _ in range(repeats):
         start = clock()
         for _ in range(calls):
-            engine.choose(0)
+            call()
         best = min(best, (clock() - start) / calls)
     return best * 1e6
 
 
 def run_kernel_sweep(quick):
-    """{metric: {fast, reference, speedup}} per-decision latencies."""
+    """{row: {fast, reference, speedup}} per-decision latencies."""
     repeats = 2 if quick else 4
     target = 0.12 if quick else 0.5
     results = {}
-    for metric in KERNEL_METRICS:
-        fast = build_kernel_engine(metric, fast_path=True)
-        reference = build_kernel_engine(metric, fast_path=False)
+    for row, (metric, churn) in KERNEL_ROWS.items():
+        fast = build_kernel_engine(metric, fast_path=True, churn=churn)
+        reference = build_kernel_engine(metric, fast_path=False,
+                                        churn=churn)
+        churn_file = KERNEL_CONFIG["file_pool"] if churn else None
         # Sanity: the two kernels are decision-identical on this state.
         assert fast.choose(0).task_id == reference.choose(0).task_id
-        fast_us = measure_decision_us(fast, repeats, target)
-        reference_us = measure_decision_us(reference, repeats, target)
-        results[metric] = {
+        fast_us = measure_decision_us(fast, repeats, target,
+                                      churn_file=churn_file)
+        reference_us = measure_decision_us(reference, repeats, target,
+                                           churn_file=churn_file)
+        results[row] = {
             "fast_us": round(fast_us, 2),
             "reference_us": round(reference_us, 2),
             "speedup": round(reference_us / fast_us, 2),
@@ -122,12 +161,12 @@ def format_kernel_table(results):
         f"decision kernel at {KERNEL_CONFIG['pending_tasks']} pending "
         f"tasks (n={KERNEL_CONFIG['n']}, single site, "
         f"{KERNEL_CONFIG['files_per_task']} files/task)",
-        f"{'metric':>10} {'fast us':>10} {'reference us':>13} "
+        f"{'metric':>14} {'fast us':>10} {'reference us':>13} "
         f"{'speedup':>8}",
     ]
     for metric, row in results.items():
         lines.append(
-            f"{metric:>10} {row['fast_us']:>10.1f} "
+            f"{metric:>14} {row['fast_us']:>10.1f} "
             f"{row['reference_us']:>13.1f} {row['speedup']:>7.1f}x")
     return "\n".join(lines)
 

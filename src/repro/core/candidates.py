@@ -23,12 +23,20 @@ under the overlap index's O(1)-per-event update discipline:
 The number of distinct keys is bounded by the largest per-task file
 count (single digits for the paper's workloads), never by the pending
 queue depth — which is what makes the decision kernel sublinear in T.
+
+:class:`RefsumOrder` is the sibling for ``combined`` /
+``combined-literal``: inside one missing-count group their weight is
+non-decreasing in the reference sum ``ref_t`` whatever the normalizers
+are, so a group ordered ``(ref_t desc, task_id asc)`` yields its top-n
+from the front.  Unlike the integer buckets it is maintained *lazily*
+(index events only mark ids, a decision re-keys the marked ones) —
+one reference to a hot file changes ``ref_t`` of every pending referer.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
 
 class CandidateBuckets:
@@ -84,6 +92,10 @@ class CandidateBuckets:
     def keys(self, reverse: bool = False) -> List[int]:
         """Non-empty bucket keys, sorted (count, not queue-sized)."""
         return sorted(self._live, reverse=reverse)
+
+    def key_count(self) -> int:
+        """How many distinct keys are in use (non-empty buckets)."""
+        return len(self._live)
 
     def smallest(self, key: int, count: int) -> List[int]:
         """The ``count`` smallest live ids under ``key``, ascending.
@@ -145,3 +157,140 @@ class CandidateBuckets:
         for key, live in self._live.items():
             assert live <= set(self._heaps[key]), (
                 f"live ids missing from heap for key {key}")
+
+
+#: ``(-ref_t, task_id, missing)``: heap order inside a group is the
+#: first two fields; the third lets a flush see the entry's group.
+_OrderEntry = Tuple[Union[int, float], int, int]
+
+
+class RefsumOrder:
+    """Missing-count groups, each ordered ``(ref_t desc, task_id asc)``.
+
+    One lazy-deletion min-heap of ``(-ref_t, task_id, missing)`` entries
+    per missing count.  ``_entry_of`` holds each tracked id's *current*
+    entry object; a popped entry is live iff it ``is`` that object, so
+    superseded and duplicate entries die by identity, without a key
+    comparison.
+
+    Maintenance is deferred: the overlap index adds ids to :attr:`dirty`
+    on every event that may change a task's group or ``ref_t``, and
+    :meth:`flush` re-keys the deduplicated set just before a decision
+    walks the order.  Stale entries are dropped when a walk meets them
+    and, since a rising ``ref_t`` buries its old entry *below* the live
+    ones where no walk reaches, by rebuilding the heaps once they hold
+    more than twice the live entries.
+    """
+
+    __slots__ = ("dirty", "_entry_of", "_heaps", "_entries")
+
+    def __init__(self) -> None:
+        #: Ids whose group or ``ref_t`` may differ from their entry.
+        self.dirty: Set[int] = set()
+        self._entry_of: Dict[int, _OrderEntry] = {}
+        self._heaps: Dict[int, List[_OrderEntry]] = {}
+        self._entries = 0  # heap entries, live and stale
+
+    # -- mutation --------------------------------------------------------
+    def forget(self, task_id: int) -> None:
+        """Stop tracking ``task_id`` now (its heap entry dies lazily).
+
+        Eager, unlike the marking of storage events, so :attr:`dirty`
+        only ever holds pending ids and cannot outgrow the queue at a
+        site nobody pulls from.
+        """
+        self._entry_of.pop(task_id, None)
+        self.dirty.discard(task_id)
+
+    def flush(self, groups: CandidateBuckets,
+              refsums: Dict[int, float]) -> None:
+        """Re-key every dirty id from the index's current counters.
+
+        ``groups`` is the site's missing-count buckets (an id absent
+        from it no longer overlaps the site and leaves the order);
+        ``refsums`` maps id -> ``ref_t``.
+        """
+        entry_of = self._entry_of
+        heaps = self._heaps
+        missing_of = groups._key_of
+        moved = [task_id for task_id in self.dirty
+                 if task_id in missing_of]
+        if len(moved) < len(self.dirty):
+            for task_id in self.dirty.difference(moved):
+                entry_of.pop(task_id, None)
+        # A marked id almost always did change, so it gets a fresh
+        # entry unconditionally; an unchanged one merely leaves a
+        # duplicate behind, dead by identity like any stale entry.
+        entries = [(-refsums[task_id], task_id, missing_of[task_id])
+                   for task_id in moved]
+        entry_of.update(zip(moved, entries))
+        for entry in entries:
+            heap = heaps.get(entry[2])
+            if heap is None:
+                heap = heaps[entry[2]] = []
+            heapq.heappush(heap, entry)
+        self._entries += len(entries)
+        self.dirty.clear()
+        if self._entries > 2 * len(entry_of) + 64:
+            self._compact()
+
+    def _compact(self) -> None:
+        """Rebuild the heaps from the live entries alone."""
+        heaps: Dict[int, List[_OrderEntry]] = {}
+        for entry in self._entry_of.values():
+            heaps.setdefault(entry[2], []).append(entry)
+        for heap in heaps.values():
+            heapq.heapify(heap)
+        self._heaps = heaps
+        self._entries = len(self._entry_of)
+
+    # -- queries ---------------------------------------------------------
+    def __len__(self) -> int:
+        return len(self._entry_of)
+
+    def groups(self) -> List[int]:
+        """Missing counts that may hold candidates (count, not
+        queue-sized; a group of only stale entries empties on walk)."""
+        return list(self._heaps)
+
+    def walk(self, missing: int) -> Iterator[Tuple[Union[int, float], int]]:
+        """Yield the group's live ``(ref_t, task_id)`` best-first.
+
+        A generator: take as many as needed, then ``close()`` it (or
+        exhaust it).  Stale entries met on the way are dropped for
+        good; live ones are pushed back when the generator finishes,
+        so the order is unchanged by having been read.  Must run on a
+        flushed order.
+        """
+        heap = self._heaps[missing]
+        entry_of = self._entry_of
+        kept: List[_OrderEntry] = []
+        try:
+            while heap:
+                entry = heapq.heappop(heap)
+                if entry_of.get(entry[1]) is entry:
+                    kept.append(entry)
+                    yield -entry[0], entry[1]
+                else:
+                    self._entries -= 1
+        finally:
+            for entry in kept:
+                heapq.heappush(heap, entry)
+            if not heap:
+                del self._heaps[missing]
+
+    # -- verification ----------------------------------------------------
+    def as_dict(self) -> Dict[int, Tuple[int, Union[int, float]]]:
+        """``{task_id: (missing, ref_t)}`` snapshot (tests)."""
+        return {task_id: (entry[2], -entry[0])
+                for task_id, entry in self._entry_of.items()}
+
+    def check(self) -> None:
+        """Raise AssertionError if internal structures disagree."""
+        held = 0
+        for missing, heap in self._heaps.items():
+            held += len(heap)
+            assert all(entry[2] == missing for entry in heap)
+        assert held == self._entries, (held, self._entries)
+        for entry in self._entry_of.values():
+            assert any(entry is other for other in self._heaps[entry[2]])

@@ -190,14 +190,21 @@ FAST_SCORERS = {
 #:   * ``overlap`` — w = |F_t|, increasing in the overlap count;
 #:   * ``rest`` — w = 1/max(|t|-|F_t|, 1/2), strictly decreasing in
 #:     the missing count.
-#: ``combined``/``combined-literal`` mix in the global normalizers
-#: totalRef/totalRest, so no order-preserving per-task integer key
-#: exists and they stay on the scoring loop.
 BUCKETED_METRICS = frozenset({"overlap", "rest"})
+
+#: Metrics that mix in the global normalizers totalRef/totalRest, so no
+#: single integer key orders them — but among tasks with the *same*
+#: missing count the weight is ``ref_t/totalRef`` plus a constant,
+#: non-decreasing in ``ref_t`` whatever the (positive) normalizers are.
+#: Their top-n therefore lies in the top-n-by-``ref_t`` of each
+#: missing-count group (``core.candidates.RefsumOrder``), scoped or
+#: not; only those candidates are scored.
+ORDERED_METRICS = frozenset({"combined", "combined-literal"})
 
 #: How zero-overlap tasks rank under each metric.  All zero-overlap
 #: tasks share ``refsum = 0`` and ``overlap = 0``, so their relative
-#: order depends only on |t|:
+#: order depends only on |t| — for every kernel, which is why one
+#: engine-wide heap in this order serves them all:
 #:   * ``overlap`` — all weigh 0: order by task id (FIFO).
 #:   * ``rest`` / ``combined`` — fewest files wins ("min_files").
 #:   * ``combined-literal`` — most files wins ("max_files"), because the

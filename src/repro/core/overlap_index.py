@@ -26,6 +26,12 @@ task ids and missing-count → task ids — maintained in step with
 ``overlap[t]``.  They give the policy engine's fast path ranked
 candidate retrieval without scanning (``overlap``/``rest`` weights are
 monotone in those integer keys); see ``docs/performance.md``.
+``combined``'s ranking additionally needs ``refsum[t]`` order inside a
+missing-count group; that :class:`~repro.core.candidates.RefsumOrder`
+exists only at sites whose decisions asked for it
+(:meth:`OverlapIndex.refsum_order`), and every event here merely marks
+the ids it touched — one reference to a hot file moves ``refsum[t]`` of
+all its pending referers, so eager re-keying would tax every write.
 
 ``totalRest`` decomposes as::
 
@@ -46,7 +52,7 @@ from ..grid.job import Job, Task
 from ..grid.storage import SiteStorage
 from fractions import Fraction
 
-from .candidates import CandidateBuckets
+from .candidates import CandidateBuckets, RefsumOrder
 from .metrics import TaskView, rest_weight, rest_weight_exact
 
 
@@ -54,7 +60,8 @@ class _SiteState:
     """Per-site incremental counters."""
 
     __slots__ = ("storage", "overlap", "refsum", "total_refsum",
-                 "rest_correction", "by_overlap", "by_missing")
+                 "rest_correction", "by_overlap", "by_missing",
+                 "by_refsum")
 
     def __init__(self, storage: SiteStorage):
         self.storage = storage
@@ -72,6 +79,11 @@ class _SiteState:
         #: zero-candidate heap, as before.
         self.by_overlap = CandidateBuckets()
         self.by_missing = CandidateBuckets()
+        #: The same candidates ordered for ``combined``; None until a
+        #: decision at this site asks for it, and again after
+        #: :meth:`OverlapIndex.drop_refsum_order`.  While None, events
+        #: pay one ``is None`` test for it and nothing else.
+        self.by_refsum: Optional[RefsumOrder] = None
 
     def bucket_add(self, tid: int, size: int, ov: int) -> None:
         self.by_overlap.add(tid, ov)
@@ -136,6 +148,8 @@ class OverlapIndex:
             if ov:
                 state.overlap[tid] = ov
                 state.bucket_add(tid, task.num_files, ov)
+                if state.by_refsum is not None:
+                    state.by_refsum.dirty.add(tid)
                 ref = sum(state.storage.reference_count(fid)
                           for fid in task.files if fid in state.storage)
                 state.refsum[tid] = ref
@@ -158,6 +172,8 @@ class OverlapIndex:
                 if not referers:
                     del self._file_to_tasks[fid]
         for state in self._sites.values():
+            if state.by_refsum is not None:
+                state.by_refsum.forget(tid)
             ov = state.overlap.pop(tid, 0)
             if ov:
                 state.bucket_remove(tid)
@@ -171,6 +187,8 @@ class OverlapIndex:
         tasks = self._file_to_tasks.get(fid)
         if not tasks:
             return
+        if state.by_refsum is not None:
+            state.by_refsum.dirty.update(tasks)
         ref = state.storage.reference_count(fid)
         for tid in tasks:
             size = self.job[tid].num_files
@@ -192,6 +210,8 @@ class OverlapIndex:
         tasks = self._file_to_tasks.get(fid)
         if not tasks:
             return
+        if state.by_refsum is not None:
+            state.by_refsum.dirty.update(tasks)
         ref = state.storage.reference_count(fid)
         for tid in tasks:
             size = self.job[tid].num_files
@@ -215,6 +235,8 @@ class OverlapIndex:
         tasks = self._file_to_tasks.get(fid)
         if not tasks:
             return
+        if state.by_refsum is not None:
+            state.by_refsum.dirty.update(tasks)
         for tid in tasks:
             # The file is resident, so every pending referer overlaps it.
             state.refsum[tid] = state.refsum.get(tid, 0.0) + 1
@@ -239,6 +261,26 @@ class OverlapIndex:
         ``|t| - |F_t|``; ``top(n)`` is the ``rest`` metric's top-n
         among nonzero-overlap tasks."""
         return self._sites[site_id].by_missing
+
+    def refsum_order(self, site_id: int) -> RefsumOrder:
+        """The site's candidates ordered for ``combined``, up to date.
+
+        Built here on first use (and after a drop) from the current
+        candidate map; otherwise the ids marked since the last call
+        are re-keyed.  Either way the returned order reflects
+        ``nonzero_overlaps``/``refsums`` exactly and is ready to walk.
+        """
+        state = self._sites[site_id]
+        order = state.by_refsum
+        if order is None:
+            order = state.by_refsum = RefsumOrder()
+            order.dirty.update(state.overlap)
+        order.flush(state.by_missing, state.refsum)
+        return order
+
+    def drop_refsum_order(self, site_id: int) -> None:
+        """Free the site's refsum order; events stop marking for it."""
+        self._sites[site_id].by_refsum = None
 
     def refsums(self, site_id: int) -> Dict[int, float]:
         """task id -> ref_t for pending tasks with overlap > 0.

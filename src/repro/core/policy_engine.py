@@ -32,8 +32,16 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..grid.job import Task
 from .metrics import (BUCKETED_METRICS, FAST_SCORERS, METRICS,
-                      ZERO_OVERLAP_ORDER, TaskView, rest_weight)
+                      ORDERED_METRICS, ZERO_OVERLAP_ORDER, TaskView,
+                      rest_weight)
 from .overlap_index import OverlapIndex
+
+#: What visiting one entry of the refsum order costs (heap pop, score,
+#: push back, plus its share of the flush) in scan iterations.  The
+#: ordered kernel answers a ``combined`` decision only when the scan
+#: would visit more than this many candidates per entry the walk is
+#: expected to visit; see :meth:`PolicyEngine._order_pays`.
+ORDER_WALK_COST = 32
 
 
 def _offer(ranked: List[Tuple[float, int]], neg_weight: float,
@@ -192,9 +200,11 @@ class PolicyEngine:
         self._weight = METRICS[metric]
         self._scorer = FAST_SCORERS[metric]
         #: When True (the default), :meth:`choose` runs the sublinear
-        #: kernel: bucketed top-n retrieval for the ``overlap``/``rest``
-        #: metrics (unscoped pulls) and the allocation-free scoring
-        #: loop otherwise.  ``fast_path=False`` keeps the original
+        #: kernels: bucketed top-n retrieval for the ``overlap``/``rest``
+        #: metrics (unscoped pulls), the refsum-order walk for
+        #: ``combined``/``combined-literal`` over a large candidate map,
+        #: and the allocation-free scoring loop otherwise.
+        #: ``fast_path=False`` keeps the original
         #: TaskView-per-task reference loop for differential testing
         #: and the ablation benchmark.  Both paths are
         #: decision-for-decision and RNG-identical.
@@ -206,12 +216,15 @@ class PolicyEngine:
         self._sites: Dict[int, SiteFileState] = {}
         #: Instrumentation: scheduling decisions made and tasks scored
         #: (the paper's T·I term), for the complexity ablation.  The
-        #: bucketed fast path counts only the ≤ 2n candidates it
-        #: actually weighs — the whole point — so comparing
-        #: ``tasks_scored`` across ``fast_path`` settings *is* the
-        #: work-saved measurement.
+        #: bucketed and ordered kernels count only the candidates they
+        #: actually weigh (≤ 2n, ≤ (groups+1)·n) — the whole point — so
+        #: comparing ``tasks_scored`` across ``fast_path`` settings
+        #: *is* the work-saved measurement.
         self.decisions = 0
         self.tasks_scored = 0
+        #: Which kernel answered the latest :meth:`choose`:
+        #: ``bucketed``, ``ordered``, ``scored`` or ``reference``.
+        self.last_kernel: Optional[str] = None
         #: Decision-trace hook: when set, :meth:`choose` calls it with
         #: one span dict per decision (site, metric, n, the ranked
         #: top-n candidates with weight/overlap/files_missing, the
@@ -295,6 +308,15 @@ class PolicyEngine:
         """Retire a task from the pending set (it was assigned)."""
         del self._pending[task.task_id]
         self._index.remove_task(task)
+        # The task's zero-heap entry dies lazily, dropped when a lookup
+        # pops it — but lookups stop after n live entries, or find the
+        # candidate map covering the queue and never start, so most
+        # dead entries are never reached: sweep once they outnumber
+        # the live two to one.
+        if len(self._zero_heap) > 2 * len(self._pending) + 64:
+            self._zero_heap = [entry for entry in self._zero_heap
+                               if entry[-1] in self._pending]
+            heapq.heapify(self._zero_heap)
 
     def overlap(self, site_id: int, task_id: int) -> int:
         """|F_t| of a pending task at a site (0 if no overlap)."""
@@ -320,7 +342,7 @@ class PolicyEngine:
         bit-identical to the unscoped algorithm, which is what the
         replay-equivalence suite pins down.
 
-        Three kernels build the same ranked top-n list (higher weight
+        Four kernels build the same ranked top-n list (higher weight
         first, lower task id breaking ties; identical floats, so the
         winner and the RNG consumption are bit-identical across all of
         them — pinned by tests/test_policy_fast_path.py):
@@ -328,6 +350,10 @@ class PolicyEngine:
         * **bucketed** (fast path, unscoped ``overlap``/``rest``) —
           walk the overlap index's candidate buckets best-key-first,
           O(n + buckets touched) instead of scanning every candidate;
+        * **ordered** (fast path, ``combined``/``combined-literal``
+          over a candidate map large enough to pay for it) — take the
+          first n eligible ids of each missing-count group of the
+          site's refsum order and score only those;
         * **scored** (fast path otherwise) — the scan, but through the
           allocation-free raw-argument scorers instead of a TaskView
           per task;
@@ -339,18 +365,28 @@ class PolicyEngine:
         assignment sticks and then call :meth:`remove_task`.
         """
         self.decisions += 1
+        scored_before = self.tasks_scored
         if not self.fast_path:
+            kernel = "reference"
             ranked = self._rank_reference(site_id, eligible)
         elif eligible is None and self.metric_name in BUCKETED_METRICS:
+            kernel = "bucketed"
             ranked = self._rank_bucketed(site_id)
+        elif (self.metric_name in ORDERED_METRICS
+              and self._order_pays(site_id, eligible)):
+            kernel = "ordered"
+            ranked = self._rank_ordered(site_id, eligible)
         else:
+            kernel = "scored"
             ranked = self._rank_scored(site_id, eligible)
+        self.last_kernel = kernel
         best = [(-neg_weight, task_id) for neg_weight, task_id in ranked]
         chosen_id = self._sample(best)
         if self.on_decision is not None:
             overlaps = self._index.nonzero_overlaps(site_id)
-            self.on_decision(self._build_span(site_id, overlaps, best,
-                                              chosen_id))
+            self.on_decision(self._build_span(
+                site_id, overlaps, best, chosen_id, kernel,
+                self.tasks_scored - scored_before))
         return self._pending[chosen_id]
 
     def _rank_reference(self, site_id: int,
@@ -414,12 +450,120 @@ class PolicyEngine:
         self.tasks_scored += len(ranked)
         return ranked
 
+    def _order_pays(self, site_id: int, eligible) -> bool:
+        """Should this ``combined`` decision walk the refsum order?
+
+        From sizes already in hand.  The walk visits about ``n``
+        entries in each missing-count group — ``len(overlaps) /
+        len(eligible)`` times that under a scope, which skips what it
+        may not take — and the scan visits the smaller of the candidate
+        map and the scope; the walk answers when the scan's visits
+        exceed :data:`ORDER_WALK_COST` times its own.  A site whose
+        map fell to half of what would justify an order drops it, so
+        small maps (the paper's Coadd job: tens of candidates) carry
+        neither the structure nor the marking; the drop only frees
+        memory, the answer here is a pure function of the current
+        sizes.
+        """
+        index = self._index
+        candidates = len(index.nonzero_overlaps(site_id))
+        walk = (ORDER_WALK_COST * self.n
+                * index.candidates_by_missing(site_id).key_count())
+        if candidates <= walk:
+            if 2 * candidates < walk:
+                index.drop_refsum_order(site_id)
+            return False
+        if eligible is None:
+            return True
+        return (isinstance(eligible, (set, frozenset))
+                and len(eligible) ** 2 >= walk * candidates)
+
+    def _rank_ordered(self, site_id: int,
+                      eligible) -> List[Tuple[float, int]]:
+        """Sublinear top-n for ``combined``/``combined-literal``.
+
+        Inside one missing-count group both weights are ``ref_t /
+        totalRef`` plus a per-group constant: non-decreasing in
+        ``ref_t`` for any positive normalizers, so the group's top-n
+        is at the front of its ``(ref_t desc, id asc)`` order and only
+        ≤ groups·n candidates are scored — with the same scorer, hence
+        the same floats, as the scan.
+
+        Non-decreasing is not strictly increasing: when ``totalRef`` is
+        huge, distinct ``ref_t`` round to one weight and the id
+        tie-break then reaches across them.  ``ref_t`` is a sum of
+        reference counts, so distinct values differ by at least 1; if
+        the n-th candidate's weight is also the weight of ``ref_t ± 1``
+        the walk keeps taking candidates until the weight drops.
+        """
+        index = self._index
+        order = index.refsum_order(site_id)
+        total_rest = index.total_rest(site_id)
+        total_ref = index.total_refsum(site_id)
+        overlaps = index.nonzero_overlaps(site_id)
+        scorer = self._scorer
+        n = self.n
+        ranked: List[Tuple[float, int]] = []
+        scored = 0
+
+        for missing in order.groups():
+            taken = 0
+            tied_weight = None  # set once n are taken and ties can follow
+            walk = order.walk(missing)
+            for refsum, task_id in walk:
+                if eligible is not None and task_id not in eligible:
+                    continue
+                overlap = overlaps[task_id]
+                num_files = missing + overlap
+                weight = scorer(num_files, overlap, refsum,
+                                total_ref, total_rest)
+                if tied_weight is not None and weight != tied_weight:
+                    break
+                _offer(ranked, -weight, task_id, n)
+                scored += 1
+                taken += 1
+                if taken == n:
+                    # totalRef == 0 means every ref_t is 0: one
+                    # plateau, already in id order.
+                    if total_ref <= 0 or not (
+                            weight == scorer(num_files, overlap,
+                                             refsum - 1, total_ref,
+                                             total_rest)
+                            or weight == scorer(num_files, overlap,
+                                                refsum + 1, total_ref,
+                                                total_rest)):
+                        break
+                    tied_weight = weight
+            walk.close()
+
+        scored += self._offer_zero_overlap(ranked, site_id, eligible,
+                                           total_ref, total_rest)
+        self.tasks_scored += scored
+        return ranked
+
+    def _offer_zero_overlap(self, ranked: List[Tuple[float, int]],
+                            site_id: int, eligible, total_ref: float,
+                            total_rest: float) -> int:
+        """Merge the zero-overlap heap's best into ``ranked``; returns
+        how many candidates were scored."""
+        scorer = self._scorer
+        pending = self._pending
+        n = self.n
+        scored = 0
+        for task_id in self.zero_overlap_candidates(site_id, eligible):
+            weight = scorer(pending[task_id].num_files, 0, 0.0,
+                            total_ref, total_rest)
+            _offer(ranked, -weight, task_id, n)
+            scored += 1
+        return scored
+
     def _rank_scored(self, site_id: int,
                      eligible) -> List[Tuple[float, int]]:
         """Allocation-free scan: raw-argument scorers, no TaskView.
 
-        Used for the normalizer-coupled metrics (``combined``/
-        ``combined-literal``) and for every job-scoped pull.  A scoped
+        Used for ``overlap``/``rest`` under a scope and for
+        ``combined``/``combined-literal`` when the candidate map or the
+        scope is too small to pay for the refsum order.  A scoped
         pull iterates whichever of the eligible set and the candidate
         map is smaller — the candidate set is their intersection
         either way.
@@ -472,11 +616,8 @@ class PolicyEngine:
                 _offer(ranked, -weight, task_id, n)
                 scored += 1
 
-        for task_id in self.zero_overlap_candidates(site_id, eligible):
-            weight = scorer(pending[task_id].num_files, 0, 0.0,
-                            total_ref, total_rest)
-            _offer(ranked, -weight, task_id, n)
-            scored += 1
+        scored += self._offer_zero_overlap(ranked, site_id, eligible,
+                                           total_ref, total_rest)
         self.tasks_scored += scored
         return ranked
 
@@ -524,7 +665,7 @@ class PolicyEngine:
 
     def _build_span(self, site_id: int, overlaps: Dict[int, int],
                     best: List[Tuple[float, int]],
-                    chosen_id: int) -> dict:
+                    chosen_id: int, kernel: str, scored: int) -> dict:
         """The trace span for one decision (``on_decision`` payload)."""
         candidates = []
         for weight, task_id in best:
@@ -539,7 +680,8 @@ class PolicyEngine:
         return {"site": site_id, "metric": self.metric_name,
                 "n": self.n, "chosen": chosen_id,
                 "runner_up": runner_up, "candidates": candidates,
-                "pending": len(self._pending)}
+                "pending": len(self._pending),
+                "kernel": kernel, "scored": scored}
 
     def zero_overlap_candidates(self, site_id: int,
                                 eligible=None) -> List[int]:
@@ -553,11 +695,16 @@ class PolicyEngine:
         the exception and the unscoped path is untouched.
         """
         overlaps = self._index.nonzero_overlaps(site_id)
+        if len(overlaps) >= len(self._pending):
+            # The map tracks pending ids only, so it covers the whole
+            # queue: nobody has zero overlap, and walking the heap
+            # would pop and re-push every entry to learn that.
+            return []
         chosen: List[int] = []
         skipped: List[Tuple] = []
         while self._zero_heap and len(chosen) < self.n:
             entry = heapq.heappop(self._zero_heap)
-            task_id = entry[-1] if len(entry) > 1 else entry[0]
+            task_id = entry[-1]
             if task_id not in self._pending:
                 continue  # stale: task was assigned; drop permanently
             skipped.append(entry)

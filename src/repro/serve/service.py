@@ -597,7 +597,8 @@ class SchedulerService:
         self._leases[lease.lease_id] = lease
         self._by_worker.setdefault(worker, set()).add(task.task_id)
         self.stats.record_assignment(site_id, latency, overlap > 0,
-                                     metric=self.engine.metric_name)
+                                     metric=self.engine.metric_name,
+                                     kernel=self.engine.last_kernel)
         self.stats.record_tenant_assignment(owner_id)
         self.stats.leases_granted += 1
         self._emit("assign", task_id=task.task_id, site=site_id,

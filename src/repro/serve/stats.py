@@ -161,6 +161,15 @@ class ServeStats:
             "repro_scheduler_decision_seconds",
             "Decision-kernel latency by scheduling metric",
             labelnames=("metric",))
+        #: Which PolicyEngine kernel ranked each decision (``bucketed``
+        #: / ``ordered`` / ``scored`` / ``reference``): the crossover
+        #: between the refsum-order walk and the scan is chosen per
+        #: decision from queue sizes, so only a count shows what a
+        #: deployment actually runs.
+        self._decisions_by_kernel = reg.counter(
+            "repro_scheduler_decisions_by_kernel_total",
+            "Scheduling decisions, by the kernel that ranked them",
+            labelnames=("kernel",))
         self._counters: Dict[str, Counter] = {
             attr: reg.counter(name, help_text)
             for attr, (name, help_text) in _COUNTERS.items()}
@@ -220,12 +229,15 @@ class ServeStats:
 
     def record_assignment(self, site_id: int, latency_s: float,
                           overlap_hit: bool,
-                          metric: Optional[str] = None) -> None:
+                          metric: Optional[str] = None,
+                          kernel: Optional[str] = None) -> None:
         self._counters["assignments"].inc()
         self.decision_latency.record(latency_s)
         if metric is not None:
             self.scheduler_decision.labels(metric=metric).record(
                 latency_s)
+        if kernel is not None:
+            self._decisions_by_kernel.labels(kernel=kernel).inc()
         site = self._site(site_id)
         site.assignment_counter.inc()
         if overlap_hit:
@@ -283,6 +295,13 @@ class ServeStats:
     @property
     def peak_queue_depth(self) -> int:
         return int(self._peak_queue_depth.value)
+
+    @property
+    def decisions_by_kernel(self) -> Dict[str, int]:
+        """``{kernel: decisions}`` (Prometheus:
+        ``repro_scheduler_decisions_by_kernel_total``)."""
+        return {labels[0]: int(child.value) for labels, child
+                in self._decisions_by_kernel.children()}
 
     def snapshot(self, queue_depth: int = 0, outstanding: int = 0,
                  parked_workers: int = 0,

@@ -115,6 +115,20 @@ def test_scrape_endpoint_under_live_load():
             labels={"metric": "combined"}, suffix="_count",
         ) == report["stats"]["assignments"]
         assert tracer.recorded == report["stats"]["assignments"]
+        # Every decision is attributed to the kernel that ranked it,
+        # in the scrape and on each /trace.json span.
+        by_kernel = service.stats.decisions_by_kernel
+        assert sum(by_kernel.values()) == report["stats"]["assignments"]
+        for kernel, count in by_kernel.items():
+            assert families[
+                "repro_scheduler_decisions_by_kernel_total"].value(
+                    labels={"kernel": kernel}) == count
+        _status, _ctype, body = await asyncio.to_thread(
+            http_get, obs.url + "/trace.json")
+        spans = json.loads(body)["spans"]
+        assert spans and all(
+            span["kernel"] in by_kernel and span["scored"] >= 1
+            for span in spans)
         await obs.stop()
         await server.stop()
 

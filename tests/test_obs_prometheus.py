@@ -139,8 +139,10 @@ def test_serve_stats_registry_renders_parseable_exposition():
     stats = ServeStats()
     stats.jobs_submitted += 1
     stats.tasks_submitted += 5
-    stats.record_assignment(0, 120e-6, overlap_hit=True)
-    stats.record_assignment(1, 80e-6, overlap_hit=False)
+    stats.record_assignment(0, 120e-6, overlap_hit=True,
+                            kernel="ordered")
+    stats.record_assignment(1, 80e-6, overlap_hit=False,
+                            kernel="scored")
     stats.record_delta(added=3, removed=1, referenced=7)
     families = parse(render(stats.registry))
     snap = stats.snapshot()
@@ -154,3 +156,6 @@ def test_serve_stats_registry_renders_parseable_exposition():
     assert families["repro_decision_latency_seconds"].value(
         suffix="_count") == 2.0
     assert families["repro_files_added_total"].value() == 3.0
+    assert families["repro_scheduler_decisions_by_kernel_total"].value(
+        {"kernel": "ordered"}) == 1.0
+    assert stats.decisions_by_kernel == {"ordered": 1, "scored": 1}

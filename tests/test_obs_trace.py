@@ -104,6 +104,41 @@ def test_span_carries_runner_up_and_pending_count():
     assert weights == sorted(weights, reverse=True)
 
 
+@pytest.mark.parametrize("metric, fast_path, kernel, scored", [
+    ("rest", True, "bucketed", 2),
+    ("combined", True, "scored", 2),      # 2 candidates: far too few
+    ("combined", False, "reference", 2),  # to pay for a refsum order
+])
+def test_span_says_which_kernel_answered_and_what_it_weighed(
+        metric, fast_path, kernel, scored):
+    seen = []
+    engine = make_engine(metric, n=2)
+    engine.fast_path = fast_path
+    engine.on_decision = seen.append
+    engine.choose(0)
+    assert seen[0]["kernel"] == engine.last_kernel == kernel
+    assert seen[0]["scored"] == engine.tasks_scored == scored
+
+
+def test_span_reports_the_ordered_kernel_on_a_large_candidate_map():
+    """200 tasks share one resident file: the refsum order answers and
+    weighs n candidates of its single group, not the 200 the scan
+    would."""
+    tasks = {tid: Task(tid, frozenset({0, 1 + tid}))
+             for tid in range(200)}
+    engine = PolicyEngine(tasks, metric="combined", n=2,
+                          rng=random.Random(0))
+    engine.attach_site(0)
+    for task in tasks.values():
+        engine.add_task(task)
+    engine.file_added(0, 0)
+    engine.file_referenced(0, 0)
+    seen = []
+    engine.on_decision = seen.append
+    engine.choose(0)
+    assert seen[0]["kernel"] == "ordered" and seen[0]["scored"] == 2
+
+
 def test_explain_span_reads_like_a_sentence():
     seen = []
     engine = make_engine("rest", n=2)
@@ -155,6 +190,8 @@ def test_service_records_spans_and_decision_events():
     assignment = delivered[0]
     assert tracer.recorded == 1
     assert tracer.last()["chosen"] == assignment.task.task_id
+    assert tracer.last()["kernel"] == "scored"
+    assert service.stats.decisions_by_kernel == {"scored": 1}
     decision_events = [record for record in events.tail()
                        if record["event"] == "decision"]
     assert len(decision_events) == 1

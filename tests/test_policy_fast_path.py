@@ -2,30 +2,46 @@
 reference scan.
 
 ``PolicyEngine(fast_path=True)`` answers ``choose`` through candidate
-buckets (``overlap``/``rest``, unscoped) or the allocation-free
-scoring loop (``combined``/``combined-literal`` and every scoped
-pull); ``fast_path=False`` keeps the original TaskView-per-candidate
-loop.  This suite pins the tentpole invariant: for any delta stream,
-any metric, any n, scoped or not, both paths pick the *same task* and
-leave the RNG in the *same state* — so a fast-path deployment replays
-a reference-path history exactly.
+buckets (``overlap``/``rest``, unscoped), the refsum-order walk
+(``combined``/``combined-literal`` over a large candidate map) or the
+allocation-free scoring loop (everything else); ``fast_path=False``
+keeps the original TaskView-per-candidate loop.  This suite pins the
+tentpole invariant: for any delta stream, any metric, any n, scoped or
+not, both paths rank the *same candidates with the same floats*, pick
+the *same task* and leave the RNG in the *same state* — so a fast-path
+deployment replays a reference-path history exactly.
+
+The hypothesis workloads are far below the size at which the engine
+would choose the refsum order by itself, so every differential here
+also runs with ``ORDER_WALK_COST`` patched to 0 ("always walk").
 
 Also here: the candidate-bucket invariants.  After every mutation the
 buckets must agree with a naive recomputation from storage
-(``naive_overlap``), and ranked retrieval must equal brute-force
-sorting.
+(``naive_overlap``/``naive_refsum``), and ranked retrieval must equal
+brute-force sorting.
 """
 
+import heapq
 import random
+from collections import OrderedDict
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import policy_engine
 from repro.core.candidates import CandidateBuckets
-from repro.core.policy_engine import PolicyEngine
+from repro.core.policy_engine import PolicyEngine, SiteFileState
 from repro.grid.job import Task
 
 METRIC_NAMES = ["overlap", "rest", "combined", "combined-literal"]
+ORDERED_NAMES = ["combined", "combined-literal"]
+
+
+def always_walk():
+    """Force the ordered kernel wherever it is applicable."""
+    return mock.patch.object(policy_engine, "ORDER_WALK_COST", 0)
 
 
 def build_engine(task_files, metric, n, seed, fast_path,
@@ -38,11 +54,37 @@ def build_engine(task_files, metric, n, seed, fast_path,
         engine.attach_site(site)
     for task in tasks.values():
         engine.add_task(task)
+    trace(engine)
     return engine, tasks
 
 
+def trace(engine):
+    engine.spans = []
+    engine.on_decision = engine.spans.append
+    #: (kernel, nonzero-overlap candidates at the site) per decision.
+    engine.kernels = []
+
+
+def same_draw(fast, reference, site, eligible=None):
+    """One decision on both engines: same winner, same ranked floats."""
+    chosen = fast.choose(site, eligible=eligible)
+    twin = reference.choose(site, eligible=eligible)
+    assert chosen.task_id == twin.task_id
+    assert (fast.spans.pop()["candidates"]
+            == reference.spans.pop()["candidates"])
+    fast.kernels.append(
+        (fast.last_kernel, len(fast._index.nonzero_overlaps(site))))
+    return chosen, twin
+
+
+def walked_wherever_possible(engine):
+    """Under ``always_walk`` only an empty candidate map is scanned."""
+    return all(kernel == "ordered" if candidates else kernel == "scored"
+               for kernel, candidates in engine.kernels)
+
+
 @st.composite
-def delta_scenario(draw):
+def delta_scenario(draw, metrics=METRIC_NAMES):
     """A workload plus a random op stream over it.
 
     Ops: file add / remove / reference at a site, a (possibly scoped)
@@ -56,7 +98,7 @@ def delta_scenario(draw):
                      max_size=min(6, num_files)))
         for _ in range(num_tasks)
     ]
-    metric = draw(st.sampled_from(METRIC_NAMES))
+    metric = draw(st.sampled_from(metrics))
     n = draw(st.sampled_from([1, 2, 4]))
     seed = draw(st.integers(0, 2**16))
     ops = draw(st.lists(
@@ -86,27 +128,20 @@ def apply_ops(fast, reference, ops):
         elif not fast.has_pending:
             continue
         elif op == "choose":
-            assert (fast.choose(site).task_id
-                    == reference.choose(site).task_id)
+            same_draw(fast, reference, site)
         elif op == "choose-scoped":
             pending = sorted(fast.pending)
             scope_rng = random.Random(scope_seed)
             eligible = set(scope_rng.sample(
                 pending, scope_rng.randint(1, len(pending))))
-            assert (fast.choose(site, eligible=eligible).task_id
-                    == reference.choose(site,
-                                        eligible=eligible).task_id)
+            same_draw(fast, reference, site, eligible)
         else:  # retire
-            chosen = fast.choose(site)
-            twin = reference.choose(site)
-            assert chosen.task_id == twin.task_id
+            chosen, twin = same_draw(fast, reference, site)
             fast.remove_task(chosen)
             reference.remove_task(twin)
 
 
-@given(delta_scenario())
-@settings(max_examples=120, deadline=None)
-def test_fast_path_is_decision_and_rng_identical(scenario):
+def check_decision_and_rng_identity(scenario):
     task_files, metric, n, seed, ops = scenario
     fast, _ = build_engine(task_files, metric, n, seed, fast_path=True)
     reference, _ = build_engine(task_files, metric, n, seed,
@@ -116,20 +151,32 @@ def test_fast_path_is_decision_and_rng_identical(scenario):
     assert fast._rng.getstate() == reference._rng.getstate()
     # Drain what's left through both paths: the whole tail must agree.
     while fast.has_pending:
-        chosen = fast.choose(0)
-        twin = reference.choose(0)
-        assert chosen.task_id == twin.task_id
+        chosen, twin = same_draw(fast, reference, 0)
         fast.remove_task(chosen)
         reference.remove_task(twin)
     assert not reference.has_pending
     assert fast._rng.getstate() == reference._rng.getstate()
+    return fast
 
 
 @given(delta_scenario())
-@settings(max_examples=60, deadline=None)
-def test_fast_path_batched_draws_are_identical(scenario):
-    """``choose_many`` (which feeds TASK_BATCH) agrees across paths,
-    scoped and unscoped."""
+@settings(max_examples=120, deadline=None)
+def test_fast_path_is_decision_and_rng_identical(scenario):
+    check_decision_and_rng_identity(scenario)
+
+
+@given(delta_scenario(metrics=ORDERED_NAMES))
+@settings(max_examples=120, deadline=None)
+def test_ordered_kernel_is_decision_and_rng_identical(scenario):
+    """The same streams with the crossover forced to "always walk":
+    every ``combined``/``combined-literal`` draw — unscoped and
+    set-scoped, n in {1, 2, 4} — goes through the refsum order."""
+    with always_walk():
+        fast = check_decision_and_rng_identity(scenario)
+    assert walked_wherever_possible(fast)
+
+
+def check_batched_draws(scenario):
     task_files, metric, n, seed, ops = scenario
     fast, _ = build_engine(task_files, metric, n, seed, fast_path=True)
     reference, _ = build_engine(task_files, metric, n, seed,
@@ -148,11 +195,32 @@ def test_fast_path_batched_draws_are_identical(scenario):
         pending = sorted(fast.pending)
         eligible = set(scope_rng.sample(
             pending, scope_rng.randint(1, len(pending))))
+    before = len(fast._index.nonzero_overlaps(0))
     drawn = fast.choose_many(0, k, eligible=eligible)
     expected = reference.choose_many(0, k, eligible=eligible)
+    fast.kernels.append((fast.spans[0]["kernel"], before))
     assert ([task.task_id for task in drawn]
             == [task.task_id for task in expected])
+    assert ([span["candidates"] for span in fast.spans]
+            == [span["candidates"] for span in reference.spans])
     assert fast._rng.getstate() == reference._rng.getstate()
+    return fast
+
+
+@given(delta_scenario())
+@settings(max_examples=60, deadline=None)
+def test_fast_path_batched_draws_are_identical(scenario):
+    """``choose_many`` (which feeds TASK_BATCH) agrees across paths,
+    scoped and unscoped."""
+    check_batched_draws(scenario)
+
+
+@given(delta_scenario(metrics=ORDERED_NAMES))
+@settings(max_examples=60, deadline=None)
+def test_ordered_kernel_batched_draws_are_identical(scenario):
+    with always_walk():
+        fast = check_batched_draws(scenario)
+    assert walked_wherever_possible(fast)
 
 
 # -- candidate-bucket invariants ---------------------------------------------
@@ -183,6 +251,25 @@ def assert_bucket_invariants(engine, tasks, sites=(0, 1)):
                             for tid, ov in expected_overlap.items()))
             expected_top = [(-key, tid) for key, tid in brute[:count]]
             assert by_overlap.top(count, reverse=True) == expected_top
+        # The refsum order (built here on first call, lazily re-keyed
+        # from the ids marked since on later ones) equals a brute-force
+        # sort over the rescan, group by group.
+        order = index.refsum_order(site)
+        order.check()
+        assert not order.dirty
+        expected_keys = {
+            tid: (tasks[tid].num_files - ov,
+                  index.naive_refsum(site, tasks[tid]))
+            for tid, ov in expected_overlap.items()}
+        assert order.as_dict() == expected_keys
+        for missing in order.groups():
+            brute = sorted((-refsum, tid) for tid, (group, refsum)
+                           in expected_keys.items() if group == missing)
+            assert ([(-refsum, tid) for refsum, tid
+                     in order.walk(missing)] == brute)
+        # ...which also emptied, hence dropped, any all-stale group.
+        assert set(order.groups()) == {
+            group for group, _refsum in expected_keys.values()}
 
 
 @given(delta_scenario())
@@ -209,6 +296,219 @@ def test_bucket_invariants_hold_after_every_mutation(scenario):
         if not engine.is_pending(tid):
             engine.add_task(task)
             assert_bucket_invariants(engine, tasks)
+
+
+# -- the refsum order at scale, at its edges, and on demand ------------------
+
+def hotset_tasks(count, seed):
+    """The benchmark's hotset shape: one of 20 hot files plus 4 from
+    a cold pool, so a resident hot file overlaps ~count/20 tasks."""
+    rng = random.Random(seed)
+    return [{rng.randrange(20)}
+            | {20 + fid for fid in rng.sample(range(4000), 4)}
+            for _ in range(count)]
+
+
+def run_task(engines, cache, site, task, capacity):
+    """A worker's cache after running ``task``: LRU with evictions,
+    every input referenced — mirrored into each engine as deltas."""
+    for fid in sorted(task.files):
+        if fid in cache:
+            cache.move_to_end(fid)
+        else:
+            cache[fid] = None
+            for engine in engines:
+                engine.file_added(site, fid)
+            if len(cache) > capacity:
+                evicted, _ = cache.popitem(last=False)
+                for engine in engines:
+                    engine.file_removed(site, evicted)
+        for engine in engines:
+            engine.file_referenced(site, fid)
+
+
+@pytest.mark.parametrize("metric", ORDERED_NAMES)
+def test_hotset_stream_matches_reference_with_far_fewer_scored(metric):
+    """3k-task hotset, 2 sites, LRU churn: the engine picks the ordered
+    kernel by itself, and the id stream, every ranked float and the
+    RNG match the reference while scoring >= 10x fewer candidates
+    than the scan."""
+    task_files = hotset_tasks(3000, seed=7)
+    fast, tasks = build_engine(task_files, metric, 2, 11, fast_path=True)
+    reference, _ = build_engine(task_files, metric, 2, 11,
+                                fast_path=False)
+    with mock.patch.object(policy_engine, "ORDER_WALK_COST",
+                           float("inf")):
+        scan, _ = build_engine(task_files, metric, 2, 11,
+                               fast_path=True)
+    engines = (fast, reference, scan)
+    caches = {0: OrderedDict(), 1: OrderedDict()}
+    job = {tid for tid in tasks if tid % 3}  # a two-thirds tenant
+    kernels = set()
+    for step in range(240):
+        site = step % 2
+        scoped = step % 4 >= 2
+        eligible = job if scoped else None
+        chosen, twin = same_draw(fast, reference, site, eligible)
+        with mock.patch.object(policy_engine, "ORDER_WALK_COST",
+                               float("inf")):
+            assert scan.choose(site, eligible).task_id == chosen.task_id
+        kernels.add(fast.last_kernel)
+        for engine in engines:
+            engine.remove_task(tasks[chosen.task_id])
+        job.discard(chosen.task_id)
+        run_task(engines, caches[site], site, chosen, capacity=60)
+    assert fast._rng.getstate() == reference._rng.getstate()
+    # Cold start (empty caches, tiny maps) scans, then the order takes
+    # over; and the caches did fill, so files were evicted.
+    assert kernels == {"scored", "ordered"}
+    assert scan.last_kernel == "scored"
+    assert sum(len(cache) for cache in caches.values()) == 120
+    assert fast.tasks_scored * 10 <= scan.tasks_scored
+    assert scan.tasks_scored == reference.tasks_scored
+
+
+@pytest.mark.parametrize("metric", ORDERED_NAMES)
+@pytest.mark.parametrize("n, holders_of_file_2, expected", [
+    # refsums 3 > 2, equal weight: the lower id wins although the
+    # order lists it second.
+    (1, [2], [2]),
+    # A plateau behind the tie: ids 2 and 3 (refsum 2) both outrank
+    # id 5 (refsum 3) at equal weight.
+    (2, [2, 3], [2, 3]),
+])
+def test_float_tie_across_distinct_refsums(metric, n, holders_of_file_2,
+                                           expected):
+    """``totalRef`` ~ 2**60 rounds refsums 2 and 3 to one weight, so
+    the id tie-break reaches across distinct keys of one group: the
+    walk must keep extending past its n-th candidate."""
+    references = [(1, 2 ** 60), (2, 2), (3, 3)]
+    # Every task: one shared file + one private, never-resident file,
+    # so all the overlapping ones miss exactly one.
+    shared = {tid: 9 for tid in range(6)}          # 9: not resident
+    shared.update({tid: 2 for tid in holders_of_file_2})
+    shared[5] = 3
+    shared[6] = 1                                  # the huge refsum
+    engines = []
+    for fast_path in (True, False):
+        tasks = {tid: Task(tid, frozenset({fid, 100 + tid}))
+                 for tid, fid in shared.items()}
+        engine = PolicyEngine(tasks, metric=metric, n=n,
+                              rng=random.Random(3), fast_path=fast_path)
+        engine.attach_site(0, state=SiteFileState.restore(
+            resident=[1, 2, 3], references=references))
+        for task in tasks.values():
+            engine.add_task(task)
+        trace(engine)
+        engines.append(engine)
+    fast, reference = engines
+    refsums = fast._index.refsums(0)
+    assert all(refsums[5] > refsums[tid] for tid in holders_of_file_2)
+    eligible = set(holders_of_file_2) | {5}
+    with always_walk():
+        same_draw(fast, reference, 0)
+        fast.choose(0, eligible)
+        reference.choose(0, eligible)
+    span = fast.spans[-1]
+    assert span["kernel"] == "ordered"
+    assert span["candidates"] == reference.spans[-1]["candidates"]
+    assert [c["task_id"] for c in span["candidates"]] == expected
+    assert span["scored"] == len(eligible) > n  # walked past the n-th
+    assert fast._rng.getstate() == reference._rng.getstate()
+
+
+def test_refsum_order_is_built_dropped_and_rebuilt_on_demand():
+    """The order exists only while the candidate map is large: built
+    by the first decision that finds it so, kept (but not walked)
+    below the crossover, dropped at half of it, rebuilt on regrowth —
+    bit-identical to the reference throughout."""
+    task_files = [{0, 100 + tid} for tid in range(40)]
+    fast, tasks = build_engine(task_files, "combined", 1, 5,
+                               fast_path=True, sites=(0,))
+    reference, _ = build_engine(task_files, "combined", 1, 5,
+                                fast_path=False, sites=(0,))
+    state = fast._index._sites[0]
+
+    def draw_and_retire():
+        chosen, twin = same_draw(fast, reference, 0)
+        fast.remove_task(chosen)
+        reference.remove_task(twin)
+
+    # One missing-count group, n = 1: the walk pays above 32 candidates.
+    assert policy_engine.ORDER_WALK_COST == 32
+    same_draw(fast, reference, 0)
+    assert fast.last_kernel == "scored" and state.by_refsum is None
+    for engine in (fast, reference):
+        engine.file_added(0, 0)        # all 40 tasks now overlap
+        engine.file_referenced(0, 0)
+    assert state.by_refsum is None     # events alone build nothing
+    draw_and_retire()
+    assert fast.last_kernel == "ordered" and len(state.by_refsum) == 39
+    while len(fast.pending) > 32:
+        draw_and_retire()
+    assert fast.last_kernel == "ordered"
+    draw_and_retire()                  # 32 candidates: scan, keep order
+    assert fast.last_kernel == "scored" and state.by_refsum is not None
+    for engine in (fast, reference):
+        engine.file_referenced(0, 0)
+    assert state.by_refsum.dirty == set(fast.pending)   # marked only
+    while len(fast.pending) > 15:
+        draw_and_retire()
+    assert state.by_refsum is not None
+    draw_and_retire()                  # 15 candidates: under half
+    assert fast.last_kernel == "scored" and state.by_refsum is None
+    for tid, task in tasks.items():    # requeue everything: regrowth
+        if not fast.is_pending(tid):
+            fast.add_task(task)
+            reference.add_task(task)
+    assert state.by_refsum is None
+    draw_and_retire()
+    assert fast.last_kernel == "ordered" and len(state.by_refsum) == 39
+    while fast.has_pending:
+        draw_and_retire()
+    assert fast._rng.getstate() == reference._rng.getstate()
+
+
+@pytest.mark.parametrize("metric", ["rest", "combined"])
+def test_no_zero_heap_walk_when_every_pending_task_overlaps(metric,
+                                                            monkeypatch):
+    """Regression: with one shared resident file nobody has zero
+    overlap, and the zero-candidate lookup used to pop and re-push the
+    whole heap (O(T log T) per decision) to find that out."""
+    task_files = [{0, 1 + tid} for tid in range(500)]
+    fast, _ = build_engine(task_files, metric, 2, 0, fast_path=True,
+                           sites=(0,))
+    reference, _ = build_engine(task_files, metric, 2, 0,
+                                fast_path=False, sites=(0,))
+    for engine in (fast, reference):
+        engine.file_added(0, 0)
+    pops = []
+    real_pop = heapq.heappop
+
+    def counting_pop(heap):
+        if heap is fast._zero_heap:
+            pops.append(1)
+        return real_pop(heap)
+
+    monkeypatch.setattr(heapq, "heappop", counting_pop)
+    for _ in range(320):
+        chosen, twin = same_draw(fast, reference, 0)
+        fast.remove_task(chosen)
+        reference.remove_task(twin)
+    assert not pops
+    # The skipped walk was also what dropped retired tasks' entries;
+    # retiring sweeps them instead, so they cannot pile up for the
+    # server's lifetime.
+    assert len(fast._zero_heap) <= 2 * len(fast.pending) + 64 < 500
+    # A task without the shared file brings the heap walk back, and it
+    # stops as soon as n candidates are found.
+    loner = Task(1000, frozenset({7000}))
+    for engine in (fast, reference):
+        engine.job[1000] = loner
+        engine.add_task(loner)
+    same_draw(fast, reference, 0)
+    assert fast.zero_overlap_candidates(0) == [1000]
+    assert fast._rng.getstate() == reference._rng.getstate()
 
 
 def test_candidate_buckets_lazy_heap_survives_churn():
