@@ -22,6 +22,11 @@ Two layers:
   ``combined-churn`` — the same decision with one reference to a
   widely shared resident file before each call, so the lazily
   maintained refsum order has ~500 ids to re-key every time).
+
+  The same run also times the *write* side of the overlap index: the
+  ``index-write`` rows are us per applied Coadd-shaped file delta
+  (~78 ids, each file held by ~8 pending tasks, LRU evictions on)
+  under ``combined`` and ``rest``, gated by the same 30% tolerance.
 """
 
 import argparse
@@ -33,6 +38,7 @@ from pathlib import Path
 
 from repro.core.policy_engine import PolicyEngine
 from repro.grid.job import Task
+from repro.serve.client import SiteCacheMirror
 
 RESULTS_DIR = Path(__file__).parent / "results"
 BASELINE_PATH = RESULTS_DIR / "decision_latency_baseline.json"
@@ -62,6 +68,20 @@ KERNEL_ROWS = {
     "combined": ("combined", False),
     "combined-churn": ("combined", True),
 }
+#: The index-write workload: the paper's Coadd shape.  Task ``i``
+#: holds ``files_per_task`` consecutive files starting at ``i *
+#: file_stride``, so a file is held by ``files_per_task / file_stride``
+#: (~8) pending tasks; one worker with an LRU cache of
+#: ``cache_files`` pulls ``deltas`` tasks and reports each as one
+#: delta: evictions, insertions, then all ~78 inputs referenced.
+INDEX_WRITE_CONFIG = {
+    "pending_tasks": 2_000,
+    "files_per_task": 78,
+    "file_stride": 10,
+    "cache_files": 600,
+    "deltas": 300,
+}
+INDEX_WRITE_METRICS = ("combined", "rest")
 REGRESSION_TOLERANCE = 0.30
 SPEEDUP_FLOORS = {"overlap": 5.0, "rest": 5.0, "combined": 50.0,
                   "combined-churn": 5.0}
@@ -156,6 +176,73 @@ def run_kernel_sweep(quick):
     return results
 
 
+# -- index-write cost (standalone) -------------------------------------------
+
+def measure_index_write_us(metric, repeats):
+    """Best-of-``repeats`` mean us per applied Coadd-shaped delta.
+
+    Each pass builds a fresh engine, then pulls ``deltas`` tasks: the
+    engine chooses and retires one (untimed — it is what makes the
+    engine build whatever candidate structures its metric reads, as a
+    serving engine would have), the worker's :class:`SiteCacheMirror`
+    turns the task's inputs into a delta, and only applying that delta
+    id by id — the calls ``SchedulerService.file_delta`` makes — is
+    timed.
+    """
+    cfg = INDEX_WRITE_CONFIG
+    clock = time.perf_counter
+    tasks = {
+        task_id: Task(task_id, frozenset(
+            range(task_id * cfg["file_stride"],
+                  task_id * cfg["file_stride"] + cfg["files_per_task"])))
+        for task_id in range(cfg["pending_tasks"])}
+    best = float("inf")
+    for _ in range(repeats):
+        engine = PolicyEngine(tasks, metric=metric, n=1,
+                              rng=random.Random(1))
+        engine.attach_site(0)
+        for task in tasks.values():
+            engine.add_task(task)
+        cache = SiteCacheMirror(cfg["cache_files"])
+        spent = 0.0
+        for _ in range(cfg["deltas"]):
+            task = engine.choose(0)
+            engine.remove_task(task)
+            referenced = sorted(task.files)
+            delta = cache.admit(referenced)
+            start = clock()
+            for fid in delta["removed"]:
+                engine.file_removed(0, fid)
+            for fid in delta["added"]:
+                engine.file_added(0, fid)
+            for fid in referenced:
+                engine.file_referenced(0, fid)
+            spent += clock() - start
+        best = min(best, spent / cfg["deltas"])
+    return best * 1e6
+
+
+def run_index_write_sweep(quick):
+    """{metric: us per delta}."""
+    repeats = 2 if quick else 5
+    return {metric: round(measure_index_write_us(metric, repeats), 2)
+            for metric in INDEX_WRITE_METRICS}
+
+
+def format_index_write_table(results):
+    cfg = INDEX_WRITE_CONFIG
+    lines = [
+        f"index write: one Coadd-shaped delta "
+        f"({cfg['files_per_task']} files/task, "
+        f"~{cfg['files_per_task'] / cfg['file_stride']:.0f} pending "
+        f"referers per file, LRU of {cfg['cache_files']})",
+        f"{'metric':>14} {'us/delta':>10}",
+    ]
+    for metric, delta_us in results.items():
+        lines.append(f"{metric:>14} {delta_us:>10.1f}")
+    return "\n".join(lines)
+
+
 def format_kernel_table(results):
     lines = [
         f"decision kernel at {KERNEL_CONFIG['pending_tasks']} pending "
@@ -171,19 +258,21 @@ def format_kernel_table(results):
     return "\n".join(lines)
 
 
-def write_baseline(mode, results):
+def write_baseline(mode, results, index_write):
     RESULTS_DIR.mkdir(exist_ok=True)
     payload = {
         "schema": 1,
         "mode": mode,
         "config": {key: value for key, value in KERNEL_CONFIG.items()},
         "decision_us": results,
+        "index_write_config": dict(INDEX_WRITE_CONFIG),
+        "index_write_us": index_write,
     }
     BASELINE_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     return payload
 
 
-def check_against_baseline(results):
+def check_against_baseline(results, index_write):
     """Exit-code style check: [] if healthy, else failure messages."""
     failures = []
     if not BASELINE_PATH.exists():
@@ -210,6 +299,13 @@ def check_against_baseline(results):
                 f"{metric}: fast path {fast_us:.1f} us is more than "
                 f"{REGRESSION_TOLERANCE:.0%} above the baseline "
                 f"{recorded['fast_us']:.1f} us")
+    for metric, delta_us in index_write.items():
+        recorded = baseline.get("index_write_us", {}).get(metric)
+        if recorded is not None and delta_us > recorded * ceiling:
+            failures.append(
+                f"index-write {metric}: {delta_us:.1f} us per delta is "
+                f"more than {REGRESSION_TOLERANCE:.0%} above the "
+                f"baseline {recorded:.1f} us")
     return failures
 
 
@@ -230,10 +326,12 @@ def main(argv=None):
     mode = "quick" if args.quick else "full"
     results = run_kernel_sweep(quick=args.quick)
     print(format_kernel_table(results))
+    index_write = run_index_write_sweep(quick=args.quick)
+    print(format_index_write_table(index_write))
 
     status = 0
     if args.check:
-        failures = check_against_baseline(results)
+        failures = check_against_baseline(results, index_write)
         for failure in failures:
             print(f"REGRESSION: {failure}", file=sys.stderr)
         if failures:
@@ -241,7 +339,7 @@ def main(argv=None):
         else:
             print("decision-kernel regression check passed")
     if args.write_baseline:
-        write_baseline(mode, results)
+        write_baseline(mode, results, index_write)
         print(f"baseline written to {BASELINE_PATH}")
     return status
 

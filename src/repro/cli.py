@@ -308,6 +308,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             def stats_json():
                 snapshot = service.stats_snapshot()
                 snapshot["jobs"] = service.jobs_overview()
+                # Not part of the STATS wire snapshot (kept
+                # byte-compatible); /stats.json is free to carry more.
+                snapshot["file_delta_latency"] = \
+                    service.stats.file_delta.snapshot()
                 if durability is not None:
                     snapshot["shard"] = durability.describe()
                 return snapshot

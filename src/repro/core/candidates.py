@@ -9,7 +9,9 @@ a key, since equal keys mean bit-equal weights and the engine breaks
 ties by lowest id).
 
 :class:`CandidateBuckets` maintains key -> ordered-task-id buckets
-under the overlap index's O(1)-per-event update discipline:
+under the overlap index's O(1)-per-event update discipline, from the
+moment a decision first asks for them (the index then builds them from
+its candidate map in one pass; until then there is nothing to keep):
 
 * ``add`` / ``move`` / ``remove`` cost O(log b) in the bucket size
   (one heap push plus set/dict updates) — effectively constant;
@@ -36,18 +38,31 @@ one reference to a hot file changes ``ref_t`` of every pending referer.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
+from types import MappingProxyType
+from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 
 class CandidateBuckets:
     """Mutable key -> ordered set of task ids, with ranked retrieval."""
 
-    __slots__ = ("_key_of", "_live", "_heaps")
+    __slots__ = ("_key_of", "_live", "_heaps", "key_by_id")
 
-    def __init__(self) -> None:
-        self._key_of: Dict[int, int] = {}       # task id -> current key
+    def __init__(self, key_of: Optional[Mapping[int, int]] = None) -> None:
+        """Empty, or tracking every ``task id -> key`` of ``key_of``
+        (copied; one heapify per bucket instead of a push per id)."""
+        self._key_of: Dict[int, int] = dict(key_of or ())
         self._live: Dict[int, Set[int]] = {}    # key -> live task ids
         self._heaps: Dict[int, List[int]] = {}  # key -> lazy min-heap
+        #: Read-only live view of task id -> current key.
+        self.key_by_id: Mapping[int, int] = MappingProxyType(self._key_of)
+        for task_id, key in self._key_of.items():
+            live = self._live.get(key)
+            if live is None:
+                live = self._live[key] = set()
+            live.add(task_id)
+        for key, live in self._live.items():
+            heap = self._heaps[key] = list(live)
+            heapq.heapify(heap)
 
     # -- mutation --------------------------------------------------------
     def add(self, task_id: int, key: int) -> None:
@@ -85,9 +100,6 @@ class CandidateBuckets:
 
     def __contains__(self, task_id: int) -> bool:
         return task_id in self._key_of
-
-    def key_of(self, task_id: int) -> Optional[int]:
-        return self._key_of.get(task_id)
 
     def keys(self, reverse: bool = False) -> List[int]:
         """Non-empty bucket keys, sorted (count, not queue-sized)."""
@@ -144,9 +156,6 @@ class CandidateBuckets:
         """``{task_id: key}`` snapshot (invariant checks in tests)."""
         return dict(self._key_of)
 
-    def items(self) -> Iterator[Tuple[int, int]]:
-        return iter(self._key_of.items())
-
     def check(self) -> None:
         """Raise AssertionError if internal structures disagree."""
         rebuilt: Dict[int, Set[int]] = {}
@@ -161,7 +170,7 @@ class CandidateBuckets:
 
 #: ``(-ref_t, task_id, missing)``: heap order inside a group is the
 #: first two fields; the third lets a flush see the entry's group.
-_OrderEntry = Tuple[Union[int, float], int, int]
+_OrderEntry = Tuple[float, int, int]
 
 
 class RefsumOrder:
@@ -202,17 +211,17 @@ class RefsumOrder:
         self._entry_of.pop(task_id, None)
         self.dirty.discard(task_id)
 
-    def flush(self, groups: CandidateBuckets,
-              refsums: Dict[int, float]) -> None:
+    def flush(self, missing_of: Mapping[int, int],
+              refsums: Mapping[int, float]) -> None:
         """Re-key every dirty id from the index's current counters.
 
-        ``groups`` is the site's missing-count buckets (an id absent
-        from it no longer overlaps the site and leaves the order);
-        ``refsums`` maps id -> ``ref_t``.
+        ``missing_of`` maps each candidate id to its missing count —
+        the site's missing-count buckets' ``key_by_id`` — and an id
+        absent from it no longer overlaps the site and leaves the
+        order; ``refsums`` maps id -> ``ref_t``.
         """
         entry_of = self._entry_of
         heaps = self._heaps
-        missing_of = groups._key_of
         moved = [task_id for task_id in self.dirty
                  if task_id in missing_of]
         if len(moved) < len(self.dirty):
@@ -253,7 +262,7 @@ class RefsumOrder:
         queue-sized; a group of only stale entries empties on walk)."""
         return list(self._heaps)
 
-    def walk(self, missing: int) -> Iterator[Tuple[Union[int, float], int]]:
+    def walk(self, missing: int) -> Iterator[Tuple[float, int]]:
         """Yield the group's live ``(ref_t, task_id)`` best-first.
 
         A generator: take as many as needed, then ``close()`` it (or
@@ -280,7 +289,7 @@ class RefsumOrder:
                 del self._heaps[missing]
 
     # -- verification ----------------------------------------------------
-    def as_dict(self) -> Dict[int, Tuple[int, Union[int, float]]]:
+    def as_dict(self) -> Dict[int, Tuple[int, float]]:
         """``{task_id: (missing, ref_t)}`` snapshot (tests)."""
         return {task_id: (entry[2], -entry[0])
                 for task_id, entry in self._entry_of.items()}

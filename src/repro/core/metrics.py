@@ -53,9 +53,17 @@ def rest_weight_exact(missing: int) -> Fraction:
     scheduler; in floating point the accumulation order would leave
     last-bit drift, and mathematically *tied* tasks would then break
     ties differently than a direct recomputation (observed in
-    equivalence testing).  Summing exact rationals makes the aggregate
-    — and therefore tie-breaking — well-defined everywhere; the final
-    weight is still computed in floats from identical ingredients.
+    equivalence testing).  Summing exactly and rounding once makes the
+    aggregate — and therefore tie-breaking — well-defined everywhere;
+    the final weight is still computed in floats from identical
+    ingredients.
+
+    This function is the *oracle*: the verbatim rescan in
+    :mod:`repro.core.reference` and the tests sum these rationals.
+    The incremental :class:`~repro.core.overlap_index.OverlapIndex`
+    holds the same sum as an integer numerator over ``lcm(1..max |t|)``
+    — no ``Fraction`` on its write path — and its one correctly rounded
+    division yields the same float as ``float()`` of this sum.
     """
     if missing < 0:
         raise ValueError(f"missing must be >= 0, got {missing}")

@@ -20,18 +20,23 @@ per request.
 recomputation (:meth:`naive_overlap`, :meth:`naive_refsum`) is kept for
 cross-checking in tests and the index-vs-rescan ablation benchmark.
 
-On top of the per-task counters each site keeps two
+On top of the per-task counters a site may carry up to three ranked
+candidate structures, each **built only when a decision asks for it**
+and maintained from then on: two
 :class:`~repro.core.candidates.CandidateBuckets` — overlap-count →
-task ids and missing-count → task ids — maintained in step with
-``overlap[t]``.  They give the policy engine's fast path ranked
-candidate retrieval without scanning (``overlap``/``rest`` weights are
-monotone in those integer keys); see ``docs/performance.md``.
-``combined``'s ranking additionally needs ``refsum[t]`` order inside a
-missing-count group; that :class:`~repro.core.candidates.RefsumOrder`
-exists only at sites whose decisions asked for it
-(:meth:`OverlapIndex.refsum_order`), and every event here merely marks
-the ids it touched — one reference to a hot file moves ``refsum[t]`` of
+task ids (:meth:`OverlapIndex.candidates_by_overlap`, the ``overlap``
+metric's walk) and missing-count → task ids
+(:meth:`OverlapIndex.candidates_by_missing`, ``rest``'s walk and the
+groups of ``combined``'s order) — kept in step with ``overlap[t]`` by
+every event once they exist, and the
+:class:`~repro.core.candidates.RefsumOrder`
+(:meth:`OverlapIndex.refsum_order`), for which events merely mark the
+ids they touched — one reference to a hot file moves ``refsum[t]`` of
 all its pending referers, so eager re-keying would tax every write.
+Until asked, each is ``None`` and an event pays one test for it: a
+``combined`` engine over the paper's Coadd job (candidate maps of tens
+of tasks, always scanned) carries none of the three, a ``rest`` engine
+only the missing-count buckets.  See ``docs/performance.md``.
 
 ``totalRest`` decomposes as::
 
@@ -41,19 +46,28 @@ all its pending referers, so eager re-keying would tax every write.
 
 The first sum (``rest_base``) changes only when the pending set
 changes; the per-site correction changes only when an overlap count
-changes.
+changes.  Both are kept **exact, as integers**: every term is ``1/m``
+for some ``1 <= m <= M`` (``M`` the largest ``|t|`` seen) or the
+``1/2``-floor value 2, so over the common denominator ``D =
+lcm(1..M)`` each term is the integer ``unit[m] = D // m`` (``unit[0] =
+2·D``) and the sums are integer numerators updated by ``+= unit[a] -
+unit[b]``.  :meth:`OverlapIndex.total_rest` is the one true division
+``numerator / D``, which Python rounds correctly — the same float as
+``float()`` of the rational sum, whatever order the events came in
+(``core/reference.py`` keeps that rational sum as the oracle).  A task
+larger than ``M`` rescales the numerators once.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set
+from functools import partial
+from math import lcm
+from typing import Dict, Iterable, KeysView, List, Optional, Set
 
 from ..grid.job import Job, Task
 from ..grid.storage import SiteStorage
-from fractions import Fraction
-
 from .candidates import CandidateBuckets, RefsumOrder
-from .metrics import TaskView, rest_weight, rest_weight_exact
+from .metrics import TaskView, rest_weight
 
 
 class _SiteState:
@@ -68,34 +82,35 @@ class _SiteState:
         self.overlap: Dict[int, int] = {}
         self.refsum: Dict[int, float] = {}
         self.total_refsum = 0.0
-        #: Exact rational: Sum over overlapped tasks of
-        #: rest(missing) - rest(|t|).  See metrics.rest_weight_exact.
-        self.rest_correction = Fraction(0)
-        #: Candidate buckets over the *nonzero-overlap* tasks (exactly
-        #: the key set of ``overlap``), keyed two ways for the two
-        #: bucketable metrics: overlap count (``overlap`` metric walks
-        #: them descending) and missing count (``rest`` walks them
-        #: ascending).  Zero-overlap tasks stay on the engine's shared
-        #: zero-candidate heap, as before.
-        self.by_overlap = CandidateBuckets()
-        self.by_missing = CandidateBuckets()
-        #: The same candidates ordered for ``combined``; None until a
-        #: decision at this site asks for it, and again after
-        #: :meth:`OverlapIndex.drop_refsum_order`.  While None, events
-        #: pay one ``is None`` test for it and nothing else.
+        #: Numerator over the index's denominator of the sum, over
+        #: overlapped tasks, of rest(missing) - rest(|t|).
+        self.rest_correction = 0
+        #: Candidate structures over the *nonzero-overlap* tasks
+        #: (exactly the key set of ``overlap``): buckets by overlap
+        #: count (``overlap`` walks them descending), buckets by
+        #: missing count (``rest`` walks them ascending) and the same
+        #: candidates ordered for ``combined``.  Each is None until a
+        #: decision at this site asks for it; while None, events pay
+        #: one test for it and nothing else.  Zero-overlap tasks stay
+        #: on the engine's shared zero-candidate heap.
+        self.by_overlap: Optional[CandidateBuckets] = None
+        self.by_missing: Optional[CandidateBuckets] = None
+        #: Also None again after :meth:`OverlapIndex.drop_refsum_order`.
         self.by_refsum: Optional[RefsumOrder] = None
 
-    def bucket_add(self, tid: int, size: int, ov: int) -> None:
-        self.by_overlap.add(tid, ov)
-        self.by_missing.add(tid, size - ov)
-
-    def bucket_move(self, tid: int, size: int, ov: int) -> None:
-        self.by_overlap.move(tid, ov)
-        self.by_missing.move(tid, size - ov)
-
-    def bucket_remove(self, tid: int) -> None:
-        self.by_overlap.remove(tid)
-        self.by_missing.remove(tid)
+    def rebucket(self, tid: int, old: int, ov: int, missing: int) -> None:
+        """``tid``'s overlap went ``old`` -> ``ov`` (either may be 0 =
+        not a candidate): re-key it in the buckets that exist."""
+        for buckets, key in ((self.by_overlap, ov),
+                             (self.by_missing, missing)):
+            if buckets is None:
+                continue
+            if not old:
+                buckets.add(tid, key)
+            elif ov:
+                buckets.move(tid, key)
+            else:
+                buckets.remove(tid)
 
 
 class OverlapIndex:
@@ -105,9 +120,14 @@ class OverlapIndex:
         """Track ``tasks`` (default: every task of ``job``) as pending."""
         self.job = job
         self._file_to_tasks: Dict[int, Set[int]] = {}
-        self._pending: Set[int] = set()
+        #: Pending task id -> |t|; its key set *is* the pending set.
+        self._size: Dict[int, int] = {}
         self._sites: Dict[int, _SiteState] = {}
-        self._rest_base = Fraction(0)
+        #: ``D = lcm(1..M)`` for the largest |t| seen, and ``unit[m]``,
+        #: rest(m) as a numerator over it, for ``0 <= m <= M``.
+        self._denominator = 1
+        self._unit: List[int] = [2]
+        self._rest_base = 0
         for task in (job if tasks is None else tasks):
             self.add_task(task)
 
@@ -121,66 +141,86 @@ class OverlapIndex:
             raise ValueError(f"site {site_id} already watched")
         state = _SiteState(storage)
         self._sites[site_id] = state
-        storage.on_insert(lambda fid, s=state: self._on_insert(s, fid))
-        storage.on_evict(lambda fid, s=state: self._on_evict(s, fid))
-        storage.on_touch(lambda fid, s=state: self._on_touch(s, fid))
+        storage.on_insert(partial(self._on_insert, state))
+        storage.on_evict(partial(self._on_evict, state))
+        storage.on_touch(partial(self._on_touch, state))
         for fid in storage.resident_files:
             self._on_insert(state, fid)
 
     # -- pending-set management --------------------------------------------
     @property
-    def pending_tasks(self) -> Set[int]:
-        """Ids of tasks currently tracked (read-only view by convention)."""
-        return self._pending
+    def pending_tasks(self) -> KeysView[int]:
+        """Ids of tasks currently tracked (a live read-only view)."""
+        return self._size.keys()
+
+    def _grow_denominator(self, size: int) -> None:
+        """A task larger than any seen: ``D`` becomes ``lcm(1..size)``
+        and every numerator is rescaled to it, once."""
+        grown = lcm(self._denominator, *range(len(self._unit), size + 1))
+        factor = grown // self._denominator
+        self._rest_base *= factor
+        for state in self._sites.values():
+            state.rest_correction *= factor
+        self._denominator = grown
+        self._unit = [2 * grown] + [grown // m for m in range(1, size + 1)]
 
     def add_task(self, task: Task) -> None:
         """Track a pending task (initial load, or a requeue)."""
         tid = task.task_id
-        if tid in self._pending:
+        if tid in self._size:
             raise ValueError(f"task {tid} already pending")
-        self._pending.add(tid)
-        self._rest_base += rest_weight_exact(task.num_files)
-        for fid in task.files:
-            self._file_to_tasks.setdefault(fid, set()).add(tid)
+        files = task.files
+        size = task.num_files
+        if size >= len(self._unit):
+            self._grow_denominator(size)
+        unit = self._unit
+        self._size[tid] = size
+        self._rest_base += unit[size]
+        file_to_tasks = self._file_to_tasks
+        for fid in files:
+            referers = file_to_tasks.get(fid)
+            if referers is None:
+                file_to_tasks[fid] = {tid}
+            else:
+                referers.add(tid)
         # Fold in any storage that already holds some of its files.
         for state in self._sites.values():
-            ov = state.storage.overlap(task.files)
+            storage = state.storage
+            ov = storage.overlap(files)
             if ov:
                 state.overlap[tid] = ov
-                state.bucket_add(tid, task.num_files, ov)
+                state.rebucket(tid, 0, ov, size - ov)
                 if state.by_refsum is not None:
                     state.by_refsum.dirty.add(tid)
-                ref = sum(state.storage.reference_count(fid)
-                          for fid in task.files if fid in state.storage)
+                ref = float(sum(storage.reference_count(fid)
+                                for fid in files if fid in storage))
                 state.refsum[tid] = ref
                 state.total_refsum += ref
-                state.rest_correction += (
-                    rest_weight_exact(task.num_files - ov)
-                    - rest_weight_exact(task.num_files))
+                state.rest_correction += unit[size - ov] - unit[size]
 
     def remove_task(self, task: Task) -> None:
         """Stop tracking a task (it was assigned or completed)."""
         tid = task.task_id
-        if tid not in self._pending:
+        size = self._size.pop(tid, None)
+        if size is None:
             raise KeyError(f"task {tid} is not pending")
-        self._pending.remove(tid)
-        self._rest_base -= rest_weight_exact(task.num_files)
+        unit = self._unit
+        self._rest_base -= unit[size]
+        file_to_tasks = self._file_to_tasks
         for fid in task.files:
-            referers = self._file_to_tasks.get(fid)
+            referers = file_to_tasks.get(fid)
             if referers is not None:
                 referers.discard(tid)
                 if not referers:
-                    del self._file_to_tasks[fid]
+                    del file_to_tasks[fid]
         for state in self._sites.values():
             if state.by_refsum is not None:
                 state.by_refsum.forget(tid)
             ov = state.overlap.pop(tid, 0)
             if ov:
-                state.bucket_remove(tid)
+                state.rebucket(tid, ov, 0, size)
                 state.total_refsum -= state.refsum.pop(tid, 0.0)
-                state.rest_correction -= (
-                    rest_weight_exact(task.num_files - ov)
-                    - rest_weight_exact(task.num_files))
+                state.rest_correction -= unit[size - ov] - unit[size]
 
     # -- storage listeners ---------------------------------------------
     def _on_insert(self, state: _SiteState, fid: int) -> None:
@@ -189,22 +229,29 @@ class OverlapIndex:
             return
         if state.by_refsum is not None:
             state.by_refsum.dirty.update(tasks)
+        bucketed = (state.by_overlap is not None
+                    or state.by_missing is not None)
         ref = state.storage.reference_count(fid)
+        size_of = self._size
+        unit = self._unit
+        overlap = state.overlap
+        refsum = state.refsum
+        total_refsum = state.total_refsum
+        correction = 0
         for tid in tasks:
-            size = self.job[tid].num_files
-            old = state.overlap.get(tid, 0)
-            state.overlap[tid] = old + 1
-            if old:
-                state.bucket_move(tid, size, old + 1)
-            else:
-                state.bucket_add(tid, size, 1)
-            state.rest_correction += (rest_weight_exact(size - old - 1)
-                                      - rest_weight_exact(size - old))
+            old = overlap.get(tid, 0)
+            overlap[tid] = old + 1
+            missing = size_of[tid] - old
+            correction += unit[missing - 1] - unit[missing]
+            if bucketed:
+                state.rebucket(tid, old, old + 1, missing - 1)
             if ref:
-                state.refsum[tid] = state.refsum.get(tid, 0.0) + ref
-                state.total_refsum += ref
-            elif tid not in state.refsum:
-                state.refsum[tid] = 0.0
+                refsum[tid] = refsum.get(tid, 0.0) + ref
+                total_refsum += ref
+            elif tid not in refsum:
+                refsum[tid] = 0.0
+        state.rest_correction += correction
+        state.total_refsum = total_refsum
 
     def _on_evict(self, state: _SiteState, fid: int) -> None:
         tasks = self._file_to_tasks.get(fid)
@@ -212,22 +259,31 @@ class OverlapIndex:
             return
         if state.by_refsum is not None:
             state.by_refsum.dirty.update(tasks)
+        bucketed = (state.by_overlap is not None
+                    or state.by_missing is not None)
         ref = state.storage.reference_count(fid)
+        size_of = self._size
+        unit = self._unit
+        overlap = state.overlap
+        refsum = state.refsum
+        total_refsum = state.total_refsum
+        correction = 0
         for tid in tasks:
-            size = self.job[tid].num_files
-            old = state.overlap[tid]
-            state.rest_correction += (rest_weight_exact(size - old + 1)
-                                      - rest_weight_exact(size - old))
+            old = overlap[tid]
+            missing = size_of[tid] - old
+            correction += unit[missing + 1] - unit[missing]
+            if bucketed:
+                state.rebucket(tid, old, old - 1, missing + 1)
             if old == 1:
-                del state.overlap[tid]
-                state.bucket_remove(tid)
-                state.total_refsum -= state.refsum.pop(tid, 0.0)
+                del overlap[tid]
+                total_refsum -= refsum.pop(tid, 0.0)
             else:
-                state.overlap[tid] = old - 1
-                state.bucket_move(tid, size, old - 1)
+                overlap[tid] = old - 1
                 if ref:
-                    state.refsum[tid] -= ref
-                    state.total_refsum -= ref
+                    refsum[tid] -= ref
+                    total_refsum -= ref
+        state.rest_correction += correction
+        state.total_refsum = total_refsum
 
     def _on_touch(self, state: _SiteState, fid: int) -> None:
         if fid not in state.storage:
@@ -237,10 +293,13 @@ class OverlapIndex:
             return
         if state.by_refsum is not None:
             state.by_refsum.dirty.update(tasks)
+        refsum = state.refsum
+        total_refsum = state.total_refsum
         for tid in tasks:
             # The file is resident, so every pending referer overlaps it.
-            state.refsum[tid] = state.refsum.get(tid, 0.0) + 1
-            state.total_refsum += 1
+            refsum[tid] = refsum.get(tid, 0.0) + 1
+            total_refsum += 1
+        state.total_refsum = total_refsum
 
     # -- queries -----------------------------------------------------------
     def nonzero_overlaps(self, site_id: int) -> Dict[int, int]:
@@ -252,15 +311,29 @@ class OverlapIndex:
 
         ``top(n, reverse=True)`` is the site's top-n under the
         ``overlap`` metric among nonzero-overlap tasks, in O(n +
-        buckets touched) instead of a full candidate scan.
+        buckets touched) instead of a full candidate scan.  Built from
+        the candidate map on the first call for this site, maintained
+        by every event afterwards.
         """
-        return self._sites[site_id].by_overlap
+        state = self._sites[site_id]
+        buckets = state.by_overlap
+        if buckets is None:
+            buckets = state.by_overlap = CandidateBuckets(state.overlap)
+        return buckets
 
     def candidates_by_missing(self, site_id: int) -> CandidateBuckets:
         """Nonzero-overlap candidates bucketed by missing count
         ``|t| - |F_t|``; ``top(n)`` is the ``rest`` metric's top-n
-        among nonzero-overlap tasks."""
-        return self._sites[site_id].by_missing
+        among nonzero-overlap tasks.  Built on the first call for this
+        site, maintained by every event afterwards."""
+        state = self._sites[site_id]
+        buckets = state.by_missing
+        if buckets is None:
+            size_of = self._size
+            buckets = state.by_missing = CandidateBuckets(
+                {tid: size_of[tid] - ov
+                 for tid, ov in state.overlap.items()})
+        return buckets
 
     def refsum_order(self, site_id: int) -> RefsumOrder:
         """The site's candidates ordered for ``combined``, up to date.
@@ -269,14 +342,21 @@ class OverlapIndex:
         candidate map; otherwise the ids marked since the last call
         are re-keyed.  Either way the returned order reflects
         ``nonzero_overlaps``/``refsums`` exactly and is ready to walk.
+        Its groups are the missing-count buckets' keys, so asking for
+        the order asks for those buckets too.
         """
         state = self._sites[site_id]
         order = state.by_refsum
         if order is None:
             order = state.by_refsum = RefsumOrder()
             order.dirty.update(state.overlap)
-        order.flush(state.by_missing, state.refsum)
+        order.flush(self.candidates_by_missing(site_id).key_by_id,
+                    state.refsum)
         return order
+
+    def has_refsum_order(self, site_id: int) -> bool:
+        """Whether the site currently carries a refsum order."""
+        return self._sites[site_id].by_refsum is not None
 
     def drop_refsum_order(self, site_id: int) -> None:
         """Free the site's refsum order; events stop marking for it."""
@@ -293,11 +373,12 @@ class OverlapIndex:
     def total_rest(self, site_id: int) -> float:
         """totalRest over the pending set for this site.
 
-        Maintained exactly (rationals) and rounded once here, so the
+        Maintained exactly (integer numerators over one denominator)
+        and rounded once here, by a correctly rounded division, so the
         value never depends on update order.
         """
-        return float(self._rest_base
-                     + self._sites[site_id].rest_correction)
+        return ((self._rest_base + self._sites[site_id].rest_correction)
+                / self._denominator)
 
     def total_refsum(self, site_id: int) -> float:
         """totalRef over the pending set for this site."""
@@ -332,4 +413,4 @@ class OverlapIndex:
         return sum(
             rest_weight(self.job[tid].num_files
                         - storage.overlap(self.job[tid].files))
-            for tid in self._pending)
+            for tid in self._size)

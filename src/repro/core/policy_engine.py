@@ -113,18 +113,20 @@ class SiteFileState:
     # -- deltas ----------------------------------------------------------
     def add(self, fid: int) -> bool:
         """A file became resident; False if it already was."""
-        if fid in self._resident:
+        resident = self._resident
+        if fid in resident:
             return False
-        self._resident[fid] = None
+        resident[fid] = None
         for listener in self._insert_listeners:
             listener(fid)
         return True
 
     def remove(self, fid: int) -> bool:
         """A file left the site; False if it was not resident."""
-        if fid not in self._resident:
+        resident = self._resident
+        if fid not in resident:
             return False
-        del self._resident[fid]
+        del resident[fid]
         for listener in self._evict_listeners:
             listener(fid)
         return True
@@ -136,10 +138,11 @@ class SiteFileState:
         listeners fire regardless of residency — the index decides
         whether the reference contributes to a refsum.
         """
-        self._references[fid] = self._references.get(fid, 0) + 1
+        references = self._references
+        count = references[fid] = references.get(fid, 0) + 1
         for listener in self._touch_listeners:
             listener(fid)
-        return self._references[fid]
+        return count
 
     # -- snapshot surface (repro.cluster durability) ---------------------
     def export(self) -> Dict[str, list]:
@@ -467,8 +470,13 @@ class PolicyEngine:
         """
         index = self._index
         candidates = len(index.nonzero_overlaps(site_id))
-        walk = (ORDER_WALK_COST * self.n
-                * index.candidates_by_missing(site_id).key_count())
+        walk = ORDER_WALK_COST * self.n
+        if candidates <= walk and not index.has_refsum_order(site_id):
+            # Too few even for a single group, and nothing to drop:
+            # answered without asking for (so without building) the
+            # missing-count buckets.
+            return False
+        walk *= index.candidates_by_missing(site_id).key_count()
         if candidates <= walk:
             if 2 * candidates < walk:
                 index.drop_refsum_order(site_id)

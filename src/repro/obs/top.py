@@ -72,6 +72,13 @@ def render_top(snapshot: Dict) -> str:
             f"  kernel [{metric}]: p50 {hist.get('p50_us', 0.0):.0f} us"
             f"   p99 {hist.get('p99_us', 0.0):.0f} us   "
             f"mean {hist.get('mean_us', 0.0):.1f} us")
+    delta = snapshot.get("file_delta_latency", {})
+    if delta.get("count"):
+        lines.append(
+            f"delta     : p50 {delta.get('p50_us', 0.0):.0f} us   "
+            f"p99 {delta.get('p99_us', 0.0):.0f} us   "
+            f"max {delta.get('max_us', 0.0):.0f} us   "
+            f"({delta['count']} file deltas)")
     admission = snapshot.get("admission", {})
     if admission.get("rejections"):
         lines.append(f"admission : {admission['rejections']} "

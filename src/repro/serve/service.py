@@ -853,6 +853,7 @@ class SchedulerService:
         sharing a site) are idempotent no-ops.
         """
         self.ensure_site(site_id)
+        start = self._clock()
         duplicate_removes = sum(
             0 if self.engine.file_removed(site_id, fid) else 1
             for fid in removed)
@@ -863,7 +864,8 @@ class SchedulerService:
             self.engine.file_referenced(site_id, fid)
         self.stats.record_delta(len(added), len(removed), len(referenced),
                                 duplicate_adds=duplicate_adds,
-                                duplicate_removes=duplicate_removes)
+                                duplicate_removes=duplicate_removes,
+                                latency_s=self._clock() - start)
         extra = {}
         if self.wal_events:
             # Full id lists so replay can re-apply the delta exactly.

@@ -161,6 +161,12 @@ class ServeStats:
             "repro_scheduler_decision_seconds",
             "Decision-kernel latency by scheduling metric",
             labelnames=("metric",))
+        #: The write-path twin of the decision histograms: how long
+        #: applying one ``FILE_DELTA`` to the overlap index took — one
+        #: sample per report, however many ids it carried.
+        self.file_delta = reg.histogram(
+            "repro_file_delta_seconds",
+            "FILE_DELTA application latency (one report, all its ids)")
         #: Which PolicyEngine kernel ranked each decision (``bucketed``
         #: / ``ordered`` / ``scored`` / ``reference``): the crossover
         #: between the refsum-order walk and the scan is chosen per
@@ -265,7 +271,10 @@ class ServeStats:
 
     def record_delta(self, added: int, removed: int, referenced: int,
                      duplicate_adds: int = 0,
-                     duplicate_removes: int = 0) -> None:
+                     duplicate_removes: int = 0,
+                     latency_s: Optional[float] = None) -> None:
+        if latency_s is not None:
+            self.file_delta.record(latency_s)
         self._counters["files_added"].inc(added)
         self._counters["files_removed"].inc(removed)
         self._counters["files_referenced"].inc(referenced)

@@ -57,6 +57,8 @@ async def obs_stack(metric="combined", n=2, seed=42):
     def stats_json():
         snapshot = service.stats_snapshot()
         snapshot["jobs"] = service.jobs_overview()
+        snapshot["file_delta_latency"] = \
+            service.stats.file_delta.snapshot()
         return snapshot
 
     obs = ObsHttpServer(
@@ -115,6 +117,14 @@ def test_scrape_endpoint_under_live_load():
             labels={"metric": "combined"}, suffix="_count",
         ) == report["stats"]["assignments"]
         assert tracer.recorded == report["stats"]["assignments"]
+        # The write path's histogram: one sample per FILE_DELTA (the
+        # workers send one per task), never one per file — and the
+        # STATS wire snapshot does not carry it.
+        assert families["repro_file_delta_seconds"].value(
+            suffix="_count") == service.stats.file_delta.count == len(job)
+        assert (report["stats"]["file_deltas"]["referenced"]
+                > 10 * len(job))
+        assert "file_delta_latency" not in report["stats"]
         # Every decision is attributed to the kernel that ranked it,
         # in the scrape and on each /trace.json span.
         by_kernel = service.stats.decisions_by_kernel
@@ -232,6 +242,7 @@ def test_repro_top_renders_against_a_live_server(capsys):
     assert "repro top — serving" in shown
     assert "40 submitted, 40 done" in shown.replace("tasks     : ", "")
     assert "overlap hit rate" in shown
+    assert "(40 file deltas)" in shown
     assert "job   progress" in shown
     assert "[####################] 40/40 done" in shown
 
@@ -248,6 +259,7 @@ def test_render_top_handles_sparse_snapshots():
     text = render_top({"draining": True})
     assert "DRAINING" in text
     assert "site" not in text  # no site table without site data
+    assert "delta" not in text  # nor a write-path row without deltas
 
 
 def test_load_event_log_reconstructs_every_task_timeline(tmp_path):

@@ -143,9 +143,18 @@ def test_serve_stats_registry_renders_parseable_exposition():
                             kernel="ordered")
     stats.record_assignment(1, 80e-6, overlap_hit=False,
                             kernel="scored")
-    stats.record_delta(added=3, removed=1, referenced=7)
+    stats.record_delta(added=3, removed=1, referenced=7,
+                       latency_s=250e-6)
     families = parse(render(stats.registry))
     snap = stats.snapshot()
+    # One FILE_DELTA, one sample — on /metrics only: the STATS wire
+    # snapshot has no key for it.
+    assert families["repro_file_delta_seconds"].value(
+        suffix="_count") == 1.0
+    assert families["repro_file_delta_seconds"].value(
+        suffix="_sum") == pytest.approx(250e-6)
+    assert "file_delta_latency" not in snap
+    assert not any("file_delta_seconds" in key for key in snap)
     assert families["repro_assignments_total"].value() == \
         snap["assignments"]
     assert families["repro_tasks_submitted_total"].value() == 5.0

@@ -15,15 +15,19 @@ The hypothesis workloads are far below the size at which the engine
 would choose the refsum order by itself, so every differential here
 also runs with ``ORDER_WALK_COST`` patched to 0 ("always walk").
 
-Also here: the candidate-bucket invariants.  After every mutation the
-buckets must agree with a naive recomputation from storage
-(``naive_overlap``/``naive_refsum``), and ranked retrieval must equal
-brute-force sorting.
+Also here: the candidate-structure invariants.  The overlap-count
+buckets, the missing-count buckets and the refsum order exist at a
+site only once a decision (or a test) asked for them; wherever one
+exists it must, after every mutation, agree with a naive recomputation
+from storage (``naive_overlap``/``naive_refsum``) and with a
+from-scratch build, ranked retrieval must equal brute-force sorting,
+and it must not matter *when* it was first asked for.
 """
 
 import heapq
 import random
 from collections import OrderedDict
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -32,6 +36,7 @@ from hypothesis import strategies as st
 
 from repro.core import policy_engine
 from repro.core.candidates import CandidateBuckets
+from repro.core.metrics import rest_weight_exact
 from repro.core.policy_engine import PolicyEngine, SiteFileState
 from repro.grid.job import Task
 
@@ -225,43 +230,74 @@ def test_ordered_kernel_batched_draws_are_identical(scenario):
 
 # -- candidate-bucket invariants ---------------------------------------------
 
+def ask_for_all(engine, site):
+    """What decisions of all three kinds would have asked for."""
+    index = engine._index
+    index.candidates_by_overlap(site)
+    index.candidates_by_missing(site)
+    index.refsum_order(site)
+
+
+def assert_buckets_equal_fresh_build(buckets, expected):
+    """Incrementally maintained == built from scratch right now."""
+    buckets.check()
+    assert buckets.as_dict() == expected
+    assert dict(buckets.key_by_id) == expected
+    fresh = CandidateBuckets(expected)
+    fresh.check()
+    for reverse in (False, True):
+        for count in (1, 2, 4):
+            assert (buckets.top(count, reverse=reverse)
+                    == fresh.top(count, reverse=reverse))
+
+
 def assert_bucket_invariants(engine, tasks, sites=(0, 1)):
-    """Buckets must mirror a naive storage rescan exactly."""
+    """Every candidate structure a site carries must mirror a naive
+    storage rescan exactly; a structure nobody asked for is None and
+    is not checked (nor built by checking)."""
     index = engine._index
     for site in sites:
+        state = index._sites[site]
         expected_overlap = {}
         for tid in engine.pending:
             ov = index.naive_overlap(site, tasks[tid])
             if ov:
                 expected_overlap[tid] = ov
-        by_overlap = index.candidates_by_overlap(site)
-        by_missing = index.candidates_by_missing(site)
-        by_overlap.check()
-        by_missing.check()
-        assert by_overlap.as_dict() == expected_overlap
-        assert by_missing.as_dict() == {
-            tid: tasks[tid].num_files - ov
-            for tid, ov in expected_overlap.items()}
-        # The incremental totalRest still matches the rescan.
-        assert abs(index.total_rest(site)
-                   - index.naive_total_rest(site)) < 1e-9
-        # Ranked retrieval == brute force over the same candidates.
-        for count in (1, 2, 4):
-            brute = sorted(((-ov, tid)
-                            for tid, ov in expected_overlap.items()))
-            expected_top = [(-key, tid) for key, tid in brute[:count]]
-            assert by_overlap.top(count, reverse=True) == expected_top
-        # The refsum order (built here on first call, lazily re-keyed
-        # from the ids marked since on later ones) equals a brute-force
-        # sort over the rescan, group by group.
+        assert index.nonzero_overlaps(site) == expected_overlap
+        expected_missing = {tid: tasks[tid].num_files - ov
+                            for tid, ov in expected_overlap.items()}
+        # The incremental totalRest is the rational sum, to the bit.
+        assert index.total_rest(site) == float(sum(
+            (rest_weight_exact(tasks[tid].num_files
+                               - expected_overlap.get(tid, 0))
+             for tid in engine.pending), Fraction(0)))
+        if state.by_overlap is not None:
+            assert_buckets_equal_fresh_build(state.by_overlap,
+                                             expected_overlap)
+            # Ranked retrieval == brute force over the same candidates.
+            brute = sorted((-ov, tid)
+                           for tid, ov in expected_overlap.items())
+            for count in (1, 2, 4):
+                assert (state.by_overlap.top(count, reverse=True)
+                        == [(-key, tid) for key, tid in brute[:count]])
+        if state.by_missing is not None:
+            assert_buckets_equal_fresh_build(state.by_missing,
+                                             expected_missing)
+        if state.by_refsum is None:
+            continue
+        # The refsum order (lazily re-keyed from the ids marked since
+        # it was last asked for) equals a brute-force sort over the
+        # rescan, group by group.
         order = index.refsum_order(site)
+        assert order is state.by_refsum and state.by_missing is not None
         order.check()
         assert not order.dirty
         expected_keys = {
-            tid: (tasks[tid].num_files - ov,
-                  index.naive_refsum(site, tasks[tid]))
-            for tid, ov in expected_overlap.items()}
+            tid: (missing, index.naive_refsum(site, tasks[tid]))
+            for tid, missing in expected_missing.items()}
         assert order.as_dict() == expected_keys
+        assert all(type(refsum) is float
+                   for _missing, refsum in order.as_dict().values())
         for missing in order.groups():
             brute = sorted((-refsum, tid) for tid, (group, refsum)
                            in expected_keys.items() if group == missing)
@@ -272,30 +308,178 @@ def assert_bucket_invariants(engine, tasks, sites=(0, 1)):
             group for group, _refsum in expected_keys.values()}
 
 
+def walked(order):
+    """Every non-empty group of a flushed order, walked to its end
+    (a group holding only stale entries walks empty and is dropped)."""
+    walks = {missing: list(order.walk(missing))
+             for missing in order.groups()}
+    return {missing: walk for missing, walk in walks.items() if walk}
+
+
+def mutate(engine, tasks, op, site, fid):
+    """Apply one scenario op as a mutation; False if it was none."""
+    if op == "add":
+        engine.file_added(site, fid)
+    elif op == "remove":
+        engine.file_removed(site, fid)
+    elif op == "reference":
+        engine.file_referenced(site, fid)
+    elif op == "retire" and engine.has_pending:
+        engine.remove_task(engine.choose(site))
+    elif op == "choose-scoped":
+        # Doubles as "requeue": put the lowest retired task back.
+        retired = sorted(set(tasks) - set(engine.pending))
+        if not retired:
+            return False
+        engine.add_task(tasks[retired[0]])
+    else:
+        return False
+    return True
+
+
 @given(delta_scenario())
 @settings(max_examples=80, deadline=None)
 def test_bucket_invariants_hold_after_every_mutation(scenario):
+    """Site 0 carries all three structures from before the first
+    event (the order is asked for again at every check: a ``combined``
+    decision over so small a map drops it); site 1 only what the
+    engine's own decisions ask for."""
     task_files, metric, n, seed, ops = scenario
     engine, tasks = build_engine(task_files, metric, n, seed,
                                  fast_path=True)
-    assert_bucket_invariants(engine, tasks)
-    for op, site, fid, _scope in ops:
-        if op == "add":
-            engine.file_added(site, fid)
-        elif op == "remove":
-            engine.file_removed(site, fid)
-        elif op == "reference":
-            engine.file_referenced(site, fid)
-        elif op == "retire" and engine.has_pending:
-            engine.remove_task(engine.choose(site))
-        else:
-            continue
+
+    def check():
+        ask_for_all(engine, 0)
         assert_bucket_invariants(engine, tasks)
+
+    check()
+    for op, site, fid, _scope in ops:
+        if mutate(engine, tasks, op, site, fid):
+            check()
     # Requeue everything retired: buckets fold re-added tasks back in.
     for tid, task in tasks.items():
         if not engine.is_pending(tid):
             engine.add_task(task)
-            assert_bucket_invariants(engine, tasks)
+            check()
+
+
+@given(delta_scenario(), st.integers(0, 40))
+@settings(max_examples=80, deadline=None)
+def test_structures_do_not_depend_on_when_they_were_asked_for(
+        scenario, ask_at):
+    """An always-built twin vs structures first asked for at a random
+    point of the same event stream: from that point on equal
+    ``as_dict()``, ``check()`` passing, equal ``top(n)`` and walks."""
+    task_files, metric, n, seed, ops = scenario
+    eager, tasks = build_engine(task_files, metric, n, seed,
+                                fast_path=True)
+    late, _ = build_engine(task_files, metric, n, seed, fast_path=True)
+    for site in (0, 1):
+        ask_for_all(eager, site)
+    for step, (op, site, fid, _scope) in enumerate(ops):
+        if step == ask_at:
+            for asked in (0, 1):
+                ask_for_all(late, asked)
+        mutate(eager, tasks, op, site, fid)
+        mutate(late, tasks, op, site, fid)
+        if step < ask_at:
+            continue
+        assert_bucket_invariants(late, tasks)
+        for asked in (0, 1):
+            twin = eager._index._sites[asked]
+            state = late._index._sites[asked]
+            assert state.by_overlap.as_dict() == twin.by_overlap.as_dict()
+            assert state.by_missing.as_dict() == twin.by_missing.as_dict()
+            for count in (1, 2, 4):
+                assert (state.by_overlap.top(count, reverse=True)
+                        == twin.by_overlap.top(count, reverse=True))
+                assert (state.by_missing.top(count)
+                        == twin.by_missing.top(count))
+            order = late._index.refsum_order(asked)
+            twin_order = eager._index.refsum_order(asked)
+            assert order.as_dict() == twin_order.as_dict()
+            assert walked(order) == walked(twin_order)
+    assert late._rng.getstate() == eager._rng.getstate()
+
+
+# -- pay for what you ask ----------------------------------------------------
+
+def coadd_tasks(count, files_per_task=78, stride=10):
+    """The paper's Coadd shape: neighbours share most of their inputs,
+    each file is held by ~files_per_task/stride tasks."""
+    return [set(range(tid * stride, tid * stride + files_per_task))
+            for tid in range(count)]
+
+
+@pytest.mark.parametrize("metric, built", [
+    ("combined", set()),
+    ("rest", {"by_missing"}),
+    ("overlap", {"by_overlap"}),
+])
+def test_coadd_run_builds_only_what_its_metric_reads(metric, built):
+    """A Coadd-shaped run (two sites, LRU caches with evictions, every
+    input referenced) leaves a ``combined`` engine with no candidate
+    structure at all — its maps hold tens of tasks and are scanned —
+    and a ``rest`` engine with the missing-count buckets alone; still
+    bit-identical to the reference scan."""
+    task_files = coadd_tasks(400)
+    fast, tasks = build_engine(task_files, metric, 1, 3, fast_path=True)
+    reference, _ = build_engine(task_files, metric, 1, 3,
+                                fast_path=False)
+    caches = {0: OrderedDict(), 1: OrderedDict()}
+    for step in range(120):
+        site = step % 2
+        chosen, twin = same_draw(fast, reference, site)
+        for engine in (fast, reference):
+            engine.remove_task(tasks[chosen.task_id])
+        run_task((fast, reference), caches[site], site, chosen,
+                 capacity=200)
+    assert all(len(cache) == 200 for cache in caches.values())
+    assert fast._rng.getstate() == reference._rng.getstate()
+    for site in (0, 1):
+        state = fast._index._sites[site]
+        assert 0 < len(state.overlap) <= 32
+        assert {name for name in ("by_overlap", "by_missing", "by_refsum")
+                if getattr(state, name) is not None} == built
+    assert_bucket_invariants(fast, tasks)
+
+
+@pytest.mark.parametrize("metric", METRIC_NAMES)
+def test_requeue_into_warm_site_keeps_refsums_float(metric):
+    """Regression: a task requeued into a site that already holds its
+    files got an *int* ``refsum`` (every other writer stores a float).
+    The decision stream never depended on it — pinned here — but the
+    refsum order's entries did."""
+    task_files = [{0, 1, 10 + tid} for tid in range(6)]
+    fast, tasks = build_engine(task_files, metric, 1, 9, fast_path=True,
+                               sites=(0,))
+    reference, _ = build_engine(task_files, metric, 1, 9,
+                                fast_path=False, sites=(0,))
+    for engine in (fast, reference):
+        for fid in (0, 1, 12):
+            engine.file_added(0, fid)
+            engine.file_referenced(0, fid)
+    stream = []
+    for _ in range(3):
+        chosen, twin = same_draw(fast, reference, 0)
+        stream.append(chosen.task_id)
+        fast.remove_task(chosen)
+        reference.remove_task(twin)
+    for tid in stream:                         # requeue, site warm
+        fast.add_task(tasks[tid])
+        reference.add_task(tasks[tid])
+    ask_for_all(fast, 0)
+    refsums = fast._index.refsums(0)
+    assert set(refsums) == set(tasks)
+    assert all(type(ref) is float for ref in refsums.values())
+    assert_bucket_invariants(fast, tasks, sites=(0,))
+    while fast.has_pending:
+        chosen, twin = same_draw(fast, reference, 0)
+        stream.append(chosen.task_id)
+        fast.remove_task(chosen)
+        reference.remove_task(twin)
+    assert stream[3:6] == stream[:3]   # n = 1: same state, same picks
+    assert fast._rng.getstate() == reference._rng.getstate()
 
 
 # -- the refsum order at scale, at its edges, and on demand ------------------
@@ -524,7 +708,7 @@ def test_candidate_buckets_lazy_heap_survives_churn():
                                (2, 3)]
     # A second retrieval (stale entries now dropped) agrees.
     assert buckets.top(3) == [(1, 0), (1, 1), (1, 2)]
-    assert buckets.key_of(3) == 2 and 3 in buckets
+    assert buckets.key_by_id[3] == 2 and 3 in buckets
     buckets.remove(3)           # key-2 bucket empties and is dropped
     assert buckets.keys() == [1]
     assert len(buckets) == 5
