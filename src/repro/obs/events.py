@@ -53,6 +53,7 @@ EVENT_SCHEMAS: Dict[str, Set[str]] = {
     "lease-expire": {"task_id", "lease_id"},
     "requeue": {"task_id", "reason"},
     "delta": {"site", "added", "removed", "referenced"},
+    "drain": set(),
     "decision": {"site", "metric", "chosen", "candidates"},
     # Shard-to-shard work stealing (repro.cluster).  Victim side:
     # export (durable before STEAL_GRANT), commit on STEAL_ACK, abort

@@ -116,7 +116,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import warnings
 from typing import Any, Dict, Iterable, List, Sequence
 
 #: The protocol version this codebase offers in its own ``HELLO``.
@@ -266,30 +265,6 @@ def decode_line(line: bytes) -> Dict[str, Any]:
     if not isinstance(kind, str):
         raise ProtocolError("message 'type' missing or not a string")
     return message
-
-
-def encode(message: Dict[str, Any]) -> bytes:
-    """Deprecated v2 free function; use a
-    :class:`repro.serve.codec.Codec` (or :func:`encode_line` for raw
-    JSON-lines framing).  Will be removed with protocol v4."""
-    warnings.warn(
-        "repro.serve.protocol.encode() is deprecated since protocol "
-        "v3; use a repro.serve.codec.Codec instance (or encode_line "
-        "for raw JSON-lines framing)",
-        DeprecationWarning, stacklevel=2)
-    return encode_line(message)
-
-
-def decode(line: bytes) -> Dict[str, Any]:
-    """Deprecated v2 free function; use a
-    :class:`repro.serve.codec.Codec` (or :func:`decode_line` for raw
-    JSON-lines framing).  Will be removed with protocol v4."""
-    warnings.warn(
-        "repro.serve.protocol.decode() is deprecated since protocol "
-        "v3; use a repro.serve.codec.Codec instance (or decode_line "
-        "for raw JSON-lines framing)",
-        DeprecationWarning, stacklevel=2)
-    return decode_line(line)
 
 
 def is_int(value: Any) -> bool:

@@ -25,7 +25,13 @@ testable without sockets:
   waiting for the lease to lapse);
 * **graceful drain** — stop handing out tasks, answer parked requests
   with ``draining``, and report idle once the last outstanding
-  completion lands (or lease expires).
+  completion lands (or lease expires);
+* **one fold** — every state change is one of the ``_apply_*``
+  transitions at the bottom of the class, one per WAL record kind.  A
+  live method validates and decides, applies the transition, then
+  counts, emits and wakes parked pulls; ``replay_record`` applies the
+  same transition to a recorded outcome and does nothing else, so
+  crash recovery rebuilds the state with the code that built it.
 
 Everything is single-threaded: callers (the asyncio event loop, or a
 test) serialize calls.  Replies to parked requests are delivered
@@ -40,8 +46,8 @@ import random
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import (Callable, Deque, Dict, List, Optional, Set, Tuple,
-                    Union)
+from typing import (Callable, Deque, Dict, List, NamedTuple, Optional,
+                    Set, Tuple, Union)
 
 from ..core.metrics import FAST_SCORERS
 from ..core.policy_engine import PolicyEngine, SiteFileState
@@ -146,41 +152,17 @@ class _JobState:
             len(self.completed) == len(self.task_ids))
 
 
-class _ParkedRequest:
-    __slots__ = ("worker", "site_id", "job_id", "deliver", "max_tasks",
-                 "batched")
-
-    def __init__(self, worker: str, site_id: int,
-                 job_id: Optional[int], deliver: Deliver,
-                 max_tasks: int = 1, batched: bool = False):
-        self.worker = worker
-        self.site_id = site_id
-        self.job_id = job_id
-        self.deliver = deliver
-        #: Up to how many tasks one answer may grant.
-        self.max_tasks = max_tasks
-        #: Whether ``deliver`` expects a list (``TASK_BATCH`` shape)
-        #: instead of a bare :class:`Assignment`.
-        self.batched = batched
-
-
-class _TaskTable:
-    """Growable task lookup satisfying the engine's ``job[id]`` needs."""
-
-    def __init__(self) -> None:
-        self._tasks: Dict[int, Task] = {}
-
-    def add(self, task: Task) -> None:
-        self._tasks[task.task_id] = task
-
-    def __getitem__(self, task_id: int) -> Task:
-        return self._tasks[task_id]
-
-    def __len__(self) -> int:
-        return len(self._tasks)
-
-    def __iter__(self):
-        return iter(self._tasks.values())
+class _ParkedRequest(NamedTuple):
+    """One pull: answered at once, or parked until it can be."""
+    worker: str
+    site_id: int
+    job_id: Optional[int]
+    deliver: Deliver
+    #: Up to how many tasks one answer may grant.
+    max_tasks: int
+    #: Whether ``deliver`` expects a list (``TASK_BATCH`` shape)
+    #: instead of a bare :class:`Assignment`.
+    batched: bool
 
 
 class SchedulerService:
@@ -221,7 +203,8 @@ class SchedulerService:
         self.name = name
         self.lease_ttl = float(lease_ttl)
         self._clock = clock
-        self._table = _TaskTable()
+        #: task_id -> Task; also the engine's ``job[id]`` lookup.
+        self._table: Dict[int, Task] = {}
         # ``fast_path=False`` pins the engine to the reference decision
         # loop — decision-identical but linear in queue depth; only the
         # latency ablation (``repro serve --kernel reference``) wants it.
@@ -246,7 +229,7 @@ class SchedulerService:
         self._completed: Set[int] = set()
         self._assigned: Dict[int, _Lease] = {}     # task_id -> lease
         self._leases: Dict[int, _Lease] = {}       # lease_id -> lease
-        self._by_worker: Dict[str, Set[int]] = {}  # worker -> task_ids
+        self._by_worker: Dict[str, Set[_Lease]] = {}  # its leases
         #: Admission control: a JOB_SUBMIT that would push the pending
         #: queue past the watermark is bounced with ``overloaded`` and
         #: the advertised retry-after, instead of queued.  None = no
@@ -393,7 +376,6 @@ class SchedulerService:
                 > self._admission_watermark):
             self.stats.admission_rejections += 1
             raise AdmissionRejected(self._admission_retry_after)
-        tasks: List[Task] = []
         for spec in tasks_payload:
             if not isinstance(spec, dict):
                 raise ServiceError("each task must be an object")
@@ -406,36 +388,34 @@ class SchedulerService:
             if (isinstance(flops, bool)
                     or not isinstance(flops, (int, float)) or flops < 0):
                 raise ServiceError("'flops' must be a number >= 0")
-            tasks.append(Task(task_id=self._next_task_id,
-                              files=frozenset(files), flops=float(flops)))
-            self._next_task_id += self._id_stride
         if job_id is None:
             job_id = self._next_job_id
-            self._next_job_id += self._id_stride
-            self._jobs[job_id] = _JobState(job_id)
             self.stats.jobs_submitted += 1
-        job = self._jobs[job_id]
-        if weight is not None:
-            job.weight = float(weight)
-            self._weighted = True
-        for task in tasks:
-            self._table.add(task)
-            self.engine.add_task(task)
-            job.task_ids.add(task.task_id)
-            job.pending.add(task.task_id)
-            self._task_job[task.task_id] = job_id
-        self.stats.tasks_submitted += len(tasks)
-        self.stats.record_queue_depth(self.queue_depth)
+        first, stride = self._next_task_id, self._id_stride
+        task_ids = list(range(
+            first, first + stride * len(tasks_payload), stride))
         extra = {}
+        if weight is not None:
+            extra["weight"] = weight = float(weight)
+            if not self._weighted and self._jobs:
+                # The submit that turns weighted-fair mode on: no
+                # snapshot so far carries pass counts, so this record
+                # does, for every job there is.
+                extra["assigned"] = [
+                    [jid, job.assigned]
+                    for jid, job in sorted(self._jobs.items())]
+        self._apply_submit(job_id, task_ids, tasks_payload, **extra)
+        self.stats.tasks_submitted += len(task_ids)
+        self.stats.record_queue_depth(self.queue_depth)
         if self.wal_events:
             # Enough to re-create the tasks on replay.
-            extra["specs"] = [{"files": sorted(task.files),
-                               "flops": task.flops} for task in tasks]
-        self._emit("submit", job_id=job_id, tasks=len(tasks),
-                   task_ids=[task.task_id for task in tasks], **extra)
+            extra["specs"] = [
+                {"files": sorted(task.files), "flops": task.flops}
+                for task in map(self._table.__getitem__, task_ids)]
+        self._emit("submit", job_id=job_id, tasks=len(task_ids),
+                   task_ids=task_ids, **extra)
         self._service_parked()
-        return {"job_id": job_id,
-                "task_ids": [task.task_id for task in tasks]}
+        return {"job_id": job_id, "task_ids": list(task_ids)}
 
     def job_status(self, job_id: int) -> Dict:
         """The ``JOB_STATUS`` snapshot for one job."""
@@ -489,7 +469,7 @@ class SchedulerService:
         if job_id is not None and job_id not in self._jobs:
             raise ServiceError(f"unknown job id {job_id!r}")
         entry = _ParkedRequest(worker, site_id, job_id, deliver,
-                               max_tasks=max_tasks, batched=batched)
+                               max_tasks, batched)
         if not self._try_answer(entry):
             # Park until the situation changes (work arrives, a lease
             # expires, the job/server finishes, or a drain starts).
@@ -497,25 +477,16 @@ class SchedulerService:
 
     def _try_answer(self, entry: _ParkedRequest) -> bool:
         """Answer a pull if its outcome is decided; False to park."""
-        if entry.job_id is not None:
-            job = self._jobs[entry.job_id]
-            if job.done:
-                entry.deliver(protocol.REASON_JOB_DONE)
-            elif self._draining:
-                entry.deliver(protocol.REASON_DRAINING)
-            elif job.pending:
-                self._deliver_assignments(entry, job)
-            elif self._replicate_tail and self._grant_replica(entry,
-                                                              job):
-                pass  # job tail: replicate a straggling task instead
-            else:
-                return False  # all of the job's tasks are outstanding
-            return True
-        if self._draining:
+        job = (self._jobs[entry.job_id] if entry.job_id is not None
+               else None)
+        if job is not None and job.done:
+            entry.deliver(protocol.REASON_JOB_DONE)
+        elif self._draining:
             entry.deliver(protocol.REASON_DRAINING)
-        elif self.engine.has_pending:
-            self._deliver_assignments(entry, None)
-        elif self._jobs and self.is_idle:
+        elif (job.pending if job is not None
+              else self.engine.has_pending):
+            self._deliver_assignments(entry, job)
+        elif job is None and self._jobs and self.is_idle:
             if self._steal_watermark is not None:
                 # Stealing may import work at any time: park the idle
                 # pull instead of sending the worker away.  Drain
@@ -523,10 +494,11 @@ class SchedulerService:
                 return False
             entry.deliver(protocol.REASON_IDLE)
         elif (self._replicate_tail and self._jobs
-                and self._grant_replica(entry, None)):
-            pass  # global tail: replicate instead of parking
+                and self._grant_replica(entry, job)):
+            pass  # the tail: replicate a straggling task instead
         else:
-            return False  # no job yet, or work outstanding: park
+            # No job yet, or everything in scope is outstanding: park.
+            return False
         return True
 
     def _deliver_assignments(self, entry: _ParkedRequest,
@@ -584,18 +556,9 @@ class SchedulerService:
         task = self.engine.choose(site_id, eligible=eligible)
         latency = self._clock() - start
         overlap = self.engine.overlap(site_id, task.task_id)
-        self.engine.remove_task(task)
         owner_id = self._task_job[task.task_id]
-        owner = self._jobs[owner_id]
-        owner.pending.discard(task.task_id)
-        owner.assigned += 1
-        lease = _Lease(self._next_lease_id, task.task_id, worker,
-                       site_id, self._clock() + self.lease_ttl,
-                       granted_at=start)
-        self._next_lease_id += 1
-        self._assigned[task.task_id] = lease
-        self._leases[lease.lease_id] = lease
-        self._by_worker.setdefault(worker, set()).add(task.task_id)
+        lease_id = self._next_lease_id
+        self._apply_assign(task.task_id, site_id, worker, lease_id)
         self.stats.record_assignment(site_id, latency, overlap > 0,
                                      metric=self.engine.metric_name,
                                      kernel=self.engine.last_kernel)
@@ -603,9 +566,9 @@ class SchedulerService:
         self.stats.leases_granted += 1
         self._emit("assign", task_id=task.task_id, site=site_id,
                    worker=worker, job_id=owner_id,
-                   lease_id=lease.lease_id, overlap=overlap,
+                   lease_id=lease_id, overlap=overlap,
                    latency_us=round(latency * 1e6, 3))
-        return Assignment(task=task, lease_id=lease.lease_id,
+        return Assignment(task=task, lease_id=lease_id,
                           job_id=owner_id, lease_ttl=self.lease_ttl)
 
     def _grant_replica(self, entry: _ParkedRequest,
@@ -644,24 +607,18 @@ class SchedulerService:
                 best = primary
         if best is None:
             return False
-        now = self._clock()
-        lease = _Lease(self._next_lease_id, best.task_id, entry.worker,
-                       entry.site_id, now + self.lease_ttl,
-                       granted_at=now)
-        self._next_lease_id += 1
-        self._leases[lease.lease_id] = lease
-        self._replicas.setdefault(best.task_id, []).append(lease)
-        self._by_worker.setdefault(entry.worker, set()).add(
-            best.task_id)
+        lease_id = self._next_lease_id
+        self._apply_assign(best.task_id, entry.site_id, entry.worker,
+                           lease_id, replica=True)
         self.stats.task_replications += 1
         self.stats.leases_granted += 1
         owner_id = self._task_job[best.task_id]
         self._emit("assign", task_id=best.task_id, site=entry.site_id,
                    worker=entry.worker, job_id=owner_id,
-                   lease_id=lease.lease_id, replica=True)
-        task = self._table[best.task_id]
-        granted = Assignment(task=task, lease_id=lease.lease_id,
-                             job_id=owner_id, lease_ttl=self.lease_ttl)
+                   lease_id=lease_id, replica=True)
+        granted = Assignment(task=self._table[best.task_id],
+                             lease_id=lease_id, job_id=owner_id,
+                             lease_ttl=self.lease_ttl)
         if entry.batched:
             self.stats.record_batch(1)
             entry.deliver([granted])
@@ -704,12 +661,9 @@ class SchedulerService:
             return CompletionResult(False, "stale-lease")
         if self._assigned.get(task_id) is not lease:
             self.stats.replica_wins += 1
-        self._release_task_leases(task_id)
-        self._completed.add(task_id)
+        self._apply_complete(task_id)
         job = self._jobs[self._task_job[task_id]]
-        job.completed.add(task_id)
-        origin = self._foreign_jobs.get(job.job_id)
-        if origin is None:
+        if job.job_id not in self._foreign_jobs:
             self.stats.completions += 1
             self._emit("complete", task_id=task_id, worker=worker,
                        job_id=job.job_id, lease_id=lease_id)
@@ -717,51 +671,14 @@ class SchedulerService:
                 self.stats.jobs_completed += 1
         else:
             # Stolen task: the owning shard keeps the canonical
-            # ``complete`` record and the per-job counters.  Record
-            # the thief-side marker and queue the id for forwarding.
+            # ``complete`` record and the per-job counters; this is
+            # the thief-side marker (the id now waits in the outbox).
             self._emit("steal-task-done", task_id=task_id,
                        worker=worker, job_id=job.job_id,
                        lease_id=lease_id)
-            self._steal_outbox.setdefault(origin, []).append(task_id)
         self._service_parked()
         self._maybe_drained()
         return CompletionResult(True)
-
-    def _release_lease(self, lease: _Lease) -> None:
-        if self._assigned.get(lease.task_id) is lease:
-            del self._assigned[lease.task_id]
-        else:
-            replicas = self._replicas.get(lease.task_id)
-            if replicas is not None and lease in replicas:
-                replicas.remove(lease)
-                if not replicas:
-                    del self._replicas[lease.task_id]
-        self._leases.pop(lease.lease_id, None)
-        self._by_worker.get(lease.worker, set()).discard(lease.task_id)
-
-    def _release_task_leases(self, task_id: int) -> None:
-        """Drop the primary and every replica lease of one task."""
-        primary = self._assigned.get(task_id)
-        if primary is not None:
-            self._release_lease(primary)
-        for replica in list(self._replicas.get(task_id, ())):
-            self._release_lease(replica)
-
-    def _promote_replica(self, task_id: int) -> Optional[_Lease]:
-        """Make the oldest live replica the task's primary lease.
-
-        Called when a primary lapses or its worker disconnects: a
-        live replica means the task is still being computed, so it
-        must not be requeued (that would start a third copy).
-        """
-        replicas = self._replicas.get(task_id)
-        if not replicas:
-            return None
-        lease = replicas.pop(0)
-        if not replicas:
-            del self._replicas[task_id]
-        self._assigned[task_id] = lease
-        return lease
 
     # -- leases ----------------------------------------------------------
     def heartbeat(self, worker: str,
@@ -776,17 +693,8 @@ class SchedulerService:
         """
         now = self._clock()
         if lease_ids is None:
-            lease_ids = []
-            for task_id in self._by_worker.get(worker, set()):
-                primary = self._assigned.get(task_id)
-                if primary is not None and primary.worker == worker:
-                    lease_ids.append(primary.lease_id)
-                    continue
-                lease_ids.extend(
-                    replica.lease_id
-                    for replica in self._replicas.get(task_id, ())
-                    if replica.worker == worker)
-            lease_ids.sort()
+            lease_ids = sorted(lease.lease_id for lease
+                               in self._by_worker.get(worker, ()))
         renewed: List[int] = []
         gone: List[int] = []
         for lease_id in lease_ids:
@@ -810,23 +718,25 @@ class SchedulerService:
                   if lease.expires_at <= now]
         requeued = 0
         for lease in lapsed:
-            self._release_lease(lease)
+            self._apply_lease_expire(lease.task_id, lease.lease_id)
             self.stats.lease_expiries += 1
             self._emit("lease-expire", task_id=lease.task_id,
                        lease_id=lease.lease_id, worker=lease.worker)
-            if self._promote_replica(lease.task_id) is not None:
+            if lease.task_id in self._assigned:
                 continue  # a replica is still computing the task
-            self._requeue(lease.task_id)
+            self._apply_requeue(lease.task_id)
             requeued += 1
             self._emit("requeue", task_id=lease.task_id,
                        reason="lease-expired")
         # Replica leases lapse quietly: the primary still covers the
         # task, so an expired replica is dropped without a requeue.
+        # (One promoted just above is a primary now and waits for the
+        # next sweep.)
         lapsed_replicas = [
             replica for replicas in self._replicas.values()
             for replica in replicas if replica.expires_at <= now]
         for replica in lapsed_replicas:
-            self._release_lease(replica)
+            self._apply_lease_expire(replica.task_id, replica.lease_id)
             self.stats.lease_expiries += 1
             self._emit("lease-expire", task_id=replica.task_id,
                        lease_id=replica.lease_id,
@@ -838,10 +748,6 @@ class SchedulerService:
             self._maybe_drained()
         return len(lapsed) + len(lapsed_replicas)
 
-    def _requeue(self, task_id: int) -> None:
-        self.engine.add_task(self._table[task_id])
-        self._jobs[self._task_job[task_id]].pending.add(task_id)
-
     # -- file-state deltas ----------------------------------------------
     def file_delta(self, site_id: int, added: List[int],
                    removed: List[int], referenced: List[int]) -> None:
@@ -852,16 +758,9 @@ class SchedulerService:
         simulator's storage emits.  Redundant adds/removes (two workers
         sharing a site) are idempotent no-ops.
         """
-        self.ensure_site(site_id)
         start = self._clock()
-        duplicate_removes = sum(
-            0 if self.engine.file_removed(site_id, fid) else 1
-            for fid in removed)
-        duplicate_adds = sum(
-            0 if self.engine.file_added(site_id, fid) else 1
-            for fid in added)
-        for fid in referenced:
-            self.engine.file_referenced(site_id, fid)
+        duplicate_adds, duplicate_removes = self._apply_delta(
+            site_id, added, removed, referenced)
         self.stats.record_delta(len(added), len(removed), len(referenced),
                                 duplicate_adds=duplicate_adds,
                                 duplicate_removes=duplicate_removes,
@@ -887,30 +786,26 @@ class SchedulerService:
         """
         self._parked = deque(entry for entry in self._parked
                              if entry.worker != worker)
-        lost = self._by_worker.pop(worker, set())
         requeued = 0
-        for task_id in sorted(lost):
-            primary = self._assigned.get(task_id)
-            if primary is None or primary.worker != worker:
-                # The worker only held a replica: drop it, the
-                # primary still covers the task.
-                for replica in list(self._replicas.get(task_id, ())):
-                    if replica.worker == worker:
-                        replica_leases = self._replicas[task_id]
-                        replica_leases.remove(replica)
-                        if not replica_leases:
-                            del self._replicas[task_id]
-                        self._leases.pop(replica.lease_id, None)
-                continue
-            del self._assigned[task_id]
-            self._leases.pop(primary.lease_id, None)
-            if task_id not in self._completed:
-                if self._promote_replica(task_id) is not None:
-                    continue  # a replica is still computing the task
-                self._requeue(task_id)
+        for lease in sorted(self._by_worker.pop(worker, ()),
+                            key=lambda lease: lease.task_id):
+            task_id = lease.task_id
+            if (self._assigned[task_id] is lease
+                    and task_id not in self._replicas):
+                self._apply_requeue(task_id)
                 requeued += 1
                 self._emit("requeue", task_id=task_id,
                            reason="disconnect", worker=worker)
+            else:
+                # A replica is involved.  Either the worker only held
+                # one (drop it, the primary still covers the task) or
+                # it held the primary and a replica elsewhere is still
+                # computing the task (that one takes over; a requeue
+                # would start a third copy).
+                self._apply_lease_expire(task_id, lease.lease_id)
+                self._emit("lease-expire", task_id=task_id,
+                           lease_id=lease.lease_id, worker=worker,
+                           reason="disconnect")
         if requeued:
             self.stats.requeues += requeued
             self.stats.record_queue_depth(self.queue_depth)
@@ -921,7 +816,8 @@ class SchedulerService:
 
     def drain(self) -> None:
         """Stop handing out tasks; finish outstanding work, then idle."""
-        self._draining = True
+        if self._apply_drain():
+            self._emit("drain")
         self._service_parked()
         self._maybe_drained()
 
@@ -982,24 +878,12 @@ class SchedulerService:
             self.stats.record_steal_request("empty")
             return None
         chosen = self._select_steal_tasks(budget, site_refsums)
-        if not chosen:
-            self.stats.record_steal_request("empty")
-            return None
         export_id = self._next_export_id
-        self._next_export_id += 1
-        specs: List[Dict] = []
-        for task_id in chosen:
-            task = self._table[task_id]
-            self.engine.remove_task(task)
-            job_id = self._task_job[task_id]
-            self._jobs[job_id].pending.discard(task_id)
-            self._exported_tasks[task_id] = export_id
-            specs.append({"task_id": task_id, "job_id": job_id,
-                          "files": sorted(task.files),
-                          "flops": task.flops})
-        self._steal_exports[export_id] = {
-            "thief": thief, "acked": False, "specs": specs,
-            "remaining": set(chosen)}
+        specs = [{"task_id": task.task_id,
+                  "job_id": self._task_job[task.task_id],
+                  "files": sorted(task.files), "flops": task.flops}
+                 for task in map(self._table.__getitem__, chosen)]
+        self._apply_steal_export(export_id, thief, specs)
         self.stats.tasks_exported += len(specs)
         self.stats.record_steal_request("granted")
         self._emit("steal-export", export_id=export_id, thief=thief,
@@ -1054,13 +938,9 @@ class SchedulerService:
         tentative import.  Idempotent — a re-ack after a thief crash
         gets the same answer.
         """
-        record = self._steal_exports.get(export_id)
-        if record is None:
-            return False
-        if not record["acked"]:
-            record["acked"] = True
+        if self._apply_steal_export_ack(export_id):
             self._emit("steal-export-ack", export_id=export_id)
-        return True
+        return export_id in self._steal_exports
 
     def steal_done(self, task_ids: List[int], worker: str) -> Dict:
         """Victim half of ``STEAL_DONE``: land forwarded completions.
@@ -1077,23 +957,14 @@ class SchedulerService:
             job_id = self._task_job.get(task_id)
             if job_id is None:
                 raise ServiceError(f"unknown task id {task_id!r}")
-            if task_id in self._completed:
+            if not self._apply_complete(task_id):
                 self.stats.duplicate_completions += 1
                 duplicates += 1
                 continue
-            self._clear_export_entry(task_id)
-            if task_id in self._assigned:
-                self._release_task_leases(task_id)
-            elif self.engine.is_pending(task_id):
-                self.engine.remove_task(self._table[task_id])
-            job = self._jobs[job_id]
-            job.pending.discard(task_id)
-            self._completed.add(task_id)
-            job.completed.add(task_id)
             self.stats.completions += 1
             self._emit("complete", task_id=task_id, worker=worker,
                        job_id=job_id)
-            if job.done:
+            if self._jobs[job_id].done:
                 self.stats.jobs_completed += 1
             completed += 1
         if completed:
@@ -1101,15 +972,12 @@ class SchedulerService:
             self._maybe_drained()
         return {"completed": completed, "duplicates": duplicates}
 
-    def _clear_export_entry(self, task_id: int) -> None:
-        export_id = self._exported_tasks.pop(task_id, None)
-        if export_id is None:
-            return
-        record = self._steal_exports.get(export_id)
-        if record is not None:
-            record["remaining"].discard(task_id)
-            if not record["remaining"]:
-                del self._steal_exports[export_id]
+    def _unacked_exports(self, thief: Optional[str] = None) -> List[int]:
+        """Ids of exports no ack made durable (of one thief, or all)."""
+        return sorted(
+            export_id
+            for export_id, record in self._steal_exports.items()
+            if not record["acked"] and thief in (None, record["thief"]))
 
     def _abort_exports_for(self, worker: str) -> None:
         """Abort live un-acked exports granted to a vanished thief.
@@ -1118,29 +986,14 @@ class SchedulerService:
         run even across its own reconnects, and the forwarded
         completion (or the operator) is the only way it resolves.
         """
-        doomed = sorted(
-            export_id
-            for export_id, record in self._steal_exports.items()
-            if record["thief"] == worker and not record["acked"])
-        for export_id in doomed:
-            self._abort_export(export_id)
-
-    def _abort_export(self, export_id: int) -> int:
-        record = self._steal_exports.pop(export_id)
-        self._emit("steal-export-abort", export_id=export_id)
-        requeued = 0
-        for task_id in sorted(record["remaining"]):
-            self._exported_tasks.pop(task_id, None)
-            if (task_id in self._completed or task_id in self._assigned
-                    or self.engine.is_pending(task_id)):
-                continue
-            self._requeue(task_id)
-            requeued += 1
-        if requeued:
-            self.stats.requeues += requeued
-            self.stats.record_queue_depth(self.queue_depth)
-            self._service_parked()
-        return requeued
+        for export_id in self._unacked_exports(worker):
+            depth = self.queue_depth
+            self._apply_steal_export_abort(export_id)
+            self._emit("steal-export-abort", export_id=export_id)
+            if self.queue_depth > depth:
+                self.stats.requeues += self.queue_depth - depth
+                self.stats.record_queue_depth(self.queue_depth)
+                self._service_parked()
 
     def requeue_unacked_exports(self) -> int:
         """Crash recovery: reclaim exports whose ack never landed.
@@ -1154,21 +1007,10 @@ class SchedulerService:
         and drop it.  Emits nothing: the fold is reproduced by the
         same call on the next recovery.
         """
-        requeued = 0
-        for export_id in sorted(self._steal_exports):
-            record = self._steal_exports[export_id]
-            if record["acked"]:
-                continue
-            del self._steal_exports[export_id]
-            for task_id in sorted(record["remaining"]):
-                self._exported_tasks.pop(task_id, None)
-                if (task_id in self._completed
-                        or task_id in self._assigned
-                        or self.engine.is_pending(task_id)):
-                    continue
-                self._requeue(task_id)
-                requeued += 1
-        return requeued
+        depth = self.queue_depth
+        for export_id in self._unacked_exports():
+            self._apply_steal_export_abort(export_id)
+        return self.queue_depth - depth
 
     def steal_import_tentative(self, origin: int, export_id: int,
                                specs: List[Dict]) -> None:
@@ -1179,12 +1021,9 @@ class SchedulerService:
         :meth:`steal_commit_import` — which requires the victim's
         acked answer — so a crash here can never double-run them.
         """
-        key = (origin, export_id)
-        if key in self._steal_imports:
-            return
-        self._steal_imports[key] = [dict(spec) for spec in specs]
-        self._emit("steal-import", origin=origin, export_id=export_id,
-                   specs=self._steal_imports[key])
+        if self._apply_steal_import(origin, export_id, specs):
+            self._emit("steal-import", origin=origin, export_id=export_id,
+                       specs=self._steal_imports[origin, export_id])
 
     def pending_steal_imports(self) -> List[Tuple[int, int]]:
         """Tentative imports awaiting the victim's answer (recovery)."""
@@ -1192,12 +1031,12 @@ class SchedulerService:
 
     def steal_commit_import(self, origin: int, export_id: int) -> int:
         """Thief: activate a tentative import the victim acked."""
-        specs = self._steal_imports.pop((origin, export_id), None)
-        if specs is None:
+        depth = self.queue_depth
+        if not self._apply_steal_import_commit(origin, export_id):
             return 0
         self._emit("steal-import-commit", origin=origin,
                    export_id=export_id)
-        count = self._activate_import(origin, specs)
+        count = self.queue_depth - depth
         self.stats.tasks_stolen += count
         self.stats.record_queue_depth(self.queue_depth)
         self._service_parked()
@@ -1205,40 +1044,9 @@ class SchedulerService:
 
     def steal_abort_import(self, origin: int, export_id: int) -> None:
         """Thief: drop a tentative import the victim refused."""
-        if self._steal_imports.pop((origin, export_id),
-                                   None) is not None:
+        if self._apply_steal_import_abort(origin, export_id):
             self._emit("steal-import-abort", origin=origin,
                        export_id=export_id)
-
-    def _activate_import(self, origin: int, specs: List[Dict]) -> int:
-        """Add stolen tasks under their original (foreign) ids.
-
-        Shard id striding keeps foreign ids disjoint from anything
-        this service allocates, so the id counters are deliberately
-        *not* advanced.  The foreign job shell tracks only the stolen
-        tasks; its completions forward home instead of counting here.
-        """
-        count = 0
-        for spec in specs:
-            task_id = spec["task_id"]
-            if task_id in self._task_job:
-                continue  # idempotent re-activation
-            job_id = spec["job_id"]
-            job = self._jobs.get(job_id)
-            if job is None:
-                job = _JobState(job_id)
-                self._jobs[job_id] = job
-                self._foreign_jobs[job_id] = origin
-            task = Task(task_id=task_id,
-                        files=frozenset(spec["files"]),
-                        flops=float(spec.get("flops", 0.0)))
-            self._table.add(task)
-            self.engine.add_task(task)
-            job.task_ids.add(task_id)
-            job.pending.add(task_id)
-            self._task_job[task_id] = job_id
-            count += 1
-        return count
 
     def take_steal_completions(self) -> Dict[int, List[int]]:
         """Snapshot (without clearing) the forwarding outbox.
@@ -1253,21 +1061,13 @@ class SchedulerService:
 
     def steal_forwarded(self, origin: int, task_ids: List[int]) -> None:
         """Thief: the origin acked these forwarded completions."""
-        queue = self._steal_outbox.get(origin)
-        if not queue:
-            return
         delivered = set(task_ids)
-        forwarded = [tid for tid in queue if tid in delivered]
-        if not forwarded:
-            return
-        kept = [tid for tid in queue if tid not in delivered]
-        if kept:
-            self._steal_outbox[origin] = kept
-        else:
-            del self._steal_outbox[origin]
-        self._emit("steal-forwarded", task_ids=forwarded,
-                   origin=origin)
-        self._maybe_drained()
+        forwarded = [tid for tid in self._steal_outbox.get(origin, ())
+                     if tid in delivered]
+        if self._apply_steal_forwarded(forwarded, origin):
+            self._emit("steal-forwarded", task_ids=forwarded,
+                       origin=origin)
+            self._maybe_drained()
 
     # -- observability ---------------------------------------------------
     def stats_snapshot(self) -> Dict:
@@ -1302,9 +1102,6 @@ class SchedulerService:
         """
         engine = self.engine
         rng_state = engine.rng.getstate()
-        tasks = sorted(self._table, key=lambda task: task.task_id)
-        assigned = [self._assigned[task_id]
-                    for task_id in sorted(self._assigned)]
         state = {
             "version": self.STATE_VERSION,
             "metric": engine.metric_name,
@@ -1318,23 +1115,34 @@ class SchedulerService:
             "rng": [rng_state[0], list(rng_state[1]), rng_state[2]],
             "decisions": engine.decisions,
             "tasks_scored": engine.tasks_scored,
-            "tasks": [[task.task_id, sorted(task.files), task.flops]
-                      for task in tasks],
+            "tasks": [[task_id, sorted(task.files), task.flops]
+                      for task_id, task in sorted(self._table.items())],
             "jobs": [[job_id, sorted(job.task_ids),
                       sorted(job.completed)]
                      for job_id, job in sorted(self._jobs.items())],
-            "assigned": [[lease.task_id, lease.lease_id, lease.worker,
-                          lease.site_id] for lease in assigned],
+            "assigned": [[task_id, lease.lease_id, lease.worker,
+                          lease.site_id] for task_id, lease
+                         in sorted(self._assigned.items())],
             "completed": sorted(self._completed),
             "sites": [[site_id, engine.site_state(site_id).export()]
                       for site_id in sorted(engine.site_ids)],
             "draining": self._draining,
         }
+        # Optional keys appear only once the feature they belong to
+        # has left state behind, so a service that never saw a
+        # replica, a weight or a steal exports exactly the keys above,
+        # byte-identical to a service without the feature.
+        if self._replicas:
+            state["replicas"] = [
+                [task_id, lease.lease_id, lease.worker, lease.site_id]
+                for task_id, leases in sorted(self._replicas.items())
+                for lease in leases]
+        if self._weighted:
+            state["weights"] = [
+                [job_id, job.weight, job.assigned]
+                for job_id, job in sorted(self._jobs.items())]
         steal = self._export_steal_state()
         if steal:
-            # Only present once stealing has actually moved something,
-            # so a stealing-off (or never-triggered) service exports
-            # byte-identical state to the pre-steal service.
             state["steal"] = steal
         return state
 
@@ -1392,23 +1200,22 @@ class SchedulerService:
                 raise ServiceError(
                     f"snapshot {key}={state.get(key)!r} does not match "
                     f"this service's {key}={mine!r}")
-        if len(self._table) or self._jobs:
+        if self._table or self._jobs:
             raise ServiceError(
                 "import_state needs a freshly constructed service")
         for site_id, payload in state["sites"]:
             engine.attach_site(site_id, state=SiteFileState.restore(
                 payload["resident"], payload["references"]))
         for task_id, files, flops in state["tasks"]:
-            self._table.add(Task(task_id=task_id,
-                                 files=frozenset(files),
-                                 flops=float(flops)))
-        assigned_ids = {entry[0] for entry in state["assigned"]}
+            self._table[task_id] = Task(task_id=task_id,
+                                        files=frozenset(files),
+                                        flops=float(flops))
         completed = set(state["completed"])
         steal = state.get("steal", {})
-        exported_ids: Set[int] = set()
-        for _eid, _thief, _acked, _specs, remaining in steal.get(
-                "exports", []):
-            exported_ids.update(remaining)
+        # Everything that is somewhere other than the pending queue.
+        placed = completed | {entry[0] for entry in state["assigned"]}
+        for *_export, remaining in steal.get("exports", []):
+            placed.update(remaining)
         pending: List[int] = []
         for job_id, task_ids, job_completed in state["jobs"]:
             job = _JobState(job_id)
@@ -1417,47 +1224,326 @@ class SchedulerService:
             self._jobs[job_id] = job
             for task_id in task_ids:
                 self._task_job[task_id] = job_id
-                if (task_id not in completed
-                        and task_id not in assigned_ids
-                        and task_id not in exported_ids):
+                if task_id not in placed:
                     job.pending.add(task_id)
                     pending.append(task_id)
         for task_id in sorted(pending):
             engine.add_task(self._table[task_id])
-        now = self._clock()
-        for task_id, lease_id, worker, site_id in state["assigned"]:
-            self.ensure_site(site_id)
-            lease = _Lease(lease_id, task_id, worker, site_id,
-                           now + self.lease_ttl)
-            self._assigned[task_id] = lease
-            self._leases[lease_id] = lease
-            self._by_worker.setdefault(worker, set()).add(task_id)
         self._completed = completed
+        # Leases and the steal ledger go back in through the
+        # transitions that first made them.
+        for key in ("assigned", "replicas"):
+            for task_id, lease_id, worker, site_id in state.get(key, []):
+                self._apply_assign(task_id, site_id, worker, lease_id,
+                                   replica=key == "replicas")
+        for export_id, thief, acked, specs, _remaining in steal.get(
+                "exports", []):
+            self._apply_steal_export(export_id, thief, specs)
+            if acked:
+                self._apply_steal_export_ack(export_id)
+        for origin, export_id, specs in steal.get("imports", []):
+            self._apply_steal_import(origin, export_id, specs)
+        for job_id, origin in steal.get("foreign_jobs", []):
+            self._foreign_jobs[job_id] = origin
+        for origin, task_ids in steal.get("outbox", []):
+            self._steal_outbox[origin] = list(task_ids)
+        for job_id, weight, assigned in state.get("weights", []):
+            self._jobs[job_id].weight = weight
+            self._jobs[job_id].assigned = assigned
+            self._weighted = True
         self._next_task_id = state["next_task_id"]
         self._next_job_id = state["next_job_id"]
         self._next_lease_id = state["next_lease_id"]
+        self._next_export_id = steal.get("next_export_id", 1)
         rng_version, rng_internal, rng_gauss = state["rng"]
         engine.rng.setstate((rng_version, tuple(rng_internal),
                              rng_gauss))
         engine.decisions = state.get("decisions", 0)
         engine.tasks_scored = state.get("tasks_scored", 0)
         self._draining = bool(state.get("draining", False))
-        for export_id, thief, acked, specs, remaining in steal.get(
-                "exports", []):
-            self._steal_exports[export_id] = {
-                "thief": thief, "acked": bool(acked),
-                "specs": [dict(spec) for spec in specs],
-                "remaining": set(remaining)}
-            for task_id in remaining:
-                self._exported_tasks[task_id] = export_id
-        self._next_export_id = steal.get("next_export_id", 1)
-        for origin, export_id, specs in steal.get("imports", []):
-            self._steal_imports[(origin, export_id)] = [
-                dict(spec) for spec in specs]
-        for job_id, origin in steal.get("foreign_jobs", []):
-            self._foreign_jobs[job_id] = origin
-        for origin, task_ids in steal.get("outbox", []):
-            self._steal_outbox[origin] = list(task_ids)
+
+    # -- state transitions -----------------------------------------------
+    # One per WAL record kind, taking that record's fields, tolerating a
+    # duplicate, returning whether state changed.  With import_state the
+    # only code that moves a task between pending / leased / exported /
+    # completed; the live methods above and replay_record both call it.
+
+    def _admit(self, job_id: int, task_id: int, spec: Dict,
+               origin: Optional[int] = None) -> bool:
+        """Make one task known and pending (a known id is a no-op)."""
+        if task_id in self._task_job:
+            return False
+        job = self._jobs.get(job_id)
+        if job is None:
+            job = self._jobs[job_id] = _JobState(job_id)
+            if origin is None:
+                self._next_job_id = max(self._next_job_id,
+                                        job_id + self._id_stride)
+            else:
+                self._foreign_jobs[job_id] = origin
+        task = Task(task_id=task_id, files=frozenset(spec["files"]),
+                    flops=float(spec.get("flops", 0.0)))
+        self._table[task_id] = task
+        self.engine.add_task(task)
+        job.task_ids.add(task_id)
+        job.pending.add(task_id)
+        self._task_job[task_id] = job_id
+        return True
+
+    def _release_lease(self, lease: _Lease) -> None:
+        if self._assigned.get(lease.task_id) is lease:
+            del self._assigned[lease.task_id]
+        else:
+            replicas = self._replicas.get(lease.task_id)
+            if replicas is not None and lease in replicas:
+                replicas.remove(lease)
+                if not replicas:
+                    del self._replicas[lease.task_id]
+        self._leases.pop(lease.lease_id, None)
+        self._by_worker.get(lease.worker, set()).discard(lease)
+
+    def _apply_submit(self, job_id: int, task_ids: List[int],
+                      specs: List[Dict], weight: Optional[float] = None,
+                      assigned: Optional[List[List[int]]] = None) -> bool:
+        changed = False
+        for task_id, spec in zip(task_ids, specs):
+            changed |= self._admit(job_id, task_id, spec)
+        self._next_task_id = max(self._next_task_id,
+                                 task_ids[-1] + self._id_stride)
+        if weight is not None:
+            changed |= self._jobs[job_id].weight != weight
+            self._jobs[job_id].weight = weight
+            if not self._weighted:
+                # Sticky from the first weight on.  No snapshot from
+                # before it carried pass counts, so this submit records
+                # them; the record (a new job: 0), not what this fold
+                # counted, is what the live service went on with.
+                self._weighted = True
+                counts = dict(assigned or ())
+                for job in self._jobs.values():
+                    job.assigned = counts.get(job.job_id, 0)
+        return changed
+
+    def _apply_assign(self, task_id: int, site: int, worker: str,
+                      lease_id: int, replica: bool = False) -> bool:
+        job_id = self._task_job.get(task_id)
+        if job_id is None:
+            raise ServiceError(f"assign record for unknown task {task_id}")
+        # A replica lease rides on a live primary; a primary lease
+        # needs the task to have none.
+        if (task_id in self._completed or lease_id in self._leases
+                or (task_id in self._assigned) != bool(replica)):
+            return False
+        self.ensure_site(site)
+        now = self._clock()
+        lease = _Lease(lease_id, task_id, worker, site,
+                       now + self.lease_ttl, granted_at=now)
+        if replica:
+            self._replicas.setdefault(task_id, []).append(lease)
+        else:
+            job = self._jobs[job_id]
+            if task_id in job.pending:
+                job.pending.remove(task_id)
+                self.engine.remove_task(self._table[task_id])
+            job.assigned += 1
+            self._assigned[task_id] = lease
+        self._leases[lease_id] = lease
+        self._by_worker.setdefault(worker, set()).add(lease)
+        if lease_id >= self._next_lease_id:
+            self._next_lease_id = lease_id + 1
+        return True
+
+    def _apply_complete(self, task_id: int) -> bool:
+        """``complete`` and ``steal-task-done``: done, exactly once."""
+        if task_id in self._completed:
+            return False
+        job = self._jobs[self._task_job[task_id]]
+        primary = self._assigned.get(task_id)
+        if primary is not None:
+            # First completion wins: every lease on the task goes, so
+            # whichever copy reports second finds no lease to present.
+            self._release_lease(primary)
+            for replica in list(self._replicas.get(task_id, ())):
+                self._release_lease(replica)
+        elif task_id in job.pending:
+            # complete raced a requeue in the original run order (or
+            # is the forwarded completion of a reclaimed export);
+            # honor the completion, it is what the worker was told.
+            job.pending.remove(task_id)
+            self.engine.remove_task(self._table[task_id])
+        job.completed.add(task_id)
+        self._completed.add(task_id)
+        # A forwarded completion retires the export bookkeeping; an
+        # export lives until its last task's completion (or its abort).
+        export_id = self._exported_tasks.pop(task_id, None)
+        export = self._steal_exports.get(export_id)
+        if export is not None:
+            export["remaining"].discard(task_id)
+            if not export["remaining"]:
+                del self._steal_exports[export_id]
+        # A stolen task's completion waits here to be forwarded home.
+        origin = self._foreign_jobs.get(job.job_id)
+        if origin is not None:
+            self._steal_outbox.setdefault(origin, []).append(task_id)
+        return True
+
+    def _apply_lease_expire(self, task_id: int, lease_id: int) -> bool:
+        lease = self._leases.get(lease_id)
+        if lease is None or lease.task_id != task_id:
+            return False
+        self._release_lease(lease)
+        replicas = self._replicas.get(task_id)
+        if replicas and task_id not in self._assigned:
+            # The primary went while a replica is still computing the
+            # task: the oldest live replica becomes the primary, so
+            # the task is not requeued (that would start a third copy).
+            self._assigned[task_id] = replicas.pop(0)
+            if not replicas:
+                del self._replicas[task_id]
+        return True
+
+    def _apply_requeue(self, task_id: int) -> bool:
+        lease = self._assigned.get(task_id)
+        if lease is not None:
+            # Disconnect requeues have no separate release record.
+            self._release_lease(lease)
+        if (task_id in self._completed
+                or self.engine.is_pending(task_id)):
+            return lease is not None
+        self.engine.add_task(self._table[task_id])
+        self._jobs[self._task_job[task_id]].pending.add(task_id)
+        return True
+
+    def _apply_delta(self, site: int, added_ids: List[int],
+                     removed_ids: List[int],
+                     referenced_ids: List[int]) -> Tuple[int, int]:
+        """Returns the redundant ``(adds, removes)`` counts (live stats)."""
+        self.ensure_site(site)
+        engine = self.engine
+        duplicate_removes = sum(not engine.file_removed(site, fid)
+                                for fid in removed_ids)
+        duplicate_adds = sum(not engine.file_added(site, fid)
+                             for fid in added_ids)
+        for fid in referenced_ids:
+            engine.file_referenced(site, fid)
+        return duplicate_adds, duplicate_removes
+
+    def _apply_drain(self) -> bool:
+        changed = not self._draining
+        self._draining = True
+        return changed
+
+    def _apply_steal_export(self, export_id: int, thief: str,
+                            specs: List[Dict]) -> bool:
+        if export_id < self._next_export_id:
+            return False  # ids only grow: this one was applied before
+        remaining: Set[int] = set()
+        for spec in specs:
+            task_id = spec["task_id"]
+            if task_id in self._completed:
+                continue
+            remaining.add(task_id)
+            self._exported_tasks[task_id] = export_id
+            if self.engine.is_pending(task_id):
+                self.engine.remove_task(self._table[task_id])
+            self._jobs[self._task_job[task_id]].pending.discard(task_id)
+        self._steal_exports[export_id] = {
+            "thief": thief, "acked": False, "specs": specs,
+            "remaining": remaining}
+        self._next_export_id = export_id + 1
+        return True
+
+    def _apply_steal_export_ack(self, export_id: int) -> bool:
+        export = self._steal_exports.get(export_id)
+        if export is None or export["acked"]:
+            return False
+        export["acked"] = True
+        return True
+
+    def _apply_steal_export_abort(self, export_id: int) -> bool:
+        """Hand what is left of an export back to the local queue."""
+        export = self._steal_exports.pop(export_id, None)
+        if export is None:
+            return False
+        for task_id in sorted(export["remaining"]):
+            # requeue_unacked_exports writes no record, so an export it
+            # reclaimed stays un-acked in the WAL and the next recovery
+            # folds what happened since on top of it: by now the task
+            # may belong to a later export, or be out under a lease.
+            if self._exported_tasks.get(task_id) != export_id:
+                continue
+            del self._exported_tasks[task_id]
+            if task_id not in self._assigned:
+                self._apply_requeue(task_id)
+        return True
+
+    def _apply_steal_import(self, origin: int, export_id: int,
+                            specs: List[Dict]) -> bool:
+        if (origin, export_id) in self._steal_imports:
+            return False
+        self._steal_imports[origin, export_id] = [
+            dict(spec) for spec in specs]
+        return True
+
+    def _apply_steal_import_commit(self, origin: int,
+                                   export_id: int) -> bool:
+        """Activate stolen tasks under their original (foreign) ids.
+
+        Shard id striding keeps foreign ids disjoint from anything
+        this service allocates, so the id counters are deliberately
+        *not* advanced.  The foreign job shell tracks only the stolen
+        tasks; its completions forward home instead of counting here.
+        """
+        specs = self._steal_imports.pop((origin, export_id), None)
+        if specs is None:
+            return False
+        for spec in specs:
+            self._admit(spec["job_id"], spec["task_id"], spec,
+                        origin=origin)
+        return True
+
+    def _apply_steal_import_abort(self, origin: int,
+                                  export_id: int) -> bool:
+        return self._steal_imports.pop((origin, export_id),
+                                       None) is not None
+
+    def _apply_steal_forwarded(self, task_ids: List[int],
+                               origin: int) -> bool:
+        queue = self._steal_outbox.get(origin, [])
+        delivered = set(task_ids)
+        kept = [tid for tid in queue if tid not in delivered]
+        if len(kept) == len(queue):
+            return False
+        if kept:
+            self._steal_outbox[origin] = kept
+        else:
+            del self._steal_outbox[origin]
+        return True
+
+    #: WAL record kind -> (transition, required fields, optional fields).
+    #: The field names are the on-disk format (additive-only), written
+    #: out here so that renaming a parameter cannot change what recovery
+    #: reads.  ``decision`` spans and unknown kinds carry no state.
+    _TRANSITIONS = {
+        "submit": (_apply_submit, "job_id task_ids specs", "weight assigned"),
+        "assign": (_apply_assign, "task_id site worker lease_id", "replica"),
+        "complete": (_apply_complete, "task_id", ""),
+        "lease-expire": (_apply_lease_expire, "task_id lease_id", ""),
+        "requeue": (_apply_requeue, "task_id", ""),
+        "delta": (_apply_delta,
+                  "site added_ids removed_ids referenced_ids", ""),
+        "drain": (_apply_drain, "", ""),
+        "steal-export": (_apply_steal_export, "export_id thief specs", ""),
+        "steal-export-ack": (_apply_steal_export_ack, "export_id", ""),
+        "steal-export-abort": (_apply_steal_export_abort, "export_id", ""),
+        "steal-import": (_apply_steal_import, "origin export_id specs", ""),
+        "steal-import-commit": (_apply_steal_import_commit,
+                                "origin export_id", ""),
+        "steal-import-abort": (_apply_steal_import_abort,
+                               "origin export_id", ""),
+        "steal-task-done": (_apply_complete, "task_id", ""),
+        "steal-forwarded": (_apply_steal_forwarded, "task_ids origin", ""),
+    }
 
     def replay_record(self, record: Dict) -> bool:
         """Re-apply one WAL record emitted by a ``wal_events`` service.
@@ -1472,222 +1558,15 @@ class SchedulerService:
         lease id, or the sweeper requeues the task — exactly-once
         either way.
         """
-        kind = record.get("event")
-        if kind == "submit":
-            return self._replay_submit(record)
-        if kind == "assign":
-            return self._replay_assign(record)
-        if kind == "complete":
-            return self._replay_complete(record)
-        if kind == "lease-expire":
-            lease = self._leases.get(record["lease_id"])
-            if lease is None or lease.task_id != record["task_id"]:
-                return False
-            self._release_lease(lease)
-            return True
-        if kind == "requeue":
-            return self._replay_requeue(record)
-        if kind == "delta":
-            return self._replay_delta(record)
-        if kind == "steal-export":
-            return self._replay_steal_export(record)
-        if kind == "steal-export-ack":
-            export = self._steal_exports.get(record["export_id"])
-            if export is None or export["acked"]:
-                return False
-            export["acked"] = True
-            return True
-        if kind == "steal-export-abort":
-            return self._replay_steal_export_abort(record)
-        if kind == "steal-import":
-            key = (record["origin"], record["export_id"])
-            if key in self._steal_imports:
-                return False
-            self._steal_imports[key] = [dict(spec)
-                                        for spec in record["specs"]]
-            return True
-        if kind == "steal-import-commit":
-            specs = self._steal_imports.pop(
-                (record["origin"], record["export_id"]), None)
-            if specs is None:
-                return False
-            self._activate_import(record["origin"], specs)
-            return True
-        if kind == "steal-import-abort":
-            return self._steal_imports.pop(
-                (record["origin"], record["export_id"]),
-                None) is not None
-        if kind == "steal-task-done":
-            return self._replay_steal_task_done(record)
-        if kind == "steal-forwarded":
-            return self._replay_steal_forwarded(record)
-        return False  # decision spans and unknown kinds: no state
-
-    def _replay_submit(self, record: Dict) -> bool:
-        specs = record.get("specs")
-        task_ids = record.get("task_ids")
-        if specs is None or task_ids is None:
+        entry = self._TRANSITIONS.get(record.get("event"))
+        if entry is None:
+            return False
+        apply, required, optional = entry
+        try:
+            args = [record[name] for name in required.split()]
+        except KeyError as missing:
             raise ServiceError(
-                "submit record lacks 'specs'/'task_ids' — this event "
-                "log was not written in WAL mode")
-        job_id = record["job_id"]
-        job = self._jobs.get(job_id)
-        if job is None:
-            job = _JobState(job_id)
-            self._jobs[job_id] = job
-        for task_id, spec in zip(task_ids, specs):
-            if task_id in self._task_job:
-                continue  # idempotent re-replay
-            task = Task(task_id=task_id,
-                        files=frozenset(spec["files"]),
-                        flops=float(spec.get("flops", 0.0)))
-            self._table.add(task)
-            self.engine.add_task(task)
-            job.task_ids.add(task_id)
-            job.pending.add(task_id)
-            self._task_job[task_id] = job_id
-            self._next_task_id = max(self._next_task_id,
-                                     task_id + self._id_stride)
-        self._next_job_id = max(self._next_job_id,
-                                job_id + self._id_stride)
-        return True
-
-    def _replay_assign(self, record: Dict) -> bool:
-        if record.get("replica"):
-            # Replica leases are a live-tail optimisation only; the
-            # primary assign record already covers the task.
-            return False
-        task_id = record["task_id"]
-        if task_id not in self._task_job:
-            raise ServiceError(
-                f"assign record for unknown task {task_id}")
-        if task_id in self._completed or task_id in self._assigned:
-            return False
-        if self.engine.is_pending(task_id):
-            self.engine.remove_task(self._table[task_id])
-        self._jobs[self._task_job[task_id]].pending.discard(task_id)
-        lease = _Lease(record["lease_id"], task_id, record["worker"],
-                       record["site"], self._clock() + self.lease_ttl)
-        self.ensure_site(lease.site_id)
-        self._assigned[task_id] = lease
-        self._leases[lease.lease_id] = lease
-        self._by_worker.setdefault(lease.worker, set()).add(task_id)
-        self._next_lease_id = max(self._next_lease_id,
-                                  lease.lease_id + 1)
-        return True
-
-    def _replay_complete(self, record: Dict) -> bool:
-        task_id = record["task_id"]
-        if task_id in self._completed:
-            return False
-        lease = self._assigned.get(task_id)
-        if lease is not None:
-            self._release_lease(lease)
-        elif self.engine.is_pending(task_id):
-            # complete raced a requeue in the original run order;
-            # honor the completion, it is what the worker was told.
-            self.engine.remove_task(self._table[task_id])
-        self._completed.add(task_id)
-        job = self._jobs[self._task_job[task_id]]
-        job.pending.discard(task_id)
-        job.completed.add(task_id)
-        # A forwarded completion of an exported task also retires the
-        # export bookkeeping, exactly as the live steal_done did.
-        self._clear_export_entry(task_id)
-        return True
-
-    def _replay_steal_export(self, record: Dict) -> bool:
-        export_id = record["export_id"]
-        if export_id in self._steal_exports:
-            return False
-        specs = [dict(spec) for spec in record["specs"]]
-        remaining: Set[int] = set()
-        for spec in specs:
-            task_id = spec["task_id"]
-            if task_id in self._completed:
-                continue
-            remaining.add(task_id)
-            self._exported_tasks[task_id] = export_id
-            if self.engine.is_pending(task_id):
-                self.engine.remove_task(self._table[task_id])
-            job_id = self._task_job.get(task_id)
-            if job_id is not None:
-                self._jobs[job_id].pending.discard(task_id)
-        self._steal_exports[export_id] = {
-            "thief": record["thief"], "acked": False, "specs": specs,
-            "remaining": remaining}
-        self._next_export_id = max(self._next_export_id,
-                                   export_id + 1)
-        return True
-
-    def _replay_steal_export_abort(self, record: Dict) -> bool:
-        export = self._steal_exports.pop(record["export_id"], None)
-        if export is None:
-            return False
-        for task_id in sorted(export["remaining"]):
-            self._exported_tasks.pop(task_id, None)
-            if (task_id in self._completed or task_id in self._assigned
-                    or self.engine.is_pending(task_id)):
-                continue
-            self._requeue(task_id)
-        return True
-
-    def _replay_steal_task_done(self, record: Dict) -> bool:
-        task_id = record["task_id"]
-        if task_id in self._completed:
-            return False
-        lease = self._assigned.get(task_id)
-        if lease is not None:
-            self._release_lease(lease)
-        elif self.engine.is_pending(task_id):
-            self.engine.remove_task(self._table[task_id])
-        self._completed.add(task_id)
-        job = self._jobs[self._task_job[task_id]]
-        job.pending.discard(task_id)
-        job.completed.add(task_id)
-        origin = self._foreign_jobs.get(job.job_id)
-        if origin is not None:
-            self._steal_outbox.setdefault(origin, []).append(task_id)
-        return True
-
-    def _replay_steal_forwarded(self, record: Dict) -> bool:
-        delivered = set(record["task_ids"])
-        changed = False
-        for origin in list(self._steal_outbox):
-            queue = self._steal_outbox[origin]
-            kept = [tid for tid in queue if tid not in delivered]
-            if len(kept) == len(queue):
-                continue
-            changed = True
-            if kept:
-                self._steal_outbox[origin] = kept
-            else:
-                del self._steal_outbox[origin]
-        return changed
-
-    def _replay_requeue(self, record: Dict) -> bool:
-        task_id = record["task_id"]
-        lease = self._assigned.get(task_id)
-        if lease is not None:
-            # Disconnect requeues have no separate release record.
-            self._release_lease(lease)
-        if (task_id in self._completed
-                or self.engine.is_pending(task_id)):
-            return lease is not None
-        self._requeue(task_id)
-        return True
-
-    def _replay_delta(self, record: Dict) -> bool:
-        if "added_ids" not in record:
-            raise ServiceError(
-                "delta record lacks id lists — this event log was "
-                "not written in WAL mode")
-        site_id = record["site"]
-        self.ensure_site(site_id)
-        for fid in record["removed_ids"]:
-            self.engine.file_removed(site_id, fid)
-        for fid in record["added_ids"]:
-            self.engine.file_added(site_id, fid)
-        for fid in record["referenced_ids"]:
-            self.engine.file_referenced(site_id, fid)
-        return True
+                f"{record['event']} record lacks {missing} — was this "
+                f"event log written in WAL mode?") from None
+        return bool(apply(self, *args,
+                          *map(record.get, optional.split())))

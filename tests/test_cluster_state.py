@@ -360,3 +360,302 @@ def test_shard_describe_reports_identity_and_recovery(tmp_path):
     assert shard.service.submit_job(
         [{"files": [9]}])["job_id"] % 3 == 1
     shard.close()
+
+
+# -- one fold: what the live path did is what recovery rebuilds --------------
+
+def open_tail_shard(state_dir, clock):
+    return open_shard(state_dir, metric="combined", n=2, seed=3,
+                      lease_ttl=5.0, clock=clock, replicate_tail=True)
+
+
+@pytest.mark.parametrize("snapshot", [False, True])
+def test_promoted_replica_survives_recovery(tmp_path, snapshot):
+    """The lost-task regression (``repro serve --state-dir D
+    --replicate-stragglers``): the primary lease lapses, the live
+    service promotes the replica, the shard is killed.  Recovery used
+    to ignore replica ``assign`` records yet fold the ``lease-expire``,
+    leaving the task neither pending, leased nor completed — the
+    replica's completion was refused and the job never finished."""
+    state_dir = str(tmp_path)
+    clock = FakeClock()
+    first = open_tail_shard(state_dir, clock)
+    service = first.service
+    submit(service, SPECS[:1])
+    primary = pull(service, worker="w0", site=0)
+    clock.advance(3.0)
+    replica = pull(service, worker="w1", site=1)  # tail: replicates
+    assert replica.task.task_id == primary.task.task_id
+    assert replica.lease_id != primary.lease_id
+    if snapshot:  # the snapshot must carry the live replica lease
+        assert first.maybe_snapshot() is not None
+    clock.advance(3.0)
+    assert service.expire_leases() == 1  # only the primary lapsed
+    assert service.queue_depth == 0      # promoted, not requeued
+    pre_crash = functional_state(service)
+    # Crash.
+
+    second = open_tail_shard(state_dir, FakeClock())
+    assert functional_state(second.service) == pre_crash
+    result = second.service.task_done("w1", replica.task.task_id,
+                                      replica.lease_id)
+    assert result.accepted
+    assert second.service.job_status(0)["done"]
+    second.close()
+
+
+def weighted_pulls(service, count):
+    """Unscoped pull + completion, ``count`` times: the job order."""
+    order = []
+    for _ in range(count):
+        assignment = pull(service, worker="w0", site=0)
+        service.task_done("w0", assignment.task.task_id,
+                          assignment.lease_id)
+        order.append(assignment.job_id)
+    return order
+
+
+def test_weighted_fair_state_survives_recovery(tmp_path):
+    """``JOB_SUBMIT {weight}`` used to be in neither the ``submit``
+    record nor the snapshot: a recovered shard forgot every weight and
+    every stride pass count and fell back to the unweighted pick."""
+    state_dir = str(tmp_path)
+    first = open_shard(state_dir, clock=FakeClock())
+    service = first.service
+    specs = [{"files": [fid]} for fid in range(10)]
+    service.submit_job(specs, weight=3.0)
+    service.submit_job(specs, weight=1.0)
+    weighted_pulls(service, 3)
+    assert first.maybe_snapshot() is not None
+    weighted_pulls(service, 2)
+    # Crash.
+
+    second = open_shard(state_dir, clock=FakeClock())
+    assert second.report["snapshot_seq"] is not None
+    assert functional_state(second.service) == functional_state(service)
+    expected = weighted_pulls(service, 8)
+    assert sorted(set(expected)) == [0, 1]
+    assert weighted_pulls(second.service, 8) == expected
+    second.close()
+
+
+def test_pass_counts_survive_a_snapshot_from_before_the_first_weight(
+        tmp_path):
+    """Pass counts run from a job's first assignment but snapshots
+    carry them only in weighted-fair mode, so the submit that turns
+    the mode on records the counts no earlier snapshot has."""
+    state_dir = str(tmp_path)
+    first = open_shard(state_dir, clock=FakeClock())
+    service = first.service
+    specs = [{"files": [fid]} for fid in range(10)]
+    service.submit_job(specs)
+    weighted_pulls(service, 4)
+    assert first.maybe_snapshot() is not None  # no weights in it
+    service.submit_job(specs, weight=1.0)
+    # Crash.
+
+    second = open_shard(state_dir, clock=FakeClock())
+    assert functional_state(second.service) == functional_state(service)
+    # The newcomer catches up on the 4 assignments it is behind.
+    assert weighted_pulls(second.service, 5) == [1, 1, 1, 1, 0]
+    second.close()
+
+
+def test_pass_counts_a_recovery_forgot_stay_forgotten_in_the_log(
+        tmp_path):
+    """A recovery from a snapshot without weights restarts the pass
+    counts at zero, while the ``assign`` records before it still add
+    up in a full-log fold.  The submit that turns weighted mode on
+    settles it: what it records is what the live service had."""
+    state_dir = str(tmp_path)
+    first = open_shard(state_dir, clock=FakeClock())
+    specs = [{"files": [fid]} for fid in range(10)]
+    first.service.submit_job(specs)
+    weighted_pulls(first.service, 4)
+    assert first.maybe_snapshot() is not None  # no weights in it
+    # Crash.
+
+    second = open_shard(state_dir, clock=FakeClock())
+    second.service.submit_job(specs, weight=1.0)
+    # Crash again; this time the snapshot is unusable.
+    for _seq, path in list_snapshots(state_dir):
+        os.remove(path)
+
+    third = open_shard(state_dir, clock=FakeClock())
+    assert third.report["snapshot_seq"] is None
+    assert functional_state(third.service) \
+        == functional_state(second.service)
+    expected = weighted_pulls(second.service, 6)
+    assert weighted_pulls(third.service, 6) == expected
+    third.close()
+
+
+def test_drain_survives_recovery(tmp_path):
+    """``drain()`` used to emit nothing: a shard killed mid-drain came
+    back accepting jobs and handing out tasks."""
+    from repro.serve.service import ServiceError
+    state_dir = str(tmp_path)
+    first = open_shard(state_dir, clock=FakeClock())
+    submit(first.service, SPECS[:2])
+    held = pull(first.service, worker="w0", site=0)
+    first.service.drain()
+    first.service.drain()  # a repeated DRAIN writes nothing more
+    records = [record["event"] for path in wal_files(state_dir)
+               for record in iter_events(path)]
+    assert records.count("drain") == 1
+    # Crash with one task pending and one out under a lease.
+
+    second = open_shard(state_dir, clock=FakeClock())
+    assert second.service.draining
+    with pytest.raises(ServiceError, match="draining"):
+        submit(second.service, SPECS[2:])
+    assert pull(second.service, worker="w1", site=0) == "draining"
+    drained = []
+    second.service.on_drained = lambda: drained.append(True)
+    assert second.service.task_done("w0", held.task.task_id,
+                                    held.lease_id).accepted
+    assert drained == [True]
+    second.close()
+
+
+# What the parent commit (PR 14) wrote for ``parent_shaped_life``: its
+# WAL lines verbatim, its snapshot after the first PARENT_COVERED
+# records, and its final state (both minus the decision-stream fields).
+# WAL records and snapshot keys are additive-only, so this log must
+# still be emitted byte for byte and must still fold to this state.
+PARENT_WAL = """\
+{"event":"submit","job_id":0,"seq":0,"specs":[{"files":[1,2,3],"flops":1.0},{"files":[3,4],"flops":2.0},{"files":[5],"flops":0.5},{"files":[1,5,6],"flops":3.0}],"task_ids":[0,2,4,6],"tasks":4,"ts":0.0}
+{"event":"assign","job_id":0,"latency_us":0.0,"lease_id":1,"overlap":0,"seq":1,"site":0,"task_id":4,"ts":0.0,"worker":"w0"}
+{"event":"complete","job_id":0,"lease_id":1,"seq":2,"task_id":4,"ts":0.0,"worker":"w0"}
+{"event":"assign","job_id":0,"latency_us":0.0,"lease_id":2,"overlap":0,"seq":3,"site":1,"task_id":2,"ts":0.0,"worker":"w1"}
+{"event":"lease-expire","lease_id":2,"seq":4,"task_id":2,"ts":0.0,"worker":"w1"}
+{"event":"requeue","reason":"lease-expired","seq":5,"task_id":2,"ts":0.0}
+{"event":"assign","job_id":0,"latency_us":0.0,"lease_id":3,"overlap":0,"seq":6,"site":0,"task_id":2,"ts":0.0,"worker":"w2"}
+{"event":"requeue","reason":"disconnect","seq":7,"task_id":2,"ts":0.0,"worker":"w2"}
+{"added":2,"added_ids":[3,4],"duplicates":0,"event":"delta","referenced":1,"referenced_ids":[5],"removed":0,"removed_ids":[],"seq":8,"site":1,"ts":0.0}
+{"event":"steal-export","export_id":1,"seq":9,"specs":[{"files":[3,4],"flops":2.0,"job_id":0,"task_id":2}],"thief":"steal/1","ts":0.0}
+{"event":"steal-export-ack","export_id":1,"seq":10,"ts":0.0}
+{"event":"complete","job_id":0,"seq":11,"task_id":2,"ts":0.0,"worker":"steal/1"}
+{"event":"steal-export","export_id":2,"seq":12,"specs":[{"files":[1,2,3],"flops":1.0,"job_id":0,"task_id":0}],"thief":"steal/1","ts":0.0}
+{"event":"steal-export-abort","export_id":2,"seq":13,"ts":0.0}
+{"event":"steal-import","export_id":7,"origin":1,"seq":14,"specs":[{"files":[2,7],"flops":1.5,"job_id":1,"task_id":1}],"ts":0.0}
+{"event":"steal-import-commit","export_id":7,"origin":1,"seq":15,"ts":0.0}
+{"event":"assign","job_id":1,"latency_us":0.0,"lease_id":4,"overlap":0,"seq":16,"site":0,"task_id":1,"ts":0.0,"worker":"w0"}
+{"event":"steal-task-done","job_id":1,"lease_id":4,"seq":17,"task_id":1,"ts":0.0,"worker":"w0"}
+{"event":"steal-import","export_id":8,"origin":1,"seq":18,"specs":[{"files":[7],"flops":0.5,"job_id":1,"task_id":3}],"ts":0.0}
+{"event":"steal-forwarded","origin":1,"seq":19,"task_ids":[1],"ts":0.0}
+{"event":"steal-import-abort","export_id":8,"origin":1,"seq":20,"ts":0.0}
+{"event":"steal-import","export_id":9,"origin":1,"seq":21,"specs":[{"files":[6],"flops":0.0,"job_id":3,"task_id":5}],"ts":0.0}
+{"event":"steal-export","export_id":3,"seq":22,"specs":[{"files":[1,2,3],"flops":1.0,"job_id":0,"task_id":0}],"thief":"steal/2","ts":0.0}
+{"event":"submit","job_id":0,"seq":23,"specs":[{"files":[2,6],"flops":1.0}],"task_ids":[8],"tasks":1,"ts":0.0}
+{"event":"assign","job_id":0,"latency_us":0.0,"lease_id":5,"overlap":0,"seq":24,"site":1,"task_id":8,"ts":0.0,"worker":"w3"}
+"""
+PARENT_COVERED = 9
+PARENT_SNAPSHOT = """{
+  "assigned": [],
+  "completed": [4],
+  "draining": false,
+  "fast_path": true,
+  "id_start": 0,
+  "id_stride": 2,
+  "jobs": [[0, [0, 2, 4, 6], [4]]],
+  "metric": "combined",
+  "n": 2,
+  "next_job_id": 2,
+  "next_lease_id": 4,
+  "next_task_id": 8,
+  "sites": [[0, {"references": [], "resident": []}], [1, {"references": [[5, 1]], "resident": [3, 4]}]],
+  "tasks": [[0, [1, 2, 3], 1.0], [2, [3, 4], 2.0], [4, [5], 0.5], [6, [1, 5, 6], 3.0]],
+  "version": 1
+}"""
+PARENT_FINAL = """{
+  "assigned": [[8, 5, "w3", 1]],
+  "completed": [1, 2, 4],
+  "draining": false,
+  "fast_path": true,
+  "id_start": 0,
+  "id_stride": 2,
+  "jobs": [[0, [0, 2, 4, 6, 8], [2, 4]], [1, [1], [1]]],
+  "metric": "combined",
+  "n": 2,
+  "next_job_id": 2,
+  "next_lease_id": 6,
+  "next_task_id": 10,
+  "sites": [[0, {"references": [], "resident": []}], [1, {"references": [[5, 1]], "resident": [3, 4]}]],
+  "steal": {"exports": [[3, "steal/2", false, [{"files": [1, 2, 3], "flops": 1.0, "job_id": 0, "task_id": 0}], [0]]], "foreign_jobs": [[1, 1]], "imports": [[1, 9, [{"files": [6], "flops": 0.0, "job_id": 3, "task_id": 5}]]], "next_export_id": 4},
+  "tasks": [[0, [1, 2, 3], 1.0], [1, [2, 7], 1.5], [2, [3, 4], 2.0], [4, [5], 0.5], [6, [1, 5, 6], 3.0], [8, [2, 6], 1.0]],
+  "version": 1
+}"""
+
+
+def parent_shaped_service(**kwargs):
+    # Shard 0 of 2 with stealing armed; no weight, replica or drain.
+    return SchedulerService(metric="combined", n=2, seed=11,
+                            lease_ttl=5.0, wal_events=True, id_start=0,
+                            id_stride=2, steal_watermark=1, **kwargs)
+
+
+def parent_shaped_life(service, clock):
+    """Every record kind the parent commit could write, live."""
+    submit(service, SPECS)
+    done = pull(service, worker="w0", site=0)
+    service.task_done("w0", done.task.task_id, done.lease_id)
+    pull(service, worker="w1", site=1)
+    clock.advance(6.0)
+    service.expire_leases()
+    pull(service, worker="w2", site=0)
+    service.disconnect("w2")
+    service.file_delta(1, added=[3, 4], removed=[], referenced=[5])
+    snapshot = functional_state(service)
+    grant = service.export_steal_batch("steal/1", 1, [])
+    service.steal_export_acked(grant["export_id"])
+    service.steal_done([grant["tasks"][0]["task_id"]], "steal/1")
+    service.export_steal_batch("steal/1", 1, [])
+    service.disconnect("steal/1")  # un-acked: aborts the export
+    service.steal_import_tentative(1, 7, [
+        {"task_id": 1, "job_id": 1, "files": [2, 7], "flops": 1.5}])
+    service.steal_commit_import(1, 7)
+    stolen = pull(service, worker="w0", site=0, job_id=1)
+    service.task_done("w0", stolen.task.task_id, stolen.lease_id)
+    service.steal_import_tentative(1, 8, [
+        {"task_id": 3, "job_id": 1, "files": [7], "flops": 0.5}])
+    service.steal_forwarded(1, [1])
+    service.steal_abort_import(1, 8)
+    service.steal_import_tentative(1, 9, [
+        {"task_id": 5, "job_id": 3, "files": [6], "flops": 0.0}])
+    service.export_steal_batch("steal/2", 1, [])
+    submit(service, [([2, 6], 1.0)], job_id=0)
+    pull(service, worker="w3", site=1)
+    return snapshot
+
+
+def test_a_parent_shaped_wal_and_snapshot_still_mean_the_same():
+    wal = [json.loads(line) for line in PARENT_WAL.splitlines()]
+    parent_snapshot = json.loads(PARENT_SNAPSHOT)
+    parent_final = json.loads(PARENT_FINAL)
+    # Written the same: this commit's live service emits that log and
+    # exports those states, byte for byte.
+    clock = FakeClock()
+    live = parent_shaped_service(
+        clock=clock, events=EventLog(clock=lambda: 0.0))
+    snapshot = parent_shaped_life(live, clock)
+    dump = [json.dumps(record, separators=(",", ":"), sort_keys=True)
+            for record in live.events.tail()]
+    assert dump == PARENT_WAL.splitlines()
+    assert json.dumps(snapshot, sort_keys=True) \
+        == json.dumps(parent_snapshot, sort_keys=True)
+    assert json.dumps(functional_state(live), sort_keys=True) \
+        == json.dumps(parent_final, sort_keys=True)
+    # Read the same: the whole log, and the snapshot + its tail.
+    replayed = parent_shaped_service(clock=FakeClock())
+    for record in wal:
+        replayed.replay_record(record)
+    assert functional_state(replayed) == parent_final
+    recovered = parent_shaped_service(clock=FakeClock())
+    rng_state = recovered.engine.rng.getstate()
+    recovered.import_state(dict(
+        parent_snapshot, rng=[rng_state[0], list(rng_state[1]),
+                              rng_state[2]]))
+    for record in wal[PARENT_COVERED:]:
+        recovered.replay_record(record)
+    assert functional_state(recovered) == parent_final

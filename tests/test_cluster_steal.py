@@ -103,6 +103,83 @@ def test_victim_crash_before_ack_requeues_export(tmp_path):
     second.close()
 
 
+def test_reclaimed_export_stays_stale_in_the_wal_across_a_second_crash(
+        tmp_path):
+    """Recovery reclaims an un-acked export without writing a record,
+    so until a snapshot supersedes it the export is still un-acked in
+    the WAL and a second recovery folds everything that happened since
+    on top of it.  The reclaimed tasks were re-exported meanwhile: the
+    stale export must leave them with the export that owns them now."""
+    state_dir = str(tmp_path)
+    first = open_victim(state_dir)
+    submit(first.service, SPECS)
+    stale = first.service.export_steal_batch("steal/1", 2, [])
+    stale_ids = [spec["task_id"] for spec in stale["tasks"]]
+    # Crash #1, un-acked.
+
+    second = open_victim(state_dir)
+    assert second.report["steal_requeued"] == 2
+    again = second.service.export_steal_batch("steal/1", 2, [])
+    assert again["export_id"] != stale["export_id"]
+    # Selection is deterministic: the same two tasks go out again.
+    assert [spec["task_id"] for spec in again["tasks"]] == stale_ids
+    assert second.service.steal_export_acked(again["export_id"])
+    # Crash #2 before any snapshot: both exports are in the WAL.
+
+    third = open_victim(state_dir)
+    assert third.report["snapshot_seq"] is None
+    assert third.report["steal_requeued"] == 0
+    assert third.service.exported_outstanding == 2
+    assert third.service.queue_depth == 2
+    assert third.service.steal_export_acked(stale["export_id"]) is False
+    landed = third.service.steal_done(stale_ids, "steal/1")
+    assert landed == {"completed": 2, "duplicates": 0}
+    assert third.service.exported_outstanding == 0
+    # Crash #3 with the second export un-acked instead: reclaimed
+    # once, not once per export that ever named the task.
+    other_dir = str(tmp_path / "unacked")
+    first = open_victim(other_dir)
+    submit(first.service, SPECS)
+    first.service.export_steal_batch("steal/1", 2, [])
+    second = open_victim(other_dir)
+    second.service.export_steal_batch("steal/1", 2, [])
+    third = open_victim(other_dir)
+    assert third.report["steal_requeued"] == 2
+    assert third.service.queue_depth == 4
+    assert third.service.exported_outstanding == 0
+    third.close()
+
+
+def test_stale_export_does_not_take_back_a_task_leased_since(tmp_path):
+    """Same stale export, but the reclaimed task was handed to a local
+    worker before the second crash: recovery must leave it leased, so
+    the worker's completion is accepted and the task runs once."""
+    state_dir = str(tmp_path)
+    first = open_victim(state_dir)
+    submit(first.service, SPECS)
+    stale = first.service.export_steal_batch("steal/1", 4, [])
+    assert len(stale["tasks"]) == 3  # the watermark keeps one back
+    # Crash #1, un-acked.
+
+    second = open_victim(state_dir)
+    assert second.report["steal_requeued"] == 3
+    held = [pull(second.service, worker="w9", site=0) for _ in range(4)]
+    # Crash #2 before any snapshot, all four leases outstanding.
+
+    third = open_victim(state_dir)
+    assert third.report["snapshot_seq"] is None
+    assert third.report["steal_requeued"] == 0
+    assert third.service.queue_depth == 0
+    assert third.service.active_leases == 4
+    assert third.service.exported_outstanding == 0
+    for assignment in held:
+        assert third.service.task_done(
+            "w9", assignment.task.task_id, assignment.lease_id).accepted
+    assert third.service.job_status(0)["done"]
+    assert third.service.stats.completions == 4
+    third.close()
+
+
 def test_victim_crash_after_ack_preserves_export(tmp_path):
     """kill -9 after STEAL_ACK: the thief was told to keep the batch,
     so recovery must NOT requeue it — the tasks stay exported and the

@@ -48,17 +48,6 @@ def test_decode_rejects_oversized_line():
         protocol.decode_line(line)
 
 
-def test_deprecated_shims_still_work_but_warn():
-    """``encode``/``decode`` survive for protocol-v2 era callers; they
-    delegate to the ``_line`` functions and warn once per call site."""
-    message = {"type": protocol.TASK, "task_id": 3}
-    with pytest.warns(DeprecationWarning, match="encode"):
-        line = protocol.encode(message)
-    assert line == protocol.encode_line(message)
-    with pytest.warns(DeprecationWarning, match="decode"):
-        assert protocol.decode(line) == message
-
-
 # -- codec negotiation -------------------------------------------------------
 
 def test_negotiate_codec_picks_first_mutual_offer():

@@ -134,6 +134,19 @@ def test_submit_rejects_bad_payloads(payload):
         make_service().submit_job(payload)
 
 
+def test_rejected_submit_allocates_no_ids():
+    """Validation precedes id allocation: a payload refused half way
+    through (a good task, then a bad one) leaves the id counters, the
+    queue and the submit counters where they were."""
+    service = make_service()
+    with pytest.raises(ServiceError):
+        service.submit_job([{"files": [1, 2]}, {"files": []}])
+    assert service.queue_depth == 0
+    assert service.stats.jobs_submitted == 0
+    assert submit(service, [([1], 0.0)]) == {"job_id": 0,
+                                             "task_ids": [0]}
+
+
 def test_job_status_unknown_job_rejected():
     with pytest.raises(ServiceError):
         make_service().job_status(0)
