@@ -39,9 +39,9 @@ import time
 from pathlib import Path
 
 from repro.cluster import ClusterRouter, ShardAddress, open_shard
-from repro.cluster.loadgen import run_cluster_load
 from repro.cluster.steal import StealManager
 from repro.grid.job import Task
+from repro.serve.loadgen import run_load
 from repro.serve.server import SchedulerServer
 from repro.serve.service import SchedulerService
 
@@ -87,7 +87,7 @@ def light_tasks(num_tasks, files_per_task=3, num_files=300, start=0,
 
 async def _timed_cluster(num_tasks, shards, workers, state_root=None,
                          snapshot_interval=0.5, jobs=None,
-                         steal_watermark=None, pin_workers=False,
+                         steal_watermark=None, unscoped=False,
                          flops_per_sec=0.0):
     """One cluster run; returns (assignments/sec, report)."""
     servers = []
@@ -133,13 +133,11 @@ async def _timed_cluster(num_tasks, shards, workers, state_root=None,
             jobs = [light_tasks(per_job, start=index * per_job * 3)
                     for index in range(shards)]
         start = time.perf_counter()
-        report = await run_cluster_load(router.host, router.port, jobs,
-                                        workers=workers,
-                                        sites=min(workers, 4),
-                                        capacity_files=600,
-                                        flops_per_sec=flops_per_sec,
-                                        pin_workers_to_shards=
-                                        pin_workers)
+        report = await run_load(router.host, router.port, jobs,
+                                workers=workers, sites=min(workers, 4),
+                                capacity_files=600,
+                                flops_per_sec=flops_per_sec,
+                                unscoped=unscoped)
         wall = time.perf_counter() - start
     finally:
         for manager in managers:
@@ -211,12 +209,12 @@ def sweep_skew(giant_tasks, repeats=2):
     for _ in range(repeats):
         rate, _report = run_cluster(
             0, SKEW_SHARDS, SKEW_WORKERS,
-            jobs=skewed_jobs(giant_tasks), pin_workers=True,
+            jobs=skewed_jobs(giant_tasks), unscoped=True,
             flops_per_sec=SKEW_FLOPS_PER_SEC)
         off = max(off, rate)
         rate, report = run_cluster(
             0, SKEW_SHARDS, SKEW_WORKERS,
-            jobs=skewed_jobs(giant_tasks), pin_workers=True,
+            jobs=skewed_jobs(giant_tasks), unscoped=True,
             flops_per_sec=SKEW_FLOPS_PER_SEC,
             steal_watermark=SKEW_WATERMARK)
         if rate > on:

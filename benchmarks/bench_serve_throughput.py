@@ -91,7 +91,7 @@ async def _timed_load(tasks, workers, sites, batch, codec):
         report = await run_load(
             server.host,
             server.port,
-            tasks,
+            [tasks],
             workers=workers,
             sites=sites,
             capacity_files=600,

@@ -17,7 +17,7 @@ Commands
 ``cluster``   run the sharded tier: N durable shards, the redirect
               router, and a supervisor restarting crashed shards.
 ``load``      replay a generated workload against a running daemon
-              (``--cluster`` drives a router instead).
+              or cluster router (the handshake says which).
 ``top``       live terminal view of one daemon's /stats.json, or of
               several endpoints merged into a cluster view.
 
@@ -436,71 +436,31 @@ def _cmd_load(args: argparse.Namespace) -> int:
         print("uvloop requested but not importable; staying on the "
               "stdlib event loop", file=sys.stderr)
     config = _config_from(args)
-    job = build_job(config)
+    tasks = list(build_job(config))
     workers = config.num_sites * config.workers_per_site
-    if args.cluster:
-        return _run_cluster_load(args, config, job, workers)
-    report = asyncio.run(run_load(
-        args.host, args.port, job, workers=workers,
-        sites=config.num_sites, capacity_files=config.capacity_files,
-        flops_per_sec=args.flops_per_sec,
-        seconds_per_file=args.seconds_per_file,
-        drain=not args.no_drain,
-        event_log=args.event_log,
-        batch=args.batch,
-        aggregate_deltas=args.aggregate_deltas,
-        delta_flush_interval=args.delta_flush_interval,
-        codec=args.codec))
-    print(f"job id           : {report['job_id']} "
-          f"(done={report['job_status']['done']})")
-    print(f"tasks submitted  : {report['tasks_submitted']}")
-    print(f"tasks completed  : {report['tasks_done']} "
-          f"by {workers} workers over {config.num_sites} sites "
-          f"(batch={args.batch})")
-    print(f"files fetched    : {report['files_fetched']}")
-    if args.aggregate_deltas:
-        aggregation = report["delta_aggregation"]
-        print(f"delta dedup      : "
-              f"{aggregation['duplicates_suppressed']} duplicate "
-              f"op(s) suppressed across "
-              f"{len(aggregation['sites'])} site aggregator(s)")
-    if args.event_log:
-        print(f"event log        : {args.event_log}")
-    print("server stats:")
-    print(format_stats(report["stats"]))
-    audit = report["audit"]
-    if not audit["clean"]:
-        print(f"AUDIT FAILED: lost={audit['lost']} "
-              f"double_counted={audit['double_counted']} "
-              f"(submitted={audit['tasks_submitted']}, "
-              f"completed={audit['completed']})", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _run_cluster_load(args: argparse.Namespace, config, job,
-                      workers: int) -> int:
-    import asyncio
-
-    from .cluster.loadgen import run_cluster_load
-    from .serve.stats import format_stats
-
-    tasks = list(job)
     num_jobs = max(1, min(args.jobs, len(tasks)))
-    # Contiguous split: several jobs land round-robin on the shards.
+    # Contiguous split: behind a router the jobs land round-robin on
+    # the shards; at a plain server they are so many tenants.
     per_job = (len(tasks) + num_jobs - 1) // num_jobs
     jobs = [tasks[start:start + per_job]
             for start in range(0, len(tasks), per_job)]
-    report = asyncio.run(run_cluster_load(
-        args.host, args.port, jobs, workers=workers,
-        sites=config.num_sites, capacity_files=config.capacity_files,
-        flops_per_sec=args.flops_per_sec,
-        seconds_per_file=args.seconds_per_file,
-        drain=not args.no_drain,
-        event_log=args.event_log,
-        batch=args.batch,
-        codec=args.codec))
-    print(f"cluster          : {report['shard_count']} shard(s), "
+    try:
+        report = asyncio.run(run_load(
+            args.host, args.port, jobs, workers=workers,
+            sites=config.num_sites,
+            capacity_files=config.capacity_files,
+            flops_per_sec=args.flops_per_sec,
+            seconds_per_file=args.seconds_per_file,
+            drain=not args.no_drain,
+            event_log=args.event_log,
+            batch=args.batch,
+            aggregate_deltas=args.aggregate_deltas,
+            delta_flush_interval=args.delta_flush_interval,
+            codec=args.codec))
+    except ValueError as exc:
+        print(f"repro load: {exc}", file=sys.stderr)
+        return 2
+    print(f"scheduler        : {report['shard_count']} shard(s), "
           f"{len(report['jobs'])} job(s)")
     for entry in report["jobs"]:
         print(f"job {entry['job_id']:>4}         : "
@@ -515,17 +475,18 @@ def _run_cluster_load(args: argparse.Namespace, config, job,
     if report["reconnects"]:
         print(f"reconnects       : {report['reconnects']} (workers "
               f"resumed across shard restarts)")
+    if args.aggregate_deltas:
+        aggregation = report["delta_aggregation"]
+        print(f"delta dedup      : "
+              f"{aggregation['duplicates_suppressed']} duplicate "
+              f"op(s) suppressed across "
+              f"{len(aggregation['sites'])} site aggregator(s)")
     if args.event_log:
         print(f"event log        : {args.event_log}")
-    print("aggregated cluster stats:")
+    print("server stats:")
     print(format_stats(report["stats"]))
-    # The shard-side per-job counters are authoritative: a worker may
-    # lose the ACK for a completion the WAL durably recorded, so the
-    # client-side tally can undercount across a crash — the audit's
-    # ``lost`` uses the shard counters, and ``double_counted`` only
-    # fires when workers collected MORE acks than tasks exist.
     audit = report["audit"]
-    if audit["lost"] or audit["double_counted"]:
+    if not audit["clean"]:
         print(f"AUDIT FAILED: lost={audit['lost']} "
               f"double_counted={audit['double_counted']} "
               f"(submitted={audit['tasks_submitted']}, "
@@ -846,15 +807,10 @@ def build_parser() -> argparse.ArgumentParser:
     load_parser.add_argument("--event-log", default=None,
                              help="write the client-side JSONL event "
                                   "stream (submit/assign/complete) here")
-    load_parser.add_argument("--cluster", action="store_true",
-                             help="--host/--port point at a cluster "
-                                  "router: follow REDIRECTs, pull "
-                                  "straight from the owning shards, "
-                                  "resume across shard restarts")
     load_parser.add_argument("--jobs", type=int, default=1,
-                             help="with --cluster: split the workload "
-                                  "into this many jobs (spread over "
-                                  "the shards)")
+                             help="split the workload into this many "
+                                  "jobs (behind a cluster router they "
+                                  "spread over the shards)")
     load_parser.add_argument("--codec", default="auto",
                              choices=["auto", "json", "binary"],
                              help="wire codec to offer at HELLO: auto "

@@ -14,16 +14,16 @@ scheduler state (:mod:`repro.cluster.snapshot`), and crash recovery
 is *load latest snapshot + tail-replay of the WAL*
 (:mod:`repro.cluster.shard`).  A supervisor
 (:mod:`repro.cluster.supervisor`, ``repro cluster --shards N``)
-spawns, monitors and restarts shard processes; workers mid-lease
-against a dead shard re-resolve it through the router and resume,
-with exactly-once completion preserved by the lease machinery.
+spawns, monitors and restarts shard processes; the ordinary
+:mod:`repro.serve.client` workers follow the router's ``REDIRECT``,
+and mid-lease against a dead shard re-resolve it through the router
+and resume, with exactly-once completion preserved by the lease
+machinery.
 
 See ``docs/cluster.md`` for topology, wire flow, the snapshot format
 and the recovery procedure.
 """
 
-from .client import ClusterClient, ClusterWorkerClient
-from .loadgen import run_cluster_load
 from .router import ClusterRouter, ShardAddress
 from .shard import ShardDurability, open_shard
 from .snapshot import (SnapshotError, list_snapshots,
@@ -32,9 +32,8 @@ from .stats import aggregate_stats
 from .supervisor import ClusterSupervisor
 
 __all__ = [
-    "ClusterClient", "ClusterRouter", "ClusterSupervisor",
-    "ClusterWorkerClient", "ShardAddress", "ShardDurability",
-    "SnapshotError", "aggregate_stats", "list_snapshots",
-    "load_latest_snapshot", "open_shard", "run_cluster_load",
+    "ClusterRouter", "ClusterSupervisor", "ShardAddress",
+    "ShardDurability", "SnapshotError", "aggregate_stats",
+    "list_snapshots", "load_latest_snapshot", "open_shard",
     "write_snapshot",
 ]

@@ -12,7 +12,8 @@ two cluster-only keys:
   per-shard breakdown is one lookup away from the aggregate.
 
 Counters and gauges sum; ``uptime_s`` is the oldest shard's;
-per-site counters sum across shards that touched the same site id.
+per-site and per-tenant counters sum across shards that touched the
+same site / job id.
 Latency percentiles cannot be merged exactly from summaries, so the
 aggregate reports the count-weighted mean of the shard percentiles —
 an approximation, labeled as such below, good enough for dashboards
@@ -32,9 +33,29 @@ _SUM_FIELDS = ("jobs_submitted", "jobs_completed", "jobs_active",
                "stale_completions", "requeues", "queue_depth",
                "peak_queue_depth", "outstanding", "parked_workers")
 
-_LEASE_FIELDS = ("active", "granted", "renewals", "expiries")
-_DELTA_FIELDS = ("added", "removed", "referenced")
-_DEDUP_FIELDS = ("duplicate_adds", "duplicate_removes")
+#: Nested blocks whose scalar counters sum across shards.
+_SUM_BLOCKS = {
+    "leases": ("active", "granted", "renewals", "expiries"),
+    "file_deltas": ("added", "removed", "referenced"),
+    "delta_dedup": ("duplicate_adds", "duplicate_removes"),
+    "batches": ("requests", "tasks"),
+    "admission": ("rejections",),
+    "replication": ("granted", "replica_wins"),
+    "steal": ("tasks_stolen", "tasks_exported"),
+}
+
+
+def _by_int(item: Tuple[str, object]) -> int:
+    return int(item[0])
+
+
+def _sum_counts(maps: List[Dict[str, int]], key=None) -> Dict[str, int]:
+    """Sum ``{label: count}`` maps label by label, sorted by label."""
+    total: Dict[str, int] = {}
+    for counts in maps:
+        for label, count in counts.items():
+            total[label] = total.get(label, 0) + count
+    return dict(sorted(total.items(), key=key))
 
 
 def _merge_latency(summaries: List[Dict]) -> Dict[str, float]:
@@ -73,29 +94,18 @@ def aggregate_stats(per_shard: List[Tuple[int, Optional[Dict]]],
                         default=0.0)}
     for field in _SUM_FIELDS:
         merged[field] = sum(s.get(field, 0) for s in snaps)
-    merged["leases"] = {
-        field: sum(s.get("leases", {}).get(field, 0) for s in snaps)
-        for field in _LEASE_FIELDS}
-    merged["file_deltas"] = {
-        field: sum(s.get("file_deltas", {}).get(field, 0)
-                   for s in snaps)
-        for field in _DELTA_FIELDS}
-    merged["delta_dedup"] = {
-        field: sum(s.get("delta_dedup", {}).get(field, 0)
-                   for s in snaps)
-        for field in _DEDUP_FIELDS}
-    sizes: Dict[str, int] = {}
-    for snap in snaps:
-        for size, count in snap.get("batches", {}).get("sizes",
-                                                       {}).items():
-            sizes[size] = sizes.get(size, 0) + count
-    merged["batches"] = {
-        "requests": sum(s.get("batches", {}).get("requests", 0)
-                        for s in snaps),
-        "tasks": sum(s.get("batches", {}).get("tasks", 0)
-                     for s in snaps),
-        "sizes": dict(sorted(sizes.items(), key=lambda kv: int(kv[0]))),
-    }
+    for block, fields in _SUM_BLOCKS.items():
+        merged[block] = {
+            field: sum(s.get(block, {}).get(field, 0) for s in snaps)
+            for field in fields}
+    merged["batches"]["sizes"] = _sum_counts(
+        [s.get("batches", {}).get("sizes", {}) for s in snaps], _by_int)
+    merged["steal"]["requests"] = _sum_counts(
+        [s.get("steal", {}).get("requests", {}) for s in snaps])
+    # A stolen task is assigned off its owner shard, so one job can
+    # have counts on several shards.
+    merged["tenants"] = _sum_counts(
+        [s.get("tenants", {}) for s in snaps], _by_int)
     sites: Dict[str, Dict] = {}
     for snap in snaps:
         for site_id, site in snap.get("sites", {}).items():
@@ -107,8 +117,7 @@ def aggregate_stats(per_shard: List[Tuple[int, Optional[Dict]]],
         site["overlap_hit_rate"] = (site["overlap_hits"]
                                     / site["assignments"]
                                     if site["assignments"] else 0.0)
-    merged["sites"] = dict(sorted(sites.items(),
-                                  key=lambda kv: int(kv[0])))
+    merged["sites"] = dict(sorted(sites.items(), key=_by_int))
     merged["decision_latency"] = _merge_latency(
         [s.get("decision_latency", {}) for s in snaps])
     by_metric: Dict[str, List[Dict]] = {}
@@ -119,20 +128,6 @@ def aggregate_stats(per_shard: List[Tuple[int, Optional[Dict]]],
     merged["scheduler_decision"] = {
         metric: _merge_latency(summaries)
         for metric, summaries in sorted(by_metric.items())}
-    steal_requests: Dict[str, int] = {}
-    for snap in snaps:
-        for outcome, count in snap.get("steal",
-                                       {}).get("requests", {}).items():
-            steal_requests[outcome] = (steal_requests.get(outcome, 0)
-                                       + count)
-    merged["steal"] = {
-        "tasks_stolen": sum(s.get("steal", {}).get("tasks_stolen", 0)
-                            for s in snaps),
-        "tasks_exported": sum(s.get("steal",
-                                    {}).get("tasks_exported", 0)
-                              for s in snaps),
-        "requests": dict(sorted(steal_requests.items())),
-    }
     merged["draining"] = all(s.get("draining", False) for s in snaps) \
         if snaps else False
     merged["cluster"] = {

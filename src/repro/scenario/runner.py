@@ -1,12 +1,13 @@
-"""Drive one scenario against a live in-process daemon.
+"""Drive one scenario against live in-process daemons.
 
-The runner owns the whole story: it boots a
-:class:`~repro.serve.server.SchedulerServer` on an ephemeral port
-(with the scenario's admission watermark / replication switches and a
-server-side JSONL event log), plays the tenants' submission waves and
-the worker groups' joins/kills/stalls against it over real TCP,
-samples the pending-queue depth throughout, and folds the event log
-into per-tenant latency distributions at the end.
+The runner owns the whole story: it boots ``scenario.shards``
+:class:`~repro.serve.server.SchedulerServer` s on ephemeral ports (N =
+1 for all but the work-stealing scenario; each with the scenario's
+admission watermark / replication switches and one shared server-side
+JSONL event log), plays the tenants' submission waves and the worker
+groups' joins/kills/stalls against them over real TCP, samples the
+pending-queue depth throughout, and folds the event log into
+per-tenant latency distributions at the end.
 
 Workers are :class:`~repro.serve.client.WorkerClient` pull loops in a
 re-pull wrapper: a ``NO_TASK (idle|job-done)`` between submission
@@ -24,11 +25,14 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import itertools
 import json
 import os
 from typing import Dict, List, Optional
 
 from ..analysis.eventlog import load_timelines
+from ..cluster.stats import aggregate_stats
+from ..cluster.steal import StealManager
 from ..obs.events import EventLog, iter_events
 from ..serve import messages
 from ..serve.client import SchedulerClient, WorkerClient
@@ -362,6 +366,16 @@ def _fair_share_window(events_path: str, jobs: Dict[str, int],
 
 
 async def _run_body(run: _Run, out_dir: str, quick: bool) -> Dict:
+    """Boot ``scenario.shards`` in-process servers and play the story.
+
+    The servers share ONE event log (the exactly-once audit folds it
+    whatever N is).  Each tenant lands on shard ``tenant_index % N``;
+    worker groups scoped to a tenant follow it, unscoped ones pin to
+    shard ``worker_index % N`` — the deployment shape where a drained
+    shard's parked fleet is fed by stealing, for which a
+    :class:`~repro.cluster.steal.StealManager` per shard is armed
+    when the scenario sets ``steal_watermark``.
+    """
     scenario = run.scenario
     events_path = os.path.join(out_dir, "events.jsonl")
     # The log appends by design; a rerun into the same out-dir must
@@ -369,100 +383,6 @@ async def _run_body(run: _Run, out_dir: str, quick: bool) -> Dict:
     if os.path.exists(events_path):
         os.remove(events_path)
     events = EventLog(path=events_path)
-    service = SchedulerService(
-        metric=scenario.metric, n=scenario.n, seed=scenario.seed,
-        name=f"scenario-{scenario.name}",
-        lease_ttl=scenario.lease_ttl, events=events,
-        admission_watermark=scenario.admission_watermark,
-        admission_retry_after=scenario.admission_retry_after,
-        replicate_tail=scenario.replicate_stragglers,
-        max_replicas=scenario.max_replicas)
-    server = SchedulerServer(service, host="127.0.0.1", port=0)
-    await server.start()
-    serve_task = asyncio.ensure_future(server.serve_until_drained())
-    loop = asyncio.get_running_loop()
-    started_at = loop.time()
-    sampler = asyncio.create_task(
-        _sample_depth(run, [service], started_at))
-    host, port = server.host, server.port
-    spawned: List[asyncio.Task] = []
-    statuses: Dict[str, messages.JobStatusReply] = {}
-    stats: Dict = {}
-    try:
-        submitters = [
-            asyncio.create_task(_submit_tenant(run, host, port, spec,
-                                               index))
-            for index, spec in enumerate(scenario.tenants)]
-        workers = [
-            asyncio.create_task(_run_worker(run, host, port, group,
-                                            index))
-            for group in scenario.workers
-            for index in range(group.count)]
-        slackers = [
-            asyncio.create_task(_slow_reader(run, host, port, index))
-            for index in range(scenario.slow_readers)]
-        spawned = submitters + workers + slackers
-        await asyncio.gather(*submitters)
-        async with SchedulerClient(host, port,
-                                   name="orchestrator") as control:
-            while True:
-                statuses = {
-                    name: (await control.call(
-                        messages.JobStatusRequest(job_id=job_id)))
-                    for name, job_id in run.jobs.items()}
-                if all(reply.done for reply in statuses.values()):
-                    break
-                await asyncio.sleep(0.02)
-            stats = await control.stats()
-            run.finished.set()
-            await control.drain()
-        run.worker_summaries = await asyncio.gather(*workers)
-        await asyncio.gather(*slackers)
-        await serve_task
-    finally:
-        # Also reached via wait_for cancellation on timeout: reap
-        # every coroutine this run spawned so nothing leaks into the
-        # caller's loop.
-        for task in spawned:
-            if not task.done():
-                task.cancel()
-        if spawned:
-            await asyncio.gather(*spawned, return_exceptions=True)
-        sampler.cancel()
-        with contextlib.suppress(asyncio.CancelledError):
-            await sampler
-        if not serve_task.done():
-            serve_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await serve_task
-        await server.stop()
-        events.close()
-    duration = loop.time() - started_at
-    return _build_summary(run, statuses, stats, events_path, duration,
-                          quick)
-
-
-async def _run_cluster_body(run: _Run, out_dir: str,
-                            quick: bool) -> Dict:
-    """The multi-shard twin of :func:`_run_body`.
-
-    Boots ``scenario.shards`` in-process servers sharing ONE event
-    log (the cluster-wide exactly-once audit folds it unchanged),
-    arms a :class:`~repro.cluster.steal.StealManager` per shard when
-    the scenario sets ``steal_watermark``, lands each tenant on shard
-    ``tenant_index % shards`` and pins unscoped worker groups to
-    shard ``worker_index % shards`` — the deployment shape where a
-    drained shard's parked fleet is fed by stealing.
-    """
-    from ..cluster.stats import aggregate_stats
-    from ..cluster.steal import StealManager
-
-    scenario = run.scenario
-    events_path = os.path.join(out_dir, "events.jsonl")
-    if os.path.exists(events_path):
-        os.remove(events_path)
-    events = EventLog(path=events_path)
-    services: List[SchedulerService] = []
     servers: List[SchedulerServer] = []
     for index in range(scenario.shards):
         service = SchedulerService(
@@ -477,7 +397,6 @@ async def _run_cluster_body(run: _Run, out_dir: str,
             steal_watermark=scenario.steal_watermark)
         server = SchedulerServer(service, host="127.0.0.1", port=0)
         await server.start()
-        services.append(service)
         servers.append(server)
     managers: List[StealManager] = []
     if scenario.steal_watermark is not None:
@@ -485,7 +404,7 @@ async def _run_cluster_body(run: _Run, out_dir: str,
             peers = {peer: (other.host, other.port)
                      for peer, other in enumerate(servers)
                      if peer != index}
-            manager = StealManager(services[index], index,
+            manager = StealManager(server.service, index,
                                    peers=peers, interval=0.005)
             await manager.start()
             managers.append(manager)
@@ -494,56 +413,61 @@ async def _run_cluster_body(run: _Run, out_dir: str,
     loop = asyncio.get_running_loop()
     started_at = loop.time()
     sampler = asyncio.create_task(
-        _sample_depth(run, services, started_at))
-    tenant_shard = {spec.name: index % scenario.shards
-                    for index, spec in enumerate(scenario.tenants)}
+        _sample_depth(run, [server.service for server in servers],
+                      started_at))
+    tenant_server = {
+        spec.name: servers[index % scenario.shards]
+        for index, spec in enumerate(scenario.tenants)}
     spawned: List[asyncio.Task] = []
     statuses: Dict[str, messages.JobStatusReply] = {}
     stats: Dict = {}
     try:
         submitters = [
             asyncio.create_task(_submit_tenant(
-                run, servers[tenant_shard[spec.name]].host,
-                servers[tenant_shard[spec.name]].port, spec, index))
+                run, tenant_server[spec.name].host,
+                tenant_server[spec.name].port, spec, index))
             for index, spec in enumerate(scenario.tenants)]
         workers: List[asyncio.Task] = []
-        fleet_index = 0
         for group in scenario.workers:
             for index in range(group.count):
-                if group.tenant is not None:
-                    shard = tenant_shard[group.tenant]
-                else:
-                    shard = fleet_index % scenario.shards
+                server = (tenant_server[group.tenant]
+                          if group.tenant is not None
+                          else servers[len(workers) % scenario.shards])
                 workers.append(asyncio.create_task(_run_worker(
-                    run, servers[shard].host, servers[shard].port,
-                    group, index)))
-                fleet_index += 1
-        spawned = submitters + workers
+                    run, server.host, server.port, group, index)))
+        slackers = [
+            asyncio.create_task(_slow_reader(run, server.host,
+                                             server.port, index))
+            for index, server in zip(range(scenario.slow_readers),
+                                     itertools.cycle(servers))]
+        spawned = submitters + workers + slackers
         await asyncio.gather(*submitters)
         async with contextlib.AsyncExitStack() as stack:
-            controls = [
-                await stack.enter_async_context(SchedulerClient(
-                    server.host, server.port,
-                    name=f"orchestrator-{index}"))
-                for index, server in enumerate(servers)]
+            controls = {
+                server: await stack.enter_async_context(SchedulerClient(
+                    server.host, server.port, name="orchestrator"))
+                for server in servers}
             while True:
                 statuses = {
-                    name: (await controls[tenant_shard[name]].call(
+                    name: (await controls[tenant_server[name]].call(
                         messages.JobStatusRequest(job_id=job_id)))
                     for name, job_id in run.jobs.items()}
                 if all(reply.done for reply in statuses.values()):
                     break
                 await asyncio.sleep(0.02)
             stats = aggregate_stats(
-                [(index, service.stats_snapshot())
-                 for index, service in enumerate(services)],
-                shard_count=scenario.shards)
+                [(index, await controls[server].stats())
+                 for index, server in enumerate(servers)])
             run.finished.set()
-            for control in controls:
+            for control in controls.values():
                 await control.drain()
         run.worker_summaries = await asyncio.gather(*workers)
+        await asyncio.gather(*slackers)
         await asyncio.gather(*serve_tasks)
     finally:
+        # Also reached via wait_for cancellation on timeout: reap
+        # every coroutine this run spawned so nothing leaks into the
+        # caller's loop.
         for manager in managers:
             await manager.stop()
         for task in spawned:
@@ -665,10 +589,9 @@ async def run_scenario(scenario: Scenario, out_dir: str,
     run_dir = os.path.join(out_dir, scenario.name)
     os.makedirs(run_dir, exist_ok=True)
     run = _Run(scenario)
-    body = _run_cluster_body if scenario.shards > 1 else _run_body
     try:
         summary = await asyncio.wait_for(
-            body(run, run_dir, quick), timeout=scenario.timeout)
+            _run_body(run, run_dir, quick), timeout=scenario.timeout)
     except asyncio.TimeoutError:
         summary = {
             "scenario": scenario.name, "quick": quick,

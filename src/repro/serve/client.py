@@ -5,6 +5,14 @@ Every client here negotiates its wire codec at ``HELLO`` (the
 ``"binary"`` pin one) and falls back to v2 JSON lines against servers
 that predate negotiation — see :mod:`repro.serve.codec`.
 
+The clients follow the handshake: ``HELLO`` always carries
+``accept_redirect``, and the answer says what is behind the address.
+``WELCOME`` is a scheduler — talk to it on this socket.  ``REDIRECT``
+is a cluster router — control traffic stays (the router forwards it),
+a worker reconnects to the shard owning its job and, when that shard
+dies mid-lease, asks the original address again and resumes.  Nothing
+else distinguishes standalone from clustered on the client side.
+
 :class:`WorkerClient` is the network twin of the simulator's
 ``grid.worker.Worker`` pull loop.  It keeps an LRU mirror of its
 site's file cache and reports every change to the scheduler as a
@@ -51,6 +59,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import logging
 from collections import OrderedDict, deque
 from typing import (Callable, Deque, Dict, Iterable, List, Optional,
                     Set)
@@ -64,6 +73,8 @@ SUBMIT_CHUNK = 200
 
 #: One socket read's worth of pipelined replies.
 READ_CHUNK = 64 * 1024
+
+log = logging.getLogger("repro.serve.client")
 
 
 class OverloadedError(RuntimeError):
@@ -226,20 +237,20 @@ class _Connection:
                         accept_redirect: Optional[bool] = None,
                         ) -> messages.ServerMessage:
         """Send HELLO (offering this connection's codecs), adopt the
-        server's pick, and return the raw reply — ``WELCOME`` from a
+        server's pick, and return the reply — ``WELCOME`` from a
         scheduler, ``REDIRECT`` from a cluster router."""
         reply = await self.call(messages.Hello(
             worker=worker, site=site,
             protocol=protocol.PROTOCOL_VERSION,
             accept_redirect=accept_redirect,
             codecs=list(self.offers)))
-        chosen = None
-        served_protocol = protocol.PROTOCOL_VERSION
-        if isinstance(reply, messages.Welcome):
-            chosen = reply.codec
-            served_protocol = reply.protocol
-        elif isinstance(reply, messages.Redirect):
-            chosen = reply.codec
+        if not isinstance(reply, (messages.Welcome, messages.Redirect)):
+            raise RuntimeError(
+                f"expected WELCOME or REDIRECT, got {reply}")
+        chosen = reply.codec
+        served_protocol = (reply.protocol
+                           if isinstance(reply, messages.Welcome)
+                           else protocol.PROTOCOL_VERSION)
         if chosen is not None:
             self._adopt(chosen)
         # A reply without ``codec`` is a pre-v3 server: JSON lines
@@ -295,7 +306,24 @@ class _DeltaFold:
 
 
 class WorkerClient:
-    """One pull-loop worker talking to a :class:`SchedulerServer`."""
+    """One pull-loop worker; it asks *the* scheduler for its next task.
+
+    What is behind ``host:port`` is the handshake's business.  A plain
+    :class:`SchedulerServer` answers ``WELCOME`` and the worker pulls on
+    that one connection; losing it raises at once.  A cluster router
+    answers ``REDIRECT`` and the worker reconnects to the shard owning
+    ``job_id`` (``job_id % shard_count``) — or to the pinned ``shard``
+    for *unscoped* pulls, the work-stealing deployment shape where an
+    idle shard's parked workers are fed stolen tasks.  When that shard
+    dies mid-lease the worker asks ``host:port`` again (picking up the
+    restarted shard's new port) and resumes, riding out up to
+    ``resume_window`` seconds without progress.  The cache mirror and
+    every counter live on this object, so the residency picture — and
+    the ``FILE_DELTA`` stream a recovered shard sees — stays continuous.
+    Exactly-once needs nothing here: a completion acked before the
+    crash is in the shard's WAL; one acked by nobody is requeued by
+    the lease machinery and re-earned.
+    """
 
     def __init__(self, host: str, port: int, worker: str = "w0",
                  site: int = 0, capacity_files: int = 1000,
@@ -305,14 +333,21 @@ class WorkerClient:
                  events: Optional[EventLog] = None,
                  batch: int = 1,
                  delta_sink: Optional["DeltaAggregator"] = None,
-                 codec: str = "auto"):
+                 codec: str = "auto",
+                 resume_window: float = 30.0,
+                 retry_interval: float = 0.2,
+                 shard: Optional[int] = None):
         if batch < 1:
             raise ValueError(f"batch must be >= 1, got {batch}")
+        if job_id is not None and shard is not None:
+            raise ValueError("job_id and shard are mutually "
+                             "exclusive: scoped pulls already name "
+                             "the owning shard")
         self.host = host
         self.port = port
-        #: Wire-codec stance for the connection (``auto``/``json``/
-        #: ``binary``); what actually got negotiated lands in
-        #: :attr:`negotiated` after :meth:`run`.
+        #: Wire-codec stance for every connection this worker opens
+        #: (``auto``/``json``/``binary``); what actually got negotiated
+        #: lands in :attr:`negotiated` after :meth:`run`.
         self.codec = codec
         self.negotiated: Optional[protocol.CodecNegotiation] = None
         self.worker = worker
@@ -334,6 +369,19 @@ class WorkerClient:
         #: :class:`DeltaAggregator`).  The local LRU mirror still
         #: runs — only the reporting is coalesced.
         self.delta_sink = delta_sink
+        #: Behind a router: how long reconnects may keep failing with
+        #: nothing completed before the outage is reported instead of
+        #: ridden out; the supervisor restarts a crashed shard well
+        #: inside this.
+        self.resume_window = resume_window
+        self.retry_interval = retry_interval
+        #: Behind a router: pull unscoped from this shard (mod the
+        #: shard count) instead of from the shard owning ``job_id``.
+        self.shard = shard
+        #: The shard a ``REDIRECT`` last sent this worker to; None as
+        #: long as ``host:port`` itself answers ``WELCOME``.
+        self.redirected_to: Optional[int] = None
+        self.reconnects = 0
         self.tasks_done = 0
         self.files_fetched = 0
         self.heartbeats_sent = 0
@@ -345,12 +393,83 @@ class WorkerClient:
         #: reported done); heartbeats renew all of them at once.
         self._held: Set[int] = set()
 
+    def _progress(self) -> tuple:
+        return (self.tasks_done, self.files_fetched,
+                self.heartbeats_sent, self.rejected_completions,
+                self.batches_pulled)
+
     async def run(self) -> Dict:
         """Pull tasks until the server says NO_TASK; returns a summary."""
+        loop = asyncio.get_running_loop()
+        outage_started: Optional[float] = None
+        while True:
+            before = self._progress()
+            try:
+                await self._session()
+                break
+            except (ConnectionError, OSError) as exc:
+                if self.redirected_to is None:
+                    raise  # no router to ask where the scheduler went
+                now = loop.time()
+                if outage_started is None or self._progress() != before:
+                    outage_started = now
+                elif now - outage_started > self.resume_window:
+                    raise ConnectionError(
+                        f"worker {self.worker}: shard "
+                        f"{self.redirected_to} unreachable for "
+                        f"{self.resume_window:.1f}s") from exc
+                self.reconnects += 1
+                log.info("worker %s: shard %s connection lost (%s); "
+                         "re-resolving via %s:%d", self.worker,
+                         self.redirected_to, exc, self.host, self.port)
+                await asyncio.sleep(self.retry_interval)
+        return {"worker": self.worker, "site": self.site,
+                "job_id": self.job_id,
+                "shard": self.redirected_to,
+                "reconnects": self.reconnects,
+                "codec": (self.negotiated.codec
+                          if self.negotiated is not None else None),
+                "batch": self.batch,
+                "batches_pulled": self.batches_pulled,
+                "tasks_done": self.tasks_done,
+                "files_fetched": self.files_fetched,
+                "heartbeats_sent": self.heartbeats_sent,
+                "rejected_completions": self.rejected_completions,
+                "stop_reason": self.stop_reason}
+
+    def _owning_entry(self, redirect: messages.Redirect) -> Dict:
+        """The ``{shard, host, port}`` entry this worker pulls from."""
+        scope = self.shard if self.shard is not None else self.job_id
+        if scope is None:
+            if redirect.shard_count > 1:
+                raise ValueError(
+                    "workers behind a router must scope to a job_id "
+                    "(it names the owning shard) or pin a shard for "
+                    "unscoped pulls")
+            scope = 0
+        self.redirected_to = scope % redirect.shard_count
+        for entry in redirect.shards:
+            if entry["shard"] == self.redirected_to:
+                return entry
+        raise RuntimeError(
+            f"router shard map has no shard {self.redirected_to}: "
+            f"{redirect.shards}")
+
+    async def _session(self) -> None:
+        """One connection's pulling: HELLO at ``host:port``, follow a
+        REDIRECT to the owning shard, pull until ``NO_TASK``."""
         conn = _Connection(self.host, self.port, codec=self.codec)
         await conn.open()
         try:
-            welcome = await conn.hello(self.worker, self.site)
+            welcome = await conn.handshake(self.worker, self.site,
+                                           accept_redirect=True)
+            if isinstance(welcome, messages.Redirect):
+                entry = self._owning_entry(welcome)
+                await conn.close()
+                conn = _Connection(entry["host"], entry["port"],
+                                   codec=self.codec)
+                await conn.open()
+                welcome = await conn.hello(self.worker, self.site)
             self.negotiated = conn.negotiated
             self._heartbeat_interval = welcome.heartbeat_interval
             if self.batch > 1:
@@ -367,17 +486,6 @@ class WorkerClient:
                     await self._execute(conn, reply)
         finally:
             await conn.close()
-        return {"worker": self.worker, "site": self.site,
-                "job_id": self.job_id,
-                "codec": (self.negotiated.codec
-                          if self.negotiated is not None else None),
-                "batch": self.batch,
-                "batches_pulled": self.batches_pulled,
-                "tasks_done": self.tasks_done,
-                "files_fetched": self.files_fetched,
-                "heartbeats_sent": self.heartbeats_sent,
-                "rejected_completions": self.rejected_completions,
-                "stop_reason": self.stop_reason}
 
     async def _run_batched(self, conn: _Connection) -> None:
         """The prefetching pull loop: TASK_BATCH in, pipelined
@@ -720,6 +828,11 @@ class SchedulerClient:
             handle = await client.submit(job)
             await handle.wait_done()
             print(await client.stats())
+
+    Works the same against a scheduler (``welcome`` is set) and a
+    cluster router (``redirect`` holds the shard map; the router
+    forwards submits and statuses to the owning shard and aggregates
+    ``STATS``) — the wire shapes are identical either way.
     """
 
     def __init__(self, host: str, port: int, name: str = "control",
@@ -728,15 +841,33 @@ class SchedulerClient:
         self.name = name
         self.site = site
         self.welcome: Optional[messages.Welcome] = None
+        self.redirect: Optional[messages.Redirect] = None
 
     async def __aenter__(self) -> "SchedulerClient":
         await self._conn.open()
-        self.welcome = await self._conn.hello(self.name, self.site)
+        reply = await self._conn.handshake(self.name, self.site,
+                                           accept_redirect=True)
+        if isinstance(reply, messages.Redirect):
+            self.redirect = reply
+        else:
+            self.welcome = reply
         return self
 
     @property
     def negotiated(self) -> Optional[protocol.CodecNegotiation]:
         return self._conn.negotiated
+
+    @property
+    def shard_count(self) -> int:
+        return 1 if self.redirect is None else self.redirect.shard_count
+
+    def shard_map(self) -> List[Dict]:
+        """Where the data plane lives: the router's shard entries, or
+        this very address for a plain scheduler."""
+        if self.redirect is None:
+            return [{"shard": 0, "host": self._conn.host,
+                     "port": self._conn.port}]
+        return list(self.redirect.shards)
 
     async def __aexit__(self, *exc_info) -> None:
         await self._conn.close()

@@ -1,14 +1,17 @@
 """Load generator: replay ``workload`` jobs against a live scheduler.
 
-``run_load`` drives an already-listening server: it submits a
-:class:`~repro.grid.job.Job` through a :class:`SchedulerClient`
-(chunked ``JOB_SUBMIT`` messages extending one job id), spins up
+``run_load`` drives an already-listening address — a ``repro serve``
+daemon or a ``repro cluster`` router, the handshake tells the clients
+which: it submits each :class:`~repro.grid.job.Job` through one
+:class:`SchedulerClient` (chunked ``JOB_SUBMIT`` messages extending
+one job id; a router places each new job on a shard), spins up
 ``workers`` concurrent :class:`~repro.serve.client.WorkerClient` pull
-loops spread round-robin over ``sites`` site ids — each scoped to the
-submitted job, so they stop on ``NO_TASK(job-done)`` even if other
-tenants keep the server busy — waits for the fleet, confirms the job
-completed via its :class:`JobHandle`, then pulls a ``STATS`` snapshot
-and optionally drains the server.
+loops spread round-robin over ``sites`` site ids and over the jobs —
+each scoped to its job, so it stops on ``NO_TASK(job-done)`` even if
+other tenants keep the server busy, and pulls straight from the shard
+owning that job — waits for the fleet, confirms every job completed
+via its :class:`JobHandle`, then pulls a ``STATS`` snapshot (the
+router's is the cross-shard aggregate) and optionally drains.
 
 ``serve_and_load`` bundles server + load into one event loop for
 tests, benchmarks and single-command demos.
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 from ..grid.job import Job
 from ..obs.events import EventLog
@@ -38,28 +41,41 @@ __all__ = ["SUBMIT_CHUNK", "run_load", "serve_and_load",
            "SchedulerClient", "JobHandle"]
 
 
-async def run_load(host: str, port: int, job: Job, workers: int = 8,
-                   sites: int = 4, capacity_files: int = 600,
+async def run_load(host: str, port: int, jobs: Sequence[Job],
+                   workers: int = 8, sites: int = 4,
+                   capacity_files: int = 600,
                    flops_per_sec: float = 0.0,
                    seconds_per_file: float = 0.0,
                    drain: bool = True,
-                   scope_to_job: bool = True,
                    event_log: Optional[str] = None,
                    batch: int = 1,
                    aggregate_deltas: bool = False,
                    delta_flush_interval: float = 0.02,
-                   codec: str = "auto") -> Dict:
-    """Submit ``job``, run the worker fleet, return a load report.
+                   codec: str = "auto",
+                   resume_window: float = 30.0,
+                   unscoped: bool = False) -> Dict:
+    """Submit ``jobs``, run the worker fleet, return a load report.
 
     ``event_log`` writes the client-side view of the run — submit,
     every assign/delta/complete as each worker saw it — as JSON lines
     to that path, ready for
-    :func:`repro.analysis.eventlog.load_timelines`.
+    :func:`repro.analysis.eventlog.load_timelines` (how the recovery
+    tests prove exactly-once completion across a shard kill).
 
     ``codec`` sets the fleet's negotiation stance (``auto``/``json``/
     ``binary``); the per-worker pick lands in each summary's
     ``codec`` field.
+
+    ``unscoped`` is the work-stealing deployment shape: instead of
+    scoping each worker to one job, workers are pinned round-robin to
+    shards and pull from the global queue — a worker whose shard ran
+    dry parks, and (with ``--steal-watermark``) its shard steals
+    pending tasks from loaded peers to feed it.  The run then waits
+    for every job to finish and drains to release the parked fleet,
+    so ``drain`` is implied.
     """
+    if not jobs:
+        raise ValueError("need at least one job")
     if workers < 1 or sites < 1:
         raise ValueError("need at least one worker and one site")
     if batch < 1:
@@ -70,17 +86,28 @@ async def run_load(host: str, port: int, job: Job, workers: int = 8,
             stack.enter_context(events)
         control = await stack.enter_async_context(
             SchedulerClient(host, port, name="loadgen", codec=codec))
-        handle = await control.submit(job)
-        if events is not None:
-            events.emit("submit", job_id=handle.job_id,
-                        tasks=len(handle.task_ids),
-                        task_ids=handle.task_ids)
+        if aggregate_deltas and control.shard_count > 1:
+            raise ValueError(
+                "aggregate_deltas needs one scheduler behind the "
+                f"address, found {control.shard_count} shards: a "
+                "site's workers pull from different shards and one "
+                "aggregator reports to one")
+        handles = []
+        for job in jobs:
+            handle = await control.submit(job)
+            handles.append(handle)
+            if events is not None:
+                events.emit("submit", job_id=handle.job_id,
+                            tasks=len(handle.task_ids),
+                            task_ids=handle.task_ids)
         aggregators: Dict[int, DeltaAggregator] = {}
         if aggregate_deltas:
+            scheduler = control.shard_map()[0]
             for site in sorted({index % sites
                                 for index in range(workers)}):
                 aggregators[site] = await stack.enter_async_context(
-                    DeltaAggregator(host, port, site,
+                    DeltaAggregator(scheduler["host"],
+                                    scheduler["port"], site,
                                     flush_interval=delta_flush_interval,
                                     events=events, codec=codec))
         fleet = [
@@ -89,41 +116,60 @@ async def run_load(host: str, port: int, job: Job, workers: int = 8,
                          capacity_files=capacity_files,
                          flops_per_sec=flops_per_sec,
                          seconds_per_file=seconds_per_file,
-                         job_id=(handle.job_id if scope_to_job
-                                 else None),
-                         events=events,
-                         batch=batch,
+                         job_id=(None if unscoped else
+                                 handles[index % len(handles)].job_id),
+                         events=events, batch=batch,
                          delta_sink=aggregators.get(index % sites),
-                         codec=codec)
+                         codec=codec, resume_window=resume_window,
+                         shard=(index % control.shard_count
+                                if unscoped else None))
             for index in range(workers)
         ]
-        summaries = await asyncio.gather(
-            *(worker.run() for worker in fleet))
-        # The fleet is done; push any still-buffered deltas so the
-        # final stats reflect everything the workers reported.
+        running = [asyncio.ensure_future(worker.run())
+                   for worker in fleet]
+        if unscoped:
+            # Unscoped pulls only stop on drain: wait out the jobs,
+            # take the stats, then drain to release the parked fleet.
+            for handle in handles:
+                await handle.wait_done()
+        else:
+            await asyncio.gather(*running)
+        # Push any still-buffered deltas so the final stats reflect
+        # everything the workers reported.
         for aggregator in aggregators.values():
             await aggregator.flush()
-        job_status = await handle.status()
+        job_statuses = [await handle.status() for handle in handles]
         stats = await control.stats()
-        if drain:
+        if drain or unscoped:
             await control.drain()
+        summaries = await asyncio.gather(*running)
+    submitted = sum(len(handle.task_ids) for handle in handles)
+    completed = sum(status["completed"] for status in job_statuses)
     accepted = sum(s["tasks_done"] for s in summaries)
-    submitted = len(handle.task_ids)
+    # The server-side per-job counters are authoritative: a worker may
+    # lose the ACK for a completion the WAL durably recorded, so the
+    # client-side tally can undercount across a crash — ``lost`` uses
+    # the server counters, and ``double_counted`` only fires when
+    # workers collected MORE acks than tasks exist.
     audit = {
         "tasks_submitted": submitted,
-        "completed": job_status["completed"],
-        "lost": max(0, submitted - job_status["completed"]),
-        "double_counted": max(0, accepted - job_status["completed"]),
+        "completed": completed,
+        "lost": max(0, submitted - completed),
+        "double_counted": max(0, accepted - completed),
     }
     audit["clean"] = audit["lost"] == 0 and audit["double_counted"] == 0
     return {
-        "job_id": handle.job_id,
+        "shard_count": control.shard_count,
+        "jobs": [{"job_id": handle.job_id,
+                  "tasks_submitted": len(handle.task_ids),
+                  "status": status}
+                 for handle, status in zip(handles, job_statuses)],
         "tasks_submitted": submitted,
-        "batch": batch,
-        "codec": codec,
         "tasks_done": accepted,
         "files_fetched": sum(s["files_fetched"] for s in summaries),
-        "job_status": job_status,
+        "reconnects": sum(s["reconnects"] for s in summaries),
+        "batch": batch,
+        "codec": codec,
         "workers": summaries,
         "delta_aggregation": {
             "enabled": aggregate_deltas,
@@ -157,7 +203,8 @@ async def serve_and_load(job: Job, workers: int = 8, sites: int = 4,
     serve_task = asyncio.ensure_future(server.serve_until_drained())
     try:
         report = await run_load(
-            server.host, server.port, job, workers=workers, sites=sites,
+            server.host, server.port, [job], workers=workers,
+            sites=sites,
             capacity_files=capacity_files, flops_per_sec=flops_per_sec,
             seconds_per_file=seconds_per_file, drain=True,
             event_log=event_log, batch=batch,

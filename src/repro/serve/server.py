@@ -142,6 +142,10 @@ class SchedulerServer:
         self._drained = asyncio.Event()
         self._conn_seq = 0
         service.on_drained = self._drained.set
+        if service.draining:
+            # Recovered mid-drain: the state was restored before this
+            # callback existed, so ask again now that someone listens.
+            service.drain()
 
     # -- lifecycle -------------------------------------------------------
     async def start(self) -> None:

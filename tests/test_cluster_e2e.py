@@ -17,7 +17,6 @@ import time
 
 import pytest
 
-from repro.cluster import run_cluster_load
 from repro.exp import ExperimentConfig
 from repro.exp.runner import build_job
 from repro.obs.events import iter_events
@@ -88,7 +87,7 @@ def test_serve_port_zero_reports_bound_ports_via_port_file(tmp_path):
 
         async def drive():
             return await run_load("127.0.0.1", ports["port"],
-                                  coadd_job(6), workers=1, sites=1,
+                                  [coadd_job(6)], workers=1, sites=1,
                                   capacity_files=400, drain=True)
 
         report = run(drive())
@@ -103,6 +102,40 @@ def test_serve_port_zero_reports_bound_ports_via_port_file(tmp_path):
                     encoding="utf-8").read()
     assert f"listening on 127.0.0.1:{ports['port']}" in log_text
     assert "recovered from" in log_text  # durability was on
+
+
+def run_cli(args, timeout=60):
+    return subprocess.run([sys.executable, "-m", "repro", *args],
+                          capture_output=True, text=True,
+                          env=cli_env(), timeout=timeout)
+
+
+def test_load_jobs_drives_several_tenants_at_a_standalone_server(
+        tmp_path):
+    """``repro load --jobs J`` needs no router: against a plain
+    ``repro serve`` the J jobs are J tenants of the one scheduler."""
+    port_file = str(tmp_path / "port.json")
+    proc, handle = spawn_cli(
+        ["serve", "--port", "0", "--port-file", port_file],
+        str(tmp_path / "serve.log"))
+    try:
+        ports = wait_for_json(
+            port_file, lambda p: isinstance(p.get("port"), int),
+            time.monotonic() + 30, "bound port")
+        load = run_cli(["load", "--port", str(ports["port"]),
+                        "--tasks", "45", "--jobs", "3", "--sites", "2",
+                        "--workers", "2", "--capacity", "600"])
+        assert load.returncode == 0, load.stderr
+        assert "1 shard(s), 3 job(s)" in load.stdout
+        assert load.stdout.count("15/15 (done=True)") == 3
+        assert "tasks completed  : 45 by 4 workers" in load.stdout
+        assert "AUDIT FAILED" not in load.stderr
+        assert proc.wait(timeout=30) == 0  # drained
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        handle.close()
 
 
 def shard_wal_completions(state_root, shard_count):
@@ -137,6 +170,13 @@ def test_cluster_survives_kill9_with_exactly_once_completion(tmp_path):
             lambda c: isinstance(c.get("router", {}).get("port"), int),
             time.monotonic() + 45, "router port")
         router_port = cluster["router"]["port"]
+        # One aggregator reports to one scheduler: refused up front,
+        # before anything is submitted.
+        refused = run_cli(["load", "--port", str(router_port),
+                           "--tasks", "8", "--aggregate-deltas"])
+        assert refused.returncode == 2
+        assert "aggregate_deltas" in refused.stderr
+        assert "2 shards" in refused.stderr
         jobs = [coadd_job(40, seed=seed) for seed in (1, 2, 3)]
 
         async def kill_shard_one():
@@ -152,7 +192,7 @@ def test_cluster_survives_kill9_with_exactly_once_completion(tmp_path):
 
         async def scenario():
             killer = asyncio.ensure_future(kill_shard_one())
-            report = await run_cluster_load(
+            report = await run_load(
                 "127.0.0.1", router_port, jobs, workers=4, sites=2,
                 capacity_files=400, seconds_per_file=0.02,
                 event_log=event_log, resume_window=45.0)

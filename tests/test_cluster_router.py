@@ -1,4 +1,4 @@
-"""Router, redirect handshake, cluster clients and stat aggregation.
+"""Router, redirect handshake, redirected clients and stat aggregation.
 
 In-process clusters: real :class:`SchedulerServer` shards (id strides
 set so ``job_id % shard_count`` names the owner), a real
@@ -10,12 +10,11 @@ standalone ``repro serve``.
 
 import asyncio
 
-from repro.cluster import (ClusterClient, ClusterRouter, ShardAddress,
-                           aggregate_stats, run_cluster_load)
-from repro.cluster.client import ClusterWorkerClient
+from repro.cluster import ClusterRouter, ShardAddress, aggregate_stats
 from repro.exp import ExperimentConfig
 from repro.exp.runner import build_job
 from repro.serve import messages, protocol
+from repro.serve.client import SchedulerClient, WorkerClient
 from repro.serve.loadgen import run_load
 from repro.serve.server import SchedulerServer
 from repro.serve.service import SchedulerService
@@ -76,8 +75,8 @@ def test_redirect_handshake_returns_the_shard_map():
     async def scenario():
         router, shards = await start_cluster(shard_count=3)
         try:
-            async with ClusterClient(router.host,
-                                     router.port) as client:
+            async with SchedulerClient(router.host,
+                                       router.port) as client:
                 assert client.shard_count == 3
                 entries = client.shard_map()
                 assert [entry["shard"] for entry in entries] == [0, 1, 2]
@@ -96,8 +95,8 @@ def test_cluster_client_degrades_against_a_plain_scheduler():
         server = SchedulerServer(service)
         await server.start()
         try:
-            async with ClusterClient(server.host,
-                                     server.port) as client:
+            async with SchedulerClient(server.host,
+                                       server.port) as client:
                 assert client.redirect is None
                 assert client.shard_count == 1
                 assert client.shard_map()[0]["port"] == server.port
@@ -158,8 +157,8 @@ def test_submits_land_on_the_shard_owning_the_job_id():
     async def scenario():
         router, shards = await start_cluster(shard_count=2)
         try:
-            async with ClusterClient(router.host,
-                                     router.port) as client:
+            async with SchedulerClient(router.host,
+                                       router.port) as client:
                 first = await client.submit(coadd_job(6, seed=1))
                 second = await client.submit(coadd_job(8, seed=2))
                 third = await client.submit(coadd_job(4, seed=3))
@@ -184,8 +183,8 @@ def test_job_status_is_forwarded_to_the_owning_shard():
     async def scenario():
         router, shards = await start_cluster(shard_count=2)
         try:
-            async with ClusterClient(router.host,
-                                     router.port) as client:
+            async with SchedulerClient(router.host,
+                                       router.port) as client:
                 handles = [await client.submit(coadd_job(6, seed=n))
                            for n in range(2)]
                 for handle in handles:
@@ -202,8 +201,8 @@ def test_stats_request_returns_the_aggregated_cluster_view():
     async def scenario():
         router, shards = await start_cluster(shard_count=2)
         try:
-            async with ClusterClient(router.host,
-                                     router.port) as client:
+            async with SchedulerClient(router.host,
+                                       router.port) as client:
                 await client.submit(coadd_job(6, seed=1))
                 await client.submit(coadd_job(8, seed=2))
                 stats = await client.stats()
@@ -239,8 +238,8 @@ def test_router_rides_out_a_shard_moving_ports():
                                              retry_window=5.0)
         service0, server0 = shards[0]
         try:
-            async with ClusterClient(router.host,
-                                     router.port) as client:
+            async with SchedulerClient(router.host,
+                                       router.port) as client:
                 handle = await client.submit(coadd_job(6, seed=1))
                 assert handle.job_id == 0
                 await server0.stop()  # the shard "crashes"
@@ -269,7 +268,7 @@ def test_cluster_load_completes_jobs_across_two_shards():
     async def scenario():
         router, shards = await start_cluster(shard_count=2)
         try:
-            report = await run_cluster_load(
+            report = await run_load(
                 router.host, router.port,
                 [coadd_job(12, seed=1), coadd_job(14, seed=2)],
                 workers=4, sites=2, capacity_files=400)
@@ -298,7 +297,7 @@ def test_cluster_load_runs_end_to_end_on_the_binary_codec():
         router, shards = await start_cluster(shard_count=2,
                                              upstream_codec="binary")
         try:
-            report = await run_cluster_load(
+            report = await run_load(
                 router.host, router.port,
                 [coadd_job(10, seed=1), coadd_job(12, seed=2)],
                 workers=4, sites=2, capacity_files=400, batch=4,
@@ -316,12 +315,172 @@ def test_cluster_load_runs_end_to_end_on_the_binary_codec():
 
 
 def test_cluster_worker_requires_a_job_scope():
+    """A multi-shard REDIRECT needs something to pick the shard by."""
+    async def scenario():
+        router, shards = await start_cluster(shard_count=2)
+        try:
+            await WorkerClient(router.host, router.port).run()
+        except ValueError as exc:
+            assert "job_id" in str(exc)
+        else:  # pragma: no cover - the guard must fire
+            raise AssertionError("scope-less worker picked a shard")
+        finally:
+            await stop_cluster(router, shards)
+
+    run(scenario())
     try:
-        ClusterWorkerClient("127.0.0.1", 1, job_id=None)
+        WorkerClient("127.0.0.1", 1, job_id=3, shard=1)
     except ValueError as exc:
-        assert "job_id" in str(exc)
+        assert "mutually exclusive" in str(exc)
     else:  # pragma: no cover - the guard must fire
-        raise AssertionError("job-less cluster worker was accepted")
+        raise AssertionError("job_id and shard were both accepted")
+
+
+class DyingScheduler:
+    """A plain scheduler that leases one task and then dies: counts
+    connections, keeps every HELLO payload it was sent."""
+
+    def __init__(self):
+        self.connections = 0
+        self.hellos = []
+        self.port = None
+        self._server = None
+
+    async def start(self):
+        self._server = await asyncio.start_server(
+            self._handle, "127.0.0.1", 0)
+        self.port = self._server.sockets[0].getsockname()[1]
+
+    async def stop(self):
+        self._server.close()
+        await self._server.wait_closed()
+
+    async def _handle(self, reader, writer):
+        self.connections += 1
+        self.hellos.append(protocol.decode_line(await reader.readline()))
+        writer.write(messages.Welcome(
+            server="plain", metric="rest", n=1,
+            protocol=protocol.PROTOCOL_VERSION, lease_ttl=30.0,
+            heartbeat_interval=10.0).encode())
+        await reader.readline()  # REQUEST_TASK
+        writer.write(messages.TaskAssign(
+            task_id=0, files=[1, 2], flops=0.0, lease_id=1,
+            lease_ttl=30.0, job_id=0).encode())
+        await writer.drain()
+        writer.close()  # kill -9, as far as the worker can tell
+
+
+def test_worker_at_a_plain_server_uses_one_connection_and_fails_fast():
+    """WELCOME means: this socket is the scheduler.  No resolve hop,
+    and losing it raises at once — there is no router to ask again,
+    so the resume window never starts."""
+    async def scenario():
+        server = DyingScheduler()
+        await server.start()
+        worker = WorkerClient("127.0.0.1", server.port, worker="solo",
+                              site=2, codec="json",
+                              resume_window=30.0)
+        loop = asyncio.get_running_loop()
+        started = loop.time()
+        try:
+            await worker.run()
+        except ConnectionError:
+            elapsed = loop.time() - started
+        else:  # pragma: no cover - the server died mid-lease
+            raise AssertionError("worker survived its only server")
+        finally:
+            await server.stop()
+        assert elapsed < 5.0
+        assert server.connections == 1
+        assert worker.reconnects == 0
+        # The only wire difference to a pre-cluster worker's HELLO.
+        assert server.hellos == [{
+            "type": "HELLO", "worker": "solo", "site": 2,
+            "protocol": protocol.PROTOCOL_VERSION,
+            "accept_redirect": True,
+            "codecs": list(protocol.codec_offers("json"))}]
+
+    run(scenario())
+
+
+def test_one_worker_object_keeps_cache_and_counters_across_reconnect():
+    """A forced reconnect re-resolves through the router and resumes
+    on the SAME object: one residency mirror (no file is fetched
+    twice), one set of counters."""
+    job = coadd_job(12, seed=4)
+    distinct_files = {fid for task in job for fid in task.files}
+
+    async def scenario():
+        router, shards = await start_cluster(shard_count=1)
+        service, server = shards[0]
+        service.lease_ttl = 0.3
+        try:
+            async with SchedulerClient(router.host,
+                                       router.port) as client:
+                handle = await client.submit(job)
+                worker = WorkerClient(
+                    router.host, router.port, job_id=handle.job_id,
+                    capacity_files=len(distinct_files) + 1,
+                    seconds_per_file=0.002, retry_interval=0.05)
+                cache = worker.cache
+                running = asyncio.ensure_future(worker.run())
+                while service.stats.completions < 3:
+                    await asyncio.sleep(0.005)
+                await server.stop()  # the shard "crashes" mid-lease
+                done_before = worker.tasks_done
+                revived = SchedulerServer(service)
+                await revived.start()
+                shards[0] = (service, revived)
+                router.update_shard(ShardAddress(
+                    0, revived.host, revived.port))
+                summary = await running
+                status = await handle.status()
+            assert status["done"] and status["completed"] == 12
+            assert summary["reconnects"] >= 1
+            assert summary["shard"] == 0
+            assert summary["stop_reason"] == "job-done"
+            assert worker.cache is cache
+            assert 3 <= done_before <= summary["tasks_done"]
+            assert (summary["tasks_done"]
+                    + summary["rejected_completions"]) >= 12
+            # Continuity: every distinct file crossed the wire once,
+            # before or after the crash, never both.
+            assert summary["files_fetched"] == len(distinct_files)
+        finally:
+            await stop_cluster(router, shards)
+
+    run(scenario())
+
+
+def test_aggregate_deltas_follows_a_one_shard_router_and_refuses_many():
+    async def scenario():
+        router, shards = await start_cluster(shard_count=1)
+        try:
+            report = await run_load(
+                router.host, router.port, [coadd_job(16, seed=2)],
+                workers=4, sites=2, capacity_files=400,
+                aggregate_deltas=True)
+            assert report["tasks_done"] == 16
+            assert report["delta_aggregation"]["enabled"]
+            assert [site["site"] for site
+                    in report["delta_aggregation"]["sites"]] == [0, 1]
+            assert all(site["flushes"] >= 1 for site
+                       in report["delta_aggregation"]["sites"])
+        finally:
+            await stop_cluster(router, shards)
+        router, shards = await start_cluster(shard_count=2)
+        try:
+            await run_load(router.host, router.port, [coadd_job(4)],
+                           aggregate_deltas=True)
+        except ValueError as exc:
+            assert "2 shards" in str(exc)
+        else:  # pragma: no cover - must be refused up front
+            raise AssertionError("per-shard aggregation was accepted")
+        finally:
+            assert shards[0][0].stats.tasks_submitted == 0
+            await stop_cluster(router, shards)
+
+    run(scenario())
 
 
 # -- the determinism pin -----------------------------------------------------
@@ -350,7 +509,7 @@ def test_single_shard_cluster_is_bit_identical_to_standalone():
         server = SchedulerServer(service)
         await server.start()
         try:
-            report = await run_load(server.host, server.port, job,
+            report = await run_load(server.host, server.port, [job],
                                     workers=1, sites=1,
                                     capacity_files=400, drain=False)
             assert report["tasks_done"] == 24
@@ -363,7 +522,7 @@ def test_single_shard_cluster_is_bit_identical_to_standalone():
         service = shards[0][0]
         service.events = EventLog()
         try:
-            report = await run_cluster_load(
+            report = await run_load(
                 router.host, router.port, [job], workers=1, sites=1,
                 capacity_files=400, drain=False)
             assert report["tasks_done"] == 24

@@ -518,6 +518,39 @@ def test_drain_survives_recovery(tmp_path):
     second.close()
 
 
+def test_recovered_draining_shard_with_nothing_outstanding_exits(
+        tmp_path):
+    """``on_drained`` is wired after ``open_shard`` restored the
+    state, so an idle shard recovered mid-drain used to sit waiting
+    for another DRAIN; the server now re-checks once it listens."""
+    import asyncio
+    from repro.serve.server import SchedulerServer
+    state_dir = str(tmp_path)
+    first = open_shard(state_dir, clock=FakeClock())
+    submit(first.service, SPECS[:1])
+    held = pull(first.service, worker="w0", site=0)
+    assert first.service.task_done("w0", held.task.task_id,
+                                   held.lease_id).accepted
+    first.service.drain()
+    first.close()
+
+    def wal_records():
+        return [record for path in wal_files(state_dir)
+                for record in iter_events(path)]
+
+    before = wal_records()
+    second = open_shard(state_dir, clock=FakeClock())
+    assert second.service.draining and second.service.is_idle
+
+    async def serve():
+        server = SchedulerServer(second.service)
+        await asyncio.wait_for(server.serve_until_drained(), timeout=5)
+
+    asyncio.run(serve())
+    second.close()
+    assert wal_records() == before  # no second ``drain`` record
+
+
 # What the parent commit (PR 14) wrote for ``parent_shaped_life``: its
 # WAL lines verbatim, its snapshot after the first PARENT_COVERED
 # records, and its final state (both minus the decision-stream fields).

@@ -90,7 +90,7 @@ def test_scrape_endpoint_under_live_load():
 
         scraper = asyncio.ensure_future(scrape_loop())
         try:
-            report = await run_load(server.host, server.port, job,
+            report = await run_load(server.host, server.port, [job],
                                     workers=6, sites=3, drain=False)
         finally:
             done.set()
@@ -228,7 +228,7 @@ def test_repro_top_renders_against_a_live_server(capsys):
     async def scenario():
         service, server, obs, _tracer = await obs_stack()
         job = coadd_job(40)
-        await run_load(server.host, server.port, job, workers=4,
+        await run_load(server.host, server.port, [job], workers=4,
                        sites=2, drain=False)
         url = obs.url + "/stats.json"
         code = await asyncio.to_thread(
@@ -272,7 +272,7 @@ def test_load_event_log_reconstructs_every_task_timeline(tmp_path):
         server = SchedulerServer(service)
         await server.start()
         job = coadd_job(50, seed=1)
-        report = await run_load(server.host, server.port, job,
+        report = await run_load(server.host, server.port, [job],
                                 workers=5, sites=5, drain=False,
                                 event_log=path)
         await server.stop()
@@ -308,7 +308,7 @@ def test_server_event_log_and_client_log_agree(tmp_path):
         server = SchedulerServer(service)
         await server.start()
         job = coadd_job(30, seed=2)
-        await run_load(server.host, server.port, job, workers=3,
+        await run_load(server.host, server.port, [job], workers=3,
                        sites=3, drain=False, event_log=client_log)
         await server.stop()
         events.close()
@@ -384,13 +384,44 @@ def test_render_cluster_top_unpacks_a_router_aggregate():
     from repro.cluster.stats import aggregate_stats
     from repro.obs.top import render_cluster_top
 
-    merged = aggregate_stats([(0, shard_snapshot(tasks=8, done=8,
-                                                 queue=0)),
-                              (1, shard_snapshot(tasks=4, done=1))])
+    first = dict(shard_snapshot(tasks=8, done=8, queue=0),
+                 admission={"rejections": 2},
+                 replication={"granted": 3, "replica_wins": 1},
+                 tenants={"0": 6, "2": 2})
+    second = dict(shard_snapshot(tasks=4, done=1),
+                  admission={"rejections": 5},
+                  replication={"granted": 1, "replica_wins": 1},
+                  tenants={"1": 1, "2": 3})  # job 2: stolen tasks
+    merged = aggregate_stats([(0, first), (1, second)])
+    assert merged["admission"] == {"rejections": 7}
+    assert merged["replication"] == {"granted": 4, "replica_wins": 2}
+    assert merged["tenants"] == {"0": 6, "1": 1, "2": 5}
     text = render_cluster_top([("127.0.0.1:9100", merged)])
     assert "cluster: 2/2 shard(s) reporting" in text
     assert "shard 0" in text and "shard 1" in text
     assert "12 submitted, 9 done" in text
+    assert "admission : 7 submit(s) rejected" in text
+
+
+def test_aggregate_of_one_shard_is_that_shards_snapshot():
+    """The router's STATS for a 1-shard cluster must read like the
+    shard's own: every key the two share carries the same value."""
+    from repro.cluster.stats import aggregate_stats
+    from repro.serve.service import SchedulerService
+
+    service = SchedulerService(metric="combined", n=2, seed=1,
+                               admission_watermark=4)
+    service.submit_job([{"files": [1, 2], "flops": 1.0},
+                        {"files": [2, 3], "flops": 1.0}])
+    box = []
+    service.request_task("w0", 0, box.append)
+    service.file_delta(0, [1, 2], [], [1, 2])
+    service.task_done("w0", box[0].task.task_id, box[0].lease_id)
+    snap = service.stats_snapshot()
+    merged = aggregate_stats([(0, snap)])
+    shared = set(snap) & set(merged)
+    assert shared == set(snap)  # nothing a shard reports is dropped
+    assert {key: merged[key] for key in shared} == snap
 
 
 def test_run_cluster_top_polls_every_endpoint(capsys):

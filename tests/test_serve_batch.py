@@ -276,7 +276,7 @@ def test_e2e_batched_fleet_completes_job_exactly_once():
     assert stats["batches"]["requests"] >= len(job) // 8
     assert sum(stats["batches"]["sizes"].values()) \
         == stats["batches"]["requests"]
-    assert report["job_status"]["done"]
+    assert report["jobs"][0]["status"]["done"]
 
 
 def test_e2e_delta_aggregation_coalesces_colocated_workers():

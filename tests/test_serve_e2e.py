@@ -66,7 +66,7 @@ def test_four_workers_complete_a_coadd_job_and_drain():
     assert stats["leases"]["active"] == 0
     assert stats["leases"]["expiries"] == 0
     # Tenancy: one job, completed.
-    assert report["job_status"]["done"]
+    assert report["jobs"][0]["status"]["done"]
     assert stats["jobs_completed"] == 1
     # Observability surfaced something sane.
     assert stats["assignments"] == len(job)
@@ -169,7 +169,7 @@ def test_run_load_against_external_server_and_drain():
         server = SchedulerServer(service)
         await server.start()
         serve_task = asyncio.ensure_future(server.serve_until_drained())
-        report = await run_load(server.host, server.port, coadd_job(20),
+        report = await run_load(server.host, server.port, [coadd_job(20)],
                                 workers=2, sites=2, capacity_files=300,
                                 drain=True)
         await serve_task  # returns only on a clean drain

@@ -264,3 +264,38 @@ def test_run_scenario_end_to_end(tmp_path):
     assert on_disk["scenario"] == "tiny"
     assert on_disk["audit"]["clean"]
     assert set(on_disk["tenants"]) == {"gold", "bronze"}
+
+
+def test_slow_readers_run_on_a_two_shard_scenario(tmp_path,
+                                                  monkeypatch):
+    """One body, N shards: the slow-reader shape used to be silently
+    dropped as soon as a definition said ``shards=2``."""
+    import dataclasses
+    from repro.scenario import runner
+
+    jammed = []
+    real_slow_reader = runner._slow_reader
+
+    async def recording_slow_reader(run, host, port, index):
+        jammed.append(port)
+        await real_slow_reader(run, host, port, index)
+
+    monkeypatch.setattr(runner, "_slow_reader", recording_slow_reader)
+    sharded = dataclasses.replace(
+        get_scenario("slow-reader"), name="slow-reader-2", shards=2,
+        tenants=(TenantSpec("steady", tasks=12),
+                 TenantSpec("other", tasks=12)))
+    summary = asyncio.run(run_scenario(sharded, str(tmp_path),
+                                       quick=True))
+    assert summary["passed"], summary["checks"]
+    assert validate_summary(summary) == []
+    stats = summary["stats"]
+    assert stats["cluster"] == {"shard_count": 2, "shards_reporting": 2}
+    # Three jammed sockets spread over both shards, each pipelining
+    # 50 STATS nobody read; both tenants still finished.
+    assert len(jammed) == 3 and len(set(jammed)) == 2
+    assert summary["audit"]["clean"]
+    assert {name: tenant["completed"]
+            for name, tenant in summary["tenants"].items()} \
+        == {name: tenant["submitted"]
+            for name, tenant in summary["tenants"].items()}
