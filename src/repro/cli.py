@@ -260,20 +260,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         tracer = DecisionTracer()
         events = None
         durability = None
+        options = dict(
+            metric=args.metric, n=args.n, seed=args.seed,
+            lease_ttl=args.lease_ttl, tracer=tracer,
+            fast_path=args.kernel == "fast",
+            admission_watermark=args.admission_watermark,
+            admission_retry_after=args.admission_retry_after,
+            replicate_tail=args.replicate_stragglers,
+            max_replicas=args.max_replicas,
+            steal_watermark=steal_watermark)
         if args.state_dir:
             from .cluster.shard import open_shard
             durability = open_shard(
-                args.state_dir, metric=args.metric, n=args.n,
-                seed=args.seed, lease_ttl=args.lease_ttl,
-                shard_index=args.shard_index,
+                args.state_dir, shard_index=args.shard_index,
                 shard_count=args.shard_count,
-                snapshot_interval=args.snapshot_interval,
-                fast_path=args.kernel == "fast", tracer=tracer,
-                admission_watermark=args.admission_watermark,
-                admission_retry_after=args.admission_retry_after,
-                replicate_tail=args.replicate_stragglers,
-                max_replicas=args.max_replicas,
-                steal_watermark=steal_watermark)
+                snapshot_interval=args.snapshot_interval, **options)
             service = durability.service
             report = durability.report
             print(f"repro-serve shard {args.shard_index}/"
@@ -286,16 +287,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             events = EventLog(path=args.event_log) if args.event_log \
                 else None
             service = SchedulerService(
-                metric=args.metric, n=args.n, seed=args.seed,
-                lease_ttl=args.lease_ttl, events=events, tracer=tracer,
-                fast_path=args.kernel == "fast",
-                id_start=args.shard_index,
-                id_stride=args.shard_count,
-                admission_watermark=args.admission_watermark,
-                admission_retry_after=args.admission_retry_after,
-                replicate_tail=args.replicate_stragglers,
-                max_replicas=args.max_replicas,
-                steal_watermark=steal_watermark)
+                events=events, id_start=args.shard_index,
+                id_stride=args.shard_count, **options)
         server = SchedulerServer(service, host=args.host,
                                  port=args.port,
                                  stats_interval=args.stats_interval,
@@ -554,20 +547,18 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def _cmd_top(args: argparse.Namespace) -> int:
-    from .obs.top import run_cluster_top, run_top
+    from .obs.top import run_top
 
-    if args.endpoints:
-        urls = [f"http://{endpoint}/stats.json"
-                for endpoint in args.endpoints]
-        return run_cluster_top(urls, interval=args.interval,
-                               iterations=1 if args.once else None,
-                               clear=not args.once)
-    if args.port is None:
-        print("repro top: need --port or host:port endpoint(s)",
-              file=sys.stderr)
-        return 2
-    url = f"http://{args.host}:{args.port}/stats.json"
-    return run_top(url, interval=args.interval,
+    endpoints = args.endpoints
+    if not endpoints:
+        if args.port is None:
+            print("repro top: need --port or host:port endpoint(s)",
+                  file=sys.stderr)
+            return 2
+        endpoints = [f"{args.host}:{args.port}"]
+    return run_top([f"http://{endpoint}/stats.json"
+                    for endpoint in endpoints],
+                   interval=args.interval,
                    iterations=1 if args.once else None,
                    clear=not args.once)
 

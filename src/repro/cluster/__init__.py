@@ -24,7 +24,8 @@ See ``docs/cluster.md`` for topology, wire flow, the snapshot format
 and the recovery procedure.
 """
 
-from .router import ClusterRouter, ShardAddress
+from .link import ShardAddress
+from .router import ClusterRouter
 from .shard import ShardDurability, open_shard
 from .snapshot import (SnapshotError, list_snapshots,
                        load_latest_snapshot, write_snapshot)

@@ -1,8 +1,8 @@
 """The cluster front door: redirect workers, forward control traffic.
 
-:class:`ClusterRouter` is a deliberately thin asyncio TCP server that
-speaks the same protocol-v3 wire format as a scheduler shard but holds
-**no scheduling state**.  Its whole job:
+:class:`ClusterRouter` is a :class:`~repro.serve.server.FrontEnd` —
+the same listener, connection loop and wire rules as a scheduler shard
+— whose dispatcher holds **no scheduling state**.  Its whole job:
 
 * ``HELLO`` carrying ``accept_redirect`` → a ``REDIRECT`` with the
   shard map (and the negotiated codec, when the client offered any),
@@ -21,171 +21,39 @@ speaks the same protocol-v3 wire format as a scheduler shard but holds
 * Data-plane messages (``REQUEST_TASK``, ``TASK_DONE``, ``HEARTBEAT``,
   ``FILE_DELTA``) → ``ERROR`` pointing at the redirect flow.
 
-Upstream connections are lazy, one per shard, serialized by a lock
-(the router's control traffic is low-rate; strict request/response
-per upstream keeps correlation trivial).  A failed call retries
-inside ``retry_window`` seconds — exactly the window in which the
-supervisor restarts a crashed shard and calls :meth:`update_shard`
-with its new port — so control traffic rides out a shard restart
-instead of failing fast.
+Each shard is reached over one :class:`~repro.cluster.link.PeerLink`.
+A failed call retries inside ``retry_window`` seconds — exactly the
+window in which the supervisor restarts a crashed shard and calls
+:meth:`ClusterRouter.update_shard` with its new port — so control
+traffic rides out a shard restart instead of failing fast.
 """
 
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import logging
-from collections import deque
-from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..serve import messages, protocol
-from ..serve.codec import Codec, JsonLinesCodec, make_codec
+from ..serve import messages
+from ..serve.server import FrontEnd, _Conn
+from .link import PeerLink, ShardAddress
 from .stats import aggregate_stats
 
-__all__ = ["ClusterRouter", "ShardAddress"]
+__all__ = ["ClusterRouter"]
 
 log = logging.getLogger("repro.cluster.router")
-
-READ_CHUNK = 64 * 1024
 
 #: Message types the router refuses: the data plane belongs to shards.
 _DATA_PLANE = (messages.RequestTask, messages.TaskDone,
                messages.Heartbeat, messages.FileDelta)
 
 
-@dataclass(frozen=True)
-class ShardAddress:
-    """Where one shard listens."""
-    shard: int
-    host: str
-    port: int
-
-    def entry(self) -> Dict:
-        """The ``REDIRECT.shards`` wire entry."""
-        return {"shard": self.shard, "host": self.host,
-                "port": self.port}
-
-
-class _Upstream:
-    """One lazily-connected, lock-serialized stream to one shard.
-
-    :meth:`call` returns the shard's reply *verbatim* (including
-    ``ERROR`` — the router forwards shard refusals, it does not raise
-    on them).  Connection failures reconnect-and-retry against the
-    *current* address until ``retry_window`` runs out, so a shard
-    restart (new PID, new ephemeral port installed via
-    :meth:`replace`) looks like one slow call, not an outage.
-    """
-
-    def __init__(self, address: ShardAddress, retry_window: float,
-                 retry_interval: float = 0.1, codec: str = "json"):
-        self.address = address
-        self.retry_window = retry_window
-        self.retry_interval = retry_interval
-        self.codec_option = codec
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-        self._codec: Codec = JsonLinesCodec(decodes="server")
-        self._inbox: Deque[messages.ServerMessage] = deque()
-        #: Bumped by :meth:`replace`; a mismatch tells the call loop
-        #: its open connection predates the current address.
-        self._generation = 0
-        self._conn_generation = 0
-        self._lock = asyncio.Lock()
-
-    def replace(self, address: ShardAddress) -> None:
-        """Point at a restarted shard; the next call reconnects."""
-        self.address = address
-        self._generation += 1
-
-    async def _ensure_open(self) -> None:
-        if (self._writer is not None
-                and self._conn_generation != self._generation):
-            await self._close()
-        if self._writer is None:
-            self._reader, self._writer = await asyncio.open_connection(
-                self.address.host, self.address.port,
-                limit=protocol.MAX_MESSAGE_BYTES + 1024)
-            self._codec = JsonLinesCodec(decodes="server")
-            self._inbox.clear()
-            self._conn_generation = self._generation
-            if self.codec_option != "json":
-                await self._negotiate()
-
-    async def _negotiate(self) -> None:
-        """Send a HELLO so the shard upgrades this stream's codec.
-
-        Connections always open in JSON lines (protocol v3 rule); a
-        non-default ``codec_option`` turns the first exchange into a
-        negotiation round before any forwarded traffic flows.
-        """
-        hello = messages.Hello(
-            worker=f"router/shard-{self.address.shard}", site=0,
-            protocol=protocol.PROTOCOL_VERSION,
-            codecs=protocol.codec_offers(self.codec_option))
-        self._writer.write(self._codec.encode(hello))
-        await self._writer.drain()
-        reply = await self._read_reply()
-        if isinstance(reply, messages.Error):
-            raise ConnectionError(
-                f"shard {self.address.shard} refused hello: "
-                f"{reply.error}")
-        chosen = getattr(reply, "codec", None)
-        if chosen and chosen != self._codec.name:
-            residue = self._codec.residue()
-            self._codec = make_codec(chosen, decodes="server")
-            if residue:
-                self._inbox.extend(self._codec.feed(residue))
-
-    async def _read_reply(self) -> messages.ServerMessage:
-        while not self._inbox:
-            data = await self._reader.read(READ_CHUNK)
-            if not data:
-                raise ConnectionError(
-                    f"shard {self.address.shard} closed the "
-                    f"connection")
-            self._inbox.extend(self._codec.feed(data))
-        return self._inbox.popleft()
-
-    async def _close(self) -> None:
-        writer, self._writer, self._reader = self._writer, None, None
-        if writer is not None:
-            writer.close()
-            with contextlib.suppress(ConnectionError, OSError):
-                await writer.wait_closed()
-
-    async def call(self, message: messages.ClientMessage,
-                   ) -> messages.ServerMessage:
-        async with self._lock:
-            loop = asyncio.get_running_loop()
-            deadline = loop.time() + self.retry_window
-            while True:
-                try:
-                    await self._ensure_open()
-                    self._writer.write(self._codec.encode(message))
-                    await self._writer.drain()
-                    return await self._read_reply()
-                except (ConnectionError, OSError) as exc:
-                    await self._close()
-                    if loop.time() >= deadline:
-                        raise ConnectionError(
-                            f"shard {self.address.shard} unreachable "
-                            f"for {self.retry_window:.1f}s: {exc}"
-                        ) from exc
-                    await asyncio.sleep(self.retry_interval)
-
-    async def close(self) -> None:
-        async with self._lock:
-            await self._close()
-
-
-class ClusterRouter:
+class ClusterRouter(FrontEnd):
     """Stateless protocol-v3 front end over a fixed shard map.
 
     ``codecs`` is what the router accepts from *clients* (defaults to
     everything the protocol module knows).  ``upstream_codec`` is the
-    ``--codec``-style option for the router's own shard connections:
+    ``--codec``-style option for the router's own shard links:
     ``"json"`` (the default) keeps the plain JSON-lines streams,
     ``"binary"``/``"auto"`` negotiate an upgrade on connect.
     """
@@ -202,19 +70,13 @@ class ClusterRouter:
         if indices != list(range(len(shards))):
             raise ValueError(f"shard indices must be 0..{len(shards) - 1},"
                              f" got {indices}")
+        super().__init__(host, port, codecs)
         self.shard_count = len(shards)
-        self.host = host
-        self.port = port
         self.name = name
-        self.codecs = tuple(codecs if codecs is not None
-                            else protocol.DEFAULT_CODECS)
-        self._upstreams: Dict[int, _Upstream] = {
-            address.shard: _Upstream(address, retry_window,
-                                     codec=upstream_codec)
+        self._links: Dict[int, PeerLink] = {
+            address.shard: PeerLink(address, retry_window,
+                                    codec=upstream_codec)
             for address in shards}
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._handler_tasks: set = set()
-        self._connections: set = set()
         self._next_new_job_shard = 0
         self.redirects_sent = 0
         self.rejected_hellos = 0
@@ -223,150 +85,67 @@ class ClusterRouter:
     # -- shard map ---------------------------------------------------
     def shard_map(self) -> List[Dict]:
         """Wire-ready ``REDIRECT.shards`` entries, by shard index."""
-        return [self._upstreams[index].address.entry()
+        return [self._links[index].address.entry()
                 for index in range(self.shard_count)]
 
     def update_shard(self, address: ShardAddress) -> None:
         """Install a restarted shard's new address (supervisor hook)."""
-        if address.shard not in self._upstreams:
+        if address.shard not in self._links:
             raise ValueError(f"unknown shard {address.shard}")
         log.info("shard %d moved to %s:%d", address.shard,
                  address.host, address.port)
-        self._upstreams[address.shard].replace(address)
+        self._links[address.shard].replace(address)
 
     def shard_for_job(self, job_id: int) -> int:
         return job_id % self.shard_count
 
     # -- lifecycle ---------------------------------------------------
     async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port,
-            limit=protocol.MAX_MESSAGE_BYTES + 1024)
-        self.port = self._server.sockets[0].getsockname()[1]
+        await super().start()
         log.info("router listening on %s:%d (%d shard(s))",
                  self.host, self.port, self.shard_count)
 
     async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for writer in list(self._connections):
-            writer.close()
-        if self._handler_tasks:
-            # Closed transports EOF the read loops; let them finish so
-            # loop teardown never has to cancel a live handler.
-            await asyncio.wait(self._handler_tasks, timeout=5)
-        for upstream in self._upstreams.values():
-            await upstream.close()
+        await super().stop()
+        for link in self._links.values():
+            await link.close()
 
-    # -- client side -------------------------------------------------
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        self._handler_tasks.add(asyncio.current_task())
-        self._connections.add(writer)
-        codec: Codec = JsonLinesCodec(decodes="client")
-        try:
-            chunk = b""
-            closing = False
-            while not closing:
-                try:
-                    inbound = codec.feed(chunk)
-                except protocol.ProtocolError as exc:
-                    # Framing errors lose the stream position: one
-                    # final ERROR, then close (same rule as a shard).
-                    writer.write(codec.encode(
-                        messages.Error(str(exc))))
-                    await writer.drain()
-                    break
-                if not inbound:
-                    chunk = await reader.read(READ_CHUNK)
-                    if not chunk:
-                        break  # EOF
-                    continue
-                chunk = b""  # drain the codec buffer before reading on
-                out = bytearray()
-                for index, message in enumerate(inbound):
-                    reply, close, next_codec = await self._dispatch(
-                        message)
-                    out += codec.encode(reply)
-                    if close:
-                        closing = True
-                        break
-                    if (next_codec is not None
-                            and next_codec != codec.name):
-                        if (index + 1 < len(inbound)
-                                or codec.buffered):
-                            out += codec.encode(messages.Error(
-                                "messages pipelined across codec "
-                                "negotiation; await the HELLO reply "
-                                "before sending more"))
-                            closing = True
-                            break
-                        codec = make_codec(next_codec,
-                                           decodes="client")
-                if out:
-                    writer.write(bytes(out))
-                    await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            self._handler_tasks.discard(asyncio.current_task())
-            self._connections.discard(writer)
-            writer.close()
-            with contextlib.suppress(ConnectionResetError,
-                                     BrokenPipeError):
-                await writer.wait_closed()
-
+    # -- dispatch ----------------------------------------------------
     async def _forward(self, shard: int,
                        message: messages.ClientMessage,
                        ) -> messages.ServerMessage:
         try:
-            reply = await self._upstreams[shard].call(message)
+            reply = await self._links[shard].call(message)
         except ConnectionError as exc:
             return messages.Error(str(exc))
         self.forwarded += 1
         return reply
 
     async def _dispatch(self, message: messages.ClientMessage,
-                        ) -> Tuple[messages.ServerMessage, bool,
-                                   Optional[str]]:
-        """Returns ``(reply, close, next_codec)``; a non-``None``
-        ``next_codec`` tells the connection loop to switch framing
-        right after the reply is written."""
+                        conn: _Conn) -> messages.ServerMessage:
         if isinstance(message, messages.Hello):
-            if message.protocol not in protocol.SUPPORTED_PROTOCOLS:
-                return (messages.Error(
-                    f"unsupported protocol version {message.protocol};"
-                    f" this router speaks "
-                    f"{protocol.SUPPORTED_PROTOCOLS_TEXT}"), True, None)
+            codec_name = self._greet(message, conn)
             if not message.accept_redirect:
                 # An old (or shard-oblivious) client: refuse cleanly
                 # instead of pretending to be a scheduler it can pull
                 # tasks from.
                 self.rejected_hellos += 1
-                return (messages.Error(
+                return messages.Error(
                     "this address is a cluster router, not a "
                     "scheduler shard; send HELLO with "
                     "accept_redirect=true and connect to the shard "
-                    "owning your job (job_id % shard_count)"), True,
-                    None)
-            codec_name = None
-            if message.codecs is not None:
-                codec_name = protocol.negotiate_codec(
-                    message.codecs, self.codecs)
+                    "owning your job (job_id % shard_count)")
             self.redirects_sent += 1
-            return (messages.Redirect(
+            return messages.Redirect(
                 shards=self.shard_map(),
                 shard_count=self.shard_count,
-                codec=codec_name), False, codec_name)
+                codec=codec_name)
 
         if isinstance(message, _DATA_PLANE):
-            return (messages.Error(
+            return messages.Error(
                 f"{message.TYPE} is data-plane traffic; the router "
                 f"only routes control messages — connect to the "
-                f"owning shard from the REDIRECT shard map"), False,
-                None)
+                f"owning shard from the REDIRECT shard map")
 
         if isinstance(message, messages.JobSubmit):
             if message.job_id is not None:
@@ -375,15 +154,15 @@ class ClusterRouter:
                 shard = self._next_new_job_shard
                 self._next_new_job_shard = (
                     (shard + 1) % self.shard_count)
-            return (await self._forward(shard, message), False, None)
+            return await self._forward(shard, message)
 
         if isinstance(message, messages.JobStatusRequest):
-            shard = self.shard_for_job(message.job_id)
-            return (await self._forward(shard, message), False, None)
+            return await self._forward(
+                self.shard_for_job(message.job_id), message)
 
         if isinstance(message, messages.StatsRequest):
-            return (messages.StatsReply(
-                stats=await self.aggregated_stats()), False, None)
+            return messages.StatsReply(
+                stats=await self.aggregated_stats())
 
         if isinstance(message, messages.Drain):
             replies = await asyncio.gather(
@@ -392,13 +171,12 @@ class ClusterRouter:
             failed = [reply.error for reply in replies
                       if isinstance(reply, messages.Error)]
             if failed:
-                return (messages.Error(
-                    f"drain incomplete: {'; '.join(failed)}"), False,
-                    None)
-            return (messages.Ack(draining=True), False, None)
+                return messages.Error(
+                    f"drain incomplete: {'; '.join(failed)}")
+            return messages.Ack(draining=True)
 
-        return (messages.Error(
-            f"unhandled message type {message.TYPE!r}"), False, None)
+        return messages.Error(
+            f"unhandled message type {message.TYPE!r}")
 
     async def aggregated_stats(self) -> Dict:
         """Every shard's STATS merged into one cluster snapshot.
@@ -411,11 +189,10 @@ class ClusterRouter:
         async def fetch(shard: int) -> Tuple[Optional[Dict],
                                              Optional[str]]:
             try:
-                reply = await self._upstreams[shard].call(
+                reply = await self._links[shard].call(
                     messages.StatsRequest())
             except ConnectionError as exc:
-                return None, f"unreachable: {exc}" if str(exc) \
-                    else "unreachable"
+                return None, str(exc)  # "shard N unreachable for ..."
             if isinstance(reply, messages.StatsReply):
                 return reply.stats, None
             if isinstance(reply, messages.Error):

@@ -32,11 +32,9 @@ from __future__ import annotations
 import asyncio
 import logging
 import os
-import time
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from ..obs.events import EventLog, iter_events
-from ..obs.trace import DecisionTracer
 from ..serve.service import SchedulerService
 from .snapshot import (list_snapshots, load_latest_snapshot,
                        write_snapshot)
@@ -182,19 +180,15 @@ class ShardDurability:
 
 
 def open_shard(state_dir: str, metric: str = "combined", n: int = 2,
-               seed: int = 0, lease_ttl: float = 30.0,
                shard_index: int = 0, shard_count: int = 1,
                snapshot_interval: float = 5.0, keep: int = 3,
-               fast_path: bool = True,
-               clock: Callable[[], float] = time.monotonic,
-               tracer: Optional[DecisionTracer] = None,
                name: Optional[str] = None,
-               admission_watermark: Optional[int] = None,
-               admission_retry_after: float = 0.25,
-               replicate_tail: bool = False,
-               max_replicas: int = 1,
-               steal_watermark: Optional[int] = None) -> ShardDurability:
+               **service_options) -> ShardDurability:
     """Build + recover one durable shard from its state directory.
+
+    ``service_options`` go to :class:`SchedulerService` unchanged —
+    their names and defaults live there, once; the id strides and
+    ``wal_events`` are the shard's to decide.
 
     The service is constructed silent (no event log), recovered from
     the newest snapshot plus the WAL tail, and only then handed the
@@ -202,15 +196,9 @@ def open_shard(state_dir: str, metric: str = "combined", n: int = 2,
     """
     os.makedirs(state_dir, exist_ok=True)
     service = SchedulerService(
-        metric=metric, n=n, seed=seed,
-        name=name or f"shard-{shard_index}",
-        lease_ttl=lease_ttl, clock=clock, tracer=tracer,
-        fast_path=fast_path, id_start=shard_index,
-        id_stride=shard_count, wal_events=True,
-        admission_watermark=admission_watermark,
-        admission_retry_after=admission_retry_after,
-        replicate_tail=replicate_tail, max_replicas=max_replicas,
-        steal_watermark=steal_watermark)
+        metric=metric, n=n, name=name or f"shard-{shard_index}",
+        id_start=shard_index, id_stride=shard_count, wal_events=True,
+        **service_options)
     report = recover_service(service, state_dir)
     events = EventLog(path=wal_path(state_dir),
                       seq_start=report["next_seq"], auto_flush=True,

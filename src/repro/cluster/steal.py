@@ -48,8 +48,8 @@ import logging
 from typing import Dict, List, Optional, Tuple
 
 from ..serve import messages
-from ..serve.client import _Connection
 from ..serve.service import SchedulerService
+from .link import PeerLink, ShardAddress
 
 __all__ = ["StealManager"]
 
@@ -87,9 +87,11 @@ class StealManager:
         self.interval = interval
         self.max_tasks = max_tasks
         self.codec = codec
-        self.name = f"steal/{shard_index}"
-        self._peers: Dict[int, Tuple[str, int]] = dict(peers or {})
-        self._conns: Dict[int, _Connection] = {}
+        #: One link per live peer; ``retry_window=0`` because the next
+        #: tick — which re-reads the topology first — is the retry.
+        self._links: Dict[int, PeerLink] = {
+            shard: self._link(ShardAddress(shard, *address))
+            for shard, address in (peers or {}).items()}
         self._task: Optional[asyncio.Task] = None
         #: Loop-level counters for ``repro top`` / debugging.
         self.steal_attempts = 0
@@ -106,10 +108,8 @@ class StealManager:
             with contextlib.suppress(asyncio.CancelledError):
                 await self._task
             self._task = None
-        for conn in self._conns.values():
-            with contextlib.suppress(Exception):
-                await conn.close()
-        self._conns.clear()
+        for link in self._links.values():
+            await link.close()
 
     async def __aenter__(self) -> "StealManager":
         await self.start()
@@ -133,13 +133,16 @@ class StealManager:
         forward completions, then maybe steal.  Public so embedded
         setups (benchmarks, scenarios) can drive it deterministically
         without the background task."""
-        self._refresh_peers()
+        await self._refresh_peers()
         await self._resolve_tentative()
         await self._forward_completions()
         await self._maybe_steal()
 
     # -- topology ----------------------------------------------------
-    def _refresh_peers(self) -> None:
+    def _link(self, address: ShardAddress) -> PeerLink:
+        return PeerLink(address, retry_window=0.0, codec=self.codec)
+
+    async def _refresh_peers(self) -> None:
         if self.cluster_file is None:
             return
         try:
@@ -147,7 +150,7 @@ class StealManager:
                 topology = json.load(fh)
         except (OSError, json.JSONDecodeError):
             return  # not written yet (startup) or mid-rewrite
-        peers: Dict[int, Tuple[str, int]] = {}
+        peers: Dict[int, ShardAddress] = {}
         for entry in topology.get("shards", []):
             shard = entry.get("shard")
             port = entry.get("port")
@@ -155,45 +158,25 @@ class StealManager:
                     or not isinstance(port, int)
                     or entry.get("drained")):
                 continue
-            peers[shard] = (entry.get("host", "127.0.0.1"), port)
-        for shard, address in list(self._peers.items()):
-            if peers.get(shard) != address:
-                # Gone or restarted on a new port: drop the old stream.
-                conn = self._conns.pop(shard, None)
-                if conn is not None:
-                    asyncio.get_running_loop().create_task(conn.close())
-        self._peers = peers
-
-    async def _peer_conn(self, shard: int) -> Optional[_Connection]:
-        conn = self._conns.get(shard)
-        if conn is not None:
-            return conn
-        address = self._peers.get(shard)
-        if address is None:
-            return None
-        conn = _Connection(address[0], address[1], codec=self.codec)
-        try:
-            await conn.open()
-            await conn.hello(self.name, 0)
-        except (OSError, ConnectionError, RuntimeError):
-            with contextlib.suppress(Exception):
-                await conn.close()
-            return None
-        self._conns[shard] = conn
-        return conn
+            peers[shard] = ShardAddress(
+                shard, entry.get("host", "127.0.0.1"), port)
+        for shard in set(self._links) - set(peers):
+            await self._links.pop(shard).close()  # gone or drained
+        for shard, address in peers.items():
+            if shard in self._links:
+                self._links[shard].replace(address)  # maybe restarted
+            else:
+                self._links[shard] = self._link(address)
 
     async def _call(self, shard: int, message) -> Optional[
             messages.ServerMessage]:
-        """One request/response to a peer; drops the stream on error."""
-        conn = await self._peer_conn(shard)
-        if conn is None:
+        """One request/response to a peer; None while unreachable."""
+        link = self._links.get(shard)
+        if link is None:
             return None
         try:
-            return await conn.call(message)
-        except (OSError, ConnectionError, RuntimeError):
-            self._conns.pop(shard, None)
-            with contextlib.suppress(Exception):
-                await conn.close()
+            return await link.call(message)
+        except ConnectionError:
             return None
 
     # -- the three duties --------------------------------------------
@@ -270,7 +253,7 @@ class StealManager:
         below its own)."""
         best: Optional[int] = None
         best_depth = watermark
-        for shard in sorted(self._peers):
+        for shard in sorted(self._links):
             reply = await self._call(shard, messages.StatsRequest())
             if not isinstance(reply, messages.StatsReply):
                 continue
@@ -295,7 +278,7 @@ class StealManager:
 
     def describe(self) -> Dict:
         return {"shard": self.shard_index,
-                "peers": sorted(self._peers),
+                "peers": sorted(self._links),
                 "attempts": self.steal_attempts,
                 "grants": self.steal_grants,
                 "forward_batches": self.forward_batches}

@@ -39,7 +39,8 @@ import sys
 from typing import Dict, List, Optional
 
 from ..obs.http import ObsHttpServer
-from .router import ClusterRouter, ShardAddress
+from .link import ShardAddress
+from .router import ClusterRouter
 
 __all__ = ["ClusterSupervisor"]
 

@@ -8,7 +8,8 @@ the terminal twin of a Grafana dashboard, with zero dependencies.
 
 ``render_top`` is a pure function of the snapshot dict so tests (and
 anything else) can render without a socket; ``fetch_json``/``run_top``
-add the polling loop.
+add the polling loop — over one endpoint or several, merged into the
+cluster view by ``render_cluster_top``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import urllib.request
 from typing import Callable, Dict, List, Optional, Tuple
 
 __all__ = ["fetch_json", "render_cluster_top", "render_top",
-           "run_cluster_top", "run_top"]
+           "run_top"]
 
 _CLEAR = "\x1b[2J\x1b[H"
 
@@ -191,16 +192,18 @@ def render_cluster_top(per_endpoint: List[Tuple[str, Optional[Dict]]],
     return "\n".join(lines)
 
 
-def run_cluster_top(urls: List[str], interval: float = 2.0,
-                    iterations: Optional[int] = None,
-                    clear: bool = True,
-                    out: Callable[[str], None] = print,
-                    fetch: Callable[[str], Dict] = fetch_json,
-                    sleep: Callable[[float], None] = time.sleep) -> int:
-    """Poll several ``/stats.json`` endpoints, render the merged view.
+def run_top(urls: List[str], interval: float = 2.0,
+            iterations: Optional[int] = None, clear: bool = True,
+            out: Callable[[str], None] = print,
+            fetch: Callable[[str], Dict] = fetch_json,
+            sleep: Callable[[float], None] = time.sleep) -> int:
+    """Poll the ``/stats.json`` endpoints and render until interrupted
+    (or ``iterations``): a lone endpoint that is not an aggregate (no
+    ``shards`` key) in the single-daemon view, anything else in the
+    merged cluster view, where dead shards render as unreachable.
 
-    Exit code 1 only when *no* endpoint answers on the very first
-    poll; a subset of dead shards still renders (marked unreachable).
+    Returns a process exit code: 0 on a clean stop, 1 when *no*
+    endpoint answers on the very first poll (nothing is there).
     """
     shown = 0
     while iterations is None or shown < iterations:
@@ -214,41 +217,11 @@ def run_cluster_top(urls: List[str], interval: float = 2.0,
                 per_endpoint.append((label, None))
                 out(f"repro top: cannot fetch {url}: {exc}")
         if all(snap is None for _label, snap in per_endpoint):
-            if shown == 0:
-                return 1
-            return 0
-        text = render_cluster_top(per_endpoint)
-        out(_CLEAR + text if clear else text)
-        shown += 1
-        if iterations is not None and shown >= iterations:
-            break
-        try:
-            sleep(interval)
-        except KeyboardInterrupt:  # pragma: no cover - interactive
-            break
-    return 0
-
-
-def run_top(url: str, interval: float = 2.0,
-            iterations: Optional[int] = None, clear: bool = True,
-            out: Callable[[str], None] = print,
-            fetch: Callable[[str], Dict] = fetch_json,
-            sleep: Callable[[float], None] = time.sleep) -> int:
-    """Poll ``url`` and render until interrupted (or ``iterations``).
-
-    Returns a process exit code: 0 on a clean stop, 1 when the very
-    first fetch fails (the server is not there).
-    """
-    shown = 0
-    while iterations is None or shown < iterations:
-        try:
-            snapshot = fetch(url)
-        except (urllib.error.URLError, ConnectionError, OSError) as exc:
-            out(f"repro top: cannot fetch {url}: {exc}")
-            if shown == 0:
-                return 1
-            return 0
-        text = render_top(snapshot)
+            return 1 if shown == 0 else 0
+        if len(per_endpoint) == 1 and "shards" not in per_endpoint[0][1]:
+            text = render_top(per_endpoint[0][1])
+        else:
+            text = render_cluster_top(per_endpoint)
         out(_CLEAR + text if clear else text)
         shown += 1
         if iterations is not None and shown >= iterations:

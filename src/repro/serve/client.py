@@ -160,14 +160,11 @@ class _Connection:
             limit=protocol.MAX_MESSAGE_BYTES + 1024)
 
     async def close(self) -> None:
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-            self._writer = None
-            self._reader = None
+        writer, self._writer, self._reader = self._writer, None, None
+        if writer is not None:
+            writer.close()
+            with contextlib.suppress(OSError):
+                await writer.wait_closed()
 
     def send_nowait(self, message: messages.ClientMessage,
                     on_reply: Optional[Callable[
@@ -193,7 +190,7 @@ class _Connection:
             await self._writer.drain()
         while self._pending:
             on_reply = self._pending.popleft()
-            reply = await self._read_reply()
+            reply = self._raise_on_error(await self._read_reply())
             if on_reply is not None:
                 on_reply(reply)
 
@@ -203,14 +200,19 @@ class _Connection:
             if not data:
                 raise ConnectionError("server closed the connection")
             self._inbox.extend(self._codec.feed(data))
-        reply = self._inbox.popleft()
+        return self._inbox.popleft()
+
+    @staticmethod
+    def _raise_on_error(reply: messages.ServerMessage,
+                        ) -> messages.ServerMessage:
         if isinstance(reply, messages.Error):
             raise RuntimeError(f"server error: {reply.error}")
         return reply
 
-    async def call(self, message: messages.ClientMessage,
-                   ) -> messages.ServerMessage:
-        """Send one request, read its one reply (``ERROR`` raises).
+    async def exchange(self, message: messages.ClientMessage,
+                       ) -> messages.ServerMessage:
+        """Send one request, return its one reply verbatim — an
+        ``ERROR`` is a reply like any other (what a forwarder wants).
 
         Pipelined sends queued before this call go out on the same
         write burst (the piggyback) and their replies are drained
@@ -221,6 +223,12 @@ class _Connection:
         await self._writer.drain()
         await self.drain_replies()
         return await self._read_reply()
+
+    async def call(self, message: messages.ClientMessage,
+                   ) -> messages.ServerMessage:
+        """:meth:`exchange`, with an ``ERROR`` reply raised (what a
+        client that expects success wants)."""
+        return self._raise_on_error(await self.exchange(message))
 
     def _adopt(self, name: str) -> None:
         """Switch to the negotiated codec.  Replies can only follow

@@ -1,4 +1,11 @@
-"""Asyncio TCP front-end for :class:`SchedulerService` (protocol v3).
+"""Asyncio TCP front ends (protocol v3): the connection loop, once.
+
+A *front end* is a dispatcher: :class:`FrontEnd` owns the listener,
+``start``/``stop`` and the per-connection wire loop described below,
+and asks its subclass one question per message, ``_dispatch``.
+:class:`SchedulerServer` answers from a :class:`SchedulerService`; the
+cluster's :class:`~repro.cluster.router.ClusterRouter` redirects and
+forwards — and so contains a hostile or clumsy peer identically.
 
 One coroutine per connection reads socket chunks, feeds them through
 the connection's :class:`~repro.serve.codec.Codec` (JSON lines until
@@ -17,7 +24,9 @@ first, so pipelined acks are never held hostage by a parked pull).
 Version negotiation: ``HELLO`` must carry a ``protocol`` in
 :data:`~repro.serve.protocol.SUPPORTED_PROTOCOLS` (2 or 3).  Anything
 else gets a clean ``ERROR`` naming the supported range and its
-connection is closed — never a crash or a silent hang.  When the
+connection is closed — never a crash or a silent hang.  A connection
+says ``HELLO`` once: a repeat is refused the same way, leaving the
+identity its leases are keyed by untouched.  When the
 ``HELLO`` offers ``codecs``, the server picks the first mutual name,
 announces it in ``WELCOME.codec``, and switches the connection's
 codec right after encoding that reply; bytes pipelined *past* the
@@ -102,34 +111,20 @@ class _Conn:
             await self.writer.drain()  # per-connection backpressure
 
 
-class SchedulerServer:
-    """Serves one :class:`SchedulerService` on a TCP port."""
+class FrontEnd:
+    """A listening endpoint: the socket, its connections, the wire loop.
 
-    def __init__(self, service: SchedulerService,
-                 host: str = "127.0.0.1", port: int = 0,
-                 sweep_interval: Optional[float] = None,
-                 stats_interval: Optional[float] = None,
-                 codecs: Optional[Sequence[str]] = None):
-        self.service = service
+    Subclasses supply :meth:`_dispatch` (what a message means here)
+    and may override :meth:`_closed` (what a lost connection means).
+    """
+
+    def __init__(self, host: str, port: int,
+                 codecs: Optional[Sequence[str]]):
         self.host = host
         self.port = port
-        #: How often the lease sweeper runs; defaults to a quarter of
-        #: the lease TTL (bounded to [10 ms, 1 s]) so expiry lag is a
-        #: small fraction of the TTL without busy-looping.
-        if sweep_interval is None:
-            sweep_interval = min(max(service.lease_ttl / 4.0, 0.01), 1.0)
-        self.sweep_interval = sweep_interval
-        #: Every ``stats_interval`` seconds the full stats snapshot is
-        #: logged as one JSON line at INFO on ``repro.serve.stats`` —
-        #: greppable history for runs without a scraper.  None (the
-        #: default) disables the ticker.
-        if stats_interval is not None and stats_interval <= 0:
-            raise ValueError(
-                f"stats_interval must be > 0, got {stats_interval}")
-        self.stats_interval = stats_interval
-        #: Wire codecs this server accepts in ``HELLO.codecs``, in its
-        #: own preference order.  JSON lines is always spoken (it is
-        #: the pre-negotiation format), so a ``(CODEC_BINARY,)``
+        #: Wire codecs this front end accepts in ``HELLO.codecs``, in
+        #: its own preference order.  JSON lines is always spoken (it
+        #: is the pre-negotiation format), so a ``(CODEC_BINARY,)``
         #: restriction only stops *negotiating* json-2, it cannot
         #: break v2 clients.
         self.codecs: Sequence[str] = (tuple(codecs) if codecs is not None
@@ -137,15 +132,7 @@ class SchedulerServer:
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: Set[asyncio.StreamWriter] = set()
         self._handler_tasks: Set[asyncio.Task] = set()
-        self._sweeper: Optional[asyncio.Task] = None
-        self._stats_ticker: Optional[asyncio.Task] = None
-        self._drained = asyncio.Event()
         self._conn_seq = 0
-        service.on_drained = self._drained.set
-        if service.draining:
-            # Recovered mid-drain: the state was restored before this
-            # callback existed, so ask again now that someone listens.
-            service.drain()
 
     # -- lifecycle -------------------------------------------------------
     async def start(self) -> None:
@@ -154,48 +141,8 @@ class SchedulerServer:
             self._handle_connection, self.host, self.port,
             limit=protocol.MAX_MESSAGE_BYTES + 1024)
         self.port = self._server.sockets[0].getsockname()[1]
-        loop = asyncio.get_running_loop()
-        self._sweeper = loop.create_task(self._sweep_leases())
-        if self.stats_interval is not None:
-            self._stats_ticker = loop.create_task(self._tick_stats())
-        log.info("listening on %s:%d (metric=%s, n=%d, lease_ttl=%.1fs)",
-                 self.host, self.port, self.service.engine.metric_name,
-                 self.service.engine.n, self.service.lease_ttl)
-
-    async def _sweep_leases(self) -> None:
-        while True:
-            await asyncio.sleep(self.sweep_interval)
-            expired = self.service.expire_leases()
-            if expired:
-                log.info("lease sweep requeued %d task(s)", expired)
-
-    async def _tick_stats(self) -> None:
-        while True:
-            await asyncio.sleep(self.stats_interval)
-            stats_log.info("%s", json.dumps(
-                self.service.stats_snapshot(), sort_keys=True,
-                separators=(",", ":")))
-
-    async def serve_until_drained(self) -> None:
-        """Serve until a DRAIN completes, then close everything."""
-        if self._server is None:
-            await self.start()
-        await self._drained.wait()
-        await self.stop()
-
-    def drain(self) -> None:
-        log.info("drain requested (%d outstanding, %d queued)",
-                 self.service.outstanding, self.service.queue_depth)
-        self.service.drain()
 
     async def stop(self) -> None:
-        for task_attr in ("_sweeper", "_stats_ticker"):
-            task = getattr(self, task_attr)
-            if task is not None:
-                task.cancel()
-                with contextlib.suppress(asyncio.CancelledError):
-                    await task
-                setattr(self, task_attr, None)
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -206,7 +153,38 @@ class SchedulerServer:
             # Closed transports EOF the read loops; let them finish so
             # loop teardown never has to cancel a live handler.
             await asyncio.wait(self._handler_tasks, timeout=5)
-        self._drained.set()
+
+    # -- what a subclass answers ---------------------------------------
+    async def _dispatch(self, message: messages.ClientMessage,
+                        conn: _Conn) -> messages.ServerMessage:
+        """One well-framed message in, its one reply out; raising
+        ``ServiceError``/``ProtocolError`` answers ``ERROR``."""
+        raise NotImplementedError
+
+    def _closed(self, conn: _Conn) -> None:
+        """The connection is gone (EOF, reset, or closed by a rule)."""
+
+    def _greet(self, hello: messages.Hello,
+               conn: _Conn) -> Optional[str]:
+        """The shared ``HELLO`` rules: version check, once per
+        connection, identity, codec pick.  Returns the reply's
+        ``codec`` (None when none were offered) and arms the switch;
+        a refusal raises, i.e. answers the final ``ERROR``."""
+        if hello.protocol not in protocol.SUPPORTED_PROTOCOLS:
+            raise protocol.ProtocolError(
+                f"unsupported protocol version {hello.protocol}; "
+                f"this server speaks {protocol.SUPPORTED_PROTOCOLS_TEXT}")
+        if conn.site_id is not None:
+            # Re-keying would orphan everything filed under the first
+            # identity (leases, parked pulls) until their TTL.
+            raise protocol.ProtocolError(
+                "HELLO already received on this connection")
+        conn.worker_key = f"{hello.worker}/{conn.worker_key}"
+        conn.site_id = hello.site
+        if hello.codecs is not None:
+            conn.next_codec = protocol.negotiate_codec(hello.codecs,
+                                                       self.codecs)
+        return conn.next_codec
 
     # -- per-connection loop ---------------------------------------------
     async def _handle_connection(self, reader: asyncio.StreamReader,
@@ -275,37 +253,109 @@ class SchedulerServer:
         finally:
             self._handler_tasks.discard(asyncio.current_task())
             self._connections.discard(writer)
-            requeued = self.service.disconnect(conn.worker_key)
-            if requeued:
-                log.info("connection %s closed; requeued %d task(s)",
-                         conn.worker_key, requeued)
-            else:
-                log.debug("connection %s closed", conn.worker_key)
+            self._closed(conn)
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
 
+
+class SchedulerServer(FrontEnd):
+    """Serves one :class:`SchedulerService` on a TCP port."""
+
+    def __init__(self, service: SchedulerService,
+                 host: str = "127.0.0.1", port: int = 0,
+                 sweep_interval: Optional[float] = None,
+                 stats_interval: Optional[float] = None,
+                 codecs: Optional[Sequence[str]] = None):
+        super().__init__(host, port, codecs)
+        self.service = service
+        #: How often the lease sweeper runs; defaults to a quarter of
+        #: the lease TTL (bounded to [10 ms, 1 s]) so expiry lag is a
+        #: small fraction of the TTL without busy-looping.
+        if sweep_interval is None:
+            sweep_interval = min(max(service.lease_ttl / 4.0, 0.01), 1.0)
+        self.sweep_interval = sweep_interval
+        #: Every ``stats_interval`` seconds the full stats snapshot is
+        #: logged as one JSON line at INFO on ``repro.serve.stats`` —
+        #: greppable history for runs without a scraper.  None (the
+        #: default) disables the ticker.
+        if stats_interval is not None and stats_interval <= 0:
+            raise ValueError(
+                f"stats_interval must be > 0, got {stats_interval}")
+        self.stats_interval = stats_interval
+        self._sweeper: Optional[asyncio.Task] = None
+        self._stats_ticker: Optional[asyncio.Task] = None
+        self._drained = asyncio.Event()
+        service.on_drained = self._drained.set
+        if service.draining:
+            # Recovered mid-drain: the state was restored before this
+            # callback existed, so ask again now that someone listens.
+            service.drain()
+
+    # -- lifecycle -------------------------------------------------------
+    async def start(self) -> None:
+        await super().start()
+        loop = asyncio.get_running_loop()
+        self._sweeper = loop.create_task(self._sweep_leases())
+        if self.stats_interval is not None:
+            self._stats_ticker = loop.create_task(self._tick_stats())
+        log.info("listening on %s:%d (metric=%s, n=%d, lease_ttl=%.1fs)",
+                 self.host, self.port, self.service.engine.metric_name,
+                 self.service.engine.n, self.service.lease_ttl)
+
+    async def _sweep_leases(self) -> None:
+        while True:
+            await asyncio.sleep(self.sweep_interval)
+            expired = self.service.expire_leases()
+            if expired:
+                log.info("lease sweep requeued %d task(s)", expired)
+
+    async def _tick_stats(self) -> None:
+        while True:
+            await asyncio.sleep(self.stats_interval)
+            stats_log.info("%s", json.dumps(
+                self.service.stats_snapshot(), sort_keys=True,
+                separators=(",", ":")))
+
+    async def serve_until_drained(self) -> None:
+        """Serve until a DRAIN completes, then close everything."""
+        if self._server is None:
+            await self.start()
+        await self._drained.wait()
+        await self.stop()
+
+    def drain(self) -> None:
+        log.info("drain requested (%d outstanding, %d queued)",
+                 self.service.outstanding, self.service.queue_depth)
+        self.service.drain()
+
+    async def stop(self) -> None:
+        for task_attr in ("_sweeper", "_stats_ticker"):
+            task = getattr(self, task_attr)
+            if task is not None:
+                task.cancel()
+                with contextlib.suppress(asyncio.CancelledError):
+                    await task
+                setattr(self, task_attr, None)
+        await super().stop()
+        self._drained.set()
+
+    def _closed(self, conn: _Conn) -> None:
+        requeued = self.service.disconnect(conn.worker_key)
+        if requeued:
+            log.info("connection %s closed; requeued %d task(s)",
+                     conn.worker_key, requeued)
+        else:
+            log.debug("connection %s closed", conn.worker_key)
+
     async def _dispatch(self, message: messages.ClientMessage,
                         conn: _Conn) -> messages.ServerMessage:
         service = self.service
 
         if isinstance(message, messages.Hello):
-            if message.protocol not in protocol.SUPPORTED_PROTOCOLS:
-                # v1 (or future) clients get a clean refusal, and the
-                # read loop closes the connection after sending it.
-                return messages.Error(
-                    f"unsupported protocol version {message.protocol}; "
-                    f"this server speaks "
-                    f"{protocol.SUPPORTED_PROTOCOLS_TEXT}")
-            conn.worker_key = f"{message.worker}/{conn.worker_key}"
-            conn.site_id = message.site
-            codec_name = None
-            if message.codecs is not None:
-                codec_name = protocol.negotiate_codec(message.codecs,
-                                                      self.codecs)
-                conn.next_codec = codec_name
+            codec_name = self._greet(message, conn)
             service.ensure_site(message.site)
             return messages.Welcome(
                 server=service.name,

@@ -10,7 +10,10 @@ standalone ``repro serve``.
 
 import asyncio
 
+import pytest
+
 from repro.cluster import ClusterRouter, ShardAddress, aggregate_stats
+from repro.cluster.link import PeerLink
 from repro.exp import ExperimentConfig
 from repro.exp.runner import build_job
 from repro.serve import messages, protocol
@@ -258,6 +261,79 @@ def test_router_rides_out_a_shard_moving_ports():
                 assert status["tasks"] == 6
         finally:
             await stop_cluster(router, shards)
+
+    run(scenario())
+
+
+# -- the peer link -----------------------------------------------------------
+
+@pytest.mark.parametrize("codec", ["json", "binary"])
+def test_peer_link_returns_an_error_reply_verbatim(codec):
+    """A forwarder passes refusals on: ERROR is a reply, not an
+    exception, and the stream stays in step behind it."""
+    async def scenario():
+        server = SchedulerServer(SchedulerService())
+        await server.start()
+        link = PeerLink(ShardAddress(0, server.host, server.port),
+                        retry_window=0.0, codec=codec)
+        try:
+            reply = await link.call(messages.JobStatusRequest(job_id=9))
+            assert isinstance(reply, messages.Error)
+            assert "9" in reply.error
+            reply = await link.call(messages.StatsRequest())
+            assert isinstance(reply, messages.StatsReply)
+        finally:
+            await link.close()
+            await server.stop()
+
+    run(scenario())
+
+
+def test_peer_link_replace_mid_retry_lands_on_the_new_port():
+    async def scenario():
+        dead = SchedulerServer(SchedulerService())
+        await dead.start()
+        await dead.stop()  # a port nobody listens on any more
+        link = PeerLink(ShardAddress(0, dead.host, dead.port),
+                        retry_window=10.0, retry_interval=0.02)
+        calling = asyncio.ensure_future(
+            link.call(messages.StatsRequest()))
+        await asyncio.sleep(0.1)
+        assert not calling.done()  # still retrying the dead port
+        server = SchedulerServer(SchedulerService(name="restarted"))
+        await server.start()
+        try:
+            link.replace(ShardAddress(0, server.host, server.port))
+            reply = await calling
+            assert isinstance(reply, messages.StatsReply)
+            assert link.address.port == server.port
+        finally:
+            await link.close()
+            await server.stop()
+
+    run(scenario())
+
+
+def test_peer_link_without_a_window_raises_after_one_attempt():
+    async def scenario():
+        attempts = []
+
+        async def hang_up(_reader, writer):
+            attempts.append(writer)
+            writer.close()
+
+        listener = await asyncio.start_server(hang_up, "127.0.0.1", 0)
+        port = listener.sockets[0].getsockname()[1]
+        link = PeerLink(ShardAddress(3, "127.0.0.1", port),
+                        retry_window=0.0)
+        try:
+            with pytest.raises(ConnectionError, match="shard 3"):
+                await link.call(messages.StatsRequest())
+            assert len(attempts) == 1
+        finally:
+            await link.close()
+            listener.close()
+            await listener.wait_closed()
 
     run(scenario())
 

@@ -232,7 +232,7 @@ def test_repro_top_renders_against_a_live_server(capsys):
                        sites=2, drain=False)
         url = obs.url + "/stats.json"
         code = await asyncio.to_thread(
-            run_top, url, 0.0, 1, False)
+            run_top, [url], 0.0, 1, False)
         await obs.stop()
         await server.stop()
         return code
@@ -249,7 +249,7 @@ def test_repro_top_renders_against_a_live_server(capsys):
 
 def test_repro_top_exits_nonzero_when_server_is_gone():
     messages = []
-    code = run_top("http://127.0.0.1:9/stats.json", iterations=3,
+    code = run_top(["http://127.0.0.1:9/stats.json"], iterations=3,
                    out=messages.append)
     assert code == 1
     assert len(messages) == 1 and "cannot fetch" in messages[0]
@@ -425,13 +425,11 @@ def test_aggregate_of_one_shard_is_that_shards_snapshot():
 
 
 def test_run_cluster_top_polls_every_endpoint(capsys):
-    from repro.obs.top import run_cluster_top
-
     payloads = {"http://a/stats.json": shard_snapshot(tasks=5, done=5,
                                                       queue=0),
                 "http://b/stats.json": shard_snapshot(tasks=3, done=0)}
-    code = run_cluster_top(list(payloads), iterations=1, clear=False,
-                           fetch=payloads.__getitem__)
+    code = run_top(list(payloads), iterations=1, clear=False,
+                   fetch=payloads.__getitem__)
     assert code == 0
     shown = capsys.readouterr().out
     assert "cluster: 2/2 shard(s) reporting" in shown
@@ -439,15 +437,32 @@ def test_run_cluster_top_polls_every_endpoint(capsys):
 
 
 def test_run_cluster_top_fails_only_when_every_endpoint_is_gone():
-    from repro.obs.top import run_cluster_top
-
     def fetch(url):
         raise ConnectionError("down")
 
     messages = []
-    code = run_cluster_top(["http://a/stats.json",
-                            "http://b/stats.json"],
-                           iterations=2, out=messages.append,
-                           fetch=fetch)
+    code = run_top(["http://a/stats.json", "http://b/stats.json"],
+                   iterations=2, out=messages.append, fetch=fetch)
     assert code == 1
     assert sum("cannot fetch" in line for line in messages) == 2
+
+
+def test_run_top_picks_the_view_from_what_the_endpoints_serve():
+    """One loop, two views: a lone daemon renders plainly, a lone
+    aggregate (the supervisor's endpoint) as the cluster it is."""
+    from repro.cluster.stats import aggregate_stats
+
+    payloads = {
+        "http://one/stats.json": shard_snapshot(tasks=5, done=5, queue=0),
+        "http://all/stats.json": aggregate_stats(
+            [(0, shard_snapshot(tasks=5, done=5, queue=0)),
+             (1, shard_snapshot(tasks=3, done=0))])}
+    for url, is_cluster in (("http://one/stats.json", False),
+                            ("http://all/stats.json", True)):
+        shown = []
+        code = run_top([url], iterations=1, clear=False,
+                       out=shown.append, fetch=payloads.__getitem__)
+        assert code == 0 and len(shown) == 1
+        assert shown[0].startswith("repro top — ")
+        assert ("cluster: 2/2 shard(s) reporting" in shown[0]) \
+            == is_cluster
