@@ -106,7 +106,6 @@ async def _timed_cluster(num_tasks, shards, workers, state_root=None,
             service = SchedulerService(metric="combined", n=2, seed=0,
                                        id_start=index,
                                        id_stride=shards,
-                                       wal_events=True,
                                        steal_watermark=steal_watermark)
         server = SchedulerServer(service)
         await server.start()

@@ -6,7 +6,9 @@ in :mod:`repro.obs.events`.  This module folds that stream back into
 per-task histories: every attempt (assign → complete, or assign →
 lease-expire/requeue) a task went through, with timestamps, so you can
 ask "how long did task 17 wait, where did it run, how often was it
-retried" offline.
+retried" offline.  A task can have several attempts open at once — a
+straggler's primary lease and its replicas — so a record that names a
+``lease_id`` closes the attempt holding that lease, not the latest one.
 """
 
 from __future__ import annotations
@@ -29,9 +31,13 @@ class Attempt:
     assigned_at: float
     lease_id: Optional[int] = None
     ended_at: Optional[float] = None
-    #: "completed", "lease-expired", "disconnect", ... — None while
+    #: "completed", "lease-expired", "disconnect", "superseded"
+    #: (another copy of the task completed first), ... — None while
     #: the attempt is still open (log ended mid-flight).
     outcome: Optional[str] = None
+    #: A second copy of a straggler, granted while the primary lease
+    #: was still out (``assign {replica: true}``) — not a retry.
+    replica: bool = False
 
     @property
     def duration(self) -> Optional[float]:
@@ -62,8 +68,10 @@ class TaskTimeline:
 
     @property
     def retries(self) -> int:
-        """Assignments beyond the first (0 for the happy path)."""
-        return max(len(self.attempts) - 1, 0)
+        """Assignments beyond the first (0 for the happy path); a
+        replica runs beside an attempt, it does not follow one."""
+        return max(sum(not attempt.replica
+                       for attempt in self.attempts) - 1, 0)
 
     @property
     def first_assigned_at(self) -> Optional[float]:
@@ -84,10 +92,18 @@ class TaskTimeline:
             return None
         return done - self.submitted_at
 
-    def _open_attempt(self) -> Optional[Attempt]:
-        if self.attempts and self.attempts[-1].outcome is None:
-            return self.attempts[-1]
-        return None
+    def _open_attempt(self, lease_id: Optional[int] = None,
+                      ) -> Optional[Attempt]:
+        """The open attempt a record is about: the one holding
+        ``lease_id``, else — client-side logs and forwarded
+        completions name no lease the log saw granted — the latest."""
+        found = None
+        for attempt in self.attempts:
+            if attempt.outcome is None:
+                if lease_id is not None and attempt.lease_id == lease_id:
+                    return attempt
+                found = attempt
+        return found
 
 
 def task_timelines(events: Iterable[Dict]) -> Dict[int, TaskTimeline]:
@@ -98,7 +114,8 @@ def task_timelines(events: Iterable[Dict]) -> Dict[int, TaskTimeline]:
     :data:`repro.obs.events.EVENT_SCHEMAS`; other event types pass
     through untouched.  Reassignment after a lease expiry or
     disconnect shows up as a second :class:`Attempt` on the same
-    timeline.
+    timeline, and so does a replica; the first completion closes every
+    other open attempt of the task as ``superseded``.
     """
     timelines: Dict[int, TaskTimeline] = {}
 
@@ -121,19 +138,25 @@ def task_timelines(events: Iterable[Dict]) -> Dict[int, TaskTimeline]:
             line.job_id = event.get("job_id", line.job_id)
             line.attempts.append(Attempt(
                 worker=event["worker"], site=event.get("site"),
-                assigned_at=ts, lease_id=event.get("lease_id")))
+                assigned_at=ts, lease_id=event.get("lease_id"),
+                replica=bool(event.get("replica", False))))
         elif kind == "complete":
             line = timeline(event["task_id"])
-            attempt = line._open_attempt()
+            attempt = line._open_attempt(event.get("lease_id"))
             if attempt is None:  # completion without a logged assign
                 attempt = Attempt(worker=event["worker"], site=None,
                                   assigned_at=ts)
                 line.attempts.append(attempt)
-            attempt.ended_at = ts
-            attempt.outcome = "completed"
+            # First completion wins: the service released every other
+            # lease on the task with it, without a record of its own.
+            for other in line.attempts:
+                if other.outcome is None:
+                    other.ended_at = ts
+                    other.outcome = ("completed" if other is attempt
+                                     else "superseded")
         elif kind in ("lease-expire", "requeue"):
             line = timeline(event["task_id"])
-            attempt = line._open_attempt()
+            attempt = line._open_attempt(event.get("lease_id"))
             if attempt is not None:
                 attempt.ended_at = ts
                 if kind == "lease-expire":

@@ -76,6 +76,43 @@ def _configure_logging(args: argparse.Namespace,
     logging.getLogger("repro").setLevel(level)
 
 
+def _add_scheduler_arguments(parser: argparse.ArgumentParser) -> None:
+    """The scheduler flags of ``repro serve``.  ``repro cluster`` takes
+    the same ones — declared here, once — and forwards them verbatim
+    to every shard it spawns (:func:`_scheduler_argv`)."""
+    add = parser.add_argument
+    parser.set_defaults(scheduler_flags=[
+        add("--metric", default="combined",
+            choices=["overlap", "rest", "combined", "combined-literal"]),
+        add("--n", type=int, default=2,
+            help="ChooseTask(n) candidate-set size"),
+        add("--seed", type=int, default=0),
+        add("--lease-ttl", type=float, default=30.0,
+            help="seconds before an unrenewed task lease expires and "
+                 "the task is requeued to another worker"),
+        add("--snapshot-interval", type=float, default=5.0,
+            help="seconds between a durable shard's state snapshots "
+                 "(with --state-dir)"),
+        add("--steal-watermark", type=int, default=None,
+            help="work stealing: a shard whose pending queue drops "
+                 "below this many tasks while workers are parked "
+                 "steals pending tasks from the most-loaded peer "
+                 "shard (needs --cluster-file and --shard-count > 1, "
+                 "which `repro cluster` supplies; default: stealing "
+                 "off)"),
+    ])
+
+
+def _scheduler_argv(args: argparse.Namespace) -> List[str]:
+    """The scheduler flags of ``args`` as a ``repro serve`` argv tail."""
+    argv: List[str] = []
+    for action in args.scheduler_flags:
+        value = getattr(args, action.dest)
+        if value is not None:
+            argv += [action.option_strings[0], str(value)]
+    return argv
+
+
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scheduler", default="combined.2",
                         help="scheduler registry name")
@@ -257,13 +294,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if args.shard_count > 1 else None
 
     async def main() -> None:
-        tracer = DecisionTracer()
+        # Every decision pays for its span, so there is a tracer only
+        # when something can read it: /trace.json, or the ``decision``
+        # records of an event log or WAL.
+        tracer = DecisionTracer() if (
+            args.metrics_port is not None or args.event_log
+            or args.state_dir) else None
         events = None
         durability = None
         options = dict(
             metric=args.metric, n=args.n, seed=args.seed,
             lease_ttl=args.lease_ttl, tracer=tracer,
-            fast_path=args.kernel == "fast",
             admission_watermark=args.admission_watermark,
             admission_retry_after=args.admission_retry_after,
             replicate_tail=args.replicate_stragglers,
@@ -389,12 +430,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         supervisor = ClusterSupervisor(
             shards=args.shards, state_root=args.state_root,
             host=args.host, router_port=args.port,
-            metric=args.metric, n=args.n, seed=args.seed,
-            lease_ttl=args.lease_ttl,
-            snapshot_interval=args.snapshot_interval,
-            kernel=args.kernel, metrics_port=args.metrics_port,
-            codec=args.codec,
-            steal_watermark=args.steal_watermark)
+            metrics_port=args.metrics_port, codec=args.codec,
+            shard_args=_scheduler_argv(args))
         await supervisor.start()
         print(f"repro-cluster router on "
               f"{supervisor.host}:{supervisor.router_port} over "
@@ -626,22 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="run the live scheduler daemon")
     serve_parser.add_argument("--host", default="127.0.0.1")
     serve_parser.add_argument("--port", type=int, default=7077)
-    serve_parser.add_argument("--metric", default="combined",
-                              choices=["overlap", "rest", "combined",
-                                       "combined-literal"])
-    serve_parser.add_argument("--n", type=int, default=2,
-                              help="ChooseTask(n) candidate-set size")
-    serve_parser.add_argument("--seed", type=int, default=0)
-    serve_parser.add_argument("--kernel", default="fast",
-                              choices=["fast", "reference"],
-                              help="decision kernel: the sublinear "
-                                   "fast path (default) or the "
-                                   "decision-identical reference scan "
-                                   "(latency ablation only)")
-    serve_parser.add_argument("--lease-ttl", type=float, default=30.0,
-                              help="seconds before an unrenewed task "
-                                   "lease expires and the task is "
-                                   "requeued to another worker")
+    _add_scheduler_arguments(serve_parser)
     serve_parser.add_argument("--admission-watermark", type=int,
                               default=None,
                               help="reject JOB_SUBMITs that would push "
@@ -681,24 +703,11 @@ def build_parser() -> argparse.ArgumentParser:
                                    "directory and recover from them "
                                    "on startup (conflicts with "
                                    "--event-log)")
-    serve_parser.add_argument("--snapshot-interval", type=float,
-                              default=5.0,
-                              help="seconds between state snapshots "
-                                   "(with --state-dir)")
     serve_parser.add_argument("--shard-index", type=int, default=0,
                               help="this shard's index in a cluster "
                                    "(job/task ids ≡ index mod count)")
     serve_parser.add_argument("--shard-count", type=int, default=1,
                               help="total shards in the cluster")
-    serve_parser.add_argument("--steal-watermark", type=int,
-                              default=None,
-                              help="work stealing: when the pending "
-                                   "queue drops below this many tasks "
-                                   "and workers are parked, steal "
-                                   "pending tasks from the most-loaded "
-                                   "peer shard (needs --cluster-file "
-                                   "and --shard-count > 1; default: "
-                                   "stealing off)")
     serve_parser.add_argument("--cluster-file", default=None,
                               help="cluster topology JSON published "
                                    "by the supervisor; polled for "
@@ -734,30 +743,12 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_parser.add_argument("--port", type=int, default=0,
                                 help="router port (0 = ephemeral, "
                                      "reported in cluster.json)")
-    cluster_parser.add_argument("--metric", default="combined",
-                                choices=["overlap", "rest", "combined",
-                                         "combined-literal"])
-    cluster_parser.add_argument("--n", type=int, default=2)
-    cluster_parser.add_argument("--seed", type=int, default=0)
-    cluster_parser.add_argument("--kernel", default="fast",
-                                choices=["fast", "reference"])
-    cluster_parser.add_argument("--lease-ttl", type=float,
-                                default=30.0)
-    cluster_parser.add_argument("--snapshot-interval", type=float,
-                                default=5.0)
+    _add_scheduler_arguments(cluster_parser)
     cluster_parser.add_argument("--metrics-port", type=int,
                                 default=None,
                                 help="serve aggregated /stats.json, "
                                      "/cluster.json and /healthz on "
                                      "this port (0 = ephemeral)")
-    cluster_parser.add_argument("--steal-watermark", type=int,
-                                default=None,
-                                help="enable shard-to-shard work "
-                                     "stealing: a shard whose pending "
-                                     "queue drops below this many "
-                                     "tasks steals from the "
-                                     "most-loaded peer (default: "
-                                     "stealing off)")
     cluster_parser.add_argument("--codec", default="json",
                                 choices=["auto", "json", "binary"],
                                 help="wire codec for the router's own "
@@ -782,9 +773,9 @@ def build_parser() -> argparse.ArgumentParser:
     load_parser.add_argument("--batch", type=int, default=1,
                              help="prefetch depth: each REQUEST_TASK "
                                   "asks for up to this many tasks "
-                                  "(TASK_BATCH) and pipelines the "
-                                  "completions (default 1 = plain v2 "
-                                  "pulls)")
+                                  "(TASK_BATCH); completions are "
+                                  "pipelined at any depth (default 1 "
+                                  "= a batch of one, answered TASK)")
     load_parser.add_argument("--aggregate-deltas", action="store_true",
                              help="coalesce FILE_DELTAs from workers "
                                   "sharing a site through one "

@@ -1,9 +1,9 @@
 """One durable scheduler shard: WAL + snapshots + crash recovery.
 
 A shard is a plain :class:`~repro.serve.service.SchedulerService`
-constructed with ``wal_events=True`` and the cluster id strides, whose
-event log lives in the shard's *state directory* and doubles as a
-write-ahead log.  :func:`open_shard` is the whole lifecycle::
+constructed with the cluster id strides, whose event log lives in the
+shard's *state directory*, is flushed before every ack, and so doubles
+as a write-ahead log.  :func:`open_shard` is the whole lifecycle::
 
     durability = open_shard("state/shard-0", metric="combined", n=2,
                             shard_index=0, shard_count=2)
@@ -187,8 +187,8 @@ def open_shard(state_dir: str, metric: str = "combined", n: int = 2,
     """Build + recover one durable shard from its state directory.
 
     ``service_options`` go to :class:`SchedulerService` unchanged —
-    their names and defaults live there, once; the id strides and
-    ``wal_events`` are the shard's to decide.
+    their names and defaults live there, once; the id strides are the
+    shard's to decide.
 
     The service is constructed silent (no event log), recovered from
     the newest snapshot plus the WAL tail, and only then handed the
@@ -197,8 +197,7 @@ def open_shard(state_dir: str, metric: str = "combined", n: int = 2,
     os.makedirs(state_dir, exist_ok=True)
     service = SchedulerService(
         metric=metric, n=n, name=name or f"shard-{shard_index}",
-        id_start=shard_index, id_stride=shard_count, wal_events=True,
-        **service_options)
+        id_start=shard_index, id_stride=shard_count, **service_options)
     report = recover_service(service, state_dir)
     events = EventLog(path=wal_path(state_dir),
                       seq_start=report["next_seq"], auto_flush=True,

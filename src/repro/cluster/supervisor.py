@@ -2,8 +2,10 @@
 
 ``repro cluster --shards N`` builds one :class:`ClusterSupervisor`.
 It spawns N ``repro serve`` shard processes (each with ``--port 0``,
-``--metrics-port 0``, its own state directory, and the
-``--shard-index/--shard-count`` id strides), learns each shard's
+``--metrics-port 0``, its own state directory, the
+``--shard-index/--shard-count`` id strides, ``--cluster-file``, and
+then ``shard_args`` — the scheduler flags ``repro cluster`` was given,
+forwarded verbatim), learns each shard's
 ephemeral ports through a *port-file handshake* — the shard writes
 ``{"port": ..., "metrics_port": ...}`` to ``--port-file`` once bound
 — then starts the :class:`~repro.cluster.router.ClusterRouter` over
@@ -36,7 +38,7 @@ import json
 import logging
 import os
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from ..obs.http import ObsHttpServer
 from .link import ShardAddress
@@ -52,29 +54,19 @@ class ClusterSupervisor:
 
     def __init__(self, shards: int, state_root: str,
                  host: str = "127.0.0.1", router_port: int = 0,
-                 metric: str = "combined", n: int = 2, seed: int = 0,
-                 lease_ttl: float = 30.0,
-                 snapshot_interval: float = 5.0,
-                 kernel: str = "fast",
                  metrics_port: Optional[int] = None,
                  max_restarts: int = 20,
                  restart_backoff: float = 0.25,
                  spawn_timeout: float = 30.0,
                  stats_refresh: float = 1.0,
                  codec: str = "json",
-                 steal_watermark: Optional[int] = None):
+                 shard_args: Sequence[str] = ()):
         if shards < 1:
             raise ValueError(f"need at least one shard, got {shards}")
         self.shards = shards
         self.state_root = state_root
         self.host = host
         self.router_port = router_port
-        self.metric = metric
-        self.n = n
-        self.seed = seed
-        self.lease_ttl = lease_ttl
-        self.snapshot_interval = snapshot_interval
-        self.kernel = kernel
         self.metrics_port = metrics_port
         self.max_restarts = max_restarts
         self.restart_backoff = restart_backoff
@@ -82,9 +74,9 @@ class ClusterSupervisor:
         self.stats_refresh = stats_refresh
         #: ``--codec`` stance for the router's own shard streams.
         self.codec = codec
-        #: Enables shard-to-shard work stealing when set (and there
-        #: is more than one shard to steal from).
-        self.steal_watermark = steal_watermark
+        #: ``repro serve`` flags appended to every shard's command
+        #: line as they are; their names and defaults live in the CLI.
+        self.shard_args = list(shard_args)
         self.router: Optional[ClusterRouter] = None
         self.obs_server: Optional[ObsHttpServer] = None
         self._procs: Dict[int, asyncio.subprocess.Process] = {}
@@ -182,24 +174,18 @@ class ClusterSupervisor:
 
     # -- shard processes ---------------------------------------------
     def _shard_command(self, index: int) -> List[str]:
-        command = [
+        return [
             sys.executable, "-m", "repro", "serve",
             "--host", self.host, "--port", "0",
             "--metrics-port", "0",
-            "--metric", self.metric, "--n", str(self.n),
-            "--seed", str(self.seed), "--kernel", self.kernel,
-            "--lease-ttl", str(self.lease_ttl),
             "--state-dir", self.shard_state_dir(index),
-            "--snapshot-interval", str(self.snapshot_interval),
             "--shard-index", str(index),
             "--shard-count", str(self.shards),
             "--port-file", self._port_file(index),
-        ]
-        if self.steal_watermark is not None and self.shards > 1:
-            command += ["--steal-watermark",
-                        str(self.steal_watermark),
-                        "--cluster-file", self.cluster_file]
-        return command
+            # Read only by a shard that steals: one with a watermark
+            # among ``shard_args`` and a peer (``--shard-count`` > 1).
+            "--cluster-file", self.cluster_file,
+            *self.shard_args]
 
     def _shard_env(self) -> Dict[str, str]:
         env = dict(os.environ)
@@ -302,7 +288,6 @@ class ClusterSupervisor:
                         if self.metrics_port is not None else None),
             "shard_count": self.shards,
             "partition": "job-mod",
-            "steal_watermark": self.steal_watermark,
             "shards": [
                 {"shard": index,
                  "pid": (self._procs[index].pid

@@ -48,10 +48,6 @@ class WorkerCentricScheduler(BaseScheduler):
         ChooseTask(n) candidate-set size; ``1`` = deterministic.
     rng:
         Random stream used by the randomized variants (``n >= 2``).
-    fast_path:
-        Passed through to :class:`PolicyEngine`; ``False`` pins the
-        engine to the reference TaskView scan (decision-identical, for
-        the decision-latency ablation — see docs/performance.md).
     """
 
     #: Worker-centric scheduling handles asynchronously arriving work
@@ -60,11 +56,9 @@ class WorkerCentricScheduler(BaseScheduler):
 
     def __init__(self, job: Job, metric: str = "rest", n: int = 1,
                  rng: Optional[random.Random] = None,
-                 initial_task_ids: Optional[typing.Iterable[int]] = None,
-                 fast_path: bool = True):
+                 initial_task_ids: Optional[typing.Iterable[int]] = None):
         super().__init__(job)
-        self._engine = PolicyEngine(job, metric=metric, n=n, rng=rng,
-                                    fast_path=fast_path)
+        self._engine = PolicyEngine(job, metric=metric, n=n, rng=rng)
         self._initial_ids = (None if initial_task_ids is None
                              else set(initial_task_ids))
         self._parked: List[Tuple["Worker", Event]] = []

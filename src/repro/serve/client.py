@@ -26,21 +26,23 @@ the fetch, ``task.flops / flops_per_sec`` for the compute) it sends
 ``HEARTBEAT`` renewals at the cadence the server advertised, so a slow
 task is never mistaken for a dead worker.
 
-Two throughput levers sit on top of the plain pull loop:
+There is one pull loop, and it is pipelined: a worker executes what
+one ``REQUEST_TASK`` granted, writes each ``TASK_DONE`` without waiting
+for its ACK, merges the grant's cache deltas into one ``FILE_DELTA``
+(no decision happens between the tasks of a grant, so this is
+decision-identical to per-task reports) and piggybacks the next
+``REQUEST_TASK`` on the same write burst, so a grant of k tasks costs
+~one round trip.  The strict in-order request/response protocol makes
+this safe: replies are consumed in send order before the next blocking
+call's reply.  Two throughput levers sit on top:
 
 * **batched pulls** (``batch=k``): ``REQUEST_TASK`` carries
   ``max_tasks`` and the server answers with a ``TASK_BATCH`` of up to
-  k leased tasks, amortizing the request round trip.  Within a batch
-  the worker *pipelines* its reports — ``TASK_DONE`` lines are written
-  without waiting for their ACKs, the batch's cache deltas are merged
-  into one ``FILE_DELTA`` (no decision happens between the tasks of a
-  batch, so this is decision-identical to per-task reports), and the
-  next ``REQUEST_TASK`` piggybacks on the same write burst, so a
-  k-task batch costs ~one round trip instead of ~3k.  The
-  strict in-order request/response protocol makes this safe: replies
-  are consumed in send order before the next blocking call's reply.
-  A server that predates ``max_tasks`` ignores the unknown field and
-  answers a plain ``TASK``; the worker degrades to single-task pulls.
+  k leased tasks.  ``batch=1`` is a batch of one on the older wire
+  shapes — no ``max_tasks``, a plain ``TASK`` back — through the same
+  loop.  A server that predates ``max_tasks`` ignores the unknown
+  field and answers a plain ``TASK`` too; the worker then runs
+  batches of one.
 * **delta aggregation** (:class:`DeltaAggregator`): workers sharing a
   site hand their cache deltas to one site-local aggregator, which
   coalesces overlapping adds/removes against its view of what the
@@ -368,9 +370,9 @@ class WorkerClient:
         #: Client-side event log: the worker's own view of each
         #: assign/delta/complete, for offline timeline reconstruction.
         self.events = events
-        #: Prefetch depth: 1 is the plain v2 single-task pull loop;
-        #: k > 1 sends REQUEST_TASK {max_tasks: k} and pipelines the
-        #: in-batch reports.
+        #: Prefetch depth: k > 1 sends REQUEST_TASK {max_tasks: k} and
+        #: gets a TASK_BATCH; 1 sends no max_tasks and gets a TASK — a
+        #: batch of one through the same pipelined loop.
         self.batch = batch
         #: When set, cache deltas go to this site-local aggregator
         #: instead of straight to the wire (see
@@ -397,7 +399,7 @@ class WorkerClient:
         self.batches_pulled = 0
         self.stop_reason: Optional[str] = None
         self._heartbeat_interval = 0.0
-        #: Leases currently held (a batch minus the tasks already
+        #: Leases currently held (a grant minus the tasks already
         #: reported done); heartbeats renew all of them at once.
         self._held: Set[int] = set()
 
@@ -480,35 +482,24 @@ class WorkerClient:
                 welcome = await conn.hello(self.worker, self.site)
             self.negotiated = conn.negotiated
             self._heartbeat_interval = welcome.heartbeat_interval
-            if self.batch > 1:
-                await self._run_batched(conn)
-            else:
-                while True:
-                    reply = await conn.call(
-                        messages.RequestTask(job_id=self.job_id))
-                    if isinstance(reply, messages.NoTask):
-                        self.stop_reason = reply.reason
-                        break
-                    if not isinstance(reply, messages.TaskAssign):
-                        raise RuntimeError(f"expected TASK, got {reply}")
-                    await self._execute(conn, reply)
+            await self._pull(conn)
         finally:
             await conn.close()
 
-    async def _run_batched(self, conn: _Connection) -> None:
-        """The prefetching pull loop: TASK_BATCH in, pipelined
-        reports out, next REQUEST_TASK piggybacked on the last
-        TASK_DONE write.
+    async def _pull(self, conn: _Connection) -> None:
+        """The pull loop: a grant in, pipelined reports out, the next
+        REQUEST_TASK piggybacked on the last TASK_DONE write.
 
-        The batch's cache deltas are merged into **one** FILE_DELTA
+        The grant's cache deltas are merged into **one** FILE_DELTA
         sent just before the next REQUEST_TASK.  No scheduling
-        decision happens between the tasks of a batch (the next
+        decision happens between the tasks of a grant (the next
         decision is the next REQUEST_TASK, which this write precedes),
         so the merge is decision-identical to per-task reports while
         cutting the wire traffic per task almost in half.
         """
-        request = messages.RequestTask(job_id=self.job_id,
-                                       max_tasks=self.batch)
+        request = messages.RequestTask(
+            job_id=self.job_id,
+            max_tasks=self.batch if self.batch > 1 else None)
         reply = await conn.call(request)
         while True:
             if isinstance(reply, messages.NoTask):
@@ -521,8 +512,7 @@ class WorkerClient:
                 None if self.delta_sink is not None else _DeltaFold())
             try:
                 for assignment in assignments:
-                    await self._execute(conn, assignment,
-                                        pipelined=True, fold=fold)
+                    await self._execute(conn, assignment, fold)
                     self._held.discard(assignment.lease_id)
             finally:
                 self._held = set()
@@ -532,7 +522,7 @@ class WorkerClient:
             # Completion pipelining: this write shares a burst with
             # the merged delta and the TASK_DONEs above; call()
             # drains the pending ACKs (in order) before reading the
-            # batch reply.
+            # next grant.
             reply = await conn.call(request)
 
     @staticmethod
@@ -541,8 +531,8 @@ class WorkerClient:
         if isinstance(reply, messages.TaskBatch):
             return reply.assignments()
         if isinstance(reply, messages.TaskAssign):
-            # A server predating max_tasks ignored the field and
-            # answered a plain TASK: degrade to single-task pulls.
+            # What a pull without max_tasks gets (batch=1), and what a
+            # server predating max_tasks answers to any pull.
             return [reply]
         raise RuntimeError(f"expected TASK_BATCH or TASK, got {reply}")
 
@@ -552,8 +542,7 @@ class WorkerClient:
 
     async def _execute(self, conn: _Connection,
                        assignment: messages.TaskAssign,
-                       pipelined: bool = False,
-                       fold: Optional["_DeltaFold"] = None) -> None:
+                       fold: Optional["_DeltaFold"]) -> None:
         files = assignment.files
         missing = [fid for fid in files if fid not in self.cache]
         self._emit("assign", task_id=assignment.task_id, site=self.site,
@@ -561,43 +550,30 @@ class WorkerClient:
                    lease_id=assignment.lease_id,
                    files=len(files), missing=len(missing))
         if missing and self.seconds_per_file > 0:
-            await self._work(conn, self.seconds_per_file * len(missing),
-                             assignment.lease_id)
+            await self._work(conn, self.seconds_per_file * len(missing))
         delta = self.cache.admit(files)
         self.files_fetched += len(delta["added"])
         if self.delta_sink is not None:
             # Site-local coalescing: the aggregator owns the wire
-            # reporting; no per-task FILE_DELTA round trip at all.
+            # reporting; no FILE_DELTA from this worker at all.
             self.delta_sink.report(added=delta["added"],
                                    removed=delta["removed"],
                                    referenced=list(files))
-        elif fold is not None:
-            # Batched mode: accumulate; _run_batched sends one merged
-            # FILE_DELTA before the next REQUEST_TASK.
-            fold.add(delta["added"], delta["removed"], files)
         else:
-            message = messages.FileDelta(
-                site=self.site, added=delta["added"],
-                removed=delta["removed"], referenced=list(files))
-            if pipelined:
-                conn.send_nowait(message, on_reply=self._expect_ack)
-            else:
-                self._expect_ack(await conn.call(message))
+            # _pull sends one merged FILE_DELTA before the next
+            # REQUEST_TASK.
+            fold.add(delta["added"], delta["removed"], files)
         if delta["added"] or delta["removed"]:
             self._emit("delta", site=self.site,
                        added=len(delta["added"]),
                        removed=len(delta["removed"]),
                        referenced=len(files))
         if assignment.flops and self.flops_per_sec > 0:
-            await self._work(conn, assignment.flops / self.flops_per_sec,
-                             assignment.lease_id)
-        done_message = messages.TaskDone(
-            task_id=assignment.task_id, lease_id=assignment.lease_id)
-        if pipelined:
-            conn.send_nowait(done_message,
-                             on_reply=self._on_done_ack(assignment))
-        else:
-            self._on_done_ack(assignment)(await conn.call(done_message))
+            await self._work(conn, assignment.flops / self.flops_per_sec)
+        conn.send_nowait(
+            messages.TaskDone(task_id=assignment.task_id,
+                              lease_id=assignment.lease_id),
+            on_reply=self._on_done_ack(assignment))
 
     @staticmethod
     def _expect_ack(reply: messages.ServerMessage) -> None:
@@ -620,13 +596,12 @@ class WorkerClient:
                 self.rejected_completions += 1
         return handle
 
-    async def _work(self, conn: _Connection, seconds: float,
-                    lease_id: int) -> None:
-        """Sleep ``seconds``, renewing lease(s) at heartbeat cadence.
+    async def _work(self, conn: _Connection, seconds: float) -> None:
+        """Sleep ``seconds``, renewing leases at heartbeat cadence.
 
-        In batched mode every still-held lease of the batch is
-        renewed, not just the running task's — the prefetched tasks
-        must not expire while an earlier one computes.
+        Every still-held lease of the grant is renewed, not just the
+        running task's — the prefetched tasks must not expire while an
+        earlier one computes.
         """
         loop = asyncio.get_running_loop()
         deadline = loop.time() + seconds
@@ -639,9 +614,8 @@ class WorkerClient:
                 await asyncio.sleep(remaining)
                 return
             await asyncio.sleep(interval)
-            lease_ids = sorted(self._held) or [lease_id]
             reply = await conn.call(
-                messages.Heartbeat(lease_ids=lease_ids))
+                messages.Heartbeat(lease_ids=sorted(self._held)))
             if not isinstance(reply, messages.HeartbeatAck):
                 raise RuntimeError(f"expected HEARTBEAT_ACK, got {reply}")
             self.heartbeats_sent += 1

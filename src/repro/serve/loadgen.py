@@ -16,12 +16,12 @@ router's is the cross-shard aggregate) and optionally drains.
 ``serve_and_load`` bundles server + load into one event loop for
 tests, benchmarks and single-command demos.
 
-Throughput levers (both default off so the plain v2 path stays the
-baseline): ``batch=k`` gives every worker a prefetch depth of k
-(``TASK_BATCH`` pulls with pipelined completions), and
-``aggregate_deltas=True`` routes cache deltas through one site-local
+Throughput levers: ``batch=k`` gives every worker a prefetch depth of
+k (``TASK_BATCH`` pulls; the default 1 is a batch of one through the
+same pipelined loop), and ``aggregate_deltas=True`` routes cache
+deltas through one site-local
 :class:`~repro.serve.client.DeltaAggregator` per site instead of one
-``FILE_DELTA`` round trip per task per worker.
+``FILE_DELTA`` per pull per worker.
 """
 
 from __future__ import annotations

@@ -174,9 +174,7 @@ class SchedulerService:
                  clock: Callable[[], float] = time.monotonic,
                  events: Optional[EventLog] = None,
                  tracer: Optional[DecisionTracer] = None,
-                 fast_path: bool = True,
                  id_start: int = 0, id_stride: int = 1,
-                 wal_events: bool = False,
                  admission_watermark: Optional[int] = None,
                  admission_retry_after: float = 0.25,
                  replicate_tail: bool = False,
@@ -205,12 +203,8 @@ class SchedulerService:
         self._clock = clock
         #: task_id -> Task; also the engine's ``job[id]`` lookup.
         self._table: Dict[int, Task] = {}
-        # ``fast_path=False`` pins the engine to the reference decision
-        # loop — decision-identical but linear in queue depth; only the
-        # latency ablation (``repro serve --kernel reference``) wants it.
         self.engine = PolicyEngine(self._table, metric=metric, n=n,
-                                   rng=random.Random(seed),
-                                   fast_path=fast_path)
+                                   rng=random.Random(seed))
         self.stats = ServeStats()
         self.events = events
         self.tracer = tracer
@@ -279,12 +273,6 @@ class SchedulerService:
         #: ids a standalone server would.
         self._id_start = id_start
         self._id_stride = id_stride
-        #: WAL mode: emitted events carry enough extra fields
-        #: (``submit.specs``, per-id delta lists) that
-        #: :meth:`replay_record` can rebuild the full scheduler state
-        #: from the log alone.  Off by default so non-WAL event logs
-        #: stay byte-stable.
-        self.wal_events = wal_events
         self._next_task_id = id_start
         self._next_job_id = id_start
         self._next_lease_id = 1
@@ -407,13 +395,13 @@ class SchedulerService:
         self._apply_submit(job_id, task_ids, tasks_payload, **extra)
         self.stats.tasks_submitted += len(task_ids)
         self.stats.record_queue_depth(self.queue_depth)
-        if self.wal_events:
-            # Enough to re-create the tasks on replay.
-            extra["specs"] = [
-                {"files": sorted(task.files), "flops": task.flops}
-                for task in map(self._table.__getitem__, task_ids)]
-        self._emit("submit", job_id=job_id, tasks=len(task_ids),
-                   task_ids=task_ids, **extra)
+        if self.events is not None:
+            # ``specs`` is what re-creates the tasks on replay.
+            specs = [{"files": sorted(task.files), "flops": task.flops}
+                     for task in map(self._table.__getitem__, task_ids)]
+            self.events.emit("submit", job_id=job_id,
+                             tasks=len(task_ids), task_ids=task_ids,
+                             specs=specs, **extra)
         self._service_parked()
         return {"job_id": job_id, "task_ids": list(task_ids)}
 
@@ -765,16 +753,14 @@ class SchedulerService:
                                 duplicate_adds=duplicate_adds,
                                 duplicate_removes=duplicate_removes,
                                 latency_s=self._clock() - start)
-        extra = {}
-        if self.wal_events:
-            # Full id lists so replay can re-apply the delta exactly.
-            extra.update(added_ids=list(added),
-                         removed_ids=list(removed),
-                         referenced_ids=list(referenced))
-        self._emit("delta", site=site_id, added=len(added),
-                   removed=len(removed), referenced=len(referenced),
-                   duplicates=duplicate_adds + duplicate_removes,
-                   **extra)
+        if self.events is not None:
+            # The id lists let replay re-apply the delta exactly.
+            self.events.emit(
+                "delta", site=site_id, added=len(added),
+                removed=len(removed), referenced=len(referenced),
+                duplicates=duplicate_adds + duplicate_removes,
+                added_ids=list(added), removed_ids=list(removed),
+                referenced_ids=list(referenced))
 
     # -- lifecycle -------------------------------------------------------
     def disconnect(self, worker: str) -> int:
@@ -1106,7 +1092,6 @@ class SchedulerService:
             "version": self.STATE_VERSION,
             "metric": engine.metric_name,
             "n": engine.n,
-            "fast_path": engine.fast_path,
             "id_start": self._id_start,
             "id_stride": self._id_stride,
             "next_task_id": self._next_task_id,
@@ -1546,7 +1531,7 @@ class SchedulerService:
     }
 
     def replay_record(self, record: Dict) -> bool:
-        """Re-apply one WAL record emitted by a ``wal_events`` service.
+        """Re-apply one record of an event log a service wrote.
 
         Returns True when the record mutated state (``decision``
         records and redundant/duplicate records do not).  Replay is a
@@ -1566,7 +1551,6 @@ class SchedulerService:
             args = [record[name] for name in required.split()]
         except KeyError as missing:
             raise ServiceError(
-                f"{record['event']} record lacks {missing} — was this "
-                f"event log written in WAL mode?") from None
+                f"{record['event']} record lacks {missing}") from None
         return bool(apply(self, *args,
                           *map(record.get, optional.split())))

@@ -109,3 +109,31 @@ def test_load_parser_reuses_config_arguments():
     assert args.tasks == 500
     assert args.sites == 4 and args.workers == 2
     assert not args.no_drain
+
+
+def test_cluster_forwards_its_scheduler_flags_to_every_shard(tmp_path):
+    """The frozen benchmark invocation: what ``repro cluster`` was
+    told about the scheduler arrives, through the supervisor, on each
+    shard's ``repro serve`` command line — defaults included."""
+    from repro.cli import _scheduler_argv
+    from repro.cluster.supervisor import ClusterSupervisor
+
+    parser = build_parser()
+    args = parser.parse_args(
+        ["cluster", "--shards", "2", "--steal-watermark", "4",
+         "--state-root", str(tmp_path), "--port", "0",
+         "--metric", "rest", "--n", "2", "--codec", "binary",
+         "--snapshot-interval", "3600"])
+    supervisor = ClusterSupervisor(
+        shards=args.shards, state_root=args.state_root,
+        shard_args=_scheduler_argv(args))
+    shard = parser.parse_args(supervisor._shard_command(1)[3:])
+    assert (shard.metric, shard.n, shard.seed, shard.lease_ttl,
+            shard.snapshot_interval, shard.steal_watermark) \
+        == ("rest", 2, 0, 30.0, 3600.0, 4)
+    assert (shard.shard_index, shard.shard_count) == (1, 2)
+    assert shard.cluster_file == supervisor.cluster_file
+    assert shard.codec == "auto"  # --codec is the router's, not theirs
+    # No watermark given: none forwarded, stealing stays off.
+    quiet = parser.parse_args(["cluster", "--state-root", str(tmp_path)])
+    assert "--steal-watermark" not in _scheduler_argv(quiet)

@@ -69,12 +69,15 @@ def wait_for_json(path, predicate, deadline, what):
 
 def test_serve_port_zero_reports_bound_ports_via_port_file(tmp_path):
     """Satellite: ``--port 0`` + ``--port-file`` is the ephemeral-port
-    handshake every supervisor-spawned shard relies on."""
+    handshake every supervisor-spawned shard relies on.  The command
+    line is a one-shard cluster's, watermark forwarded and all: with
+    no peer (``--shard-count`` 1) the shard must not arm stealing."""
     port_file = str(tmp_path / "port.json")
     proc, handle = spawn_cli(
         ["serve", "--port", "0", "--metrics-port", "0",
          "--port-file", port_file, "--state-dir",
-         str(tmp_path / "state")],
+         str(tmp_path / "state"), "--steal-watermark", "4",
+         "--cluster-file", str(tmp_path / "cluster.json")],
         str(tmp_path / "serve.log"))
     try:
         ports = wait_for_json(
@@ -102,6 +105,7 @@ def test_serve_port_zero_reports_bound_ports_via_port_file(tmp_path):
                     encoding="utf-8").read()
     assert f"listening on 127.0.0.1:{ports['port']}" in log_text
     assert "recovered from" in log_text  # durability was on
+    assert "work stealing armed" not in log_text
 
 
 def run_cli(args, timeout=60):

@@ -11,8 +11,8 @@ Four groups:
   resolves through the same commit/abort answers a live exchange uses;
 * **bit-identity** — a stealing-enabled service that is never asked
   exports byte-identical state (and RNG stream) to a stealing-off
-  service, and the supervisor refuses to arm stealing on a one-shard
-  cluster;
+  service, and the lone shard of a one-shard cluster never arms
+  stealing;
 * **live e2e** — two real servers over TCP, a
   :class:`~repro.cluster.steal.StealManager` on the idle shard, and a
   clean exactly-once audit with every completion forwarded home.
@@ -20,6 +20,7 @@ Four groups:
 
 import asyncio
 
+from repro.cli import build_parser
 from repro.cluster.shard import open_shard
 from repro.cluster.steal import StealManager
 from repro.cluster.supervisor import ClusterSupervisor
@@ -285,16 +286,21 @@ def test_stealing_enabled_but_never_asked_is_bit_identical():
 
 
 def test_supervisor_arms_stealing_only_with_peers(tmp_path):
-    """One shard has nobody to steal from: the flag must not reach the
-    shard command line (which would change idle-pull behavior)."""
-    solo = ClusterSupervisor(shards=1, state_root=str(tmp_path),
-                             steal_watermark=4)
-    assert "--steal-watermark" not in solo._shard_command(0)
-    duo = ClusterSupervisor(shards=2, state_root=str(tmp_path),
-                            steal_watermark=4)
-    command = duo._shard_command(0)
-    assert "--steal-watermark" in command
-    assert "--cluster-file" in command
+    """The supervisor forwards the watermark as given and always names
+    the topology file; a shard arms stealing only with both *and* a
+    peer.  One shard has nobody to steal from, so what keeps its idle
+    pulls answering ``idle`` is the ``--shard-count 1`` on its command
+    line (``test_cluster_e2e`` runs that lone shard for real)."""
+    for shards in (1, 2):
+        supervisor = ClusterSupervisor(
+            shards=shards, state_root=str(tmp_path),
+            shard_args=["--steal-watermark", "4"])
+        command = supervisor._shard_command(0)
+        assert command[1:4] == ["-m", "repro", "serve"]
+        args = build_parser().parse_args(command[3:])
+        assert args.steal_watermark == 4
+        assert args.cluster_file == supervisor.cluster_file
+        assert args.shard_count == shards
 
 
 # -- live e2e ----------------------------------------------------------------

@@ -217,6 +217,33 @@ def test_timelines_track_reassignment_after_lease_expiry():
     assert line.completed_at == 1005.0
 
 
+def test_timelines_close_the_attempt_whose_lease_the_record_names():
+    """A straggler and its replica are open together: the record's
+    ``lease_id`` says which one ended, and a replica is not a retry."""
+    log = EventLog(clock=fake_clock())
+    log.emit("assign", task_id=5, site=0, worker="slow", lease_id=1)
+    log.emit("assign", task_id=5, site=1, worker="fast", lease_id=2,
+             replica=True)
+    log.emit("complete", task_id=5, worker="slow", lease_id=1)
+    line = task_timelines(log.tail())[5]
+    assert [(a.worker, a.outcome) for a in line.attempts] == [
+        ("slow", "completed"), ("fast", "superseded")]
+    assert line.retries == 0
+    assert line.completed_at == 1002.0
+    assert line.attempts[1].ended_at == 1002.0
+    # The primary's lease lapses under a live replica, which finishes.
+    log = EventLog(clock=fake_clock())
+    log.emit("assign", task_id=6, site=0, worker="slow", lease_id=3)
+    log.emit("assign", task_id=6, site=1, worker="fast", lease_id=4,
+             replica=True)
+    log.emit("lease-expire", task_id=6, lease_id=3, worker="slow")
+    log.emit("complete", task_id=6, worker="fast", lease_id=4)
+    line = task_timelines(log.tail())[6]
+    assert [(a.worker, a.outcome) for a in line.attempts] == [
+        ("slow", "lease-expired"), ("fast", "completed")]
+    assert line.retries == 0
+
+
 def test_timelines_handle_disconnect_requeue_and_open_attempts():
     log = EventLog(clock=fake_clock())
     log.emit("assign", task_id=3, site=0, worker="w0")

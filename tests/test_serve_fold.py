@@ -1,6 +1,6 @@
 """One fold: generated schedules against ``SchedulerService``'s WAL.
 
-A hypothesis state machine drives one WAL-mode service through every
+A hypothesis state machine drives one service through every
 public state change — submits (new / extend / weighted), single and
 batched pulls (scoped, unscoped, tail-replica grants), valid and stale
 completions, heartbeats, lease expiry, disconnects, file deltas, drain,
@@ -50,7 +50,7 @@ def make_service(clock, events=None):
     # even, stolen (foreign) ids odd, and tail pulls may replicate.
     return SchedulerService(metric="combined", n=2, seed=5, clock=clock,
                             lease_ttl=5.0, events=events,
-                            wal_events=True, id_start=0, id_stride=2,
+                            id_start=0, id_stride=2,
                             replicate_tail=True, max_replicas=2,
                             steal_watermark=1)
 
