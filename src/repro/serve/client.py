@@ -2,8 +2,8 @@
 
 Every client here negotiates its wire codec at ``HELLO`` (the
 ``codec=`` kwarg: ``"auto"`` offers binary-then-JSON, ``"json"`` /
-``"binary"`` pin one) and falls back to v2 JSON lines against servers
-that predate negotiation — see :mod:`repro.serve.codec`.
+``"binary"`` pin one) and stays on JSON lines when the reply names no
+codec — see :mod:`repro.serve.codec`.
 
 The clients follow the handshake: ``HELLO`` always carries
 ``accept_redirect``, and the answer says what is behind the address.

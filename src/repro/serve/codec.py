@@ -23,9 +23,10 @@ messages.
 
 Two implementations:
 
-* :class:`JsonLinesCodec` (``json-2``) — the protocol-v2 wire format
-  unchanged: one ``\\n``-terminated UTF-8 JSON object per message.
-  Every v2 peer speaks it, so it is the negotiation fallback.
+* :class:`JsonLinesCodec` (``json-2``) — one ``\\n``-terminated UTF-8
+  JSON object per message.  Every connection starts in it and a
+  ``HELLO`` without ``codecs`` stays in it, so it is the negotiation
+  fallback and the codec to debug with.
 * :class:`BinaryCodec` (``binary-1``) — protocol v3's length-prefixed
   binary frame::
 
@@ -39,13 +40,15 @@ Two implementations:
   body is a compact msgpack-style encoding (stdlib only — ``struct``
   plus bytearrays, no third-party dependency): nil/bool/int/float64/
   str/array/map with the standard fixint/fixstr/fixarray/fixmap short
-  forms.  The hot-path message types additionally get *specialized*
-  struct-packed bodies (``TASK_DONE`` is two ``!Q`` words, an
-  accepted ``ACK`` is one byte, a ``TASK_BATCH`` entry is ``!QQQd``
-  plus its file-id vector) so the per-message Python cost is a couple
-  of C calls instead of a tree walk; the frame's version byte pins
-  the schema, and both schemes round-trip bit-identically to the
-  dataclass form.
+  forms.  That is the ``layout="map"`` body.  The message types
+  declared ``layout="struct"`` instead get a keyless struct-packed
+  body derived from their field list by one rule (``TASK_DONE`` is
+  two ``!Q`` words; see :func:`_derive`), and the per-task
+  messages a hand-written one (an accepted ``ACK`` is one byte, a
+  ``TASK_BATCH`` entry is ``!QQQd`` plus its file-id vector), so the
+  per-message Python cost is a couple of C calls instead of a tree
+  walk; the frame's version byte pins the schema, and both layouts
+  round-trip bit-identically to the dataclass form.
 
 Codecs decode *one direction*: a server feeds with
 ``decodes="client"`` and gets :class:`ClientMessage` instances, a
@@ -57,6 +60,7 @@ inferred from the wire.)
 from __future__ import annotations
 
 import abc
+import operator
 import struct
 from typing import (Any, Callable, ClassVar, Dict, List, Optional,
                     Tuple, Type)
@@ -80,21 +84,15 @@ BINARY_VERSION = 1
 #: clean :class:`ProtocolError` instead of buffering without bound.
 DEFAULT_MAX_FRAME_BYTES = 16 << 20
 
-#: Wire type -> frame type id.  Stable: ids are part of ``binary-1``
-#: and must never be reassigned (add new ids instead).
+#: Wire type -> frame type id, read off the message declarations.
+#: Stable: ids are part of ``binary-1`` and must never be reassigned
+#: (add new ids instead).
 BINARY_TYPE_IDS: Dict[str, int] = {
-    # client -> server
-    wire.HELLO: 1, wire.REQUEST_TASK: 2, wire.TASK_DONE: 3,
-    wire.HEARTBEAT: 4, wire.FILE_DELTA: 5, wire.JOB_SUBMIT: 6,
-    wire.JOB_STATUS: 7, wire.STATS: 8, wire.DRAIN: 9,
-    wire.STEAL_REQUEST: 10, wire.STEAL_ACK: 11, wire.STEAL_DONE: 12,
-    # server -> client
-    wire.WELCOME: 17, wire.TASK: 18, wire.TASK_BATCH: 19,
-    wire.NO_TASK: 20, wire.ACK: 21, wire.HEARTBEAT_ACK: 22,
-    wire.JOB_ACCEPTED: 23, wire.REDIRECT: 24, wire.ERROR: 25,
-    wire.STEAL_GRANT: 26,
+    cls.TYPE: cls.TYPE_ID
+    for registry in (messages.ClientMessage.REGISTRY,
+                     messages.ServerMessage.REGISTRY)
+    for cls in registry.values()
 }
-_ID_TO_TYPE = {type_id: kind for kind, type_id in BINARY_TYPE_IDS.items()}
 
 _HEADER = struct.Struct("!HBBI")
 _HEADER_SIZE = _HEADER.size
@@ -107,15 +105,14 @@ class Codec(abc.ABC):
     name: ClassVar[str] = ""
 
     def __init__(self, decodes: str = "client"):
-        if decodes == "client":
-            self._registry: Dict[str, Type[messages.Message]] = \
-                messages.ClientMessage.REGISTRY
-        elif decodes == "server":
-            self._registry = messages.ServerMessage.REGISTRY
-        else:
+        lifts = {"client": messages.client_from_dict,
+                 "server": messages.server_from_dict}
+        if decodes not in lifts:
             raise ValueError(
                 f"decodes must be 'client' or 'server', got {decodes!r}")
         self.decodes = decodes
+        #: Raw wire dict -> typed message of this codec's direction.
+        self._lift = lifts[decodes]
         self._buffer = bytearray()
 
     # -- the codec API ----------------------------------------------------
@@ -146,17 +143,9 @@ class Codec(abc.ABC):
         self._buffer.clear()
         return tail
 
-    def _lift(self, payload: Dict[str, Any]) -> messages.Message:
-        """Raw wire dict -> typed message of this codec's direction."""
-        cls = self._registry.get(payload["type"])
-        if cls is None:
-            raise ProtocolError(
-                f"unknown {self.decodes} message type {payload['type']!r}")
-        return cls.from_dict(payload)
-
 
 class JsonLinesCodec(Codec):
-    """The v2 wire format: one JSON object per ``\\n``-ended line."""
+    """``json-2``: one JSON object per ``\\n``-ended line."""
 
     name = CODEC_JSON
 
@@ -197,6 +186,7 @@ class JsonLinesCodec(Codec):
 # -- msgpack-style generic body ----------------------------------------------
 
 _F64 = struct.Struct("!d")
+_U8 = struct.Struct("!B")
 _U16 = struct.Struct("!H")
 _U32 = struct.Struct("!I")
 _U64 = struct.Struct("!Q")
@@ -206,7 +196,7 @@ _MAX_U64 = (1 << 64) - 1
 _MIN_I64 = -(1 << 63)
 
 
-def _pack_obj(value: Any, out: bytearray) -> None:
+def _put_obj(value: Any, out: bytearray) -> None:
     """Append ``value`` (JSON-native) in msgpack-style encoding."""
     if value is None:
         out.append(0xC0)
@@ -267,7 +257,7 @@ def _pack_obj(value: Any, out: bytearray) -> None:
             out.append(0xDD)
             out += _U32.pack(size)
         for item in value:
-            _pack_obj(item, out)
+            _put_obj(item, out)
     elif isinstance(value, dict):
         size = len(value)
         if size < 16:
@@ -282,14 +272,24 @@ def _pack_obj(value: Any, out: bytearray) -> None:
             if not isinstance(key, str):
                 raise ProtocolError(
                     f"binary map keys must be strings, got {key!r}")
-            _pack_obj(key, out)
-            _pack_obj(item, out)
+            _put_obj(key, out)
+            _put_obj(item, out)
     else:
         raise ProtocolError(
             f"cannot binary-encode a {type(value).__name__}")
 
 
-def _unpack_obj(buf: bytes, pos: int) -> Tuple[Any, int]:
+#: Tag -> the big-endian word that is the whole value.
+_WORD_TAGS = {0xCB: _F64, 0xCC: _U8, 0xCD: _U16, 0xCE: _U32, 0xCF: _U64,
+              0xD3: _I64}
+#: Tag -> (size word, container) of the sized str / array / map forms.
+_SIZED_TAGS = {0xD9: (_U8, str), 0xDA: (_U16, str), 0xDB: (_U32, str),
+               0xDC: (_U16, list), 0xDD: (_U32, list),
+               0xDE: (_U16, dict), 0xDF: (_U32, dict)}
+_CONSTANT_TAGS = {0xC0: None, 0xC2: False, 0xC3: True}
+
+
+def _take_obj(buf: bytes, pos: int) -> Tuple[Any, int]:
     """Decode one msgpack-style value at ``pos``; returns (value, end)."""
     tag = buf[pos]
     pos += 1
@@ -297,51 +297,39 @@ def _unpack_obj(buf: bytes, pos: int) -> Tuple[Any, int]:
         return tag, pos
     if tag >= 0xE0:                     # negative fixint
         return tag - 0x100, pos
-    if tag <= 0x8F:                     # fixmap
-        return _unpack_map(buf, pos, tag & 0x0F)
-    if tag <= 0x9F:                     # fixarray
-        return _unpack_array(buf, pos, tag & 0x0F)
-    if tag <= 0xBF:                     # fixstr
-        size = tag & 0x1F
-        return _unpack_str(buf, pos, size)
-    if tag == 0xC0:
-        return None, pos
-    if tag == 0xC2:
-        return False, pos
-    if tag == 0xC3:
-        return True, pos
-    if tag == 0xCB:
-        return _F64.unpack_from(buf, pos)[0], pos + 8
-    if tag == 0xCC:
-        return buf[pos], pos + 1
-    if tag == 0xCD:
-        return _U16.unpack_from(buf, pos)[0], pos + 2
-    if tag == 0xCE:
-        return _U32.unpack_from(buf, pos)[0], pos + 4
-    if tag == 0xCF:
-        return _U64.unpack_from(buf, pos)[0], pos + 8
-    if tag == 0xD3:
-        return _I64.unpack_from(buf, pos)[0], pos + 8
-    if tag == 0xD9:
-        return _unpack_str(buf, pos + 1, buf[pos])
-    if tag == 0xDA:
-        return _unpack_str(buf, pos + 2, _U16.unpack_from(buf, pos)[0])
-    if tag == 0xDB:
-        return _unpack_str(buf, pos + 4, _U32.unpack_from(buf, pos)[0])
-    if tag == 0xDC:
-        return _unpack_array(buf, pos + 2,
-                             _U16.unpack_from(buf, pos)[0])
-    if tag == 0xDD:
-        return _unpack_array(buf, pos + 4,
-                             _U32.unpack_from(buf, pos)[0])
-    if tag == 0xDE:
-        return _unpack_map(buf, pos + 2, _U16.unpack_from(buf, pos)[0])
-    if tag == 0xDF:
-        return _unpack_map(buf, pos + 4, _U32.unpack_from(buf, pos)[0])
-    raise ProtocolError(f"unsupported binary tag 0x{tag:02x}")
+    if tag < 0xC0:                      # fixmap / fixarray / fixstr
+        container = dict if tag < 0x90 else list if tag < 0xA0 else str
+        size = tag & (0x1F if container is str else 0x0F)
+    elif tag in _WORD_TAGS:
+        word = _WORD_TAGS[tag]
+        return word.unpack_from(buf, pos)[0], pos + word.size
+    elif tag in _SIZED_TAGS:
+        word, container = _SIZED_TAGS[tag]
+        (size,) = word.unpack_from(buf, pos)
+        pos += word.size
+    elif tag in _CONSTANT_TAGS:
+        return _CONSTANT_TAGS[tag], pos
+    else:
+        raise ProtocolError(f"unsupported binary tag 0x{tag:02x}")
+    if container is str:
+        return _take_str(buf, pos, size)
+    if container is list:
+        items = []
+        for _ in range(size):
+            value, pos = _take_obj(buf, pos)
+            items.append(value)
+        return items, pos
+    pairs = {}
+    for _ in range(size):
+        key, pos = _take_obj(buf, pos)
+        if not isinstance(key, str):
+            raise ProtocolError(
+                f"binary map keys must be strings, got {key!r}")
+        pairs[key], pos = _take_obj(buf, pos)
+    return pairs, pos
 
 
-def _unpack_str(buf: bytes, pos: int, size: int) -> Tuple[str, int]:
+def _take_str(buf: bytes, pos: int, size: int) -> Tuple[str, int]:
     end = pos + size
     if end > len(buf):
         raise ProtocolError("truncated string in binary body")
@@ -351,39 +339,14 @@ def _unpack_str(buf: bytes, pos: int, size: int) -> Tuple[str, int]:
         raise ProtocolError(f"bad UTF-8 in binary body: {exc}") from exc
 
 
-def _unpack_array(buf: bytes, pos: int, size: int) -> Tuple[list, int]:
-    out = []
-    for _ in range(size):
-        value, pos = _unpack_obj(buf, pos)
-        out.append(value)
-    return out, pos
-
-
-def _unpack_map(buf: bytes, pos: int, size: int) -> Tuple[dict, int]:
-    out = {}
-    for _ in range(size):
-        key, pos = _unpack_obj(buf, pos)
-        if not isinstance(key, str):
-            raise ProtocolError(
-                f"binary map keys must be strings, got {key!r}")
-        value, pos = _unpack_obj(buf, pos)
-        out[key] = value
-    return out, pos
-
-
-# -- specialized struct-packed bodies (hot path) ------------------------------
+# -- struct-layout bodies ------------------------------------------------------
 #
-# Field types are guaranteed by the struct formats themselves (an
-# ``!Q`` word *is* a non-negative int), so these decoders skip the
-# dict round trip and the per-field validate() the generic path pays.
-# Every schema below is pinned by BINARY_VERSION.
-
-_Q = struct.Struct("!Q")
-_QQ = struct.Struct("!QQ")
-_TASK_FIXED = struct.Struct("!QQQdd")    # task, lease, job, flops, ttl
-_ENTRY_FIXED = struct.Struct("!QQQd")    # task, lease, job, flops
-_STATUS_FIXED = struct.Struct("!QQQQQB")  # job,tasks,done,pend,out,flag
-
+# A ``layout="struct"`` message carries no map keys: its body is its
+# fields, packed by the one rule of :func:`_derive`.  Field kinds are
+# guaranteed by the struct formats themselves (an ``!Q`` word *is* a
+# non-negative int), so these decoders skip the dict round trip and
+# the per-field validation the map layout pays.  Every body below is
+# pinned by BINARY_VERSION and by ``tests/test_wire_golden.py``.
 
 # Precompiled "!{n}Q" structs for the short vectors that dominate the
 # hot path (a task's files, a heartbeat's leases); longer vectors fall
@@ -391,7 +354,7 @@ _STATUS_FIXED = struct.Struct("!QQQQQB")  # job,tasks,done,pend,out,flag
 _ID_STRUCTS = tuple(struct.Struct("!%dQ" % n) for n in range(1, 17))
 
 
-def _pack_ids(values: List[int], out: bytearray) -> None:
+def _put_ids(values: List[int], out: bytearray) -> None:
     count = len(values)
     out += _U32.pack(count)
     if not count:
@@ -402,7 +365,7 @@ def _pack_ids(values: List[int], out: bytearray) -> None:
         out += struct.pack("!%dQ" % count, *values)
 
 
-def _unpack_ids(body: bytes, pos: int) -> Tuple[List[int], int]:
+def _take_ids(body: bytes, pos: int) -> Tuple[List[int], int]:
     (count,) = _U32.unpack_from(body, pos)
     pos += 4
     if not count:
@@ -419,6 +382,124 @@ def _expect_end(body: bytes, pos: int, kind: str) -> None:
     if pos != len(body):
         raise ProtocolError(
             f"{kind} frame has {len(body) - pos} trailing byte(s)")
+
+
+#: Kinds whose decoded word needs no second look — its format is the
+#: whole of their validation — and that word's struct code.
+_EXACT_WORDS = {messages.u64: "Q", messages.boolean: "?"}
+
+
+def _field_coder(kind: messages.WireType) -> Tuple[Callable, Callable]:
+    """One field kind's ``put(value, out)`` and ``take(body, pos) ->
+    (value, end)`` in the struct layout."""
+    if isinstance(kind, messages.Ids):
+        return _put_ids, _take_ids
+    if isinstance(kind, messages.Enum):
+        values = kind.values
+        codes = {value: code for code, value in enumerate(values)}
+
+        def put_enum(value: str, out: bytearray) -> None:
+            out.append(codes[value])
+
+        def take_enum(body: bytes, pos: int) -> Tuple[str, int]:
+            if body[pos] >= len(values):
+                raise ProtocolError(
+                    f"enum code {body[pos]} is not one of {values}")
+            return values[body[pos]], pos + 1
+        return put_enum, take_enum
+    # KeyError here, at import: the kind has no struct-layout coding
+    # (strings, objects and nested entries ride the map layout).
+    word = struct.Struct("!" + (
+        _EXACT_WORDS.get(kind)
+        or {messages.U64: "Q", messages.F64: "d"}[type(kind)]))
+
+    def put(value: Any, out: bytearray) -> None:
+        out += word.pack(value)
+
+    def take(body: bytes, pos: int) -> Tuple[Any, int]:
+        return word.unpack_from(body, pos)[0], pos + word.size
+    return put, take
+
+
+def _derive(cls: Type[messages.Message]) -> Tuple[Callable, Callable]:
+    """``(pack(message) -> body, unpack(body) -> message)`` of a
+    struct-layout class, by the one rule: a presence byte when the
+    class has ``opt`` fields (at most eight; bit *i* set: the *i*-th
+    optional field follows), then the present fields in declaration
+    order — ``u64`` as ``!Q``, ``f64`` as ``!d``, ``boolean`` as one
+    byte, an ``Enum`` as its position byte, ``ids`` as an ``!I`` count
+    and that many ``!Q`` words."""
+    fields = cls.FIELDS
+    if not fields:
+        # Nothing to carry and, like an unknown JSON field, nothing to
+        # refuse: whatever a newer peer put in the body is ignored.
+        empty = cls()
+        return (lambda message: b""), (lambda body: empty)
+    if len(fields) > 1 and all(field.kind in _EXACT_WORDS
+                               and not field.optional for field in fields):
+        # All fixed-width and exact (TASK_DONE, JOB_STATUS): one word.
+        whole = struct.Struct("!" + "".join(
+            _EXACT_WORDS[field.kind] for field in fields))
+        values_of = operator.attrgetter(*(field.name for field in fields))
+        return ((lambda message: whole.pack(*values_of(message))),
+                (lambda body: cls(*whole.unpack(body))))
+    steps = []
+    bit = 1
+    for name, kind, optional, _required in fields:
+        put, take = _field_coder(kind)
+        exact = kind in _EXACT_WORDS or kind == messages.ids
+        steps.append((name, bit if optional else 0, put, take,
+                      None if exact else kind))
+        if optional:
+            bit <<= 1
+    flagged = bit > 1
+    # A body of at most one byte has at most 257 meanings: each is
+    # decoded once and shared (messages are frozen and compare by
+    # value, so identity is unobservable) — NO_TASK, a bare HEARTBEAT.
+    shared: Dict[bytes, messages.Message] = {}
+
+    def pack(message: messages.Message) -> bytes:
+        out = bytearray(1 if flagged else 0)
+        for name, bit, put, _take, _kind in steps:
+            value = getattr(message, name)
+            if bit:
+                if value is None:
+                    continue
+                out[0] |= bit
+            put(value, out)
+        return bytes(out)
+
+    def unpack(body: bytes) -> messages.Message:
+        if len(body) < 2 and body in shared:
+            return shared[body]
+        pos = 1 if flagged else 0
+        values = []
+        for name, bit, _put, take, kind in steps:
+            value = None
+            if not bit or body[0] & bit:
+                value, pos = take(body, pos)
+                if kind is not None and not kind.accepts(value):
+                    raise ProtocolError(
+                        f"{cls.TYPE}.{name}{kind.problem(value)}")
+            values.append(value)
+        _expect_end(body, pos, cls.TYPE)
+        message = cls(*values)
+        if len(body) < 2:
+            shared[body] = message
+        return message
+    return pack, unpack
+
+
+# The per-task messages of the live benchmark workloads keep a
+# hand-written body.  FILE_DELTA, TASK, TASK_BATCH and ACK pack in an
+# order, or with flag bits, the rule above does not produce, and
+# ``binary-1`` cannot change under deployed peers; REQUEST_TASK is the
+# rule's output written out, kept because the wire microbench says
+# the derived closure is measurably slower.
+
+_Q = struct.Struct("!Q")
+_TASK_FIXED = struct.Struct("!QQQdd")    # task, lease, job, flops, ttl
+_ENTRY_FIXED = struct.Struct("!QQQd")    # task, lease, job, flops
 
 
 def _pack_request_task(m: messages.RequestTask) -> bytes:
@@ -448,39 +529,13 @@ def _unpack_request_task(body: bytes) -> messages.RequestTask:
     return messages.RequestTask(job_id=job_id, max_tasks=max_tasks)
 
 
-def _pack_task_done(m: messages.TaskDone) -> bytes:
-    return _QQ.pack(m.task_id, m.lease_id)
-
-
-def _unpack_task_done(body: bytes) -> messages.TaskDone:
-    task_id, lease_id = _QQ.unpack(body)
-    return messages.TaskDone(task_id=task_id, lease_id=lease_id)
-
-
-def _pack_heartbeat(m: messages.Heartbeat) -> bytes:
-    if m.lease_ids is None:
-        return b"\x00"
-    out = bytearray((1,))
-    _pack_ids(m.lease_ids, out)
-    return bytes(out)
-
-
-def _unpack_heartbeat(body: bytes) -> messages.Heartbeat:
-    if body[0] == 0:
-        _expect_end(body, 1, wire.HEARTBEAT)
-        return messages.Heartbeat()
-    lease_ids, pos = _unpack_ids(body, 1)
-    _expect_end(body, pos, wire.HEARTBEAT)
-    return messages.Heartbeat(lease_ids=lease_ids)
-
-
 def _pack_file_delta(m: messages.FileDelta) -> bytes:
     out = bytearray((1 if m.site is not None else 0,))
     if m.site is not None:
         out += _Q.pack(m.site)
-    _pack_ids(m.added, out)
-    _pack_ids(m.removed, out)
-    _pack_ids(m.referenced, out)
+    _put_ids(m.added, out)
+    _put_ids(m.removed, out)
+    _put_ids(m.referenced, out)
     return bytes(out)
 
 
@@ -490,47 +545,25 @@ def _unpack_file_delta(body: bytes) -> messages.FileDelta:
     if body[0] & 1:
         (site,) = _Q.unpack_from(body, pos)
         pos += 8
-    added, pos = _unpack_ids(body, pos)
-    removed, pos = _unpack_ids(body, pos)
-    referenced, pos = _unpack_ids(body, pos)
+    added, pos = _take_ids(body, pos)
+    removed, pos = _take_ids(body, pos)
+    referenced, pos = _take_ids(body, pos)
     _expect_end(body, pos, wire.FILE_DELTA)
     return messages.FileDelta(added=added, removed=removed,
                               referenced=referenced, site=site)
 
 
-def _pack_status_request(m: messages.JobStatusRequest) -> bytes:
-    return _Q.pack(m.job_id)
-
-
-def _unpack_status_request(body: bytes) -> messages.JobStatusRequest:
-    return messages.JobStatusRequest(job_id=_Q.unpack(body)[0])
-
-
-def _pack_status_reply(m: messages.JobStatusReply) -> bytes:
-    return _STATUS_FIXED.pack(m.job_id, m.tasks, m.completed,
-                              m.pending, m.outstanding,
-                              1 if m.done else 0)
-
-
-def _unpack_status_reply(body: bytes) -> messages.JobStatusReply:
-    job_id, tasks, completed, pending, outstanding, done = \
-        _STATUS_FIXED.unpack(body)
-    return messages.JobStatusReply(
-        job_id=job_id, tasks=tasks, completed=completed,
-        pending=pending, outstanding=outstanding, done=bool(done))
-
-
 def _pack_task_assign(m: messages.TaskAssign) -> bytes:
     out = bytearray(_TASK_FIXED.pack(m.task_id, m.lease_id, m.job_id,
                                      m.flops, m.lease_ttl))
-    _pack_ids(m.files, out)
+    _put_ids(m.files, out)
     return bytes(out)
 
 
 def _unpack_task_assign(body: bytes) -> messages.TaskAssign:
     task_id, lease_id, job_id, flops, lease_ttl = \
         _TASK_FIXED.unpack_from(body, 0)
-    files, pos = _unpack_ids(body, _TASK_FIXED.size)
+    files, pos = _take_ids(body, _TASK_FIXED.size)
     _expect_end(body, pos, wire.TASK)
     return messages.TaskAssign(task_id=task_id, files=files,
                                flops=flops, lease_id=lease_id,
@@ -544,7 +577,7 @@ def _pack_task_batch(m: messages.TaskBatch) -> bytes:
     for entry in m.tasks:
         out += pack_entry(entry["task_id"], entry["lease_id"],
                           entry["job_id"], entry["flops"])
-        _pack_ids(entry["files"], out)
+        _put_ids(entry["files"], out)
     return bytes(out)
 
 
@@ -558,41 +591,12 @@ def _unpack_task_batch(body: bytes) -> messages.TaskBatch:
     for _ in range(count):
         task_id, lease_id, job_id, flops = \
             _ENTRY_FIXED.unpack_from(body, pos)
-        files, pos = _unpack_ids(body, pos + _ENTRY_FIXED.size)
+        files, pos = _take_ids(body, pos + _ENTRY_FIXED.size)
         entries.append({"task_id": task_id, "files": files,
                         "flops": flops, "lease_id": lease_id,
                         "job_id": job_id})
     _expect_end(body, pos, wire.TASK_BATCH)
     return messages.TaskBatch(tasks=entries, lease_ttl=lease_ttl)
-
-
-_REASON_IDS = {wire.REASON_JOB_DONE: 0, wire.REASON_IDLE: 1,
-               wire.REASON_DRAINING: 2}
-_REASON_NAMES = {v: k for k, v in _REASON_IDS.items()}
-
-
-def _pack_no_task(m: messages.NoTask) -> bytes:
-    reason = _REASON_IDS.get(m.reason)
-    if reason is None:
-        raise ProtocolError(f"NO_TASK.reason {m.reason!r} unknown")
-    return bytes((reason,))
-
-
-# Decoded replies with no per-message fields are shared singletons:
-# every message class is a frozen dataclass (immutable, compares by
-# value), so identity is unobservable and construction cost vanishes.
-_NO_TASK_SINGLETONS = {
-    reason_id: messages.NoTask(reason=reason)
-    for reason_id, reason in _REASON_NAMES.items()
-}
-
-
-def _unpack_no_task(body: bytes) -> messages.NoTask:
-    _expect_end(body, 1, wire.NO_TASK)
-    reply = _NO_TASK_SINGLETONS.get(body[0])
-    if reply is None:
-        raise ProtocolError(f"NO_TASK reason id {body[0]} unknown")
-    return reply
 
 
 _ACK_PLAIN = b"\x01"
@@ -633,7 +637,7 @@ def _unpack_ack(body: bytes) -> messages.Ack:
     reason = None
     if flags & 2:
         (size,) = _U16.unpack_from(body, pos)
-        reason, pos = _unpack_str(body, pos + 2, size)
+        reason, pos = _take_str(body, pos + 2, size)
     draining = bool(flags & 8) if flags & 4 else None
     retry_after = None
     if flags & 16:
@@ -644,89 +648,39 @@ def _unpack_ack(body: bytes) -> messages.Ack:
                         draining=draining, retry_after=retry_after)
 
 
-def _pack_heartbeat_ack(m: messages.HeartbeatAck) -> bytes:
-    out = bytearray()
-    _pack_ids(m.renewed, out)
-    _pack_ids(m.expired, out)
-    return bytes(out)
-
-
-def _unpack_heartbeat_ack(body: bytes) -> messages.HeartbeatAck:
-    renewed, pos = _unpack_ids(body, 0)
-    expired, pos = _unpack_ids(body, pos)
-    _expect_end(body, pos, wire.HEARTBEAT_ACK)
-    return messages.HeartbeatAck(renewed=renewed, expired=expired)
-
-
-def _pack_job_accepted(m: messages.JobAccepted) -> bytes:
-    out = bytearray(_Q.pack(m.job_id))
-    _pack_ids(m.task_ids, out)
-    return bytes(out)
-
-
-def _unpack_job_accepted(body: bytes) -> messages.JobAccepted:
-    (job_id,) = _Q.unpack_from(body, 0)
-    task_ids, pos = _unpack_ids(body, 8)
-    _expect_end(body, pos, wire.JOB_ACCEPTED)
-    return messages.JobAccepted(job_id=job_id, task_ids=task_ids)
-
-
-def _pack_empty(_m: messages.Message) -> bytes:
-    return b""
-
-
-#: Concrete message class -> specialized body packer.
-_SPECIAL_PACK: Dict[type, Callable[[Any], bytes]] = {
-    messages.RequestTask: _pack_request_task,
-    messages.TaskDone: _pack_task_done,
-    messages.Heartbeat: _pack_heartbeat,
-    messages.FileDelta: _pack_file_delta,
-    messages.JobStatusRequest: _pack_status_request,
-    messages.StatsRequest: _pack_empty,
-    messages.Drain: _pack_empty,
-    messages.TaskAssign: _pack_task_assign,
-    messages.TaskBatch: _pack_task_batch,
-    messages.NoTask: _pack_no_task,
-    messages.Ack: _pack_ack,
-    messages.HeartbeatAck: _pack_heartbeat_ack,
-    messages.JobAccepted: _pack_job_accepted,
-    messages.JobStatusReply: _pack_status_reply,
+_HAND_WRITTEN: Dict[type, Tuple[Callable, Callable]] = {
+    # every live workload: one per pull.  The rule does produce these
+    # bytes; its closure cost 5 % of bench_serve_throughput's binary rate
+    messages.RequestTask: (_pack_request_task, _unpack_request_task),
+    # coadd_combined_k1: one ~78-id delta per task; `site` rides first
+    messages.FileDelta: (_pack_file_delta, _unpack_file_delta),
+    # hotset_combined_k1 / coadd_combined_k1: the k=1 reply of every pull
+    messages.TaskAssign: (_pack_task_assign, _unpack_task_assign),
+    # wire_rest_k8 / durable_rest_k8: the k=8 reply, nested entries
+    messages.TaskBatch: (_pack_task_batch, _unpack_task_batch),
+    # every live workload: two per task (TASK_DONE, FILE_DELTA answers)
+    messages.Ack: (_pack_ack, _unpack_ack),
 }
 
-_STATS_REQUEST = messages.StatsRequest()  # frozen, field-less
-_DRAIN = messages.Drain()                 # frozen, field-less
 
-#: Per-direction wire type -> specialized body decoder.  ``STATS``
-#: and ``JOB_STATUS`` mean different classes per direction, which is
-#: why the tables are split.
-_SPECIAL_UNPACK_CLIENT: Dict[str, Callable[[bytes], messages.Message]] = {
-    wire.REQUEST_TASK: _unpack_request_task,
-    wire.TASK_DONE: _unpack_task_done,
-    wire.HEARTBEAT: _unpack_heartbeat,
-    wire.FILE_DELTA: _unpack_file_delta,
-    wire.JOB_STATUS: _unpack_status_request,
-    wire.STATS: lambda body: _STATS_REQUEST,
-    wire.DRAIN: lambda body: _DRAIN,
-}
-_SPECIAL_UNPACK_SERVER: Dict[str, Callable[[bytes], messages.Message]] = {
-    wire.TASK: _unpack_task_assign,
-    wire.TASK_BATCH: _unpack_task_batch,
-    wire.NO_TASK: _unpack_no_task,
-    wire.ACK: _unpack_ack,
-    wire.HEARTBEAT_ACK: _unpack_heartbeat_ack,
-    wire.JOB_ACCEPTED: _unpack_job_accepted,
-    wire.JOB_STATUS: _unpack_status_reply,
-}
+#: Every struct-layout class's packer by class, and its unpacker by
+#: decode direction and wire type (``STATS`` and ``JOB_STATUS`` name a
+#: different class each way): hand-written above, else derived.
+_SPECIAL_PACK: Dict[type, Callable] = {}
+_SPECIAL_UNPACK: Dict[str, Dict[str, Callable]] = {"client": {},
+                                                   "server": {}}
+for _side, _base in (("client", messages.ClientMessage),
+                     ("server", messages.ServerMessage)):
+    for _cls in _base.REGISTRY.values():
+        if _cls.LAYOUT == "struct":
+            _SPECIAL_PACK[_cls], _SPECIAL_UNPACK[_side][_cls.TYPE] = \
+                _HAND_WRITTEN.get(_cls) or _derive(_cls)
 
 
 class BinaryCodec(Codec):
     """Protocol v3's length-prefixed binary frames (``binary-1``)."""
 
     name = CODEC_BINARY
-
-    #: type(message) -> (type id, specialized packer or None), filled
-    #: lazily so one dict hit covers both encode-side lookups.
-    _ENCODERS: ClassVar[Dict[type, tuple]] = {}
 
     def __init__(self, decodes: str = "client",
                  max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES):
@@ -735,10 +689,8 @@ class BinaryCodec(Codec):
             raise ValueError(
                 f"max_frame_bytes must be >= 1, got {max_frame_bytes}")
         self.max_frame_bytes = max_frame_bytes
-        special = (_SPECIAL_UNPACK_CLIENT if decodes == "client"
-                   else _SPECIAL_UNPACK_SERVER)
-        self._special = special
-        #: type id -> (wire kind, specialized unpacker or None); one
+        special = _SPECIAL_UNPACK[decodes]
+        #: type id -> (wire kind, struct-layout unpacker or None); one
         #: dict hit covers both decode-side lookups.
         self._decoders = {
             type_id: (kind, special.get(kind))
@@ -746,21 +698,18 @@ class BinaryCodec(Codec):
         }
 
     def encode(self, message: messages.Message) -> bytes:
-        entry = self._ENCODERS.get(type(message))
-        if entry is None:
-            kind = message.TYPE
-            type_id = BINARY_TYPE_IDS.get(kind)
-            if type_id is None:
-                raise ProtocolError(
-                    f"no binary type id for message type {kind!r}")
-            entry = (type_id, _SPECIAL_PACK.get(type(message)))
-            self._ENCODERS[type(message)] = entry
-        type_id, pack = entry
+        pack = _SPECIAL_PACK.get(type(message))
         try:
             if pack is not None:
                 body = pack(message)
             else:
-                body = self._pack_generic(message.to_dict())
+                # The map layout: the wire dict minus ``type``, which
+                # the frame header carries.
+                payload = message.to_dict()
+                del payload["type"]
+                out = bytearray()
+                _put_obj(payload, out)
+                body = bytes(out)
         except (struct.error, KeyError, TypeError,
                 AttributeError) as exc:
             raise ProtocolError(
@@ -769,29 +718,8 @@ class BinaryCodec(Codec):
             raise ProtocolError(
                 f"{message.TYPE} body of {len(body)} bytes exceeds "
                 f"{self.max_frame_bytes}")
-        return _HEADER.pack(MAGIC, BINARY_VERSION, type_id,
+        return _HEADER.pack(MAGIC, BINARY_VERSION, message.TYPE_ID,
                             len(body)) + body
-
-    @staticmethod
-    def _pack_generic(payload: Dict[str, Any]) -> bytes:
-        """Message dict (minus ``type``, carried in the header) ->
-        msgpack-style map body."""
-        out = bytearray()
-        size = len(payload) - 1
-        if size < 16:
-            out.append(0x80 | size)
-        elif size <= 0xFFFF:
-            out.append(0xDE)
-            out += _U16.pack(size)
-        else:
-            out.append(0xDF)
-            out += _U32.pack(size)
-        for key, value in payload.items():
-            if key == "type":
-                continue
-            _pack_obj(key, out)
-            _pack_obj(value, out)
-        return bytes(out)
 
     def _parse(self) -> List[messages.Message]:
         buffer = self._buffer
@@ -841,11 +769,8 @@ class BinaryCodec(Codec):
         try:
             if special is not None:
                 return special(body)
-            payload, pos = _unpack_obj(body, 0)
-            if pos != len(body):
-                raise ProtocolError(
-                    f"{kind} frame has {len(body) - pos} "
-                    f"trailing byte(s)")
+            payload, pos = _take_obj(body, 0)
+            _expect_end(body, pos, kind)
             if not isinstance(payload, dict):
                 raise ProtocolError(
                     f"{kind} body must be a map, "

@@ -1,35 +1,54 @@
-"""Typed message surface of the serve protocol (v3).
+"""Typed message surface of the serve protocol (v3): one declaration
+per wire message.
 
-One frozen dataclass per wire message.  :mod:`repro.serve.protocol`
-stays the thin constants-and-negotiation layer and
-:mod:`repro.serve.codec` the per-connection wire codecs; this module
-gives both the server and the clients a statically-known shape for
-every message instead of raw-dict plumbing:
+Every message is a frozen dataclass declared once, below, through
+:func:`message`: its wire name, its ``binary-1`` type id, its
+direction (the :class:`ClientMessage` / :class:`ServerMessage` base)
+and its ordered fields, each annotated with a word of a small closed
+vocabulary — ``u64`` / ``U64(minimum)``, ``f64``, ``boolean``,
+``string``, ``Enum(...)``, ``ids``, ``opt[...]``,
+``ListOf(Struct(...))`` and the opaque ``json_list`` /
+``json_object``.  That table is the only
+description of a message.  Derived from it:
 
-* a :class:`~repro.serve.codec.Codec` carries these dataclasses over
-  the wire; ``message.encode()`` / :func:`decode_client` /
-  :func:`decode_server` are the JSON-lines single-message shortcuts
-  (``STATS`` and ``JOB_STATUS`` are request *and* reply types, so the
-  registries are per-direction).
-* decoding is **unknown-field tolerant**: fields a newer peer added
-  are ignored, so a v2.x server can talk to a v2.y client as long as
-  the required fields survive.  Missing required fields and
-  wrong-typed values raise :class:`~repro.serve.protocol.ProtocolError`.
-* every value a dataclass holds is JSON-native, so
-  ``decode_*(m.encode())`` round-trips exactly.
+* here — :meth:`Message.from_dict` (field validation),
+  :meth:`Message.to_dict` and the per-direction registries
+  (``STATS`` and ``JOB_STATUS`` are request *and* reply types, so
+  the registries are per-direction);
+* in :mod:`repro.serve.codec` — ``BINARY_TYPE_IDS`` and the binary
+  body of every class (``layout="struct"``: one packing rule applied
+  to the field list; ``layout="map"``: the msgpack-style map of
+  :meth:`Message.to_dict`);
+* in ``tests/test_serve_codec.py`` — the round-trip strategies; in
+  ``docs/architecture.md`` — the message tables, checked by
+  ``tests/test_docs_snippets.py``.
+
+Adding a field to a message is one line in its class.  A class keeps
+a ``_cross_check`` method only for a rule that relates two fields.
+
+Decoding is **unknown-field tolerant**: fields a newer peer added
+are ignored.  Missing required fields and wrong-typed values raise
+:class:`~repro.serve.protocol.ProtocolError`.  Every value a
+dataclass holds is JSON-native, so ``decode_*(m.encode())``
+round-trips exactly.
 """
 
-from __future__ import annotations
-
 import dataclasses
+import math
+import sys
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, List, Optional, Type
+from typing import (Any, Callable, ClassVar, Dict, List, NamedTuple,
+                    Optional, Tuple, Type)
 
 from . import protocol as wire
 from .protocol import ProtocolError
 
 __all__ = [
-    "Message", "ClientMessage", "ServerMessage",
+    "Message", "ClientMessage", "ServerMessage", "message", "Field",
+    # the field-type vocabulary
+    "WireType", "U64", "F64", "Of", "Enum", "Ids", "ListOf", "Struct",
+    "opt", "u64", "f64", "ids", "boolean", "string", "json_list",
+    "json_object",
     # client -> server
     "Hello", "RequestTask", "TaskDone", "Heartbeat", "FileDelta",
     "JobSubmit", "JobStatusRequest", "StatsRequest", "Drain",
@@ -40,91 +59,190 @@ __all__ = [
     "StealGrant",
     # codec entry points
     "decode_client", "decode_server",
-    "client_from_dict", "server_from_dict",
+    "client_from_dict", "server_from_dict", "CLIENT_TYPES",
 ]
 
 
-# -- field validators --------------------------------------------------------
+# -- the field-type vocabulary -----------------------------------------------
 
-def _need_int(kind: str, name: str, value: Any,
-              minimum: Optional[int] = None) -> None:
-    if not wire.is_int(value):
-        raise ProtocolError(f"{kind}.{name} must be an int, "
-                            f"got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ProtocolError(f"{kind}.{name} must be >= {minimum}, "
-                            f"got {value}")
+@dataclass(frozen=True)
+class WireType:
+    """One word of the vocabulary: what values a field may hold.
 
+    A scalar kind gives ``noun`` (formatted with its own parameters)
+    and :meth:`accepts`, the one call the decode path makes per field;
+    a nested kind overrides :meth:`problem` instead, to name the entry
+    at fault.
+    """
 
-def _need_str(kind: str, name: str, value: Any) -> None:
-    if not isinstance(value, str):
-        raise ProtocolError(f"{kind}.{name} must be a string, "
-                            f"got {value!r}")
+    noun: ClassVar[str] = ""
 
+    def accepts(self, value: Any) -> bool:
+        return self.problem(value) is None
 
-def _need_number(kind: str, name: str, value: Any) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ProtocolError(f"{kind}.{name} must be a number, "
-                            f"got {value!r}")
-
-
-def _need_int_list(kind: str, name: str, value: Any) -> None:
-    if not isinstance(value, list) or any(
-            not wire.is_int(item) for item in value):
-        raise ProtocolError(f"{kind}.{name} must be a list of ints")
+    def problem(self, value: Any) -> Optional[str]:
+        """``None`` for an acceptable value, else the error text that
+        follows the field's name (``" must be ..."``)."""
+        if self.accepts(value):
+            return None
+        return (f" must be {self.noun.format(**vars(self))}, "
+                f"got {value!r:.60}")
 
 
-def _need_bool(kind: str, name: str, value: Any) -> None:
-    if not isinstance(value, bool):
-        raise ProtocolError(f"{kind}.{name} must be a bool, "
-                            f"got {value!r}")
+@dataclass(frozen=True)
+class U64(WireType):
+    """An int no less than ``minimum`` (and never a ``bool``, which
+    Python would let pass for one).  The 64-bit ceiling is each
+    codec's own *encode* error: JSON carries any int."""
+
+    minimum: int = 0
+    noun = "an int >= {minimum}"
+
+    def accepts(self, value: Any) -> bool:
+        return wire.is_int(value) and value >= self.minimum
 
 
-def _need_str_list(kind: str, name: str, value: Any) -> None:
-    if not isinstance(value, list) or any(
-            not isinstance(item, str) for item in value):
-        raise ProtocolError(f"{kind}.{name} must be a list of strings")
+@dataclass(frozen=True)
+class F64(WireType):
+    """A finite number a double can hold.  ``json.loads`` parses the
+    bare tokens ``NaN`` and ``Infinity``; no field of the protocol has
+    a use for them and every comparison downstream misbehaves on one."""
+
+    noun = "a finite number"
+
+    def accepts(self, value: Any) -> bool:
+        if isinstance(value, float):
+            return math.isfinite(value)
+        return wire.is_int(value) and abs(value) <= sys.float_info.max
+
+
+@dataclass(frozen=True)
+class Of(WireType):
+    """Any value of one JSON-native Python type.  For the containers
+    that means opaque: the message layer does not look into
+    ``STATS.stats``, and the service validates ``JOB_SUBMIT.tasks``
+    entry by entry."""
+
+    pytype: type
+    what: str
+    noun = "{what}"
+
+    def accepts(self, value: Any) -> bool:
+        return isinstance(value, self.pytype)
+
+
+@dataclass(frozen=True)
+class Enum(WireType):
+    """One of a closed, *ordered* set of strings: the position is the
+    value's ``binary-1`` encoding, so new values go at the end."""
+
+    values: Tuple[str, ...]
+    noun = "one of {values}"
+
+    def __init__(self, *values: str):
+        object.__setattr__(self, "values", values)
+
+    def accepts(self, value: Any) -> bool:
+        return value in self.values
+
+
+@dataclass(frozen=True)
+class Ids(WireType):
+    """A list of at least ``at_least`` ints: file, task or lease ids."""
+
+    at_least: int = 0
+    noun = "a list of >= {at_least} ints"
+
+    def accepts(self, value: Any) -> bool:
+        return (isinstance(value, list) and len(value) >= self.at_least
+                and all(map(wire.is_int, value)))
+
+
+@dataclass(frozen=True)
+class Struct(WireType):
+    """A JSON object with these required keys (extra keys ride along:
+    entries stay plain dicts on the dataclass)."""
+
+    fields: Tuple[Tuple[str, WireType], ...]
+
+    def __init__(self, **fields: WireType):
+        object.__setattr__(self, "fields", tuple(fields.items()))
+
+    def problem(self, value: Any) -> Optional[str]:
+        if not isinstance(value, dict):
+            return f" must be an object, got {value!r:.60}"
+        for key, kind in self.fields:
+            if key not in value:
+                return f" is missing {key!r}"
+            if not kind.accepts(value[key]):
+                return f".{key}{kind.problem(value[key])}"
+        return None
+
+
+@dataclass(frozen=True)
+class ListOf(WireType):
+    """A list of at least ``at_least`` entries, each an ``item``."""
+
+    item: WireType
+    at_least: int = 0
+
+    def problem(self, value: Any) -> Optional[str]:
+        if not isinstance(value, list) or len(value) < self.at_least:
+            return f" must be a list of >= {self.at_least} entries"
+        for entry in value:
+            if not self.item.accepts(entry):
+                return "[]" + self.item.problem(entry)
+        return None
+
+
+@dataclass(frozen=True)
+class opt:
+    """``opt[kind]``: ``None`` — absent, and off the wire — or a
+    ``kind``.  A marker on the declaration, not a kind itself:
+    :func:`message` unwraps it into ``Field.optional``."""
+
+    kind: WireType
+
+    def __class_getitem__(cls, kind: WireType) -> "opt":
+        return cls(kind)
+
+
+u64, f64, ids = U64(), F64(), Ids()
+boolean, string = Of(bool, "a bool"), Of(str, "a string")
+json_list, json_object = Of(list, "a list"), Of(dict, "an object")
+
+
+def _empty() -> Any:
+    """Default of a list field: a fresh ``[]`` per message."""
+    return dataclasses.field(default_factory=list)
 
 
 # -- the base ----------------------------------------------------------------
 
+class Field(NamedTuple):
+    """One row of a message's field table."""
+
+    name: str
+    kind: WireType   #: of a present value (``opt`` already unwrapped)
+    optional: bool   #: declared ``opt[...]``: ``None`` means absent
+    required: bool   #: no default: ``from_dict`` insists on it
+
+
 class Message:
-    """Shared encode/decode machinery; subclasses are frozen dataclasses.
+    """Shared encode/decode machinery, driven by ``cls.FIELDS``."""
 
-    Direction bases (:class:`ClientMessage` / :class:`ServerMessage`)
-    register concrete subclasses by their ``TYPE`` wire constant.
-    """
-
-    TYPE: ClassVar[str] = ""
-
-    @classmethod
-    def _field_specs(cls):
-        """``(name, required)`` per dataclass field, cached per class.
-
-        ``dataclasses.fields()`` rebuilds its tuple on every call,
-        which dominates codec time at wire rates.  The cache must live
-        in ``cls.__dict__`` (not be inherited), and it cannot be
-        precomputed in ``__init_subclass__`` because that hook fires
-        before the ``@dataclass`` decorator runs.
-        """
-        specs = cls.__dict__.get("_FIELD_SPECS")
-        if specs is None:
-            specs = tuple(
-                (spec.name,
-                 spec.default is dataclasses.MISSING
-                 and spec.default_factory is dataclasses.MISSING)
-                for spec in dataclasses.fields(cls))
-            cls._FIELD_SPECS = specs
-        return specs
+    TYPE: ClassVar[str] = ""            #: wire name
+    TYPE_ID: ClassVar[int] = 0          #: ``binary-1`` frame type id
+    LAYOUT: ClassVar[str] = "map"       #: ``binary-1`` body layout
+    FIELDS: ClassVar[Tuple[Field, ...]] = ()
 
     def to_dict(self) -> Dict[str, Any]:
         """The wire dict; ``None``-valued optional fields are omitted."""
         payload: Dict[str, Any] = {"type": self.TYPE}
-        for name, _required in self._field_specs():
+        for name, _kind, _optional, _required in self.FIELDS:
             value = getattr(self, name)
-            if value is None:
-                continue
-            payload[name] = value
+            if value is not None:
+                payload[name] = value
         return payload
 
     def encode(self) -> bytes:
@@ -133,20 +251,31 @@ class Message:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "Message":
-        """Build from a wire dict, ignoring unknown fields."""
+        """Build from a wire dict, ignoring unknown fields; every
+        field present is checked against its declared kind, then the
+        class's cross-field rule if it has one."""
         kwargs = {}
-        for name, required in cls._field_specs():
+        for name, kind, optional, required in cls.FIELDS:
             if name in payload:
-                kwargs[name] = payload[name]
+                value = kwargs[name] = payload[name]
+                if not (kind.accepts(value)
+                        or (value is None and optional)):
+                    raise ProtocolError(
+                        f"{cls.TYPE}.{name}{kind.problem(value)}")
             elif required:
                 raise ProtocolError(
                     f"{cls.TYPE} missing required field {name!r}")
         message = cls(**kwargs)
-        message.validate()
+        message._cross_check()
         return message
 
     def validate(self) -> None:
-        """Field-type checks; subclasses override (raise ProtocolError)."""
+        """Raise ProtocolError unless a peer would accept this
+        message's wire form."""
+        self.from_dict(self.to_dict())
+
+    def _cross_check(self) -> None:
+        """A rule relating two fields; most classes have none."""
 
 
 class ClientMessage(Message):
@@ -154,19 +283,37 @@ class ClientMessage(Message):
 
     REGISTRY: ClassVar[Dict[str, Type["ClientMessage"]]] = {}
 
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        ClientMessage.REGISTRY[cls.TYPE] = cls
-
 
 class ServerMessage(Message):
     """A message the server sends; clients decode these."""
 
     REGISTRY: ClassVar[Dict[str, Type["ServerMessage"]]] = {}
 
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        ServerMessage.REGISTRY[cls.TYPE] = cls
+
+def message(name: str, type_id: int,
+            layout: str = "map") -> Callable[[type], type]:
+    """Declare a wire message: freeze the dataclass, compile its field
+    table from the annotations and enter it in its direction's
+    registry.  ``type_id`` is part of ``binary-1`` and is never
+    reassigned; ``STATS`` and ``JOB_STATUS`` share theirs across the
+    two directions."""
+    def declare(cls: type) -> type:
+        cls = dataclass(frozen=True)(cls)
+        cls.TYPE, cls.TYPE_ID, cls.LAYOUT = name, type_id, layout
+        cls.FIELDS = tuple(
+            Field(spec.name,
+                  spec.type.kind if isinstance(spec.type, opt)
+                  else spec.type,
+                  isinstance(spec.type, opt),
+                  spec.default is dataclasses.MISSING
+                  and spec.default_factory is dataclasses.MISSING)
+            for spec in dataclasses.fields(cls))
+        taken = {other.TYPE_ID for other in cls.REGISTRY.values()}
+        if name in cls.REGISTRY or type_id in taken:
+            raise TypeError(f"{name} / type id {type_id} declared twice")
+        cls.REGISTRY[name] = cls
+        return cls
+    return declare
 
 
 def _from_dict(registry: Dict[str, Type[Message]], direction: str,
@@ -198,101 +345,63 @@ def decode_server(line: bytes) -> "ServerMessage":
 
 # -- client -> server --------------------------------------------------------
 
-@dataclass(frozen=True)
+@message(wire.HELLO, 1)
 class Hello(ClientMessage):
     """Register a connection (worker or control); starts negotiation.
 
     ``accept_redirect`` marks a cluster-aware client: a router may
     answer with ``REDIRECT`` (the shard map) instead of ``WELCOME``.
-    The field is v2-compatible in both directions — a plain shard or
-    standalone server ignores it and answers ``WELCOME`` as always,
-    and old clients that never send it get a clean ``ERROR`` from a
-    router rather than a message they cannot parse.
+    A plain shard or standalone server ignores it and answers
+    ``WELCOME`` as always, and clients that never send it get a clean
+    ``ERROR`` from a router rather than a message they cannot parse.
 
-    ``codecs`` (v3) is the ordered wire-codec capability list, e.g.
-    ``["binary-1", "json-2"]``.  Absent — every v2 client — means JSON
-    lines for the whole connection; the server answers with its pick
-    in ``WELCOME.codec`` / ``REDIRECT.codec`` and both sides switch
-    right after that exchange.
+    ``codecs`` is the ordered wire-codec capability list, e.g.
+    ``["binary-1", "json-2"]``.  Absent means JSON lines for the whole
+    connection; the server answers with its pick in ``WELCOME.codec``
+    / ``REDIRECT.codec`` and both sides switch right after that
+    exchange.
     """
-    TYPE = wire.HELLO
-    worker: str
-    site: int
-    protocol: int = 1  # v1 clients never sent the field
-    accept_redirect: Optional[bool] = None
-    codecs: Optional[List[str]] = None
-
-    def validate(self) -> None:
-        _need_str(self.TYPE, "worker", self.worker)
-        _need_int(self.TYPE, "site", self.site, minimum=0)
-        _need_int(self.TYPE, "protocol", self.protocol, minimum=1)
-        if self.accept_redirect is not None:
-            _need_bool(self.TYPE, "accept_redirect",
-                       self.accept_redirect)
-        if self.codecs is not None:
-            _need_str_list(self.TYPE, "codecs", self.codecs)
+    worker: string
+    site: u64
+    protocol: U64(1) = 1  # v1 clients never sent the field
+    accept_redirect: opt[boolean] = None
+    codecs: opt[ListOf(string)] = None
 
 
-@dataclass(frozen=True)
+@message(wire.REQUEST_TASK, 2, layout="struct")
 class RequestTask(ClientMessage):
     """Pull the next task(s); ``job_id`` scopes the pull to one job.
 
     ``max_tasks`` asks for up to k leased tasks in one ``TASK_BATCH``
-    reply.  The field is v2-compatible in both directions: absent
-    means 1 (and a plain ``TASK`` reply), and a server that predates
-    it ignores the unknown field and degrades to single-task.
+    reply; absent means 1 (and a plain ``TASK`` reply).
     """
-    TYPE = wire.REQUEST_TASK
-    job_id: Optional[int] = None
-    max_tasks: Optional[int] = None
-
-    def validate(self) -> None:
-        if self.job_id is not None:
-            _need_int(self.TYPE, "job_id", self.job_id, minimum=0)
-        if self.max_tasks is not None:
-            _need_int(self.TYPE, "max_tasks", self.max_tasks, minimum=1)
+    job_id: opt[u64] = None
+    max_tasks: opt[U64(1)] = None
 
 
-@dataclass(frozen=True)
+@message(wire.TASK_DONE, 3, layout="struct")
 class TaskDone(ClientMessage):
     """Report a completion; must present the assignment's lease."""
-    TYPE = wire.TASK_DONE
-    task_id: int
-    lease_id: int
-
-    def validate(self) -> None:
-        _need_int(self.TYPE, "task_id", self.task_id, minimum=0)
-        _need_int(self.TYPE, "lease_id", self.lease_id, minimum=0)
+    task_id: u64
+    lease_id: u64
 
 
-@dataclass(frozen=True)
+@message(wire.HEARTBEAT, 4, layout="struct")
 class Heartbeat(ClientMessage):
     """Renew leases; ``lease_ids`` of None renews all held leases."""
-    TYPE = wire.HEARTBEAT
-    lease_ids: Optional[List[int]] = None
-
-    def validate(self) -> None:
-        if self.lease_ids is not None:
-            _need_int_list(self.TYPE, "lease_ids", self.lease_ids)
+    lease_ids: opt[ids] = None
 
 
-@dataclass(frozen=True)
+@message(wire.FILE_DELTA, 5, layout="struct")
 class FileDelta(ClientMessage):
     """A worker's report of its site cache changes."""
-    TYPE = wire.FILE_DELTA
-    added: List[int] = dataclasses.field(default_factory=list)
-    removed: List[int] = dataclasses.field(default_factory=list)
-    referenced: List[int] = dataclasses.field(default_factory=list)
-    site: Optional[int] = None
-
-    def validate(self) -> None:
-        for name in ("added", "removed", "referenced"):
-            _need_int_list(self.TYPE, name, getattr(self, name))
-        if self.site is not None:
-            _need_int(self.TYPE, "site", self.site, minimum=0)
+    added: ids = _empty()
+    removed: ids = _empty()
+    referenced: ids = _empty()
+    site: opt[u64] = None
 
 
-@dataclass(frozen=True)
+@message(wire.JOB_SUBMIT, 6)
 class JobSubmit(ClientMessage):
     """Append a batch of tasks (to job ``job_id`` when given).
 
@@ -302,89 +411,53 @@ class JobSubmit(ClientMessage):
     means the job takes no part in weighting — a server where no job
     carries a weight schedules exactly as before the field existed.
     """
-    TYPE = wire.JOB_SUBMIT
-    tasks: List[dict]
-    job_id: Optional[int] = None
-    weight: Optional[float] = None
+    tasks: json_list
+    job_id: opt[u64] = None
+    weight: opt[f64] = None
 
-    def validate(self) -> None:
-        if not isinstance(self.tasks, list):
-            raise ProtocolError(f"{self.TYPE}.tasks must be a list")
-        if self.job_id is not None:
-            _need_int(self.TYPE, "job_id", self.job_id, minimum=0)
-        if self.weight is not None:
-            _need_number(self.TYPE, "weight", self.weight)
-            if self.weight <= 0:
-                raise ProtocolError(
-                    f"{self.TYPE}.weight must be > 0, "
-                    f"got {self.weight!r}")
+    def _cross_check(self) -> None:
+        if self.weight is not None and self.weight <= 0:
+            raise ProtocolError(
+                f"{self.TYPE}.weight must be > 0, got {self.weight!r}")
 
 
-@dataclass(frozen=True)
+@message(wire.JOB_STATUS, 7, layout="struct")
 class JobStatusRequest(ClientMessage):
-    TYPE = wire.JOB_STATUS
-    job_id: int
-
-    def validate(self) -> None:
-        _need_int(self.TYPE, "job_id", self.job_id, minimum=0)
+    job_id: u64
 
 
-@dataclass(frozen=True)
+@message(wire.STATS, 8, layout="struct")
 class StatsRequest(ClientMessage):
-    TYPE = wire.STATS
+    pass
 
 
-@dataclass(frozen=True)
+@message(wire.DRAIN, 9, layout="struct")
 class Drain(ClientMessage):
-    TYPE = wire.DRAIN
+    pass
 
 
-#: Required keys of one ``STEAL_REQUEST.site_refsums`` entry: one
-#: thief-side site's resident files and their reference counts, so the
-#: victim can score candidate exports with the fast scorers.
-_REFSUM_ENTRY_KEYS = ("site", "files", "refs")
-
-
-@dataclass(frozen=True)
+@message(wire.STEAL_REQUEST, 10)
 class StealRequest(ClientMessage):
     """A drained peer shard asks for pending, unleased tasks.
 
     ``site_refsums`` carries one ``{site, files, refs}`` entry per
     thief-side site (``files[i]`` has been referenced ``refs[i]``
-    times there); the victim exports the tasks whose inputs overlap
-    the thief's caches the most — lowest locality loss.
+    times there), so the victim can score candidate exports with the
+    fast scorers and export the tasks whose inputs overlap the
+    thief's caches the most — lowest locality loss.
     """
-    TYPE = wire.STEAL_REQUEST
-    max_tasks: int
-    site_refsums: List[dict] = dataclasses.field(default_factory=list)
+    max_tasks: U64(1)
+    site_refsums: ListOf(Struct(site=u64, files=ids, refs=ids)) = _empty()
 
-    def validate(self) -> None:
-        _need_int(self.TYPE, "max_tasks", self.max_tasks, minimum=1)
-        if not isinstance(self.site_refsums, list):
-            raise ProtocolError(
-                f"{self.TYPE}.site_refsums must be a list")
+    def _cross_check(self) -> None:
         for entry in self.site_refsums:
-            if not isinstance(entry, dict):
-                raise ProtocolError(
-                    f"{self.TYPE}.site_refsums entries must be objects")
-            for key in _REFSUM_ENTRY_KEYS:
-                if key not in entry:
-                    raise ProtocolError(
-                        f"{self.TYPE} site_refsums entry missing "
-                        f"{key!r}")
-            _need_int(self.TYPE, "site_refsums[].site", entry["site"],
-                      minimum=0)
-            _need_int_list(self.TYPE, "site_refsums[].files",
-                           entry["files"])
-            _need_int_list(self.TYPE, "site_refsums[].refs",
-                           entry["refs"])
             if len(entry["files"]) != len(entry["refs"]):
                 raise ProtocolError(
                     f"{self.TYPE} site_refsums entry files/refs "
                     f"length mismatch")
 
 
-@dataclass(frozen=True)
+@message(wire.STEAL_ACK, 11)
 class StealAck(ClientMessage):
     """The thief durably recorded the grant; commit the export.
 
@@ -394,87 +467,50 @@ class StealAck(ClientMessage):
     requeued the tasks) and the thief must drop it.  Idempotent —
     re-acking an already-committed export answers True again.
     """
-    TYPE = wire.STEAL_ACK
-    export_id: int
-
-    def validate(self) -> None:
-        _need_int(self.TYPE, "export_id", self.export_id, minimum=0)
+    export_id: u64
 
 
-@dataclass(frozen=True)
+@message(wire.STEAL_DONE, 12)
 class StealDone(ClientMessage):
     """Completions of stolen tasks, forwarded to the owning shard.
 
     At-least-once from the thief, idempotent at the victim: a task id
     already completed is counted as a duplicate and ignored.
     """
-    TYPE = wire.STEAL_DONE
-    task_ids: List[int]
-
-    def validate(self) -> None:
-        _need_int_list(self.TYPE, "task_ids", self.task_ids)
-        if not self.task_ids:
-            raise ProtocolError(
-                f"{self.TYPE}.task_ids must be non-empty")
+    task_ids: Ids(at_least=1)
 
 
 # -- server -> client --------------------------------------------------------
 
-@dataclass(frozen=True)
+@message(wire.WELCOME, 17)
 class Welcome(ServerMessage):
     """HELLO ack, carrying the negotiated protocol and lease terms.
 
-    ``codec`` (v3) is the server's pick from ``HELLO.codecs`` — the
-    wire format of every message after this one.  It is only set when
-    the client offered codecs, so v2 clients never see the field.
+    ``codec`` is the server's pick from ``HELLO.codecs`` — the wire
+    format of every message after this one.  It is only set when the
+    client offered codecs.
     """
-    TYPE = wire.WELCOME
-    server: str
-    metric: str
-    n: int
-    protocol: int = wire.PROTOCOL_VERSION
-    lease_ttl: float = 0.0
-    heartbeat_interval: float = 0.0
-    codec: Optional[str] = None
-
-    def validate(self) -> None:
-        _need_str(self.TYPE, "server", self.server)
-        _need_str(self.TYPE, "metric", self.metric)
-        _need_int(self.TYPE, "n", self.n, minimum=1)
-        _need_int(self.TYPE, "protocol", self.protocol, minimum=1)
-        _need_number(self.TYPE, "lease_ttl", self.lease_ttl)
-        _need_number(self.TYPE, "heartbeat_interval",
-                     self.heartbeat_interval)
-        if self.codec is not None:
-            _need_str(self.TYPE, "codec", self.codec)
+    server: string
+    metric: string
+    n: U64(1)
+    protocol: U64(1) = wire.PROTOCOL_VERSION
+    lease_ttl: f64 = 0.0
+    heartbeat_interval: f64 = 0.0
+    codec: opt[string] = None
 
 
-@dataclass(frozen=True)
+@message(wire.TASK, 18, layout="struct")
 class TaskAssign(ServerMessage):
     """An assignment: the task plus the lease that guards it."""
-    TYPE = wire.TASK
-    task_id: int
-    files: List[int]
-    flops: float
-    lease_id: int
-    lease_ttl: float
-    job_id: int
-
-    def validate(self) -> None:
-        _need_int(self.TYPE, "task_id", self.task_id, minimum=0)
-        _need_int_list(self.TYPE, "files", self.files)
-        _need_number(self.TYPE, "flops", self.flops)
-        _need_int(self.TYPE, "lease_id", self.lease_id, minimum=0)
-        _need_number(self.TYPE, "lease_ttl", self.lease_ttl)
-        _need_int(self.TYPE, "job_id", self.job_id, minimum=0)
+    task_id: u64
+    files: ids
+    flops: f64
+    lease_id: u64
+    lease_ttl: f64
+    job_id: u64
 
 
-#: The per-task keys of one ``TASK_BATCH`` entry (``lease_ttl`` is
-#: batch-level: every lease in a batch is granted with the same TTL).
-_BATCH_ENTRY_INT_KEYS = ("task_id", "lease_id", "job_id")
-
-
-@dataclass(frozen=True)
+@message(wire.TASK_BATCH, 19, layout="struct")
 class TaskBatch(ServerMessage):
     """Up to ``max_tasks`` leased assignments in one reply.
 
@@ -482,34 +518,16 @@ class TaskBatch(ServerMessage):
     ``decode(encode())`` round-trips exactly); :meth:`assignments`
     lifts them into per-task :class:`TaskAssign` values, which is what
     clients iterate — every task in a batch carries its own lease and
-    job id, exactly as if it had arrived in its own ``TASK``.
+    job id, exactly as if it had arrived in its own ``TASK``
+    (``lease_ttl`` is batch-level: every lease in a batch is granted
+    with the same TTL).
     """
-    TYPE = wire.TASK_BATCH
-    tasks: List[dict]
-    lease_ttl: float
-
-    def validate(self) -> None:
-        if not isinstance(self.tasks, list) or not self.tasks:
-            raise ProtocolError(
-                f"{self.TYPE}.tasks must be a non-empty list")
-        _need_number(self.TYPE, "lease_ttl", self.lease_ttl)
-        for entry in self.tasks:
-            if not isinstance(entry, dict):
-                raise ProtocolError(
-                    f"{self.TYPE}.tasks entries must be objects")
-            for key in _BATCH_ENTRY_INT_KEYS:
-                if key not in entry:
-                    raise ProtocolError(
-                        f"{self.TYPE} entry missing {key!r}")
-                _need_int(self.TYPE, f"tasks[].{key}", entry[key],
-                          minimum=0)
-            _need_int_list(self.TYPE, "tasks[].files",
-                           entry.get("files"))
-            _need_number(self.TYPE, "tasks[].flops",
-                         entry.get("flops"))
+    tasks: ListOf(Struct(task_id=u64, files=ids, flops=f64, lease_id=u64,
+                         job_id=u64), at_least=1)
+    lease_ttl: f64
 
     def assignments(self) -> List["TaskAssign"]:
-        """The batch as per-task ``TASK`` messages (validated)."""
+        """The batch as per-task ``TASK`` messages."""
         return [TaskAssign(task_id=entry["task_id"],
                            files=entry["files"],
                            flops=entry["flops"],
@@ -519,20 +537,14 @@ class TaskBatch(ServerMessage):
                 for entry in self.tasks]
 
 
-@dataclass(frozen=True)
+@message(wire.NO_TASK, 20, layout="struct")
 class NoTask(ServerMessage):
     """No task will ever come; ``reason`` is a closed enum."""
-    TYPE = wire.NO_TASK
-    reason: str
-
-    def validate(self) -> None:
-        if self.reason not in wire.NO_TASK_REASONS:
-            raise ProtocolError(
-                f"{self.TYPE}.reason must be one of "
-                f"{sorted(wire.NO_TASK_REASONS)}, got {self.reason!r}")
+    reason: Enum(wire.REASON_JOB_DONE, wire.REASON_IDLE,
+                 wire.REASON_DRAINING)
 
 
-@dataclass(frozen=True)
+@message(wire.ACK, 21, layout="struct")
 class Ack(ServerMessage):
     """Success/rejection ack (TASK_DONE / FILE_DELTA / DRAIN).
 
@@ -543,76 +555,42 @@ class Ack(ServerMessage):
     tells the submitter how many seconds to back off before retrying
     the same chunk).
     """
-    TYPE = wire.ACK
-    accepted: bool = True
-    reason: Optional[str] = None
-    draining: Optional[bool] = None
-    retry_after: Optional[float] = None
-
-    def validate(self) -> None:
-        _need_bool(self.TYPE, "accepted", self.accepted)
-        if self.reason is not None:
-            _need_str(self.TYPE, "reason", self.reason)
-        if self.retry_after is not None:
-            _need_number(self.TYPE, "retry_after", self.retry_after)
+    accepted: boolean = True
+    reason: opt[string] = None
+    draining: opt[boolean] = None
+    retry_after: opt[f64] = None
 
 
-@dataclass(frozen=True)
+@message(wire.HEARTBEAT_ACK, 22, layout="struct")
 class HeartbeatAck(ServerMessage):
     """Renewal outcome: which leases renewed, which no longer exist."""
-    TYPE = wire.HEARTBEAT_ACK
-    renewed: List[int] = dataclasses.field(default_factory=list)
-    expired: List[int] = dataclasses.field(default_factory=list)
-
-    def validate(self) -> None:
-        _need_int_list(self.TYPE, "renewed", self.renewed)
-        _need_int_list(self.TYPE, "expired", self.expired)
+    renewed: ids = _empty()
+    expired: ids = _empty()
 
 
-@dataclass(frozen=True)
+@message(wire.JOB_ACCEPTED, 23, layout="struct")
 class JobAccepted(ServerMessage):
-    TYPE = wire.JOB_ACCEPTED
-    job_id: int
-    task_ids: List[int]
-
-    def validate(self) -> None:
-        _need_int(self.TYPE, "job_id", self.job_id, minimum=0)
-        _need_int_list(self.TYPE, "task_ids", self.task_ids)
+    job_id: u64
+    task_ids: ids
 
 
-@dataclass(frozen=True)
+@message(wire.JOB_STATUS, 7, layout="struct")
 class JobStatusReply(ServerMessage):
     """Per-job progress: ``tasks = completed + pending + outstanding``."""
-    TYPE = wire.JOB_STATUS
-    job_id: int
-    tasks: int
-    completed: int
-    pending: int
-    outstanding: int
-    done: bool
-
-    def validate(self) -> None:
-        _need_int(self.TYPE, "job_id", self.job_id, minimum=0)
-        for name in ("tasks", "completed", "pending", "outstanding"):
-            _need_int(self.TYPE, name, getattr(self, name), minimum=0)
-        _need_bool(self.TYPE, "done", self.done)
+    job_id: u64
+    tasks: u64
+    completed: u64
+    pending: u64
+    outstanding: u64
+    done: boolean
 
 
-@dataclass(frozen=True)
+@message(wire.STATS, 8)
 class StatsReply(ServerMessage):
-    TYPE = wire.STATS
-    stats: Dict[str, Any]
-
-    def validate(self) -> None:
-        if not isinstance(self.stats, dict):
-            raise ProtocolError(f"{self.TYPE}.stats must be an object")
+    stats: json_object
 
 
-#: Required keys of one ``REDIRECT.shards`` entry.
-_SHARD_ENTRY_KEYS = ("shard", "host", "port")
-
-
-@dataclass(frozen=True)
+@message(wire.REDIRECT, 24)
 class Redirect(ServerMessage):
     """A cluster router's shard map, answering a cluster-aware HELLO.
 
@@ -622,83 +600,39 @@ class Redirect(ServerMessage):
     data plane; the router connection stays usable for control
     traffic.
     """
-    TYPE = wire.REDIRECT
-    shards: List[dict]
-    shard_count: int
-    partition: str = "job-mod"
-    codec: Optional[str] = None
-
-    def validate(self) -> None:
-        if self.codec is not None:
-            _need_str(self.TYPE, "codec", self.codec)
-        if not isinstance(self.shards, list) or not self.shards:
-            raise ProtocolError(
-                f"{self.TYPE}.shards must be a non-empty list")
-        _need_int(self.TYPE, "shard_count", self.shard_count, minimum=1)
-        _need_str(self.TYPE, "partition", self.partition)
-        for entry in self.shards:
-            if not isinstance(entry, dict):
-                raise ProtocolError(
-                    f"{self.TYPE}.shards entries must be objects")
-            for key in _SHARD_ENTRY_KEYS:
-                if key not in entry:
-                    raise ProtocolError(
-                        f"{self.TYPE} shard entry missing {key!r}")
-            _need_int(self.TYPE, "shards[].shard", entry["shard"],
-                      minimum=0)
-            _need_str(self.TYPE, "shards[].host", entry["host"])
-            _need_int(self.TYPE, "shards[].port", entry["port"],
-                      minimum=1)
+    shards: ListOf(Struct(shard=u64, host=string, port=U64(1)),
+                   at_least=1)
+    shard_count: U64(1)
+    partition: string = "job-mod"
+    codec: opt[string] = None
 
 
-@dataclass(frozen=True)
+@message(wire.ERROR, 25)
 class Error(ServerMessage):
-    TYPE = wire.ERROR
-    error: str
-
-    def validate(self) -> None:
-        _need_str(self.TYPE, "error", self.error)
+    error: string
 
 
-#: Required keys of one ``STEAL_GRANT.tasks`` entry — a bare task
-#: spec, not an assignment: no lease, the thief grants its own.
-_STEAL_ENTRY_KEYS = ("task_id", "job_id")
-
-
-@dataclass(frozen=True)
+@message(wire.STEAL_GRANT, 26)
 class StealGrant(ServerMessage):
     """Reply to ``STEAL_REQUEST``: the exported batch.
 
     The tasks are already removed from the victim's pending queue and
-    the export is WAL-durable before this message is sent.  They keep
-    their original (victim-space) task/job ids — shard id spaces are
-    strided and therefore globally disjoint.  An empty ``tasks`` list
-    (``export_id`` absent) is a refusal: nothing above the victim's
-    own watermark, or stealing raced a drain.
+    the export is WAL-durable before this message is sent.  Each entry
+    is a bare task spec, not an assignment: no lease, the thief grants
+    its own.  They keep their original (victim-space) task/job ids —
+    shard id spaces are strided and therefore globally disjoint.  An
+    empty ``tasks`` list (``export_id`` absent) is a refusal: nothing
+    above the victim's own watermark, or stealing raced a drain.
     """
-    TYPE = wire.STEAL_GRANT
-    tasks: List[dict] = dataclasses.field(default_factory=list)
-    export_id: Optional[int] = None
+    tasks: ListOf(Struct(task_id=u64, job_id=u64, files=ids,
+                         flops=f64)) = _empty()
+    export_id: opt[u64] = None
 
-    def validate(self) -> None:
-        if not isinstance(self.tasks, list):
-            raise ProtocolError(f"{self.TYPE}.tasks must be a list")
+    def _cross_check(self) -> None:
         if self.tasks and self.export_id is None:
             raise ProtocolError(
                 f"{self.TYPE} with tasks must carry export_id")
-        if self.export_id is not None:
-            _need_int(self.TYPE, "export_id", self.export_id, minimum=0)
-        for entry in self.tasks:
-            if not isinstance(entry, dict):
-                raise ProtocolError(
-                    f"{self.TYPE}.tasks entries must be objects")
-            for key in _STEAL_ENTRY_KEYS:
-                if key not in entry:
-                    raise ProtocolError(
-                        f"{self.TYPE} entry missing {key!r}")
-                _need_int(self.TYPE, f"tasks[].{key}", entry[key],
-                          minimum=0)
-            _need_int_list(self.TYPE, "tasks[].files",
-                           entry.get("files"))
-            _need_number(self.TYPE, "tasks[].flops",
-                         entry.get("flops"))
+
+
+#: The wire names a server accepts — a live view of the table.
+CLIENT_TYPES = ClientMessage.REGISTRY.keys()

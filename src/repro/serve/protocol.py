@@ -1,38 +1,37 @@
 """Wire protocol between scheduler daemon and workers (v3).
 
-Messages are typed (one frozen dataclass per message type, in
-:mod:`repro.serve.messages`); *how* they travel is a per-connection
-:class:`~repro.serve.codec.Codec` chosen at ``HELLO`` time.  Strict
-request/response: every client message gets exactly one reply, in
-order, so clients never need to correlate (a parked ``REQUEST_TASK``
-simply delays its reply until a task frees up or the job ends).
+Messages are typed (one frozen dataclass per message type, declared
+once each in :mod:`repro.serve.messages` — that module's field table
+*is* the message catalogue, rendered in ``docs/architecture.md``);
+*how* they travel is a per-connection :class:`~repro.serve.codec.Codec`
+chosen at ``HELLO`` time.  Strict request/response: every client
+message gets exactly one reply, in order, so clients never need to
+correlate (a parked ``REQUEST_TASK`` simply delays its reply until a
+task frees up or the job ends).
 
 This module is the thin constants-and-negotiation layer: wire type
-names, version/codec negotiation, JSON line framing primitives, and
-low-level field validators.  The codec implementations live in
+names, version/codec negotiation and the JSON line framing
+primitives.  The codec implementations live in
 :mod:`repro.serve.codec`.
 
-Protocol version 3 (see ``docs/architecture.md`` for the full
-reference) adds on top of v2:
+What the protocol carries (see ``docs/architecture.md`` for the full
+reference):
 
+* **version negotiation** — ``HELLO`` carries ``protocol``; the
+  server rejects any version but :data:`PROTOCOL_VERSION` with a clean
+  ``ERROR``.
 * **codec negotiation** — ``HELLO`` may carry ``codecs``, an ordered
   capability list (e.g. ``["binary-1", "json-2"]``); the server picks
   the first mutually-supported name, replies with it as
   ``WELCOME.codec`` (or ``REDIRECT.codec`` at a router), and both
   sides switch immediately after that exchange.  A ``HELLO`` without
-  ``codecs`` — every v2 client — keeps JSON lines end to end, so v2
-  peers interoperate unmodified.
+  ``codecs`` keeps JSON lines end to end — the debugging codec: a
+  whole session can be driven from ``nc``.
 * **binary framing** — the ``binary-1`` codec: length-prefixed,
   struct-packed frames (see :mod:`repro.serve.codec`).
 * Connections always *start* in JSON lines; ``HELLO`` itself is never
   binary.  Clients must await the ``HELLO`` reply before sending more
   (pipelining across negotiation is a protocol error).
-
-Protocol version 2 added on top of v1:
-
-* **version negotiation** — ``HELLO`` carries ``protocol``; the
-  server rejects unsupported versions with a clean ``ERROR``.  A v3
-  server accepts ``protocol`` 2 and 3.
 * **leases** — every ``TASK`` reply carries a ``lease_id`` and a TTL;
   ``TASK_DONE`` must present the lease, and ``HEARTBEAT`` renews it.
   An expired lease requeues the task to another worker.
@@ -40,76 +39,6 @@ Protocol version 2 added on top of v1:
   ``job_id``, ``REQUEST_TASK`` can scope to a job, ``JOB_STATUS``
   reports per-job progress, and ``NO_TASK.reason`` is a closed enum
   distinguishing "your job is done" from "server idle/draining".
-
-Client -> server
-----------------
-``HELLO``         ``{worker, site, protocol}`` — register; must precede
-                  the rest.
-``REQUEST_TASK``  ``{job_id?, max_tasks?}`` — pull the next task(s) for
-                  the client's site, optionally scoped to one job.
-                  ``max_tasks`` (v2-compatible: absent means 1) asks
-                  for up to k leased tasks in one ``TASK_BATCH`` reply.
-``TASK_DONE``     ``{task_id, lease_id}`` — a task finished; the lease
-                  must still be valid or the completion is rejected.
-``HEARTBEAT``     ``{lease_ids?}`` — renew leases (all held if omitted).
-``FILE_DELTA``    ``{added, removed, referenced}`` — site cache deltas.
-``JOB_SUBMIT``    ``{tasks: [{files, flops}, ...], job_id?}`` — append
-                  work (to an existing job when ``job_id`` is given).
-``JOB_STATUS``    ``{job_id}`` — per-job completion counters.
-``STATS``         request the observability snapshot.
-``DRAIN``         stop handing out tasks; shut down once idle.
-``STEAL_REQUEST`` ``{max_tasks, site_refsums}`` — a drained peer shard
-                  (the thief) asks this shard (the victim) to export a
-                  batch of pending, unleased tasks; ``site_refsums``
-                  describes the thief's site caches so the victim can
-                  pick the tasks with the lowest locality loss.
-``STEAL_ACK``     ``{export_id}`` — the thief durably recorded the
-                  grant and asks the victim to commit the export.
-                  Answered with ``ACK``: ``accepted`` tells the thief
-                  whether to activate (true) or drop (false) the batch.
-``STEAL_DONE``    ``{task_ids}`` — completions of previously stolen
-                  tasks, forwarded back to the owning shard so per-job
-                  counters stay exact.  Idempotent.
-
-Server -> client
-----------------
-``WELCOME``        hello ack: server name, metric, n, protocol version,
-                   lease TTL and suggested heartbeat interval.
-``TASK``           ``{task_id, files, flops, lease_id, lease_ttl,
-                   job_id}`` — a leased assignment.
-``TASK_BATCH``     ``{tasks: [{task_id, files, flops, lease_id,
-                   job_id}, ...], lease_ttl}`` — up to ``max_tasks``
-                   leased assignments, one lease per task; only ever
-                   sent in reply to a ``REQUEST_TASK`` that carried
-                   ``max_tasks``.
-``NO_TASK``        ``{reason}`` — one of :data:`NO_TASK_REASONS`;
-                   disconnect.  Batched requests get the same closed
-                   enum.
-``ACK``            ``{accepted, reason?}`` — success/rejection for
-                   ``TASK_DONE``/``FILE_DELTA``/``DRAIN``.
-``HEARTBEAT_ACK``  ``{renewed, expired}`` — lease renewal outcome.
-``JOB_ACCEPTED``   ``{job_id, task_ids}`` — globally-assigned task ids.
-``JOB_STATUS``     ``{job_id, tasks, completed, pending, outstanding,
-                   done}`` — the per-job snapshot.
-``STATS``          ``{stats}`` — the snapshot.
-``REDIRECT``       ``{shards, partition, shard_count}`` — cluster
-                   router's answer to a ``HELLO`` that carried
-                   ``accept_redirect``: the shard map (one
-                   ``{shard, host, port}`` entry per shard) plus the
-                   partition rule (``job-mod``: ``job_id %
-                   shard_count`` names the owning shard).  The
-                   connection stays open for control traffic (submit,
-                   status, stats, drain); data-plane messages must go
-                   to the shard.  A ``HELLO`` *without*
-                   ``accept_redirect`` at a router gets a clean
-                   ``ERROR`` — old clients are never silently
-                   misrouted.
-``ERROR``          ``{error}`` — the request was rejected.
-``STEAL_GRANT``    ``{export_id?, tasks}`` — reply to ``STEAL_REQUEST``:
-                   the exported batch (``{task_id, job_id, files,
-                   flops}`` per entry), already removed from the
-                   victim's pending queue and durably WAL-logged.  An
-                   empty ``tasks`` (no ``export_id``) is a refusal.
 """
 
 from __future__ import annotations
@@ -121,13 +50,11 @@ from typing import Any, Dict, Iterable, List, Sequence
 #: The protocol version this codebase offers in its own ``HELLO``.
 PROTOCOL_VERSION = 3
 
-#: ``HELLO.protocol`` values a v3 endpoint accepts.  v2 peers (JSON
-#: lines, no ``codecs`` field) interoperate unmodified.
-SUPPORTED_PROTOCOLS = frozenset({2, 3})
+#: ``HELLO.protocol`` values an endpoint accepts: one generation.
+SUPPORTED_PROTOCOLS = frozenset({PROTOCOL_VERSION})
 
-#: ``"2-3"`` — for ERROR texts during version negotiation.
-SUPPORTED_PROTOCOLS_TEXT = "-".join(
-    str(version) for version in sorted(SUPPORTED_PROTOCOLS))
+#: ``"3"`` — for ERROR texts during version negotiation.
+SUPPORTED_PROTOCOLS_TEXT = str(PROTOCOL_VERSION)
 
 #: Hard cap on one encoded message; JOB_SUBMIT chunks below this.
 MAX_MESSAGE_BYTES = 1 << 20
@@ -159,10 +86,6 @@ REDIRECT = "REDIRECT"
 ERROR = "ERROR"
 STEAL_GRANT = "STEAL_GRANT"
 
-CLIENT_TYPES = frozenset({HELLO, REQUEST_TASK, TASK_DONE, HEARTBEAT,
-                          FILE_DELTA, JOB_SUBMIT, JOB_STATUS, STATS,
-                          DRAIN, STEAL_REQUEST, STEAL_ACK, STEAL_DONE})
-
 #: ``NO_TASK.reason`` is a closed enum — clients may switch on it.
 REASON_JOB_DONE = "job-done"    #: the job you scoped to is complete
 REASON_IDLE = "idle"            #: all submitted work is complete
@@ -179,7 +102,7 @@ REASON_OVERLOADED = "overloaded"
 
 # -- codec negotiation --------------------------------------------------------
 
-#: Negotiation name of the v2 JSON-lines wire format (the fallback
+#: Negotiation name of the JSON-lines wire format (the fallback
 #: every endpoint must speak).
 CODEC_JSON = "json-2"
 #: Negotiation name of the v3 length-prefixed binary frame format.
@@ -204,7 +127,7 @@ def negotiate_codec(offered: Iterable[str],
                     supported: Sequence[str] = DEFAULT_CODECS) -> str:
     """Server-side pick: first of the client's ``offered`` names this
     side supports; JSON lines when nothing matches (or the client
-    offered nothing) — the fallback every v2 peer speaks."""
+    offered nothing) — the fallback every endpoint speaks."""
     supported_set = frozenset(supported)
     for name in offered:
         if name in supported_set:
@@ -272,12 +195,3 @@ def is_int(value: Any) -> bool:
     Python, so ``isinstance(True, int)`` holds and would let ``true``
     masquerade as a file or task id on the wire."""
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def int_list(message: Dict[str, Any], field: str) -> list:
-    """Validate an optional homogeneous list-of-ints field."""
-    value = message.get(field, [])
-    if not isinstance(value, list) or any(
-            not is_int(item) for item in value):
-        raise ProtocolError(f"{field!r} must be a list of ints")
-    return value

@@ -22,8 +22,8 @@ that connection's read loop (already-buffered replies are flushed
 first, so pipelined acks are never held hostage by a parked pull).
 
 Version negotiation: ``HELLO`` must carry a ``protocol`` in
-:data:`~repro.serve.protocol.SUPPORTED_PROTOCOLS` (2 or 3).  Anything
-else gets a clean ``ERROR`` naming the supported range and its
+:data:`~repro.serve.protocol.SUPPORTED_PROTOCOLS` (3).  Anything
+else gets a clean ``ERROR`` naming the supported version and its
 connection is closed — never a crash or a silent hang.  A connection
 says ``HELLO`` once: a repeat is refused the same way, leaving the
 identity its leases are keyed by untouched.  When the
@@ -126,7 +126,7 @@ class FrontEnd:
         #: its own preference order.  JSON lines is always spoken (it
         #: is the pre-negotiation format), so a ``(CODEC_BINARY,)``
         #: restriction only stops *negotiating* json-2, it cannot
-        #: break v2 clients.
+        #: break a client that offers no codecs.
         self.codecs: Sequence[str] = (tuple(codecs) if codecs is not None
                                       else protocol.DEFAULT_CODECS)
         self._server: Optional[asyncio.AbstractServer] = None
@@ -377,7 +377,7 @@ class SchedulerServer(FrontEnd):
                     future.set_result(outcome)
 
             if message.max_tasks is None:
-                # Plain v2 single-task pull: unchanged TASK reply.
+                # Plain single-task pull: a TASK reply.
                 service.request_task(conn.worker_key, conn.site_id,
                                      deliver, job_id=message.job_id)
             else:

@@ -357,8 +357,11 @@ class SchedulerService:
             raise ServiceError(f"unknown job id {job_id!r}")
         if weight is not None and (
                 isinstance(weight, bool)
-                or not isinstance(weight, (int, float)) or weight <= 0):
-            raise ServiceError("'weight' must be a number > 0")
+                or not isinstance(weight, (int, float))
+                or not 0 < weight < float("inf")):
+            # NaN fails both comparisons: a NaN weight would make
+            # every pass value compare false in _pick_weighted_job.
+            raise ServiceError("'weight' must be a finite number > 0")
         if (self._admission_watermark is not None
                 and self.queue_depth + len(tasks_payload)
                 > self._admission_watermark):

@@ -4,6 +4,8 @@ Extracts the README's quickstart Python block and executes it (at a
 reduced task count), and checks the CLI lines it advertises parse.
 """
 
+import dataclasses
+import json
 import re
 from pathlib import Path
 
@@ -70,3 +72,56 @@ def test_experiments_md_cites_existing_artifacts():
     results_dir = README.parent / "benchmarks" / "results"
     for match in set(re.findall(r"`([a-z0-9_]+\.txt)`", experiments)):
         assert (results_dir / match).exists(), f"missing artifact {match}"
+
+
+# -- the wire-message tables of docs/architecture.md --------------------------
+
+def spell(kind):
+    """A field kind in the notation of the docs tables."""
+    from repro.serve import messages
+    if isinstance(kind, messages.U64):
+        return "u64" if kind.minimum == 0 else f"u64≥{kind.minimum}"
+    if isinstance(kind, messages.F64):
+        return "f64"
+    if isinstance(kind, messages.Of):
+        return {bool: "bool", str: "str", dict: "object",
+                list: "array"}[kind.pytype]
+    if isinstance(kind, messages.Enum):
+        return "enum(" + " \\| ".join(kind.values) + ")"
+    if isinstance(kind, messages.Ids):
+        return "ids" + "+" * kind.at_least
+    if isinstance(kind, messages.Struct):
+        return "{" + ", ".join(f"{key}: {spell(item)}"
+                               for key, item in kind.fields) + "}"
+    return f"[{spell(kind.item)}]" + "+" * kind.at_least
+
+
+def message_table_rows(registry):
+    """One markdown row per declared message: name, frame type id,
+    ``binary-1`` body layout, fields (``?`` marks an optional field,
+    ``= value`` a default, in JSON notation)."""
+    for cls in registry.values():
+        cells = []
+        for field, spec in zip(cls.FIELDS, dataclasses.fields(cls)):
+            text = (field.name + ("?" if field.optional else "")
+                    + ": " + spell(field.kind))
+            if not field.optional and not field.required:
+                default = ([] if spec.default is dataclasses.MISSING
+                           else spec.default)
+                text += " = " + json.dumps(default)
+            cells.append(f"`{text}`")
+        yield (f"| `{cls.TYPE}` | {cls.TYPE_ID} | {cls.LAYOUT} | "
+               f"{', '.join(cells) or '—'} |")
+
+
+def test_architecture_documents_every_declared_message_field():
+    """The message tables are the declarations of serve/messages.py,
+    row for row: a field cannot land undocumented.  On failure, paste
+    the printed rows over the table."""
+    from repro.serve import messages
+    text = (README.parent / "docs" / "architecture.md").read_text()
+    for registry in (messages.ClientMessage.REGISTRY,
+                     messages.ServerMessage.REGISTRY):
+        rows = list(message_table_rows(registry))
+        missing = [row for row in rows if row not in text]
+        assert not missing, "docs/architecture.md lacks:\n" + "\n".join(rows)

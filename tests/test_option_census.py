@@ -8,10 +8,16 @@ subcommand (read from ``build_parser()``, ``-v``/``-q`` included,
 ``-h`` not).  A change that adds an option has to raise a number here,
 in the same diff, where a reviewer sees it — and should say which
 option it retires.  A change that removes one lowers it.
+
+The same bookkeeping covers the wire stack (bottom of the file): how
+many message bodies are packed by hand and how many message classes
+carry a rule of their own beside the one field table.
 """
 
 import argparse
+import dataclasses
 import inspect
+import re
 
 import pytest
 
@@ -21,6 +27,7 @@ from repro.cluster.router import ClusterRouter
 from repro.cluster.shard import open_shard
 from repro.cluster.steal import StealManager
 from repro.cluster.supervisor import ClusterSupervisor
+from repro.serve import messages
 from repro.serve.client import WorkerClient
 from repro.serve.loadgen import run_load
 from repro.serve.server import SchedulerServer
@@ -78,3 +85,57 @@ def test_flag_counts_do_not_grow():
     over = {name: flags for name, flags in counted.items()
             if len(flags) > FLAGS[name]}
     assert not over, f"more flags than the census allows: {over}"
+
+
+# -- the wire stack: one description per message ------------------------------
+#
+# Upper bounds that only go down.  A message is declared once in
+# serve/messages.py; what is written out by hand *per message* beside
+# that declaration is counted here.
+
+def declared_messages():
+    return (list(messages.ClientMessage.REGISTRY.values())
+            + list(messages.ServerMessage.REGISTRY.values()))
+
+
+def test_hand_written_packers_do_not_grow():
+    """Hand-written body coders in serve/codec.py.  Message level,
+    ``_pack_<message>`` / ``_unpack_<message>``: 25 before the bodies
+    were derived, now the five per-task pairs.  With the value-level
+    primitives (msgpack object / string, the id vector — named
+    ``_put_*`` / ``_take_*`` after the field-coder signature they
+    share): 32 before, 15 now."""
+    from repro.serve import codec
+    source = inspect.getsource(codec)
+    names = re.findall(r"^def (_(?:un)?pack_\w+)\(", source, re.MULTILINE)
+    assert len(names) <= 10, names
+    primitives = re.findall(r"^def (_(?:put|take)_\w+)\(", source,
+                            re.MULTILINE)
+    assert len(names) + len(primitives) <= 15, names + primitives
+
+
+def test_per_class_validation_is_cross_field_only():
+    """No message class spells out its own field checks (23 did): a
+    class may add ``_cross_check`` for a rule relating two fields."""
+    hooks = [cls.__name__ for cls in declared_messages()
+             if "_cross_check" in vars(cls)]
+    assert len(hooks) <= 3, hooks
+    for cls in declared_messages():
+        assert not {"validate", "from_dict", "to_dict"} & set(vars(cls))
+
+
+def test_every_message_has_one_table_entry():
+    for registry in (messages.ClientMessage.REGISTRY,
+                     messages.ServerMessage.REGISTRY):
+        classes = list(registry.values())
+        assert len({cls.TYPE_ID for cls in classes}) == len(classes)
+        for cls in classes:
+            assert [field.name for field in cls.FIELDS] \
+                == [spec.name for spec in dataclasses.fields(cls)]
+            assert all(isinstance(field.kind, messages.WireType)
+                       for field in cls.FIELDS)
+    # STATS and JOB_STATUS go both ways under one frame type id each.
+    for name in (set(messages.ClientMessage.REGISTRY)
+                 & set(messages.ServerMessage.REGISTRY)):
+        assert messages.ClientMessage.REGISTRY[name].TYPE_ID \
+            == messages.ServerMessage.REGISTRY[name].TYPE_ID

@@ -2,20 +2,22 @@
 
 Three groups:
 
-* **round trips** — a hypothesis property per registered message
-  class, through both codecs (``json-2`` and ``binary-1``), plus a
-  coverage guard so a future message class cannot ship without a
-  round-trip strategy;
+* **round trips** — a hypothesis property over every registered
+  message class, through both codecs (``json-2`` and ``binary-1``);
+  the strategy is derived from the class's field table, so a new
+  message class or field is covered the moment it is declared;
 * **framing** — incremental feeds (byte-at-a-time, arbitrary splits,
   concatenated bursts), truncation, and the clean ``ProtocolError``
   contract for oversized frames, bad magic, bad version, unknown type
   ids, and the deliver-prefix-then-reraise rule;
 * **negotiation e2e** — a mixed-codec fleet against one server, and a
-  v2-era JSON-only client (no ``codecs`` offer) completing a full run
-  against a v3 server, which is the compatibility claim of the PR.
+  JSON-only client (no ``codecs`` offer) completing a full run over
+  the debugging codec.
 """
 
 import asyncio
+import dataclasses
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,8 @@ from repro.serve.codec import (BinaryCodec, Codec, JsonLinesCodec,
 from repro.serve.server import SchedulerServer
 from repro.serve.service import SchedulerService
 
+from test_wire_golden import GOLDEN, codecs_for
+
 TIMEOUT = 60
 
 
@@ -37,139 +41,82 @@ def run(coro):
     return asyncio.run(asyncio.wait_for(coro, timeout=TIMEOUT))
 
 
-# -- strategies, one per registered message class ----------------------------
+# -- strategies, derived from the message declarations ------------------------
 
 _ids = st.integers(min_value=0, max_value=2**63 - 1)
-_id_lists = st.lists(_ids, max_size=4)
 _numbers = st.floats(min_value=0.0, max_value=1e18, allow_nan=False,
                      allow_infinity=False)
-_names = st.text(min_size=1, max_size=12)
 _texts = st.text(max_size=24)
-
-_batch_entries = st.fixed_dictionaries({
-    "task_id": _ids,
-    "files": _id_lists,
-    "flops": _numbers,
-    "lease_id": _ids,
-    "job_id": _ids,
-})
-_shard_entries = st.fixed_dictionaries({
-    "shard": st.integers(min_value=0, max_value=64),
-    "host": _names,
-    "port": st.integers(min_value=1, max_value=65535),
-})
-_stats_values = st.one_of(st.none(), st.booleans(), _ids, _numbers,
-                          _texts)
-# One thief-side residency summary: files[i] referenced refs[i] times
-# (the validator rejects length mismatches, so draw the size once).
-_refsum_entries = st.integers(min_value=0, max_value=4).flatmap(
-    lambda size: st.fixed_dictionaries({
-        "site": st.integers(min_value=0, max_value=1000),
-        "files": st.lists(_ids, min_size=size, max_size=size),
-        "refs": st.lists(st.integers(min_value=0, max_value=1000),
-                         min_size=size, max_size=size),
-    }))
-# A bare exported task spec (no lease — the thief grants its own).
-_steal_specs = st.fixed_dictionaries({
-    "task_id": _ids, "job_id": _ids,
-    "files": _id_lists, "flops": _numbers,
-})
-
-CLASS_STRATEGIES = {
-    messages.Hello: st.builds(
-        messages.Hello, worker=_names,
-        site=st.integers(min_value=0, max_value=1000),
-        protocol=st.integers(min_value=1, max_value=9),
-        accept_redirect=st.none() | st.booleans(),
-        codecs=st.none() | st.lists(_names, max_size=3)),
-    messages.RequestTask: st.builds(
-        messages.RequestTask, job_id=st.none() | _ids,
-        max_tasks=st.none() | st.integers(min_value=1, max_value=64)),
-    messages.TaskDone: st.builds(
-        messages.TaskDone, task_id=_ids, lease_id=_ids),
-    messages.Heartbeat: st.builds(
-        messages.Heartbeat, lease_ids=st.none() | _id_lists),
-    messages.FileDelta: st.builds(
-        messages.FileDelta, added=_id_lists, removed=_id_lists,
-        referenced=_id_lists, site=st.none() | _ids),
-    messages.JobSubmit: st.builds(
-        messages.JobSubmit,
-        tasks=st.lists(st.fixed_dictionaries(
-            {"files": _id_lists, "flops": _numbers}), max_size=3),
-        job_id=st.none() | _ids,
-        weight=st.none() | st.floats(min_value=0.125, max_value=1e6,
-                                     allow_nan=False,
-                                     allow_infinity=False)),
-    messages.JobStatusRequest: st.builds(
-        messages.JobStatusRequest, job_id=_ids),
-    messages.StatsRequest: st.just(messages.StatsRequest()),
-    messages.Drain: st.just(messages.Drain()),
-    messages.StealRequest: st.builds(
-        messages.StealRequest,
-        max_tasks=st.integers(min_value=1, max_value=64),
-        site_refsums=st.lists(_refsum_entries, max_size=3)),
-    messages.StealAck: st.builds(messages.StealAck, export_id=_ids),
-    messages.StealDone: st.builds(
-        messages.StealDone,
-        task_ids=st.lists(_ids, min_size=1, max_size=4)),
-    messages.Welcome: st.builds(
-        messages.Welcome, server=_names, metric=_names,
-        n=st.integers(min_value=1, max_value=16),
-        protocol=st.integers(min_value=1, max_value=9),
-        lease_ttl=_numbers, heartbeat_interval=_numbers,
-        codec=st.none() | _names),
-    messages.TaskAssign: st.builds(
-        messages.TaskAssign, task_id=_ids, files=_id_lists,
-        flops=_numbers, lease_id=_ids, lease_ttl=_numbers,
-        job_id=_ids),
-    messages.TaskBatch: st.builds(
-        messages.TaskBatch,
-        tasks=st.lists(_batch_entries, min_size=1, max_size=4),
-        lease_ttl=_numbers),
-    messages.NoTask: st.builds(
-        messages.NoTask,
-        reason=st.sampled_from(sorted(protocol.NO_TASK_REASONS))),
-    messages.Ack: st.builds(
-        messages.Ack, accepted=st.booleans(),
-        reason=st.none() | _texts, draining=st.none() | st.booleans(),
-        retry_after=st.none() | _numbers),
-    messages.HeartbeatAck: st.builds(
-        messages.HeartbeatAck, renewed=_id_lists, expired=_id_lists),
-    messages.JobAccepted: st.builds(
-        messages.JobAccepted, job_id=_ids, task_ids=_id_lists),
-    messages.JobStatusReply: st.builds(
-        messages.JobStatusReply, job_id=_ids, tasks=_ids,
-        completed=_ids, pending=_ids, outstanding=_ids,
-        done=st.booleans()),
-    messages.StatsReply: st.builds(
-        messages.StatsReply,
-        stats=st.dictionaries(st.text(max_size=8), _stats_values,
-                              max_size=4)),
-    messages.Redirect: st.builds(
-        messages.Redirect,
-        shards=st.lists(_shard_entries, min_size=1, max_size=3),
-        shard_count=st.integers(min_value=1, max_value=64),
-        partition=_names, codec=st.none() | _names),
-    messages.Error: st.builds(messages.Error, error=_texts),
-    # An empty grant is a refusal (export_id optional); a grant with
-    # tasks must carry the export_id the thief will ack.
-    messages.StealGrant: st.one_of(
-        st.builds(messages.StealGrant, tasks=st.just([]),
-                  export_id=st.none() | _ids),
-        st.builds(messages.StealGrant,
-                  tasks=st.lists(_steal_specs, min_size=1,
-                                 max_size=3),
-                  export_id=_ids)),
+_plain = {
+    bool: st.booleans(),
+    str: _texts,
+    dict: st.dictionaries(
+        st.text(max_size=8),
+        st.one_of(st.none(), st.booleans(), _ids, _numbers, _texts),
+        max_size=4),
+    list: st.lists(st.fixed_dictionaries(
+        {"files": st.lists(_ids, max_size=4), "flops": _numbers}),
+        max_size=3),
 }
 
-_any_message = st.one_of(*CLASS_STRATEGIES.values())
+
+def kind_strategy(kind):
+    """Values of one word of the field-type vocabulary."""
+    if isinstance(kind, messages.U64):
+        return st.integers(min_value=kind.minimum, max_value=2**63 - 1)
+    if isinstance(kind, messages.F64):
+        return _numbers
+    if isinstance(kind, messages.Of):
+        return _plain[kind.pytype]
+    if isinstance(kind, messages.Enum):
+        return st.sampled_from(kind.values)
+    if isinstance(kind, messages.Ids):
+        return st.lists(_ids, min_size=kind.at_least, max_size=4)
+    if isinstance(kind, messages.Struct):
+        return st.fixed_dictionaries(
+            {key: kind_strategy(item) for key, item in kind.fields})
+    return st.lists(kind_strategy(kind.item), min_size=kind.at_least,
+                    max_size=3)
 
 
-def test_every_registered_class_has_a_strategy():
-    """A new message class must ship with a round-trip strategy."""
-    registered = (set(messages.ClientMessage.REGISTRY.values())
-                  | set(messages.ServerMessage.REGISTRY.values()))
-    assert registered == set(CLASS_STRATEGIES)
+#: Fields whose cross-field rule independent draws would rarely meet:
+#: ``files[i]`` was referenced ``refs[i]`` times, so draw the size once.
+OVERRIDES = {
+    (messages.StealRequest, "site_refsums"): st.lists(
+        st.integers(min_value=0, max_value=4).flatmap(
+            lambda size: st.fixed_dictionaries({
+                "site": _ids,
+                "files": st.lists(_ids, min_size=size, max_size=size),
+                "refs": st.lists(_ids, min_size=size, max_size=size),
+            })), max_size=3),
+}
+
+
+def _obeys_cross_field_rule(message):
+    try:
+        message._cross_check()
+    except protocol.ProtocolError:
+        return False
+    return True
+
+
+def strategy_for(cls):
+    """Instances of ``cls``, field by field from its table; what the
+    class's cross-field rule refuses is drawn again."""
+    drawn = {}
+    for name, kind, optional, _required in cls.FIELDS:
+        values = OVERRIDES.get((cls, name))
+        if values is None:
+            values = kind_strategy(kind)
+        drawn[name] = st.none() | values if optional else values
+    return st.builds(cls, **drawn).filter(_obeys_cross_field_rule)
+
+
+_any_message = st.one_of(*(
+    strategy_for(cls)
+    for registry in (messages.ClientMessage.REGISTRY,
+                     messages.ServerMessage.REGISTRY)
+    for cls in registry.values()))
 
 
 def _decoder_for(message, codec_name):
@@ -291,6 +238,49 @@ def test_clean_prefix_delivered_then_error_reraised():
         codec.feed(b"")
 
 
+@pytest.mark.parametrize(
+    "message, frame_hex", [case[:2] for case in GOLDEN],
+    ids=[f"{index}-{case[0].TYPE}" for index, case in enumerate(GOLDEN)])
+def test_every_proper_body_prefix_is_a_protocol_error(message, frame_hex):
+    """Containment, derived decoders included.  A golden frame cut
+    short *inside its body*, the length header rewritten to match, is
+    well-framed: only the body decoder stands between those bytes and
+    the service, and it must answer ``ProtocolError`` — never an
+    ``IndexError`` / ``struct.error``, never a decoded message, never
+    a negative count in the text."""
+    frame = bytes.fromhex(frame_hex)
+    for cut in range(len(frame) - 8):
+        binary, _json = codecs_for(message)
+        with pytest.raises(protocol.ProtocolError) as caught:
+            binary.feed(frame[:4] + struct.pack("!I", cut)
+                        + frame[8:8 + cut])
+        assert "-" not in str(caught.value), (cut, str(caught.value))
+
+
+def test_the_struct_rule_checks_what_a_word_cannot():
+    """CHANGES.md's one-line ``NO_TASK.retry_after: opt[f64]``, on a
+    stand-in class: a presence byte appears, and decode applies the
+    declared range (finite, ``>= 1``) the struct words alone accept."""
+    from repro.serve.codec import _derive
+    kinds = (messages.NoTask.FIELDS[0].kind, messages.U64(1), messages.f64)
+    Probe = dataclasses.make_dataclass(
+        "Probe", ["reason", "attempts", ("retry_after", float, None)],
+        namespace={"TYPE": "PROBE", "FIELDS": tuple(
+            messages.Field(name, kind, name == "retry_after", True)
+            for name, kind in zip(("reason", "attempts", "retry_after"),
+                                  kinds))})
+    pack, unpack = _derive(Probe)
+    assert pack(Probe("idle", 2)) == b"\x00\x01" + struct.pack("!Q", 2)
+    full = Probe("draining", 1, 1.5)
+    assert pack(full) == b"\x01\x02" + struct.pack("!Qd", 1, 1.5)
+    assert unpack(pack(full)) == full
+    for body in (b"\x01\x02" + struct.pack("!Qd", 1, float("nan")),
+                 b"\x00\x02" + struct.pack("!Q", 0),
+                 b"\x00\x09" + struct.pack("!Q", 1)):
+        with pytest.raises(protocol.ProtocolError):
+            unpack(body)
+
+
 def test_make_codec_rejects_unknown_name():
     with pytest.raises(protocol.ProtocolError):
         make_codec("zstd-9", decodes="client")
@@ -348,8 +338,11 @@ def test_mixed_codec_fleet_completes_one_job():
 
 
 def test_v2_json_only_client_completes_against_v3_server():
-    """The fallback claim: a protocol-v2 client that never offers
-    ``codecs`` runs a whole job over plain JSON lines."""
+    """The fallback claim, as it stands now that protocol 2 is no
+    longer a generation: a v2-*shaped* client — one that never offers
+    ``codecs`` — says ``protocol: 3`` and runs a whole job over plain
+    JSON lines (``protocol: 2`` itself is refused like v1,
+    ``tests/test_wire_containment.py``)."""
     async def scenario():
         service = SchedulerService(metric="rest", n=1, seed=5)
         server = SchedulerServer(service)
@@ -369,9 +362,9 @@ def test_v2_json_only_client_completes_against_v3_server():
 
             welcome = await call({"type": protocol.HELLO,
                                   "worker": "legacy", "site": 0,
-                                  "protocol": 2})
+                                  "protocol": 3})
             assert welcome["type"] == protocol.WELCOME
-            assert welcome["protocol"] == 2
+            assert welcome["protocol"] == 3
             assert "codec" not in welcome  # nothing was offered
             done = 0
             while True:

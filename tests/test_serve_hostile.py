@@ -11,7 +11,8 @@ from repro.scenario import (Scenario, TenantSpec, WorkerGroup,
                             get_scenario, run_scenario, validate_summary)
 from repro.scenario.catalog import SCENARIOS
 from repro.scenario.summary import percentile
-from repro.serve.service import AdmissionRejected, SchedulerService
+from repro.serve.service import (AdmissionRejected, SchedulerService,
+                                 ServiceError)
 
 
 class FakeClock:
@@ -118,6 +119,17 @@ def test_weight_must_be_positive():
         submit(service, 1, weight=0.0)
     with pytest.raises(Exception):
         submit(service, 1, weight=-2)
+
+
+@pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+def test_weight_must_be_finite(weight):
+    """``nan <= 0`` is false: a range check alone let NaN in, every
+    pass value then compared false against it and the lowest-id job
+    took every pull until it drained."""
+    service = make_service()
+    submit(service, 4, weight=1.0)
+    with pytest.raises(ServiceError, match="finite"):
+        submit(service, 4, weight=weight, first_file=100)
 
 
 # -- straggler tail replication ----------------------------------------------

@@ -80,23 +80,10 @@ def test_codec_offers_maps_cli_options():
         protocol.codec_offers("carrier-pigeon")
 
 
-def test_int_list_validation():
-    message = {"type": protocol.FILE_DELTA, "added": [1, 2], "removed": []}
-    assert protocol.int_list(message, "added") == [1, 2]
-    assert protocol.int_list(message, "referenced") == []
-    with pytest.raises(protocol.ProtocolError):
-        protocol.int_list({"added": [1, "x"]}, "added")
-    with pytest.raises(protocol.ProtocolError):
-        protocol.int_list({"added": 3}, "added")
-
-
-def test_int_list_rejects_booleans():
-    """Regression: ``isinstance(True, int)`` is true in Python, so a
-    JSON ``true`` used to slip through as a file id."""
-    with pytest.raises(protocol.ProtocolError):
-        protocol.int_list({"added": [True]}, "added")
-    with pytest.raises(protocol.ProtocolError):
-        protocol.int_list({"added": [1, False, 2]}, "added")
+def test_is_int_rejects_booleans():
+    """``isinstance(True, int)`` is true in Python, so a JSON ``true``
+    would pass for a file id (the ``ids`` field type's cases are in
+    ``tests/test_serve_messages.py``)."""
     assert protocol.is_int(3) and not protocol.is_int(True)
 
 

@@ -181,6 +181,20 @@ def test_v1_hello_is_refused_with_the_supported_range(front_end):
     run(scenario())
 
 
+def test_v2_hello_is_refused_like_v1(front_end):
+    """Protocol 2 is not a generation any more: the same final ERROR
+    a v1 client gets, from the scheduler and the router alike."""
+    async def scenario():
+        async with front_end() as deployment:
+            reader, writer = await deployment.connect()
+            reply = await expect_final_error(
+                reader, writer, hello(protocol=2))
+            assert "protocol version 2" in reply.error
+            assert protocol.SUPPORTED_PROTOCOLS_TEXT in reply.error
+
+    run(scenario())
+
+
 def test_pipelining_across_negotiation_is_refused(front_end):
     async def scenario():
         async with front_end() as deployment:
