@@ -24,9 +24,13 @@ Two layers:
   maintained refsum order has ~500 ids to re-key every time).
 
   The same run also times the *write* side of the overlap index: the
-  ``index-write`` rows are us per applied Coadd-shaped file delta
-  (~78 ids, each file held by ~8 pending tasks, LRU evictions on)
-  under ``combined`` and ``rest``, gated by the same 30% tolerance.
+  ``index-write`` rows are us per applied file delta — the one
+  ``PolicyEngine.apply_delta`` call ``SchedulerService.file_delta``
+  makes — for the Coadd shape (~78 ids, each file held by ~8 pending
+  tasks, LRU evictions on) under ``combined`` and ``rest``, and for
+  the hot-file shape (one file of 300 per task, so a reference reaches
+  hundreds of pending referers) under ``rest``, which reads no refsum
+  and must not pay for one.  Gated by the same 30% tolerance.
 """
 
 import argparse
@@ -81,7 +85,16 @@ INDEX_WRITE_CONFIG = {
     "cache_files": 600,
     "deltas": 300,
 }
-INDEX_WRITE_METRICS = ("combined", "rest")
+#: The hot-file shape (the live ``wire_rest_k8`` traffic): every task
+#: holds one file of ``file_pool``, so each file has ``pending_tasks /
+#: file_pool`` pending referers, and the cache holds the whole pool —
+#: after warm-up a delta is one reference to a resident file.
+HOT_FILE_CONFIG = {
+    "pending_tasks": 24_000,
+    "file_pool": 300,
+    "cache_files": 600,
+    "deltas": 3_000,
+}
 REGRESSION_TOLERANCE = 0.30
 SPEEDUP_FLOORS = {"overlap": 5.0, "rest": 5.0, "combined": 50.0,
                   "combined-churn": 5.0}
@@ -178,24 +191,41 @@ def run_kernel_sweep(quick):
 
 # -- index-write cost (standalone) -------------------------------------------
 
-def measure_index_write_us(metric, repeats):
-    """Best-of-``repeats`` mean us per applied Coadd-shaped delta.
-
-    Each pass builds a fresh engine, then pulls ``deltas`` tasks: the
-    engine chooses and retires one (untimed — it is what makes the
-    engine build whatever candidate structures its metric reads, as a
-    serving engine would have), the worker's :class:`SiteCacheMirror`
-    turns the task's inputs into a delta, and only applying that delta
-    id by id — the calls ``SchedulerService.file_delta`` makes — is
-    timed.
-    """
-    cfg = INDEX_WRITE_CONFIG
-    clock = time.perf_counter
-    tasks = {
+def coadd_shaped_tasks(cfg):
+    return {
         task_id: Task(task_id, frozenset(
             range(task_id * cfg["file_stride"],
                   task_id * cfg["file_stride"] + cfg["files_per_task"])))
         for task_id in range(cfg["pending_tasks"])}
+
+
+def hot_file_tasks(cfg):
+    rng = random.Random(0)
+    return {task_id: Task(task_id, frozenset(
+                {rng.randrange(cfg["file_pool"])}))
+            for task_id in range(cfg["pending_tasks"])}
+
+
+#: Row name -> (metric, config, pending-set builder).
+INDEX_WRITE_ROWS = {
+    "combined": ("combined", INDEX_WRITE_CONFIG, coadd_shaped_tasks),
+    "rest": ("rest", INDEX_WRITE_CONFIG, coadd_shaped_tasks),
+    "rest-hot-file": ("rest", HOT_FILE_CONFIG, hot_file_tasks),
+}
+
+
+def measure_index_write_us(metric, cfg, tasks, repeats):
+    """Best-of-``repeats`` mean us per applied delta.
+
+    Each pass builds a fresh engine, then pulls ``deltas`` tasks: the
+    engine chooses and retires one (untimed — it is what makes the
+    engine build whatever structures its metric reads, as a serving
+    engine would have), the worker's :class:`SiteCacheMirror` turns
+    the task's inputs into a delta, and only applying that delta — the
+    one ``apply_delta`` call ``SchedulerService.file_delta`` makes — is
+    timed.
+    """
+    clock = time.perf_counter
     best = float("inf")
     for _ in range(repeats):
         engine = PolicyEngine(tasks, metric=metric, n=1,
@@ -211,32 +241,32 @@ def measure_index_write_us(metric, repeats):
             referenced = sorted(task.files)
             delta = cache.admit(referenced)
             start = clock()
-            for fid in delta["removed"]:
-                engine.file_removed(0, fid)
-            for fid in delta["added"]:
-                engine.file_added(0, fid)
-            for fid in referenced:
-                engine.file_referenced(0, fid)
+            engine.apply_delta(0, delta["added"], delta["removed"],
+                               referenced)
             spent += clock() - start
         best = min(best, spent / cfg["deltas"])
     return best * 1e6
 
 
 def run_index_write_sweep(quick):
-    """{metric: us per delta}."""
+    """{row: us per delta}."""
     repeats = 2 if quick else 5
-    return {metric: round(measure_index_write_us(metric, repeats), 2)
-            for metric in INDEX_WRITE_METRICS}
+    return {row: round(measure_index_write_us(metric, cfg, build(cfg),
+                                              repeats), 2)
+            for row, (metric, cfg, build) in INDEX_WRITE_ROWS.items()}
 
 
 def format_index_write_table(results):
     cfg = INDEX_WRITE_CONFIG
+    hot = HOT_FILE_CONFIG
     lines = [
         f"index write: one Coadd-shaped delta "
         f"({cfg['files_per_task']} files/task, "
         f"~{cfg['files_per_task'] / cfg['file_stride']:.0f} pending "
-        f"referers per file, LRU of {cfg['cache_files']})",
-        f"{'metric':>14} {'us/delta':>10}",
+        f"referers per file, LRU of {cfg['cache_files']}); hot-file: "
+        f"1 file of {hot['file_pool']} per task, "
+        f"{hot['pending_tasks']} pending",
+        f"{'row':>14} {'us/delta':>10}",
     ]
     for metric, delta_us in results.items():
         lines.append(f"{metric:>14} {delta_us:>10.1f}")
@@ -266,6 +296,7 @@ def write_baseline(mode, results, index_write):
         "config": {key: value for key, value in KERNEL_CONFIG.items()},
         "decision_us": results,
         "index_write_config": dict(INDEX_WRITE_CONFIG),
+        "hot_file_config": dict(HOT_FILE_CONFIG),
         "index_write_us": index_write,
     }
     BASELINE_PATH.write_text(json.dumps(payload, indent=2) + "\n")

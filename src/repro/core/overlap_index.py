@@ -6,36 +6,47 @@ run and dominates simulation time, so the scheduler instead maintains,
 per site:
 
 * ``overlap[t] = |F_t|`` for every pending task with nonzero overlap,
-* ``refsum[t] = ref_t = Σ_{i ∈ F_t} r_i`` for the same tasks,
-* the aggregates ``totalRef`` and ``totalRest`` over *all* pending
-  tasks,
+* the aggregate ``totalRest`` over *all* pending tasks,
+* and, **once a decision has asked for them**, ``refsum[t] = ref_t =
+  Σ_{i ∈ F_t} r_i`` for the same tasks with its aggregate
+  ``totalRef`` — of the paper's three metrics only ``combined`` reads
+  either,
 
-updated from storage insert/evict/touch notifications through an
-inverted file → pending-tasks index.  Each storage change costs
-O(tasks referencing that file) — about 9 for Coadd — instead of O(T·I)
-per request.
+updated from storage changes through an inverted file → pending-tasks
+index.  A change arrives either file by file — the insert/evict/touch
+notifications of a simulated :class:`~repro.grid.storage.SiteStorage`,
+each costing O(tasks referencing that file), about 9 for Coadd,
+instead of O(T·I) per request — or as one whole worker report
+(:meth:`OverlapIndex.apply_delta`, the live service's path), which
+first adds up what the report changes per task and then visits each
+affected task once.  Whatever moves an overlap count ends in the same
+per-task arithmetic (:meth:`OverlapIndex._fold`).
 
 :meth:`OverlapIndex.view` then assembles the O(1)
 :class:`~repro.core.metrics.TaskView` a metric needs, and the naive
 recomputation (:meth:`naive_overlap`, :meth:`naive_refsum`) is kept for
 cross-checking in tests and the index-vs-rescan ablation benchmark.
 
-On top of the per-task counters a site may carry up to three ranked
-candidate structures, each **built only when a decision asks for it**
-and maintained from then on: two
+Besides the overlap counts a site may carry up to four more
+structures, each **built only when a decision asks for it** and
+maintained from then on.  The refsums above
+(:meth:`OverlapIndex.refsums`, :meth:`total_refsum`), rebuilt from the
+resident files' reference counts: a reference to a hot file moves
+``ref_t`` of every pending referer, which a ``rest`` or ``overlap``
+engine would pay on every report for numbers it never reads.  Two
 :class:`~repro.core.candidates.CandidateBuckets` — overlap-count →
 task ids (:meth:`OverlapIndex.candidates_by_overlap`, the ``overlap``
 metric's walk) and missing-count → task ids
 (:meth:`OverlapIndex.candidates_by_missing`, ``rest``'s walk and the
 groups of ``combined``'s order) — kept in step with ``overlap[t]`` by
-every event once they exist, and the
+every event once they exist.  And the
 :class:`~repro.core.candidates.RefsumOrder`
 (:meth:`OverlapIndex.refsum_order`), for which events merely mark the
-ids they touched — one reference to a hot file moves ``refsum[t]`` of
-all its pending referers, so eager re-keying would tax every write.
+ids they touched, so that the re-keying is paid by the decision that
+walks the order and not by every write.
 Until asked, each is ``None`` and an event pays one test for it: a
 ``combined`` engine over the paper's Coadd job (candidate maps of tens
-of tasks, always scanned) carries none of the three, a ``rest`` engine
+of tasks, always scanned) carries only the refsums, a ``rest`` engine
 only the missing-count buckets.  See ``docs/performance.md``.
 
 ``totalRest`` decomposes as::
@@ -60,9 +71,12 @@ larger than ``M`` rescales the numerators once.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import partial
+from itertools import chain
 from math import lcm
-from typing import Dict, Iterable, KeysView, List, Optional, Set
+from typing import (Dict, Iterable, KeysView, List, Mapping, Optional,
+                    Sequence, Set)
 
 from ..grid.job import Job, Task
 from ..grid.storage import SiteStorage
@@ -80,8 +94,11 @@ class _SiteState:
     def __init__(self, storage: SiteStorage):
         self.storage = storage
         self.overlap: Dict[int, int] = {}
-        self.refsum: Dict[int, float] = {}
-        self.total_refsum = 0.0
+        #: ``ref_t`` of the same tasks and its sum, read by ``combined``
+        #: alone: None until first asked for (see
+        #: :meth:`OverlapIndex.refsums`), then kept by every event.
+        self.refsum: Optional[Dict[int, float]] = None
+        self.total_refsum: Optional[float] = None
         #: Numerator over the index's denominator of the sum, over
         #: overlapped tasks, of rest(missing) - rest(|t|).
         self.rest_correction = 0
@@ -89,9 +106,9 @@ class _SiteState:
         #: (exactly the key set of ``overlap``): buckets by overlap
         #: count (``overlap`` walks them descending), buckets by
         #: missing count (``rest`` walks them ascending) and the same
-        #: candidates ordered for ``combined``.  Each is None until a
-        #: decision at this site asks for it; while None, events pay
-        #: one test for it and nothing else.  Zero-overlap tasks stay
+        #: candidates ordered for ``combined``.  Like the refsums, each
+        #: is None until a decision at this site asks for it; while
+        #: None, events pay one test for it and nothing else.  Zero-overlap tasks stay
         #: on the engine's shared zero-candidate heap.
         self.by_overlap: Optional[CandidateBuckets] = None
         self.by_missing: Optional[CandidateBuckets] = None
@@ -190,13 +207,15 @@ class OverlapIndex:
             if ov:
                 state.overlap[tid] = ov
                 state.rebucket(tid, 0, ov, size - ov)
+                state.rest_correction += unit[size - ov] - unit[size]
+                if state.refsum is None:
+                    continue
                 if state.by_refsum is not None:
                     state.by_refsum.dirty.add(tid)
                 ref = float(sum(storage.reference_count(fid)
                                 for fid in files if fid in storage))
                 state.refsum[tid] = ref
                 state.total_refsum += ref
-                state.rest_correction += unit[size - ov] - unit[size]
 
     def remove_task(self, task: Task) -> None:
         """Stop tracking a task (it was assigned or completed)."""
@@ -219,87 +238,131 @@ class OverlapIndex:
             ov = state.overlap.pop(tid, 0)
             if ov:
                 state.rebucket(tid, ov, 0, size)
-                state.total_refsum -= state.refsum.pop(tid, 0.0)
                 state.rest_correction -= unit[size - ov] - unit[size]
+                if state.refsum is not None:
+                    state.total_refsum -= state.refsum.pop(tid, 0.0)
 
-    # -- storage listeners ---------------------------------------------
+    # -- storage events ------------------------------------------------
     def _on_insert(self, state: _SiteState, fid: int) -> None:
         tasks = self._file_to_tasks.get(fid)
-        if not tasks:
-            return
-        if state.by_refsum is not None:
-            state.by_refsum.dirty.update(tasks)
-        bucketed = (state.by_overlap is not None
-                    or state.by_missing is not None)
-        ref = state.storage.reference_count(fid)
-        size_of = self._size
-        unit = self._unit
-        overlap = state.overlap
-        refsum = state.refsum
-        total_refsum = state.total_refsum
-        correction = 0
-        for tid in tasks:
-            old = overlap.get(tid, 0)
-            overlap[tid] = old + 1
-            missing = size_of[tid] - old
-            correction += unit[missing - 1] - unit[missing]
-            if bucketed:
-                state.rebucket(tid, old, old + 1, missing - 1)
-            if ref:
-                refsum[tid] = refsum.get(tid, 0.0) + ref
-                total_refsum += ref
-            elif tid not in refsum:
-                refsum[tid] = 0.0
-        state.rest_correction += correction
-        state.total_refsum = total_refsum
+        if tasks:
+            ref = (state.refsum is not None
+                   and state.storage.reference_count(fid))
+            self._fold(state, dict.fromkeys(tasks, 1),
+                       dict.fromkeys(tasks, ref) if ref else {})
 
     def _on_evict(self, state: _SiteState, fid: int) -> None:
         tasks = self._file_to_tasks.get(fid)
-        if not tasks:
-            return
-        if state.by_refsum is not None:
-            state.by_refsum.dirty.update(tasks)
-        bucketed = (state.by_overlap is not None
-                    or state.by_missing is not None)
-        ref = state.storage.reference_count(fid)
-        size_of = self._size
-        unit = self._unit
-        overlap = state.overlap
-        refsum = state.refsum
-        total_refsum = state.total_refsum
-        correction = 0
-        for tid in tasks:
-            old = overlap[tid]
-            missing = size_of[tid] - old
-            correction += unit[missing + 1] - unit[missing]
-            if bucketed:
-                state.rebucket(tid, old, old - 1, missing + 1)
-            if old == 1:
-                del overlap[tid]
-                total_refsum -= refsum.pop(tid, 0.0)
-            else:
-                overlap[tid] = old - 1
-                if ref:
-                    refsum[tid] -= ref
-                    total_refsum -= ref
-        state.rest_correction += correction
-        state.total_refsum = total_refsum
+        if tasks:
+            ref = (state.refsum is not None
+                   and state.storage.reference_count(fid))
+            self._fold(state, dict.fromkeys(tasks, -1),
+                       dict.fromkeys(tasks, -ref) if ref else {})
 
     def _on_touch(self, state: _SiteState, fid: int) -> None:
-        if fid not in state.storage:
+        refsum = state.refsum
+        if refsum is None or fid not in state.storage:
             return
         tasks = self._file_to_tasks.get(fid)
         if not tasks:
             return
+        # By far the most frequent event of a simulated run (one per
+        # input of every task) and no overlap moves, so not worth a
+        # mapping for :meth:`_fold`.  The file is resident: every
+        # pending referer overlaps it and has its entry.
         if state.by_refsum is not None:
             state.by_refsum.dirty.update(tasks)
-        refsum = state.refsum
-        total_refsum = state.total_refsum
         for tid in tasks:
-            # The file is resident, so every pending referer overlaps it.
-            refsum[tid] = refsum.get(tid, 0.0) + 1
-            total_refsum += 1
-        state.total_refsum = total_refsum
+            refsum[tid] += 1
+        state.total_refsum += len(tasks)
+
+    def apply_delta(self, site_id: int, gained: Sequence[int],
+                    lost: Sequence[int], touched: Sequence[int]) -> None:
+        """Fold one whole report of a site's cache into the counters,
+        touching each affected pending task once.
+
+        ``lost`` left the site's storage, ``gained`` entered it and
+        ``touched`` are about to be referenced, once per occurrence.
+        Call with the storage's *residency* already changed and its
+        reference counts not yet bumped for ``touched`` — the state
+        the per-file listeners would have read them in, so the result
+        equals evict, insert, touch file by file.
+        """
+        state = self._sites[site_id]
+        tracked = state.refsum is not None
+        if not (gained or lost or tracked and touched):
+            return
+        storage = state.storage
+        file_to_tasks = self._file_to_tasks
+        # Net change per task: of its overlap, and (a site that keeps
+        # refsums only) of its ref_t.
+        d_ov: Dict[int, int] = {}
+        d_ref: Dict[int, int] = Counter() if tracked else {}
+        for files, sign in ((lost, -1), (gained, 1)):
+            for fid in files:
+                tasks = file_to_tasks.get(fid)
+                if not tasks:
+                    continue
+                for tid in tasks:
+                    d_ov[tid] = d_ov.get(tid, 0) + sign
+                ref = tracked and sign * storage.reference_count(fid)
+                if ref:
+                    for tid in tasks:
+                        d_ref[tid] = d_ref.get(tid, 0) + ref
+        if tracked:
+            # The bulk of a report: one counting pass over the referers
+            # of every resident file referenced, not a loop per file.
+            d_ref.update(chain.from_iterable(
+                file_to_tasks.get(fid, ()) for fid in touched
+                if fid in storage))
+        self._fold(state, d_ov, d_ref)
+
+    def _fold(self, state: _SiteState, d_ov: Mapping[int, int],
+              d_ref: Mapping[int, int]) -> None:
+        """The per-task arithmetic of an insert, an evict and a whole
+        report: each task of ``d_ov`` gained that many resident files
+        (negative: lost), each of ``d_ref`` that much ``ref_t``.
+        ``d_ref`` is empty unless the site keeps refsums."""
+        if state.by_refsum is not None:
+            state.by_refsum.dirty.update(d_ov)
+            state.by_refsum.dirty.update(d_ref)
+        refsum = state.refsum
+        if d_ref:
+            # Before the overlap changes: a task about to lose its
+            # last resident file still has its entry, one about to
+            # gain its first gets one here.
+            for tid, change in d_ref.items():
+                try:
+                    refsum[tid] += change
+                except KeyError:
+                    refsum[tid] = float(change)
+            state.total_refsum += sum(d_ref.values())
+        if not d_ov:
+            return
+        bucketed = (state.by_overlap is not None
+                    or state.by_missing is not None)
+        size_of = self._size
+        unit = self._unit
+        overlap = state.overlap
+        correction = 0
+        for tid, change in d_ov.items():
+            if not change:
+                continue
+            old = overlap.get(tid, 0)
+            ov = old + change
+            missing = size_of[tid] - ov
+            correction += unit[missing] - unit[missing + change]
+            if bucketed:
+                state.rebucket(tid, old, ov, missing)
+            if ov:
+                overlap[tid] = ov
+                if not old and refsum is not None:
+                    refsum.setdefault(tid, 0.0)
+            else:
+                del overlap[tid]
+                if refsum is not None:
+                    state.total_refsum -= refsum.pop(tid, 0.0)
+        state.rest_correction += correction
 
     # -- queries -----------------------------------------------------------
     def nonzero_overlaps(self, site_id: int) -> Dict[int, int]:
@@ -351,7 +414,7 @@ class OverlapIndex:
             order = state.by_refsum = RefsumOrder()
             order.dirty.update(state.overlap)
         order.flush(self.candidates_by_missing(site_id).key_by_id,
-                    state.refsum)
+                    self._refsums(state))
         return order
 
     def has_refsum_order(self, site_id: int) -> bool:
@@ -362,13 +425,41 @@ class OverlapIndex:
         """Free the site's refsum order; events stop marking for it."""
         self._sites[site_id].by_refsum = None
 
+    def _refsums(self, state: _SiteState) -> Dict[int, float]:
+        """The site's refsum map, built on the first call: every
+        resident file's reference count folded into its pending
+        referers, as :meth:`_on_insert` would have — integer-valued
+        floats, so the same bits whenever it is built."""
+        refsum = state.refsum
+        if refsum is None:
+            refsum = state.refsum = dict.fromkeys(state.overlap, 0.0)
+            storage = state.storage
+            file_to_tasks = self._file_to_tasks
+            total_refsum = 0.0
+            for fid in storage.resident_files:
+                ref = storage.reference_count(fid)
+                tasks = file_to_tasks.get(fid)
+                if ref and tasks:
+                    for tid in tasks:
+                        refsum[tid] += ref
+                    total_refsum += ref * len(tasks)
+            state.total_refsum = total_refsum
+        return refsum
+
+    def has_refsums(self, site_id: int) -> bool:
+        """Whether a decision has asked for the site's refsums yet."""
+        return self._sites[site_id].refsum is not None
+
     def refsums(self, site_id: int) -> Dict[int, float]:
         """task id -> ref_t for pending tasks with overlap > 0.
 
         Tasks absent from the map have ``ref_t = 0`` (callers use
         ``.get(task_id, 0.0)``); both views are read-only by convention.
+        Built on the first call for this site (by this,
+        :meth:`total_refsum`, :meth:`view` or :meth:`refsum_order`),
+        maintained by every event afterwards.
         """
-        return self._sites[site_id].refsum
+        return self._refsums(self._sites[site_id])
 
     def total_rest(self, site_id: int) -> float:
         """totalRest over the pending set for this site.
@@ -382,16 +473,19 @@ class OverlapIndex:
 
     def total_refsum(self, site_id: int) -> float:
         """totalRef over the pending set for this site."""
-        return self._sites[site_id].total_refsum
+        state = self._sites[site_id]
+        self._refsums(state)
+        return state.total_refsum
 
     def view(self, site_id: int, task: Task) -> TaskView:
         """O(1) :class:`TaskView` for one (site, pending task) pair."""
         state = self._sites[site_id]
+        refsum = self._refsums(state)
         return TaskView(
             task_id=task.task_id,
             num_files=task.num_files,
             overlap=state.overlap.get(task.task_id, 0),
-            refsum=state.refsum.get(task.task_id, 0.0),
+            refsum=refsum.get(task.task_id, 0.0),
             total_refsum=state.total_refsum,
             total_rest=self.total_rest(site_id),
         )

@@ -12,15 +12,18 @@ driven two ways:
   .WorkerCentricScheduler` is now a thin sim adapter around this class.
 * **outside the simulator** — :meth:`attach_site` creates a
   :class:`SiteFileState` mirror that is updated through explicit
-  file-state deltas (:meth:`file_added` / :meth:`file_removed` /
-  :meth:`file_referenced`).  This is how the live
-  :mod:`repro.serve` scheduler daemon runs the same policy over TCP:
-  workers report what entered/left their site cache and the engine
-  keeps score.
+  file-state deltas: a whole worker report at once
+  (:meth:`apply_delta`), or one file at a time (:meth:`file_added` /
+  :meth:`file_removed` / :meth:`file_referenced`).  This is how the
+  live :mod:`repro.serve` scheduler daemon runs the same policy over
+  TCP: workers report what entered/left their site cache and the
+  engine keeps score.
 
-Both paths feed the same index through the same listener interface, so
-a delta stream replayed from a simulation reproduces the simulator's
-decisions bit-for-bit (property-tested via :mod:`repro.serve.replay`).
+All of them end in the same per-task arithmetic of the index, so a
+delta stream replayed from a simulation reproduces the simulator's
+decisions bit-for-bit (property-tested via :mod:`repro.serve.replay`),
+and a report applied whole equals the same report applied file by file
+(``tests/test_policy_fast_path.py``).
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ from __future__ import annotations
 import heapq
 import random
 from bisect import insort
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from ..grid.job import Task
 from .metrics import (BUCKETED_METRICS, FAST_SCORERS, METRICS,
@@ -144,6 +148,33 @@ class SiteFileState:
             listener(fid)
         return count
 
+    # -- whole reports (PolicyEngine.apply_delta) ------------------------
+    def update_resident(self, added: Iterable[int],
+                        removed: Iterable[int],
+                        ) -> Tuple[List[int], List[int]]:
+        """The residency half of a report — removals, then insertions
+        — *without* calling the listeners: returns the files that did
+        enter and those that did leave, for the caller to tell the
+        index in one piece."""
+        resident = self._resident
+        lost = []
+        for fid in removed:
+            if fid in resident:
+                del resident[fid]
+                lost.append(fid)
+        gained = []
+        for fid in added:
+            if fid not in resident:
+                resident[fid] = None
+                gained.append(fid)
+        return gained, lost
+
+    def count_references(self, referenced: Iterable[int]) -> None:
+        """Bump ``r_i`` once per occurrence, listeners not called."""
+        references = self._references
+        for fid in referenced:
+            references[fid] = references.get(fid, 0) + 1
+
     # -- snapshot surface (repro.cluster durability) ---------------------
     def export(self) -> Dict[str, list]:
         """JSON-native dump of residency + reference counters."""
@@ -161,8 +192,9 @@ class SiteFileState:
         nothing fires.  Attach the restored state *afterwards*
         (``PolicyEngine.attach_site(site_id, state=...)``): the
         index's ``watch_site`` folds the already-resident files
-        through its insert hook, reading the restored reference
-        counts, which reproduces every per-site refsum exactly.
+        through its insert hook, and the first decision that asks
+        for the site's refsums builds them from the restored
+        reference counts — exactly the sums the original held.
         """
         state = cls()
         for fid in resident:
@@ -273,6 +305,10 @@ class PolicyEngine:
         return self._sites[site_id]
 
     # -- file-state deltas (delta-driven sites only) ---------------------
+    # One file at a time: the calls ``serve/replay.py`` replays a
+    # recorded simulation through, and the names the bench tracer
+    # wraps.  They reach the index through the mirror's listeners; the
+    # live service reports whole deltas through :meth:`apply_delta`.
     def file_added(self, site_id: int, fid: int) -> bool:
         return self._sites[site_id].add(fid)
 
@@ -281,6 +317,23 @@ class PolicyEngine:
 
     def file_referenced(self, site_id: int, fid: int) -> int:
         return self._sites[site_id].reference(fid)
+
+    def apply_delta(self, site_id: int, added: Sequence[int],
+                    removed: Sequence[int], referenced: Sequence[int],
+                    ) -> Tuple[int, int]:
+        """One worker report in one pass: removals, then insertions,
+        then references — what the per-file calls above do in that
+        order, but every affected pending task is visited once for the
+        whole report.  Returns the redundant ``(adds, removes)``: files
+        reported added that were resident, removed that were not.
+        """
+        state = self._sites[site_id]
+        gained, lost = state.update_resident(added, removed)
+        # Between the two halves: the index reads residency as it now
+        # is and reference counts as they were.
+        self._index.apply_delta(site_id, gained, lost, referenced)
+        state.count_references(referenced)
+        return len(added) - len(gained), len(removed) - len(lost)
 
     # -- pending-set management ------------------------------------------
     @property
@@ -578,9 +631,15 @@ class PolicyEngine:
         """
         index = self._index
         total_rest = index.total_rest(site_id)
-        total_ref = index.total_refsum(site_id)
         overlaps = index.nonzero_overlaps(site_id)
-        refsums = index.refsums(site_id)
+        if self.metric_name in ORDERED_METRICS:
+            total_ref = index.total_refsum(site_id)
+            refsums = index.refsums(site_id)
+        else:
+            # ``overlap``/``rest`` score from the counts alone: zeros
+            # stand in, and the site never builds its refsums.
+            total_ref = 0.0
+            refsums = {}
         scorer = self._scorer
         pending = self._pending
         n = self.n

@@ -37,7 +37,8 @@ import logging
 import os
 import time
 from collections import deque
-from typing import Deque, Dict, Iterator, List, Optional, Set
+from typing import (Deque, Dict, Iterator, KeysView, List, Optional,
+                    Set)
 
 log = logging.getLogger("repro.obs.events")
 
@@ -75,17 +76,27 @@ class EventSchemaError(ValueError):
     """A record of unknown type or missing a required field."""
 
 
-def validate_event(record: Dict) -> Dict:
-    """Check one record against :data:`EVENT_SCHEMAS`; returns it."""
-    event = record.get("event")
+def _require_fields(event, present: KeysView[str]) -> None:
+    """Raise unless ``event`` is a known type and ``present`` covers
+    the fields its schema requires."""
     schema = EVENT_SCHEMAS.get(event)
     if schema is None:
         raise EventSchemaError(f"unknown event type {event!r}")
-    missing = schema - set(record)
-    if missing:
+    if not schema <= present:
         raise EventSchemaError(
-            f"{event} record missing fields {sorted(missing)}")
+            f"{event} record missing fields {sorted(schema - present)}")
+
+
+def validate_event(record: Dict) -> Dict:
+    """Check one record against :data:`EVENT_SCHEMAS`; returns it."""
+    _require_fields(record.get("event"), record.keys())
     return record
+
+
+#: The line format, built once: ``json.dumps`` with options makes a
+#: fresh encoder per call.
+_encode_line = json.JSONEncoder(separators=(",", ":"),
+                                sort_keys=True).encode
 
 
 class RotatingJsonlSink:
@@ -181,14 +192,13 @@ class EventLog:
         self.path = path
 
     def emit(self, event: str, **fields) -> Dict:
+        _require_fields(event, fields.keys())
         record = {"ts": round(float(self._clock()), 6),
                   "seq": self._seq, "event": event, **fields}
-        validate_event(record)
         self._seq += 1
         self._ring.append(record)
         if self._sink is not None:
-            self._sink.write(json.dumps(
-                record, separators=(",", ":"), sort_keys=True) + "\n")
+            self._sink.write(_encode_line(record) + "\n")
             if self._auto_flush:
                 self._sink.flush()
         return record

@@ -1168,8 +1168,10 @@ class SchedulerService:
 
         Restore order matters for bit-identical future decisions:
         sites are attached *before* tasks are re-added (so every
-        task's overlap/refsum folds against the restored residency,
-        exactly as ``watch_site`` + ``add_task`` maintain it live),
+        task's overlap folds against the restored residency, exactly
+        as ``watch_site`` + ``add_task`` maintain it live; refsums
+        are rebuilt from the restored reference counts by the first
+        decision that reads them),
         pending tasks re-enter in ascending id order (the zero-overlap
         heap ends up with the same entry set, and pop order is fully
         determined by entry tuples), and the RNG stream resumes from
@@ -1407,14 +1409,8 @@ class SchedulerService:
                      referenced_ids: List[int]) -> Tuple[int, int]:
         """Returns the redundant ``(adds, removes)`` counts (live stats)."""
         self.ensure_site(site)
-        engine = self.engine
-        duplicate_removes = sum(not engine.file_removed(site, fid)
-                                for fid in removed_ids)
-        duplicate_adds = sum(not engine.file_added(site, fid)
-                             for fid in added_ids)
-        for fid in referenced_ids:
-            engine.file_referenced(site, fid)
-        return duplicate_adds, duplicate_removes
+        return self.engine.apply_delta(site, added_ids, removed_ids,
+                                       referenced_ids)
 
     def _apply_drain(self) -> bool:
         changed = not self._draining

@@ -216,6 +216,40 @@ def test_wal_replay_rebuilds_the_functional_state(tmp_path):
     assert functional_state(replayed) == functional_state(service)
 
 
+def built_refsums(service):
+    index = service.engine._index
+    return {site for site in service.engine.site_ids
+            if index.has_refsums(site)}
+
+
+def test_recovery_builds_no_refsums_until_a_decision_asks(tmp_path):
+    """The snapshot carries residency and reference counts, the WAL
+    the deltas: restoring or replaying them decides nothing, so no
+    site builds its refsums — the next pull at a site does, and then
+    reads what the live service reads."""
+    source, events, _held = run_wal_workload(str(tmp_path), FakeClock())
+    events.close()
+    assert built_refsums(source) == {0, 1}      # both sites decided
+
+    restored = make_pair(lease_ttl=5.0)
+    restored.import_state(json.loads(json.dumps(source.export_state())))
+    replayed = make_pair(lease_ttl=5.0)
+    for record in iter_events(wal_path(str(tmp_path))):
+        replayed.replay_record(record)
+    for recovered in (restored, replayed):
+        assert sorted(recovered.engine.site_ids) == [0, 1]
+        assert built_refsums(recovered) == set()
+        assert functional_state(recovered) == functional_state(source)
+
+    source_next = pull(source, worker="w3", site=1)
+    restored_next = pull(restored, worker="w3", site=1)
+    assert restored_next.task.task_id == source_next.task.task_id
+    assert built_refsums(restored) == {1}
+    index, twin = restored.engine._index, source.engine._index
+    assert index.refsums(1) == twin.refsums(1)
+    assert index.total_refsum(1) == twin.total_refsum(1)
+
+
 def test_replay_is_idempotent_for_lifecycle_records(tmp_path):
     """Submit/assign/complete/expire/requeue records can be re-folded.
 

@@ -75,13 +75,17 @@ def test_refsum_tracks_touches(indexed, tiny_job):
     storage.touch(2)
     storage.touch(2)
     # tasks 0,1,2 contain file 2; its r_i is now 2
-    state = index._sites[0]
+    refsums = index.refsums(0)
     for tid in (0, 1, 2):
-        assert state.refsum[tid] == pytest.approx(2.0)
+        assert refsums[tid] == pytest.approx(2.0)
     assert index.total_refsum(0) == pytest.approx(6.0)
     for task in tiny_job:
-        assert state.refsum.get(task.task_id, 0.0) \
+        assert refsums.get(task.task_id, 0.0) \
             == pytest.approx(index.naive_refsum(0, task))
+    # Asked for now, so kept by the events that follow.
+    storage.touch(2)
+    assert refsums[0] == pytest.approx(3.0)
+    assert index.total_refsum(0) == pytest.approx(9.0)
 
 
 def test_refsum_on_reinsert_carries_history(indexed, tiny_job):
@@ -97,8 +101,7 @@ def test_refsum_on_reinsert_carries_history(indexed, tiny_job):
     small.insert(1)        # evicts 0 (r_0 = 1 survives)
     assert index2.nonzero_overlaps(0) == {0: 1}
     small.insert(0)        # evicts 1, reinserts 0 with r=1
-    state = index2._sites[0]
-    assert state.refsum[0] == pytest.approx(1.0)
+    assert index2.refsums(0)[0] == pytest.approx(1.0)
     assert index2.naive_refsum(0, index2.job[0]) == pytest.approx(1.0)
 
 
@@ -116,10 +119,12 @@ def test_add_task_after_storage_warm(indexed, tiny_job):
     index, storage = indexed
     storage.insert(3)
     storage.touch(3)
+    assert index.refsums(0)[1] == pytest.approx(1.0)
     index.remove_task(tiny_job[1])
+    assert 1 not in index.refsums(0)
     index.add_task(tiny_job[1])
     assert index.nonzero_overlaps(0)[1] == 1
-    assert index._sites[0].refsum[1] == pytest.approx(1.0)
+    assert index.refsums(0)[1] == pytest.approx(1.0)
 
 
 def test_add_duplicate_task_rejected(indexed, tiny_job):
@@ -200,7 +205,7 @@ def test_index_always_matches_naive(data):
             continue
         naive_ov = index.naive_overlap(0, task)
         assert state.overlap.get(task.task_id, 0) == naive_ov
-        assert state.refsum.get(task.task_id, 0.0) == pytest.approx(
+        assert index.refsums(0).get(task.task_id, 0.0) == pytest.approx(
             index.naive_refsum(0, task))
     assert index.total_rest(0) == exact_total_rest(index, 0)
     assert index.total_refsum(0) == pytest.approx(

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.eventlog import load_timelines, task_timelines
 from repro.obs.events import (EVENT_SCHEMAS, EventLog, EventSchemaError,
@@ -47,6 +48,54 @@ def test_emit_stamps_ts_and_seq_and_validates():
     with pytest.raises(EventSchemaError):
         log.emit("assign", task_id=0)  # rejected before buffering
     assert log.emitted == 2
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=8)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_emitted_lines_are_the_sorted_compact_dump_of_the_record(
+        tmp_path_factory, data):
+    """The line on disk is byte for byte ``json.dumps`` of the record
+    ``emit`` returned, whatever the field values; a record missing a
+    required field raises what ``validate_event`` raises for it and
+    leaves no trace."""
+    event = data.draw(st.sampled_from(sorted(EVENT_SCHEMAS)))
+    names = st.sampled_from(sorted(EVENT_SCHEMAS[event]) + ["extra"])
+    extra = data.draw(st.dictionaries(names, JSON_VALUES, max_size=3))
+    fields = {**extra, **{name: data.draw(JSON_VALUES)
+                          for name in sorted(EVENT_SCHEMAS[event])}}
+    path = tmp_path_factory.mktemp("events") / "events.jsonl"
+    with EventLog(path=str(path), clock=fake_clock()) as log:
+        record = log.emit(event, **fields)
+        for dropped in sorted(EVENT_SCHEMAS[event]):
+            partial = {name: value for name, value in fields.items()
+                       if name != dropped}
+            with pytest.raises(EventSchemaError) as raised:
+                log.emit(event, **partial)
+            with pytest.raises(EventSchemaError) as expected:
+                validate_event({"event": event, **partial})
+            assert str(raised.value) == str(expected.value)
+        assert log.emitted == 1
+    assert record == {"ts": 1000.0, "seq": 0, "event": event, **fields}
+    assert path.read_text(encoding="utf-8") == json.dumps(
+        record, separators=(",", ":"), sort_keys=True) + "\n"
+
+
+def test_emit_rejects_an_unknown_type_like_validate_does():
+    log = EventLog(clock=fake_clock())
+    with pytest.raises(EventSchemaError) as raised:
+        log.emit("nonsense", task_id=1)
+    with pytest.raises(EventSchemaError) as expected:
+        validate_event({"event": "nonsense", "task_id": 1})
+    assert str(raised.value) == str(expected.value)
+    assert log.emitted == 0
 
 
 def test_ring_buffer_keeps_only_the_newest():

@@ -15,13 +15,17 @@ The hypothesis workloads are far below the size at which the engine
 would choose the refsum order by itself, so every differential here
 also runs with ``ORDER_WALK_COST`` patched to 0 ("always walk").
 
-Also here: the candidate-structure invariants.  The overlap-count
-buckets, the missing-count buckets and the refsum order exist at a
-site only once a decision (or a test) asked for them; wherever one
-exists it must, after every mutation, agree with a naive recomputation
-from storage (``naive_overlap``/``naive_refsum``) and with a
-from-scratch build, ranked retrieval must equal brute-force sorting,
-and it must not matter *when* it was first asked for.
+Also here: the candidate-structure invariants.  The refsums, the
+overlap-count buckets, the missing-count buckets and the refsum order
+exist at a site only once a decision (or a test) asked for them;
+wherever one exists it must, after every mutation, agree with a naive
+recomputation from storage (``naive_overlap``/``naive_refsum``) and
+with a from-scratch build, ranked retrieval must equal brute-force
+sorting, and it must not matter *when* it was first asked for.
+
+And the write side: a whole worker report through
+``PolicyEngine.apply_delta`` must leave exactly what the same report
+leaves when applied file by file.
 """
 
 import heapq
@@ -118,6 +122,14 @@ def delta_scenario(draw, metrics=METRIC_NAMES):
     return task_files, metric, n, seed, ops
 
 
+def random_scope(engine, scope_seed):
+    """A non-empty subset of the pending ids, a function of the seed."""
+    pending = sorted(engine.pending)
+    scope_rng = random.Random(scope_seed)
+    return set(scope_rng.sample(pending,
+                                scope_rng.randint(1, len(pending))))
+
+
 def apply_ops(fast, reference, ops):
     """Drive both engines through the op stream, asserting each draw."""
     for op, site, fid, scope_seed in ops:
@@ -135,11 +147,8 @@ def apply_ops(fast, reference, ops):
         elif op == "choose":
             same_draw(fast, reference, site)
         elif op == "choose-scoped":
-            pending = sorted(fast.pending)
-            scope_rng = random.Random(scope_seed)
-            eligible = set(scope_rng.sample(
-                pending, scope_rng.randint(1, len(pending))))
-            same_draw(fast, reference, site, eligible)
+            same_draw(fast, reference, site,
+                      random_scope(fast, scope_seed))
         else:  # retire
             chosen, twin = same_draw(fast, reference, site)
             fast.remove_task(chosen)
@@ -196,10 +205,7 @@ def check_batched_draws(scenario):
     k = max(1, len(task_files) // 2)
     eligible = None
     if ops[0][3] % 2 and fast.has_pending:
-        scope_rng = random.Random(ops[0][3])
-        pending = sorted(fast.pending)
-        eligible = set(scope_rng.sample(
-            pending, scope_rng.randint(1, len(pending))))
+        eligible = random_scope(fast, ops[0][3])
     before = len(fast._index.nonzero_overlaps(0))
     drawn = fast.choose_many(0, k, eligible=eligible)
     expected = reference.choose_many(0, k, eligible=eligible)
@@ -233,6 +239,7 @@ def test_ordered_kernel_batched_draws_are_identical(scenario):
 def ask_for_all(engine, site):
     """What decisions of all three kinds would have asked for."""
     index = engine._index
+    index.refsums(site)
     index.candidates_by_overlap(site)
     index.candidates_by_missing(site)
     index.refsum_order(site)
@@ -271,6 +278,16 @@ def assert_bucket_invariants(engine, tasks, sites=(0, 1)):
             (rest_weight_exact(tasks[tid].num_files
                                - expected_overlap.get(tid, 0))
              for tid in engine.pending), Fraction(0)))
+        if index.has_refsums(site):
+            expected_refsums = {
+                tid: index.naive_refsum(site, tasks[tid])
+                for tid in expected_overlap}
+            assert index.refsums(site) == expected_refsums
+            assert all(type(refsum) is float
+                       for refsum in index.refsums(site).values())
+            assert (index.total_refsum(site)
+                    == sum(expected_refsums.values()))
+            assert type(index.total_refsum(site)) is float
         if state.by_overlap is not None:
             assert_buckets_equal_fresh_build(state.by_overlap,
                                              expected_overlap)
@@ -368,8 +385,9 @@ def test_bucket_invariants_hold_after_every_mutation(scenario):
 def test_structures_do_not_depend_on_when_they_were_asked_for(
         scenario, ask_at):
     """An always-built twin vs structures first asked for at a random
-    point of the same event stream: from that point on equal
-    ``as_dict()``, ``check()`` passing, equal ``top(n)`` and walks."""
+    point of the same event stream: from that point on equal refsums
+    and ``totalRef`` (``==``, so to the bit), equal ``as_dict()``,
+    ``check()`` passing, equal ``top(n)`` and walks."""
     task_files, metric, n, seed, ops = scenario
     eager, tasks = build_engine(task_files, metric, n, seed,
                                 fast_path=True)
@@ -379,6 +397,10 @@ def test_structures_do_not_depend_on_when_they_were_asked_for(
     for step, (op, site, fid, _scope) in enumerate(ops):
         if step == ask_at:
             for asked in (0, 1):
+                # ``overlap``/``rest`` never ask; a ``combined``
+                # decision (a "retire" op) may have, at its own site.
+                assert (metric in ORDERED_NAMES
+                        or not late._index.has_refsums(asked))
                 ask_for_all(late, asked)
         mutate(eager, tasks, op, site, fid)
         mutate(late, tasks, op, site, fid)
@@ -388,6 +410,10 @@ def test_structures_do_not_depend_on_when_they_were_asked_for(
         for asked in (0, 1):
             twin = eager._index._sites[asked]
             state = late._index._sites[asked]
+            assert (late._index.refsums(asked)
+                    == eager._index.refsums(asked))
+            assert (late._index.total_refsum(asked)
+                    == eager._index.total_refsum(asked))
             assert state.by_overlap.as_dict() == twin.by_overlap.as_dict()
             assert state.by_missing.as_dict() == twin.by_missing.as_dict()
             for count in (1, 2, 4):
@@ -402,6 +428,167 @@ def test_structures_do_not_depend_on_when_they_were_asked_for(
     assert late._rng.getstate() == eager._rng.getstate()
 
 
+# -- a whole report == the same report file by file -------------------------
+
+def apply_file_by_file(engine, site, added, removed, referenced):
+    """What ``SchedulerService._apply_delta`` did before
+    ``apply_delta``: removals, insertions, references, one call each."""
+    duplicate_removes = sum(not engine.file_removed(site, fid)
+                            for fid in removed)
+    duplicate_adds = sum(not engine.file_added(site, fid)
+                         for fid in added)
+    for fid in referenced:
+        engine.file_referenced(site, fid)
+    return duplicate_adds, duplicate_removes
+
+
+@st.composite
+def report_stream(draw):
+    """Tasks plus a stream of worker reports and decisions.  File ids
+    come from a small pool, so one report repeats an id inside
+    ``referenced``, names an id in both ``added`` and ``removed``, and
+    adds what is resident / removes what is not, all the time."""
+    num_files = draw(st.integers(3, 12))
+    fids = st.lists(st.integers(0, num_files - 1), max_size=5)
+    task_files = draw(st.lists(
+        st.sets(st.integers(0, num_files - 1), min_size=1,
+                max_size=min(5, num_files)),
+        min_size=1, max_size=10))
+    steps = draw(st.lists(
+        st.one_of(
+            st.tuples(st.just("report"), st.integers(0, 1),
+                      fids, fids, fids),
+            st.tuples(st.sampled_from(["choose", "choose-scoped",
+                                       "retire", "requeue"]),
+                      st.integers(0, 1), st.integers(0, 2**16))),
+        min_size=1, max_size=30))
+    return task_files, steps
+
+
+def check_whole_report_equals_file_by_file(metric, n, seed, task_files,
+                                           steps, read_at):
+    """``whole`` takes each report through ``apply_delta``, ``single``
+    file by file.  Every step: same duplicate counts, same winner,
+    same RNG, same ``nonzero_overlaps`` and ``total_rest``; from step
+    ``read_at`` on also the same refsums and ``totalRef`` (reading
+    them builds them, which an ``overlap``/``rest`` engine never does
+    by itself — so before ``read_at`` those run the untracked path)."""
+    whole, tasks = build_engine(task_files, metric, n, seed,
+                                fast_path=True)
+    single, _ = build_engine(task_files, metric, n, seed, fast_path=True)
+    for step, (op, site, *rest) in enumerate(steps):
+        if op == "report":
+            added, removed, referenced = rest
+            assert (whole.apply_delta(site, added, removed, referenced)
+                    == apply_file_by_file(single, site, added, removed,
+                                          referenced))
+            for engine in (whole, single):
+                assert (engine.site_state(site).export()
+                        == single.site_state(site).export())
+        elif op == "requeue":
+            retired = sorted(set(tasks) - set(whole.pending))
+            for engine in (whole, single):
+                if retired:
+                    engine.add_task(tasks[retired[0]])
+        elif whole.has_pending:
+            eligible = (random_scope(whole, rest[0])
+                        if op == "choose-scoped" else None)
+            chosen, twin = same_draw(whole, single, site, eligible)
+            if op == "retire":
+                whole.remove_task(chosen)
+                single.remove_task(twin)
+        assert whole._rng.getstate() == single._rng.getstate()
+        for site in (0, 1):
+            assert (whole._index.has_refsums(site)
+                    == single._index.has_refsums(site))
+            assert (whole._index.nonzero_overlaps(site)
+                    == single._index.nonzero_overlaps(site))
+            assert (whole._index.total_rest(site)
+                    == single._index.total_rest(site))
+            if step >= read_at:
+                assert (whole._index.refsums(site)
+                        == single._index.refsums(site))
+                assert (whole._index.total_refsum(site)
+                        == single._index.total_refsum(site))
+        # Against the naive rescan too, whatever each site carries.
+        assert_bucket_invariants(whole, tasks)
+    return whole
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("metric", METRIC_NAMES)
+@given(report_stream(), st.integers(0, 2**16), st.integers(0, 30))
+@settings(max_examples=25, deadline=None)
+def test_whole_report_equals_file_by_file(metric, n, scenario, seed,
+                                          read_at):
+    task_files, steps = scenario
+    check_whole_report_equals_file_by_file(metric, n, seed, task_files,
+                                           steps, read_at)
+
+
+@pytest.mark.parametrize("read_at", [0, 99])
+@pytest.mark.parametrize("metric", METRIC_NAMES)
+def test_whole_report_with_repeats_swaps_and_redundant_ids(metric,
+                                                           read_at):
+    """The awkward reports, spelled out: an id twice in ``referenced``
+    (counted twice), an id in both ``added`` and ``removed`` (resident:
+    leaves and re-enters; absent: a redundant remove, then an add), ids
+    repeated inside ``added``/``removed``, a task losing its last
+    resident file while another gains its first, a reference to a file
+    that the same report removes."""
+    task_files = [{0, 1}, {1, 2}, {2, 3}, {0, 3}, {4}, {0, 1, 2, 3, 4}]
+    steps = [
+        ("report", 0, [0, 1, 1], [], [0, 0, 1, 4]),
+        ("choose", 0, 0),
+        ("report", 0, [1, 2], [1, 3], [1, 1, 2]),      # 1 swaps, 3 absent
+        ("choose-scoped", 0, 7),
+        ("report", 0, [3], [0, 0, 1], [0, 3, 3]),      # 0 removed + touched
+        ("retire", 0, 0),
+        ("report", 1, [4, 4, 0], [4], [4, 2]),         # 4 absent then added
+        ("report", 0, [4], [2, 3], [4]),               # {2,3} to zero, {4} up
+        ("retire", 1, 0),
+        ("requeue", 0, 0),
+        ("report", 0, [], [4], [4, 4]),
+        ("choose", 0, 0),
+    ]
+    whole = check_whole_report_equals_file_by_file(
+        metric, 2, 13, task_files, steps, read_at)
+    assert whole.site_state(0).export() == {
+        "resident": [], "references": [[0, 3], [1, 3], [2, 1], [3, 2],
+                                       [4, 4]]}
+    assert whole._index.nonzero_overlaps(0) == {}
+    assert whole._index.total_refsum(0) == 0.0
+
+
+@pytest.mark.parametrize("metric", METRIC_NAMES)
+def test_only_a_metric_that_reads_refsums_builds_them(metric):
+    """After scoped and unscoped decisions over warm sites an
+    ``overlap`` or a ``rest`` engine has refsums nowhere; a
+    ``combined`` one at each site from that site's first decision —
+    and reports alone build nothing."""
+    task_files = [{tid % 5, 5 + tid % 3, 10 + tid} for tid in range(30)]
+    engine, tasks = build_engine(task_files, metric, 2, 3, fast_path=True)
+    index = engine._index
+    reads = metric in ORDERED_NAMES
+    for site in (0, 1):
+        engine.apply_delta(site, [0, 1, 5, 6], [], [0, 0, 1, 5, 6])
+    assert not index.has_refsums(0) and not index.has_refsums(1)
+    engine.choose(0)
+    assert index.has_refsums(0) == reads and not index.has_refsums(1)
+    scope = set(range(0, 30, 2))
+    for step in range(12):
+        site = step % 2
+        chosen = engine.choose(site, scope if step % 3 else None)
+        engine.remove_task(chosen)
+        scope.discard(chosen.task_id)
+        engine.apply_delta(site, sorted(chosen.files), [step % 5],
+                           sorted(chosen.files))
+        assert index.has_refsums(site) == reads
+    engine.add_task(tasks[chosen.task_id])
+    assert index.has_refsums(0) == index.has_refsums(1) == reads
+    assert_bucket_invariants(engine, tasks)
+
+
 # -- pay for what you ask ----------------------------------------------------
 
 def coadd_tasks(count, files_per_task=78, stride=10):
@@ -412,16 +599,16 @@ def coadd_tasks(count, files_per_task=78, stride=10):
 
 
 @pytest.mark.parametrize("metric, built", [
-    ("combined", set()),
+    ("combined", {"refsum"}),
     ("rest", {"by_missing"}),
     ("overlap", {"by_overlap"}),
 ])
 def test_coadd_run_builds_only_what_its_metric_reads(metric, built):
     """A Coadd-shaped run (two sites, LRU caches with evictions, every
-    input referenced) leaves a ``combined`` engine with no candidate
-    structure at all — its maps hold tens of tasks and are scanned —
-    and a ``rest`` engine with the missing-count buckets alone; still
-    bit-identical to the reference scan."""
+    input referenced) leaves a ``combined`` engine with the refsums and
+    no candidate structure at all — its maps hold tens of tasks and
+    are scanned — and a ``rest`` engine with the missing-count buckets
+    alone; still bit-identical to the reference scan."""
     task_files = coadd_tasks(400)
     fast, tasks = build_engine(task_files, metric, 1, 3, fast_path=True)
     reference, _ = build_engine(task_files, metric, 1, 3,
@@ -439,7 +626,8 @@ def test_coadd_run_builds_only_what_its_metric_reads(metric, built):
     for site in (0, 1):
         state = fast._index._sites[site]
         assert 0 < len(state.overlap) <= 32
-        assert {name for name in ("by_overlap", "by_missing", "by_refsum")
+        assert {name for name in ("refsum", "by_overlap", "by_missing",
+                                  "by_refsum")
                 if getattr(state, name) is not None} == built
     assert_bucket_invariants(fast, tasks)
 
