@@ -38,6 +38,11 @@ class Attempt:
     #: A second copy of a straggler, granted while the primary lease
     #: was still out (``assign {replica: true}``) — not a retry.
     replica: bool = False
+    #: Why this worker got the task: ``{"metric", "candidates"}`` from
+    #: the ``assign`` record of a traced server (the ranked top-*n*
+    #: the sampler saw); None for replicas, client-side logs and
+    #: untraced servers.
+    decision: Optional[Dict] = None
 
     @property
     def duration(self) -> Optional[float]:
@@ -139,7 +144,10 @@ def task_timelines(events: Iterable[Dict]) -> Dict[int, TaskTimeline]:
             line.attempts.append(Attempt(
                 worker=event["worker"], site=event.get("site"),
                 assigned_at=ts, lease_id=event.get("lease_id"),
-                replica=bool(event.get("replica", False))))
+                replica=bool(event.get("replica", False)),
+                decision=({"metric": event["metric"],
+                           "candidates": event["candidates"]}
+                          if "candidates" in event else None)))
         elif kind == "complete":
             line = timeline(event["task_id"])
             attempt = line._open_attempt(event.get("lease_id"))

@@ -295,8 +295,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     async def main() -> None:
         # Every decision pays for its span, so there is a tracer only
-        # when something can read it: /trace.json, or the ``decision``
-        # records of an event log or WAL.
+        # when something can read it: /trace.json, or the ``assign``
+        # records of an event log or WAL, which carry the span.
         tracer = DecisionTracer() if (
             args.metrics_port is not None or args.event_log
             or args.state_dir) else None

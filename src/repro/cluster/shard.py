@@ -2,8 +2,8 @@
 
 A shard is a plain :class:`~repro.serve.service.SchedulerService`
 constructed with the cluster id strides, whose event log lives in the
-shard's *state directory*, is flushed before every ack, and so doubles
-as a write-ahead log.  :func:`open_shard` is the whole lifecycle::
+shard's *state directory*, is committed before every ack, and so
+doubles as a write-ahead log.  :func:`open_shard` is the whole lifecycle::
 
     durability = open_shard("state/shard-0", metric="combined", n=2,
                             shard_index=0, shard_count=2)
@@ -20,11 +20,16 @@ log continues the WAL sequence (``seq_start``), so the log stays one
 monotone history across restarts and the *next* recovery can do the
 same dance.
 
-Durability contract: WAL records are flushed to the OS before the
-mutation they describe is acked on the wire (``auto_flush``), which
-survives ``kill -9``; snapshot writes fsync both the WAL (the
-barrier) and the snapshot file, which survives machine crashes up to
-the last barrier.
+Durability contract: a WAL record is in the OS before any byte that
+could reveal its effect leaves the process — the owner of the log
+commits it (:meth:`~repro.obs.events.EventLog.flush`, one ``write``
+per burst) right before the front end writes a reply and before the
+thief calls a peer — which survives ``kill -9``.  A record with
+nothing sent after it can be lost, and recovery then lands in a state
+the live service passed through.  Answers of the obs HTTP endpoint are
+observations, not acks: they may show state the WAL does not hold
+yet.  Snapshot writes fsync both the WAL (the barrier) and the
+snapshot file, which survives machine crashes up to the last barrier.
 """
 
 from __future__ import annotations
@@ -200,7 +205,7 @@ def open_shard(state_dir: str, metric: str = "combined", n: int = 2,
         id_start=shard_index, id_stride=shard_count, **service_options)
     report = recover_service(service, state_dir)
     events = EventLog(path=wal_path(state_dir),
-                      seq_start=report["next_seq"], auto_flush=True,
+                      seq_start=report["next_seq"],
                       max_bytes=WAL_MAX_BYTES, backups=WAL_BACKUPS)
     service.events = events
     return ShardDurability(service, events, state_dir, report,

@@ -17,7 +17,7 @@ use:
 2. ``STEAL_GRANT {tasks, export_id}`` → the victim has already
    WAL-logged the export (durable before the grant hits the wire) and
    detached the tasks from its pending set.
-3. The thief WALs a *tentative* import, then sends
+3. The thief WALs a *tentative* import, commits it, then sends
    ``STEAL_ACK {export_id}``.  Only the victim's accepted answer —
    itself WAL'd victim-side before the reply — activates the import:
    the stolen tasks enter the thief's engine under their original
@@ -170,10 +170,17 @@ class StealManager:
 
     async def _call(self, shard: int, message) -> Optional[
             messages.ServerMessage]:
-        """One request/response to a peer; None while unreachable."""
+        """One request/response to a peer; None while unreachable.
+
+        Commits the WAL first: whatever this shard recorded (the
+        tentative ``steal-import`` before ``STEAL_ACK`` above all) is
+        in the OS before a peer can act on it."""
         link = self._links.get(shard)
         if link is None:
             return None
+        events = self.service.events
+        if events is not None:
+            events.flush()
         try:
             return await link.call(message)
         except ConnectionError:

@@ -1,7 +1,8 @@
 """Structured JSON-lines event log for scheduler decisions and fates.
 
-Every interesting state transition — job submit, task assignment,
-completion, lease expiry, requeue, file-delta, scheduling decision —
+Every interesting state transition — job submit, task assignment
+(with the decision that made it, when a tracer records one),
+completion, lease expiry, requeue, file-delta —
 is one schema-checked JSON object on one line, stamped with a wall
 clock and a monotonically increasing sequence number.  The log is
 simultaneously:
@@ -13,20 +14,28 @@ simultaneously:
 
 Schemas are *minimum* field sets: emitters may attach extra fields
 (the server adds ``lease_id``/``latency_us`` to ``assign`` records,
-the client-side load generator does not have them), but a record
+and ``metric``/``candidates``/``decision`` when it traces decisions;
+the client-side load generator has none of them), but a record
 missing a required field, or of an unknown type, is rejected at emit
 and at read time — a corrupt log fails loudly, not in the plots.
 
 The log doubles as the **write-ahead log** of a durable scheduler
-shard (:mod:`repro.cluster`): ``auto_flush=True`` pushes every record
-to the OS before the caller acks anything over the wire (the page
-cache survives a ``kill -9``), :meth:`EventLog.sync` fsyncs at
-snapshot barriers, rotation fsyncs the outgoing file, and
-``seq_start`` lets a recovered shard continue the sequence where the
-previous incarnation stopped.  The reader distinguishes *truncation*
-from *corruption*: a final line the crash cut short (no trailing
-newline, unparseable) is warned about and skipped; a complete line of
-bad JSON anywhere still raises.
+shard (:mod:`repro.cluster`), by *group commit*: :meth:`EventLog.emit`
+only buffers its line, and :meth:`EventLog.flush` is the commit — one
+``write`` hands every buffered line to the OS, whose page cache
+survives a ``kill -9``.  Callers commit wherever bytes are about to
+leave the process (the front end's coalesced reply write, the thief's
+peer calls), so a record is in the OS before any byte that could
+reveal its effect.  A record with nothing sent after it can be lost
+to a crash, and recovery then lands in a state the live service
+passed through.  Only whole lines reach the file, and a log dropped
+without ``close()`` writes nothing more — exactly what ``kill -9``
+leaves.  :meth:`EventLog.sync` fsyncs at snapshot barriers, rotation
+fsyncs the outgoing file, and ``seq_start`` lets a recovered shard
+continue the sequence where the previous incarnation stopped.  The
+reader distinguishes *truncation* from *corruption*: a final line the
+crash cut short (no trailing newline, unparseable) is warned about and
+skipped; a complete line of bad JSON anywhere still raises.
 """
 
 from __future__ import annotations
@@ -37,6 +46,7 @@ import logging
 import os
 import time
 from collections import deque
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import (Deque, Dict, Iterator, KeysView, List, Optional,
                     Set)
 
@@ -55,6 +65,8 @@ EVENT_SCHEMAS: Dict[str, Set[str]] = {
     "requeue": {"task_id", "reason"},
     "delta": {"site", "added", "removed", "referenced"},
     "drain": set(),
+    # Written before decisions rode on their ``assign`` record; kept so
+    # those logs still read (replay skips them).
     "decision": {"site", "metric", "chosen", "candidates"},
     # Shard-to-shard work stealing (repro.cluster).  Victim side:
     # export (durable before STEAL_GRANT), commit on STEAL_ACK, abort
@@ -93,15 +105,26 @@ def validate_event(record: Dict) -> Dict:
     return record
 
 
-#: The line format, built once: ``json.dumps`` with options makes a
-#: fresh encoder per call.
-_encode_line = json.JSONEncoder(separators=(",", ":"),
-                                sort_keys=True).encode
+_LINE = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+#: The line format, ``json.dumps(record, separators=(",", ":"),
+#: sort_keys=True)``, with its C encoder built once (``dumps`` builds
+#: one per call); records are never circular, so no marker dict.
+_line_chunks = c_make_encoder(
+    None, _LINE.default, encode_basestring_ascii, _LINE.indent,
+    _LINE.key_separator, _LINE.item_separator, _LINE.sort_keys,
+    _LINE.skipkeys, _LINE.allow_nan)
+
+#: Buffered bytes past which a sink writes its lines out unasked, so a
+#: log nobody commits (a client-side one) stays bounded in memory.
+SPILL_BYTES = 1 << 20
 
 
 class RotatingJsonlSink:
-    """Append-only JSONL file with size-based rotation.
+    """Append-only JSONL file with a line buffer and size rotation.
 
+    :meth:`write` buffers a line; :meth:`flush` hands every buffered
+    line to the OS in one ``write``.  So only whole lines reach the
+    file, and a sink dropped without :meth:`close` writes nothing more.
     When the file would exceed ``max_bytes`` the existing backups
     shift up (``path.1`` → ``path.2`` …, oldest dropped) and the
     current file becomes ``path.1`` — the standard logrotate dance,
@@ -115,23 +138,34 @@ class RotatingJsonlSink:
         self.path = path
         self.max_bytes = max_bytes
         self.backups = backups
-        self._file: Optional[io.TextIOWrapper] = open(
-            path, "a", encoding="utf-8")
-        self._size = self._file.tell()
+        self._file: Optional[io.FileIO] = open(path, "ab", buffering=0)
+        self._size = self._file.tell()  # on file + buffered
+        self._lines: List[str] = []
+        self._buffered = 0
 
     def write(self, line: str) -> None:
         if self._file is None:
             raise ValueError("sink is closed")
-        if self._size and self._size + len(line) > self.max_bytes:
+        size = len(line)
+        if self._size and self._size + size > self.max_bytes:
             self._rotate()
-        self._file.write(line)
-        self._size += len(line)
+        self._lines.append(line)
+        self._size += size
+        self._buffered += size
+        if self._buffered > SPILL_BYTES:
+            self._write_out()
+
+    def _write_out(self) -> None:
+        data = "".join(self._lines).encode("utf-8")
+        self._lines.clear()
+        self._buffered = 0
+        while data:
+            data = data[self._file.write(data):]
 
     def _rotate(self) -> None:
         # The outgoing file is about to become a read-only backup a
         # crash-recovery replay may depend on: make it durable first.
-        self._file.flush()
-        os.fsync(self._file.fileno())
+        self.sync()
         self._file.close()
         if self.backups == 0:
             os.remove(self.path)
@@ -144,21 +178,23 @@ class RotatingJsonlSink:
                 if os.path.exists(src):
                     os.replace(src, f"{self.path}.{index + 1}")
             os.replace(self.path, f"{self.path}.1")
-        self._file = open(self.path, "a", encoding="utf-8")
+        self._file = open(self.path, "ab", buffering=0)
         self._size = 0
 
     def flush(self) -> None:
-        if self._file is not None:
-            self._file.flush()
+        """Hand every buffered line to the OS in one ``write``."""
+        if self._lines:
+            self._write_out()
 
     def sync(self) -> None:
         """Flush and fsync: a durability barrier (snapshots use it)."""
         if self._file is not None:
-            self._file.flush()
+            self.flush()
             os.fsync(self._file.fileno())
 
     def close(self) -> None:
         if self._file is not None:
+            self.flush()
             self._file.close()
             self._file = None
 
@@ -168,39 +204,37 @@ class EventLog:
 
     ``emit("assign", task_id=3, site=0, worker="w1", ...)`` validates,
     stamps ``ts`` (wall clock) and ``seq``, keeps the record in the
-    ring, and appends one JSON line to the sink when a path was given.
+    ring, and buffers one JSON line in the sink when a path was given;
+    :meth:`flush` commits what is buffered.
 
     WAL duty (``repro.cluster`` shards): ``seq_start`` continues the
-    sequence of a previous incarnation after crash recovery, and
-    ``auto_flush=True`` flushes the sink on every emit, so a record is
-    in the OS page cache — which survives the *process* dying, if not
-    the machine — before the mutation it describes is acked.
+    sequence of a previous incarnation after crash recovery, and the
+    owner commits before every byte it sends, so a record is in the OS
+    page cache — which survives the *process* dying, if not the
+    machine — before the mutation it describes is acked.
     """
 
     def __init__(self, path: Optional[str] = None, ring_size: int = 2048,
                  clock=time.time, max_bytes: int = 16 << 20,
-                 backups: int = 3, seq_start: int = 0,
-                 auto_flush: bool = False):
+                 backups: int = 3, seq_start: int = 0):
         self._clock = clock
         self._ring: Deque[Dict] = deque(maxlen=ring_size)
         self._seq = seq_start
         self._seq_start = seq_start
-        self._auto_flush = auto_flush
         self._sink = (RotatingJsonlSink(path, max_bytes=max_bytes,
                                         backups=backups)
                       if path else None)
         self.path = path
 
     def emit(self, event: str, **fields) -> Dict:
+        """Validate, stamp and buffer one record; never writes."""
         _require_fields(event, fields.keys())
         record = {"ts": round(float(self._clock()), 6),
                   "seq": self._seq, "event": event, **fields}
         self._seq += 1
         self._ring.append(record)
         if self._sink is not None:
-            self._sink.write(_encode_line(record) + "\n")
-            if self._auto_flush:
-                self._sink.flush()
+            self._sink.write("".join(_line_chunks(record, 0)) + "\n")
         return record
 
     @property
@@ -220,6 +254,7 @@ class EventLog:
         return list(self._ring)[-count:]
 
     def flush(self) -> None:
+        """The commit: every record emitted so far goes to the OS."""
         if self._sink is not None:
             self._sink.flush()
 

@@ -7,7 +7,8 @@ sampler saw (task id, weight under the active metric, overlap, file
 count, files still missing), the chosen task, and the runner-up — so
 "why did site 3 get task 17 instead of task 9" is answerable after
 the fact, from the live ``/trace.json`` endpoint or from a persisted
-event log.
+event log, where the span rides on the ``assign`` record of the
+assignment it explains.
 
 The hook is pure observation: it fires after the choice is sampled,
 consumes no randomness, and adds zero decisions — the replay
@@ -68,14 +69,22 @@ def _describe(candidate: Dict) -> str:
 
 
 def explain_span(span: Dict) -> str:
-    """One human-readable sentence per span, for logs and ``top``."""
+    """One human-readable sentence per decision, for logs and ``top``.
+
+    ``span`` is a tracer span or an ``assign`` record that carries one
+    (its ``task_id`` is the chosen task).  The runner-up is the best
+    ranked candidate that was not chosen."""
+    chosen_id = span["chosen"] if "chosen" in span else span["task_id"]
     by_id = {candidate["task_id"]: candidate
              for candidate in span["candidates"]}
-    chosen = by_id.get(span["chosen"])
-    parts = [f"site {span['site']} metric={span['metric']} "
-             f"n={span.get('n', '?')}: chose "
-             + (_describe(chosen) if chosen else f"task {span['chosen']}")]
-    runner_up = span.get("runner_up")
-    if runner_up is not None and runner_up in by_id:
-        parts.append(f"over {_describe(by_id[runner_up])}")
+    chosen = by_id.get(chosen_id)
+    head = f"site {span['site']} metric={span['metric']}"
+    if "n" in span:
+        head += f" n={span['n']}"
+    parts = [f"{head}: chose "
+             + (_describe(chosen) if chosen else f"task {chosen_id}")]
+    runner_up = next((candidate for candidate in span["candidates"]
+                      if candidate["task_id"] != chosen_id), None)
+    if runner_up is not None:
+        parts.append(f"over {_describe(runner_up)}")
     return " ".join(parts)

@@ -14,7 +14,10 @@ decoded message into the single-threaded service, and writes the
 replies back.  I/O is coalesced per burst: one ``read()`` can surface
 a whole pipelined ``TASK_DONE`` train or ``TASK_BATCH`` worth of
 messages, and their replies accumulate into a single buffered
-write + ``drain()`` instead of one syscall per message.
+write + ``drain()`` instead of one syscall per message.  A server with
+an event log commits it (:meth:`~repro.obs.events.EventLog.flush`)
+right before that write — one WAL ``write`` per burst, and no reply
+ever leaves ahead of the records it depends on.
 Backpressure stays per-connection — the drain happens on the
 connection's own writer, so a slow worker throttles only its own
 stream, never the scheduler.  A parked ``REQUEST_TASK`` blocks only
@@ -60,7 +63,7 @@ import asyncio
 import contextlib
 import json
 import logging
-from typing import Optional, Sequence, Set
+from typing import Callable, Optional, Sequence, Set
 
 from . import messages, protocol
 from .codec import Codec, JsonLinesCodec, make_codec
@@ -88,11 +91,15 @@ def install_uvloop() -> bool:
 class _Conn:
     """One connection's mutable state: identity, codec, reply buffer."""
 
-    __slots__ = ("writer", "codec", "out", "worker_key", "site_id",
-                 "next_codec")
+    __slots__ = ("writer", "commit", "codec", "out", "worker_key",
+                 "site_id", "next_codec")
 
-    def __init__(self, writer: asyncio.StreamWriter, worker_key: str):
+    def __init__(self, writer: asyncio.StreamWriter,
+                 commit: Optional[Callable[[], None]], worker_key: str):
         self.writer = writer
+        #: The WAL commit taken before any reply byte leaves (None
+        #: when the front end keeps no log).
+        self.commit = commit
         #: Connections always start in JSON lines; ``HELLO`` itself is
         #: never binary.
         self.codec: Codec = JsonLinesCodec(decodes="client")
@@ -104,8 +111,12 @@ class _Conn:
         self.next_codec: Optional[str] = None
 
     async def flush(self) -> None:
-        """One buffered write + drain for everything accumulated."""
+        """One buffered write + drain for everything accumulated —
+        after the commit, so no reply can reveal a record the OS does
+        not have yet."""
         if self.out:
+            if self.commit is not None:
+                self.commit()
             self.writer.write(bytes(self.out))
             self.out.clear()
             await self.writer.drain()  # per-connection backpressure
@@ -117,6 +128,9 @@ class FrontEnd:
     Subclasses supply :meth:`_dispatch` (what a message means here)
     and may override :meth:`_closed` (what a lost connection means).
     """
+
+    #: Called before every reply write; a front end with a WAL sets it.
+    _commit: Optional[Callable[[], None]] = None
 
     def __init__(self, host: str, port: int,
                  codecs: Optional[Sequence[str]]):
@@ -190,7 +204,7 @@ class FrontEnd:
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
         self._conn_seq += 1
-        conn = _Conn(writer, f"conn-{self._conn_seq}")
+        conn = _Conn(writer, self._commit, f"conn-{self._conn_seq}")
         self._connections.add(writer)
         self._handler_tasks.add(asyncio.current_task())
         log.debug("connection %s opened", conn.worker_key)
@@ -288,6 +302,8 @@ class SchedulerServer(FrontEnd):
         self._sweeper: Optional[asyncio.Task] = None
         self._stats_ticker: Optional[asyncio.Task] = None
         self._drained = asyncio.Event()
+        if service.events is not None:
+            self._commit = service.events.flush
         service.on_drained = self._drained.set
         if service.draining:
             # Recovered mid-drain: the state was restored before this
@@ -311,6 +327,8 @@ class SchedulerServer(FrontEnd):
             expired = self.service.expire_leases()
             if expired:
                 log.info("lease sweep requeued %d task(s)", expired)
+            if self._commit is not None:
+                self._commit()  # freshness only: nothing is acked here
 
     async def _tick_stats(self) -> None:
         while True:
@@ -457,8 +475,8 @@ class SchedulerServer(FrontEnd):
 
         if isinstance(message, messages.StealRequest):
             # The thief is this connection; the victim is us.  The
-            # export is WAL'd (and flushed) inside the service before
-            # the grant is encoded.
+            # export is WAL'd inside the service, and committed with
+            # the burst before the grant is written.
             try:
                 grant = service.export_steal_batch(
                     conn.worker_key, message.max_tasks,

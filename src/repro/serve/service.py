@@ -211,7 +211,7 @@ class SchedulerService:
         if tracer is not None:
             # The hook observes the already-made decision; it cannot
             # change it (no RNG use, fires after sampling).
-            self.engine.on_decision = self._on_decision
+            self.engine.on_decision = tracer.record
         self.stats.bind_live(
             queue_depth=lambda: self.queue_depth,
             outstanding=lambda: self.outstanding,
@@ -319,15 +319,6 @@ class SchedulerService:
     def _emit(self, event: str, **fields) -> None:
         if self.events is not None:
             self.events.emit(event, **fields)
-
-    def _on_decision(self, span: Dict) -> None:
-        """``PolicyEngine.on_decision`` target: record, maybe log."""
-        stamped = self.tracer.record(span)
-        if self.events is not None:
-            self._emit("decision", site=span["site"],
-                       metric=span["metric"], chosen=span["chosen"],
-                       candidates=span["candidates"],
-                       decision=stamped["decision"])
 
     # -- job intake ------------------------------------------------------
     def submit_job(self, tasks_payload: List[dict],
@@ -555,10 +546,20 @@ class SchedulerService:
                                      kernel=self.engine.last_kernel)
         self.stats.record_tenant_assignment(owner_id)
         self.stats.leases_granted += 1
-        self._emit("assign", task_id=task.task_id, site=site_id,
-                   worker=worker, job_id=owner_id,
-                   lease_id=lease_id, overlap=overlap,
-                   latency_us=round(latency * 1e6, 3))
+        if self.events is not None:
+            # The decision rides on the assignment it explains: the
+            # tracer's newest span is the one ``choose`` just recorded.
+            span = self.tracer.last() if self.tracer is not None else None
+            decision = {} if span is None else {
+                "metric": span["metric"],
+                "candidates": span["candidates"],
+                "decision": span["decision"]}
+            self.events.emit("assign", task_id=task.task_id,
+                             site=site_id, worker=worker,
+                             job_id=owner_id, lease_id=lease_id,
+                             overlap=overlap,
+                             latency_us=round(latency * 1e6, 3),
+                             **decision)
         return Assignment(task=task, lease_id=lease_id,
                           job_id=owner_id, lease_ttl=self.lease_ttl)
 
@@ -1507,7 +1508,8 @@ class SchedulerService:
     #: WAL record kind -> (transition, required fields, optional fields).
     #: The field names are the on-disk format (additive-only), written
     #: out here so that renaming a parameter cannot change what recovery
-    #: reads.  ``decision`` spans and unknown kinds carry no state.
+    #: reads.  The decision span an ``assign`` carries, the ``decision``
+    #: records older logs hold and unknown kinds carry no state.
     _TRANSITIONS = {
         "submit": (_apply_submit, "job_id task_ids specs", "weight assigned"),
         "assign": (_apply_assign, "task_id site worker lease_id", "replica"),

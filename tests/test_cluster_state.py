@@ -175,7 +175,7 @@ def test_import_rearms_leases_with_fresh_ttl():
 
 def run_wal_workload(state_dir, clock):
     """A small life: submit, assigns, one completion, one expiry."""
-    events = EventLog(path=wal_path(state_dir), auto_flush=True)
+    events = EventLog(path=wal_path(state_dir))
     service = SchedulerService(metric="combined", n=2, seed=11,
                                clock=clock, lease_ttl=5.0,
                                events=events)
@@ -308,13 +308,17 @@ def test_open_shard_recovers_from_snapshot_plus_tail(tmp_path):
     service.task_done("w0", done.task.task_id, done.lease_id)
     assert first.maybe_snapshot() is not None
     snapshot_seq = first.events.next_seq
-    # Post-snapshot tail: one more completion and one in-flight lease.
+    # Post-snapshot tail: one more completion and one in-flight lease,
+    # each committed where the front end writes its reply.
     tail_done = pull(service, worker="w0", site=0)
+    first.events.flush()  # TASK
     service.task_done("w0", tail_done.task.task_id, tail_done.lease_id)
+    first.events.flush()  # ACK
     held = pull(service, worker="w1", site=1)
+    first.events.flush()  # TASK
     pre_crash = functional_state(service)
-    # Crash: no close(), no final snapshot — auto_flush already pushed
-    # every WAL record out, which is exactly what kill -9 leaves.
+    # Crash: no close(), no final snapshot — the commits before each
+    # reply pushed every WAL record out, which is what kill -9 leaves.
 
     second = open_shard(state_dir, metric="combined", n=2, seed=3,
                         lease_ttl=5.0, clock=FakeClock())
@@ -339,13 +343,48 @@ def test_open_shard_recovers_from_snapshot_plus_tail(tmp_path):
     second.close()
 
 
+def test_an_uncommitted_record_dies_with_the_process(tmp_path):
+    """``emit`` only buffers; the commit is taken right before a reply
+    is written.  A completion whose ACK never left is lost with the
+    process, and recovery lands in the state the live service held one
+    step earlier — a state it really passed through, so the worker's
+    retry of the same completion is simply accepted."""
+    state_dir = str(tmp_path)
+    first = open_shard(state_dir, metric="combined", n=2, seed=3,
+                       lease_ttl=5.0, clock=FakeClock())
+    service = first.service
+    submit(service, SPECS)
+    first.events.flush()  # JOB_ACCEPTED
+    held = pull(service, worker="w0", site=0)
+    first.events.flush()  # TASK
+    one_step_earlier = functional_state(service)
+    assert service.task_done("w0", held.task.task_id,
+                             held.lease_id).accepted
+    assert functional_state(service) != one_step_earlier
+    # Crash before the ACK was written: the ``complete`` record never
+    # reached the OS.
+    assert [record["event"] for path in wal_files(state_dir)
+            for record in iter_events(path)] == ["submit", "assign"]
+
+    second = open_shard(state_dir, metric="combined", n=2, seed=3,
+                        lease_ttl=5.0, clock=FakeClock())
+    assert functional_state(second.service) == one_step_earlier
+    retried = second.service.task_done("w0", held.task.task_id,
+                                       held.lease_id)
+    assert retried.accepted
+    second.close()
+
+
 def test_open_shard_without_snapshot_replays_full_log(tmp_path):
     state_dir = str(tmp_path)
     first = open_shard(state_dir, metric="combined", n=2, seed=3,
                        lease_ttl=5.0, clock=FakeClock())
     submit(first.service, SPECS)
+    first.events.flush()  # JOB_ACCEPTED
     done = pull(first.service, worker="w0", site=0)
+    first.events.flush()  # TASK
     first.service.task_done("w0", done.task.task_id, done.lease_id)
+    first.events.flush()  # ACK
     pre_crash = functional_state(first.service)
     for _seq, path in list_snapshots(state_dir):
         os.remove(path)  # force the no-snapshot path
@@ -362,6 +401,7 @@ def test_open_shard_continues_the_wal_sequence(tmp_path):
     state_dir = str(tmp_path)
     first = open_shard(state_dir, clock=FakeClock())
     submit(first.service, SPECS[:2])
+    first.events.flush()  # JOB_ACCEPTED
     next_seq = first.events.next_seq
     assert next_seq > 0
     # Crash; the second incarnation appends where the first stopped.
@@ -422,9 +462,12 @@ def test_promoted_replica_survives_recovery(tmp_path, snapshot):
     first = open_tail_shard(state_dir, clock)
     service = first.service
     submit(service, SPECS[:1])
+    first.events.flush()  # JOB_ACCEPTED
     primary = pull(service, worker="w0", site=0)
+    first.events.flush()  # TASK
     clock.advance(3.0)
     replica = pull(service, worker="w1", site=1)  # tail: replicates
+    first.events.flush()  # TASK
     assert replica.task.task_id == primary.task.task_id
     assert replica.lease_id != primary.lease_id
     if snapshot:  # the snapshot must carry the live replica lease
@@ -432,6 +475,7 @@ def test_promoted_replica_survives_recovery(tmp_path, snapshot):
     clock.advance(3.0)
     assert service.expire_leases() == 1  # only the primary lapsed
     assert service.queue_depth == 0      # promoted, not requeued
+    first.events.flush()  # the end of the lease sweep
     pre_crash = functional_state(service)
     # Crash.
 
@@ -445,12 +489,15 @@ def test_promoted_replica_survives_recovery(tmp_path, snapshot):
 
 
 def weighted_pulls(service, count):
-    """Unscoped pull + completion, ``count`` times: the job order."""
+    """Unscoped pull + completion, ``count`` times: the job order.
+    The log is committed where the front end writes each reply."""
     order = []
     for _ in range(count):
         assignment = pull(service, worker="w0", site=0)
+        service.events.flush()  # TASK
         service.task_done("w0", assignment.task.task_id,
                           assignment.lease_id)
+        service.events.flush()  # ACK
         order.append(assignment.job_id)
     return order
 
@@ -465,6 +512,7 @@ def test_weighted_fair_state_survives_recovery(tmp_path):
     specs = [{"files": [fid]} for fid in range(10)]
     service.submit_job(specs, weight=3.0)
     service.submit_job(specs, weight=1.0)
+    first.events.flush()  # JOB_ACCEPTED (both)
     weighted_pulls(service, 3)
     assert first.maybe_snapshot() is not None
     weighted_pulls(service, 2)
@@ -492,6 +540,7 @@ def test_pass_counts_survive_a_snapshot_from_before_the_first_weight(
     weighted_pulls(service, 4)
     assert first.maybe_snapshot() is not None  # no weights in it
     service.submit_job(specs, weight=1.0)
+    first.events.flush()  # JOB_ACCEPTED
     # Crash.
 
     second = open_shard(state_dir, clock=FakeClock())
@@ -517,6 +566,7 @@ def test_pass_counts_a_recovery_forgot_stay_forgotten_in_the_log(
 
     second = open_shard(state_dir, clock=FakeClock())
     second.service.submit_job(specs, weight=1.0)
+    second.events.flush()  # JOB_ACCEPTED
     # Crash again; this time the snapshot is unusable.
     for _seq, path in list_snapshots(state_dir):
         os.remove(path)
@@ -537,9 +587,13 @@ def test_drain_survives_recovery(tmp_path):
     state_dir = str(tmp_path)
     first = open_shard(state_dir, clock=FakeClock())
     submit(first.service, SPECS[:2])
+    first.events.flush()  # JOB_ACCEPTED
     held = pull(first.service, worker="w0", site=0)
+    first.events.flush()  # TASK
     first.service.drain()
+    first.events.flush()  # ACK {draining}
     first.service.drain()  # a repeated DRAIN writes nothing more
+    first.events.flush()  # ACK {draining}
     records = [record["event"] for path in wal_files(state_dir)
                for record in iter_events(path)]
     assert records.count("drain") == 1

@@ -2,9 +2,10 @@
 
 Four groups:
 
-* **victim crashes** — kill -9 (abandon without ``close()``, exactly
-  what the WAL's ``auto_flush`` leaves behind) between ``STEAL_GRANT``
-  and ``STEAL_ACK`` requeues the export locally and refuses the
+* **victim crashes** — kill -9 (abandon without ``close()``: what was
+  committed before each reply stays, nothing else) between
+  ``STEAL_GRANT`` and ``STEAL_ACK`` requeues the export locally and
+  refuses the
   thief's late ack; the same crash *after* the ack preserves the
   export, and the forwarded completions land exactly once;
 * **thief crashes** — a tentative import survives recovery and
@@ -78,11 +79,13 @@ def test_victim_crash_before_ack_requeues_export(tmp_path):
     state_dir = str(tmp_path)
     first = open_victim(state_dir)
     submit(first.service, SPECS)
+    first.events.flush()  # JOB_ACCEPTED
     grant = first.service.export_steal_batch("steal/1", 2, [])
+    first.events.flush()  # STEAL_GRANT
     assert grant is not None and len(grant["tasks"]) == 2
     assert first.service.queue_depth == 2
-    # Crash: no ack, no close() — auto_flush already persisted the
-    # steal-export record, exactly what kill -9 leaves behind.
+    # Crash: no ack, no close() — the commit before STEAL_GRANT went
+    # out persisted the steal-export record, which kill -9 leaves.
 
     second = open_victim(state_dir)
     assert second.report["steal_requeued"] == 2
@@ -114,17 +117,21 @@ def test_reclaimed_export_stays_stale_in_the_wal_across_a_second_crash(
     state_dir = str(tmp_path)
     first = open_victim(state_dir)
     submit(first.service, SPECS)
+    first.events.flush()  # JOB_ACCEPTED
     stale = first.service.export_steal_batch("steal/1", 2, [])
+    first.events.flush()  # STEAL_GRANT
     stale_ids = [spec["task_id"] for spec in stale["tasks"]]
     # Crash #1, un-acked.
 
     second = open_victim(state_dir)
     assert second.report["steal_requeued"] == 2
     again = second.service.export_steal_batch("steal/1", 2, [])
+    second.events.flush()  # STEAL_GRANT
     assert again["export_id"] != stale["export_id"]
     # Selection is deterministic: the same two tasks go out again.
     assert [spec["task_id"] for spec in again["tasks"]] == stale_ids
     assert second.service.steal_export_acked(again["export_id"])
+    second.events.flush()  # ACK
     # Crash #2 before any snapshot: both exports are in the WAL.
 
     third = open_victim(state_dir)
@@ -141,9 +148,12 @@ def test_reclaimed_export_stays_stale_in_the_wal_across_a_second_crash(
     other_dir = str(tmp_path / "unacked")
     first = open_victim(other_dir)
     submit(first.service, SPECS)
+    first.events.flush()  # JOB_ACCEPTED
     first.service.export_steal_batch("steal/1", 2, [])
+    first.events.flush()  # STEAL_GRANT
     second = open_victim(other_dir)
     second.service.export_steal_batch("steal/1", 2, [])
+    second.events.flush()  # STEAL_GRANT
     third = open_victim(other_dir)
     assert third.report["steal_requeued"] == 2
     assert third.service.queue_depth == 4
@@ -158,13 +168,16 @@ def test_stale_export_does_not_take_back_a_task_leased_since(tmp_path):
     state_dir = str(tmp_path)
     first = open_victim(state_dir)
     submit(first.service, SPECS)
+    first.events.flush()  # JOB_ACCEPTED
     stale = first.service.export_steal_batch("steal/1", 4, [])
+    first.events.flush()  # STEAL_GRANT
     assert len(stale["tasks"]) == 3  # the watermark keeps one back
     # Crash #1, un-acked.
 
     second = open_victim(state_dir)
     assert second.report["steal_requeued"] == 3
     held = [pull(second.service, worker="w9", site=0) for _ in range(4)]
+    second.events.flush()  # the four TASK replies
     # Crash #2 before any snapshot, all four leases outstanding.
 
     third = open_victim(state_dir)
@@ -189,9 +202,12 @@ def test_victim_crash_after_ack_preserves_export(tmp_path):
     state_dir = str(tmp_path)
     first = open_victim(state_dir)
     submit(first.service, SPECS)
+    first.events.flush()  # JOB_ACCEPTED
     grant = first.service.export_steal_batch("steal/1", 2, [])
+    first.events.flush()  # STEAL_GRANT
     stolen_ids = [spec["task_id"] for spec in grant["tasks"]]
     assert first.service.steal_export_acked(grant["export_id"])
+    first.events.flush()  # ACK
     # Crash after the durable ack.
 
     second = open_victim(state_dir)
@@ -234,7 +250,9 @@ def test_thief_crash_with_tentative_import_resolves_on_recovery(
                        shard_index=1, shard_count=2,
                        steal_watermark=1, clock=FakeClock())
     first.service.steal_import_tentative(0, 7, specs)
+    first.events.flush()  # STEAL_ACK
     first.service.steal_import_tentative(0, 8, specs)  # to be aborted
+    first.events.flush()  # STEAL_ACK
     assert first.service.queue_depth == 0  # tentative = invisible
     # Crash before either answer arrived.
 

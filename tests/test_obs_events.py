@@ -1,11 +1,13 @@
 """Event log: schemas, ring buffer, rotation, round-trip, timelines."""
 
+import gc
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.eventlog import load_timelines, task_timelines
+from repro.obs import events as events_module
 from repro.obs.events import (EVENT_SCHEMAS, EventLog, EventSchemaError,
                               RotatingJsonlSink, iter_events,
                               read_events, validate_event)
@@ -191,15 +193,40 @@ def test_truncated_mid_file_line_is_impossible_to_miss(tmp_path):
         list(iter_events(str(path)))
 
 
-def test_auto_flush_makes_records_visible_without_close(tmp_path):
-    """WAL mode: every emit is flushed before the caller can ack, so
-    the record is on the OS side even if the process dies next."""
+def test_flush_commits_what_emit_only_buffers(tmp_path):
+    """Group commit: ``emit`` only buffers, ``flush`` hands every
+    buffered line to the OS in one write, and a log dropped without
+    ``close()`` — what ``kill -9`` leaves — writes nothing more."""
     path = tmp_path / "wal.jsonl"
-    log = EventLog(path=str(path), clock=fake_clock(), auto_flush=True)
+    log = EventLog(path=str(path), clock=fake_clock())
     log.emit("submit", job_id=0, tasks=1, task_ids=[0])
-    # Deliberately no close/flush: the emit itself must have flushed.
-    assert [r["event"] for r in iter_events(str(path))] == ["submit"]
-    log.close()
+    log.emit("assign", task_id=0, site=0, worker="w0")
+    assert path.read_text() == ""  # nothing has reached the OS
+    log.flush()
+    assert [r["event"] for r in iter_events(str(path))] == \
+        ["submit", "assign"]
+    log.emit("complete", task_id=0, worker="w0")  # never committed
+    del log
+    gc.collect()
+    assert [r["event"] for r in iter_events(str(path))] == \
+        ["submit", "assign"]
+
+
+def test_a_sink_nobody_commits_spills_whole_lines(tmp_path, monkeypatch):
+    """A log that is never committed (a client-side one) still stays
+    bounded: past ``SPILL_BYTES`` the sink writes its lines out unasked,
+    and only whole lines."""
+    monkeypatch.setattr(events_module, "SPILL_BYTES", 50)
+    path = tmp_path / "client.jsonl"
+    sink = RotatingJsonlSink(str(path))
+    for index in range(7):
+        sink.write(f'{{"line": {index}}}\n')  # 12 bytes each
+    written = path.read_text()  # the fifth line crossed 50 bytes
+    assert [json.loads(line)["line"] for line in written.splitlines()] \
+        == [0, 1, 2, 3, 4]
+    assert written.endswith("\n")
+    sink.close()
+    assert len(path.read_text().splitlines()) == 7
 
 
 def test_sync_is_a_durability_barrier_and_survives_no_sink():

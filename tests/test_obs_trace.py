@@ -178,6 +178,11 @@ def test_traced_engine_replays_bit_identically_to_untraced():
 # -- service wiring ----------------------------------------------------------
 
 def test_service_records_spans_and_decision_events():
+    """The span goes to the tracer ring and rides on the ``assign``
+    record it explains: one record per decision, no ``decision``
+    record beside it, and the attempt of the task's timeline keeps
+    it."""
+    from repro.analysis.eventlog import task_timelines
     from repro.obs.events import EventLog
 
     tracer = DecisionTracer()
@@ -189,11 +194,40 @@ def test_service_records_spans_and_decision_events():
     service.request_task("w0", 0, delivered.append)
     assignment = delivered[0]
     assert tracer.recorded == 1
-    assert tracer.last()["chosen"] == assignment.task.task_id
-    assert tracer.last()["kernel"] == "scored"
+    span = tracer.last()
+    assert span["chosen"] == assignment.task.task_id
+    assert span["kernel"] == "scored"
     assert service.stats.decisions_by_kernel == {"scored": 1}
-    decision_events = [record for record in events.tail()
-                       if record["event"] == "decision"]
-    assert len(decision_events) == 1
-    assert decision_events[0]["chosen"] == assignment.task.task_id
-    assert decision_events[0]["candidates"]
+    assert [record["event"] for record in events.tail()] == \
+        ["submit", "assign"]
+    assign = events.tail()[-1]
+    assert assign["task_id"] == assignment.task.task_id
+    assert assign["candidates"] == span["candidates"]
+    assert (assign["metric"], assign["decision"]) == ("combined", 0)
+    (attempt,) = task_timelines(events.tail())[
+        assignment.task.task_id].attempts
+    assert attempt.decision == {"metric": "combined",
+                                "candidates": span["candidates"]}
+    # The record reads back as the same sentence the span does, less
+    # the ``n`` only the span knows.
+    assert explain_span(assign) == explain_span(span).replace(" n=2", "")
+
+
+def test_a_replica_assignment_carries_no_decision():
+    from repro.analysis.eventlog import task_timelines
+    from repro.obs.events import EventLog
+
+    events = EventLog()
+    service = SchedulerService(metric="combined", n=2, events=events,
+                               tracer=DecisionTracer(),
+                               replicate_tail=True)
+    service.submit_job([{"files": [1, 2, 3]}])
+    service.request_task("w0", 0, lambda _outcome: None)
+    service.request_task("w1", 1, lambda _outcome: None)  # replica
+    primary, replica = [record for record in events.tail()
+                        if record["event"] == "assign"]
+    assert "candidates" in primary
+    assert replica["replica"] and "candidates" not in replica
+    attempts = task_timelines(events.tail())[primary["task_id"]].attempts
+    assert [attempt.decision is None for attempt in attempts] == \
+        [False, True]

@@ -27,6 +27,7 @@ from repro.cluster.router import ClusterRouter
 from repro.cluster.shard import open_shard
 from repro.cluster.steal import StealManager
 from repro.cluster.supervisor import ClusterSupervisor
+from repro.obs.events import EventLog
 from repro.serve import messages
 from repro.serve.client import WorkerClient
 from repro.serve.loadgen import run_load
@@ -43,6 +44,7 @@ PARAMETERS = [
     (WorkerClient, 15),
     (run_load, 16),
     (open_shard, 9),  # its **service_options are SchedulerService's
+    (EventLog, 6),  # its owner commits: no flush-per-record knob
 ]
 
 FLAGS = {
