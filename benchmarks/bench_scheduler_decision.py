@@ -20,8 +20,11 @@ Two layers:
   reference path, or dropped under the tentpole speedup floors
   (>= 5x for ``rest``/``overlap``, >= 50x for ``combined``, >= 5x for
   ``combined-churn`` — the same decision with one reference to a
-  widely shared resident file before each call, so the lazily
-  maintained refsum order has ~500 ids to re-key every time).
+  widely shared resident file before each call).  That file's ~500
+  pending referers are all anchored on it in the refsum order, so the
+  reference moves one count and re-keys none of them: ``--check``
+  also fails when ``combined-churn`` costs more than
+  ``CHURN_CEILING`` (3x) steady ``combined``.
 
   The same run also times the *write* side of the overlap index: the
   ``index-write`` rows are us per applied file delta — the one
@@ -29,8 +32,10 @@ Two layers:
   makes — for the Coadd shape (~78 ids, each file held by ~8 pending
   tasks, LRU evictions on) under ``combined`` and ``rest``, and for
   the hot-file shape (one file of 300 per task, so a reference reaches
-  hundreds of pending referers) under ``rest``, which reads no refsum
-  and must not pay for one.  Gated by the same 30% tolerance.
+  ~80 pending referers) under ``rest``, which reads no refsum and must
+  not pay for one, and under ``combined`` with the site's refsum order
+  built before timing, where the referers' shared +1 is one anchor
+  count.  Gated by the same 30% tolerance.
 """
 
 import argparse
@@ -98,6 +103,10 @@ HOT_FILE_CONFIG = {
 REGRESSION_TOLERANCE = 0.30
 SPEEDUP_FLOORS = {"overlap": 5.0, "rest": 5.0, "combined": 50.0,
                   "combined-churn": 5.0}
+#: ``combined-churn`` may cost at most this many steady ``combined``
+#: decisions: a reference to a hot file must not fan out to its
+#: referers.
+CHURN_CEILING = 3.0
 
 
 # -- decision-kernel ablation (standalone) -----------------------------------
@@ -206,18 +215,25 @@ def hot_file_tasks(cfg):
             for task_id in range(cfg["pending_tasks"])}
 
 
-#: Row name -> (metric, config, pending-set builder).
+#: Row name -> (metric, config, pending-set builder, warm).  A warm row
+#: loads the whole file pool into the cache and decides once before
+#: timing, so the site's candidate structures (for ``combined`` on the
+#: hot-file shape, the refsum order) exist from the first timed delta.
 INDEX_WRITE_ROWS = {
-    "combined": ("combined", INDEX_WRITE_CONFIG, coadd_shaped_tasks),
-    "rest": ("rest", INDEX_WRITE_CONFIG, coadd_shaped_tasks),
-    "rest-hot-file": ("rest", HOT_FILE_CONFIG, hot_file_tasks),
+    "combined": ("combined", INDEX_WRITE_CONFIG, coadd_shaped_tasks,
+                 False),
+    "rest": ("rest", INDEX_WRITE_CONFIG, coadd_shaped_tasks, False),
+    "rest-hot-file": ("rest", HOT_FILE_CONFIG, hot_file_tasks, False),
+    "combined-hot-file": ("combined", HOT_FILE_CONFIG, hot_file_tasks,
+                          True),
 }
 
 
-def measure_index_write_us(metric, cfg, tasks, repeats):
+def measure_index_write_us(metric, cfg, tasks, repeats, warm=False):
     """Best-of-``repeats`` mean us per applied delta.
 
-    Each pass builds a fresh engine, then pulls ``deltas`` tasks: the
+    Each pass builds a fresh engine (``warm``: with the file pool
+    resident and one decision made), then pulls ``deltas`` tasks: the
     engine chooses and retires one (untimed — it is what makes the
     engine build whatever structures its metric reads, as a serving
     engine would have), the worker's :class:`SiteCacheMirror` turns
@@ -234,6 +250,12 @@ def measure_index_write_us(metric, cfg, tasks, repeats):
         for task in tasks.values():
             engine.add_task(task)
         cache = SiteCacheMirror(cfg["cache_files"])
+        if warm:
+            pool = sorted({fid for task in tasks.values()
+                           for fid in task.files})
+            delta = cache.admit(pool)
+            engine.apply_delta(0, delta["added"], delta["removed"], [])
+            engine.choose(0)
         spent = 0.0
         for _ in range(cfg["deltas"]):
             task = engine.choose(0)
@@ -252,8 +274,9 @@ def run_index_write_sweep(quick):
     """{row: us per delta}."""
     repeats = 2 if quick else 5
     return {row: round(measure_index_write_us(metric, cfg, build(cfg),
-                                              repeats), 2)
-            for row, (metric, cfg, build) in INDEX_WRITE_ROWS.items()}
+                                              repeats, warm), 2)
+            for row, (metric, cfg, build, warm)
+            in INDEX_WRITE_ROWS.items()}
 
 
 def format_index_write_table(results):
@@ -322,6 +345,12 @@ def check_against_baseline(results, index_write):
             failures.append(
                 f"{metric}: speedup {row['speedup']:.1f}x is below the "
                 f"{floor:.0f}x tentpole floor")
+        if (metric == "combined-churn"
+                and fast_us > CHURN_CEILING * results["combined"]["fast_us"]):
+            failures.append(
+                f"{metric}: fast path {fast_us:.1f} us is more than "
+                f"{CHURN_CEILING:.0f}x steady combined "
+                f"({results['combined']['fast_us']:.1f} us)")
         recorded = baseline["decision_us"].get(metric)
         if recorded is None:
             continue

@@ -70,6 +70,40 @@ def wal_files(state_dir: str) -> List[str]:
     return [path for path in paths if os.path.exists(path)]
 
 
+def trim_torn_tail(path: str) -> int:
+    """Cut the WAL file at ``path`` back to its last newline-terminated
+    record; returns the bytes dropped.
+
+    A kill during a commit's ``write`` can leave a final line without
+    its newline.  :func:`~repro.obs.events.iter_events` skips such a
+    line, but a log appended after it would turn it into a complete
+    line of bad JSON that no later recovery could read.  Trimmed
+    before recovery reads the file, so what is replayed is exactly
+    what stays in the log, and the new incarnation's sequence numbers
+    continue it without a gap.
+    """
+    try:
+        handle = open(path, "rb+")
+    except FileNotFoundError:
+        return 0
+    with handle:
+        end = keep = handle.seek(0, os.SEEK_END)
+        while keep > 0:
+            start = max(0, keep - (64 << 10))
+            handle.seek(start)
+            cut = handle.read(keep - start).rfind(b"\n")
+            if cut >= 0:
+                keep = start + cut + 1
+                break
+            keep = start
+        if keep < end:
+            handle.truncate(keep)
+            os.fsync(handle.fileno())
+            log.warning("%s: dropped a torn final line (%d bytes)",
+                        path, end - keep)
+    return end - keep
+
+
 def recover_service(service: SchedulerService,
                     state_dir: str) -> Dict:
     """Snapshot + tail-replay recovery into a fresh ``service``.
@@ -198,8 +232,11 @@ def open_shard(state_dir: str, metric: str = "combined", n: int = 2,
     The service is constructed silent (no event log), recovered from
     the newest snapshot plus the WAL tail, and only then handed the
     live WAL — replay must never re-emit the records it is folding.
+    A torn final line of the current WAL file goes first
+    (:func:`trim_torn_tail`): the new log appends to that file.
     """
     os.makedirs(state_dir, exist_ok=True)
+    trim_torn_tail(wal_path(state_dir))
     service = SchedulerService(
         metric=metric, n=n, name=name or f"shard-{shard_index}",
         id_start=shard_index, id_stride=shard_count, **service_options)

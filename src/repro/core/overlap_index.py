@@ -43,7 +43,13 @@ every event once they exist.  And the
 :class:`~repro.core.candidates.RefsumOrder`
 (:meth:`OverlapIndex.refsum_order`), for which events merely mark the
 ids they touched, so that the re-keying is paid by the decision that
-walks the order and not by every write.
+walks the order and not by every write.  The order keys each
+candidate relative to an anchor file, chosen once per pending task
+(the task's file with the most pending referers): a reference to a
+resident file counts once for the referers anchored on it, which are
+neither marked nor given their +1 in ``refsum`` — the order owes it to
+them, and :meth:`OverlapIndex.refsums` settles the debt before it
+answers, so every reader sees the same integers as before.
 Until asked, each is ``None`` and an event pays one test for it: a
 ``combined`` engine over the paper's Coadd job (candidate maps of tens
 of tasks, always scanned) carries only the refsums, a ``rest`` engine
@@ -96,7 +102,8 @@ class _SiteState:
         self.overlap: Dict[int, int] = {}
         #: ``ref_t`` of the same tasks and its sum, read by ``combined``
         #: alone: None until first asked for (see
-        #: :meth:`OverlapIndex.refsums`), then kept by every event.
+        #: :meth:`OverlapIndex.refsums`), then kept by every event —
+        #: up to what ``by_refsum`` owes the ids anchored in it.
         self.refsum: Optional[Dict[int, float]] = None
         self.total_refsum: Optional[float] = None
         #: Numerator over the index's denominator of the sum, over
@@ -130,6 +137,27 @@ class _SiteState:
                 buckets.remove(tid)
 
 
+class _Anchors(dict):
+    """Pending task id -> its anchor file for the refsum orders, chosen
+    when an order first keys the task: the task's file with the most
+    pending referers (lowest id on a tie), whose references then move
+    the most ids at once."""
+
+    __slots__ = ("_job", "_file_to_tasks")
+
+    def __init__(self, job: Job, file_to_tasks: Dict[int, Set[int]]):
+        super().__init__()
+        self._job = job
+        self._file_to_tasks = file_to_tasks
+
+    def __missing__(self, tid: int) -> int:
+        file_to_tasks = self._file_to_tasks
+        anchor = self[tid] = max(
+            self._job[tid].files,
+            key=lambda fid: (len(file_to_tasks[fid]), -fid))
+        return anchor
+
+
 class OverlapIndex:
     """Maintains overlap cardinalities and reference sums incrementally."""
 
@@ -137,6 +165,7 @@ class OverlapIndex:
         """Track ``tasks`` (default: every task of ``job``) as pending."""
         self.job = job
         self._file_to_tasks: Dict[int, Set[int]] = {}
+        self._anchor_of = _Anchors(job, self._file_to_tasks)
         #: Pending task id -> |t|; its key set *is* the pending set.
         self._size: Dict[int, int] = {}
         self._sites: Dict[int, _SiteState] = {}
@@ -234,7 +263,8 @@ class OverlapIndex:
                     del file_to_tasks[fid]
         for state in self._sites.values():
             if state.by_refsum is not None:
-                state.by_refsum.forget(tid)
+                state.by_refsum.forget(tid, state.refsum)
+                self._anchor_of.pop(tid, None)
             ov = state.overlap.pop(tid, 0)
             if ov:
                 state.rebucket(tid, ov, 0, size)
@@ -252,6 +282,10 @@ class OverlapIndex:
                        dict.fromkeys(tasks, ref) if ref else {})
 
     def _on_evict(self, state: _SiteState, fid: int) -> None:
+        # An anchor leaves with its file, referers or not: one kept past
+        # its residency would key a later arrival against a stale count.
+        if state.by_refsum is not None:
+            state.by_refsum.release(fid, state.refsum)
         tasks = self._file_to_tasks.get(fid)
         if tasks:
             ref = (state.refsum is not None
@@ -269,12 +303,13 @@ class OverlapIndex:
         # By far the most frequent event of a simulated run (one per
         # input of every task) and no overlap moves, so not worth a
         # mapping for :meth:`_fold`.  The file is resident: every
-        # pending referer overlaps it and has its entry.
+        # pending referer overlaps it and has its entry.  An order
+        # takes its members' +1 in one count and hands back the rest.
+        state.total_refsum += len(tasks)
         if state.by_refsum is not None:
-            state.by_refsum.dirty.update(tasks)
+            tasks = state.by_refsum.touched(fid, tasks, self._anchor_of)
         for tid in tasks:
             refsum[tid] += 1
-        state.total_refsum += len(tasks)
 
     def apply_delta(self, site_id: int, gained: Sequence[int],
                     lost: Sequence[int], touched: Sequence[int]) -> None:
@@ -294,6 +329,10 @@ class OverlapIndex:
             return
         storage = state.storage
         file_to_tasks = self._file_to_tasks
+        order = state.by_refsum
+        if order is not None:
+            for fid in lost:
+                order.release(fid, state.refsum)
         # Net change per task: of its overlap, and (a site that keeps
         # refsums only) of its ref_t.
         d_ov: Dict[int, int] = {}
@@ -309,25 +348,36 @@ class OverlapIndex:
                 if ref:
                     for tid in tasks:
                         d_ref[tid] = d_ref.get(tid, 0) + ref
+        anchored = 0
         if tracked:
             # The bulk of a report: one counting pass over the referers
-            # of every resident file referenced, not a loop per file.
-            d_ref.update(chain.from_iterable(
-                file_to_tasks.get(fid, ()) for fid in touched
-                if fid in storage))
-        self._fold(state, d_ov, d_ref)
+            # of every resident file referenced, not a loop per file —
+            # and with an order, only over the referers it hands back.
+            if order is None:
+                d_ref.update(chain.from_iterable(
+                    file_to_tasks.get(fid, ()) for fid in touched
+                    if fid in storage))
+            else:
+                for fid in touched:
+                    tasks = file_to_tasks.get(fid)
+                    if tasks and fid in storage:
+                        loose = order.touched(fid, tasks, self._anchor_of)
+                        anchored += len(tasks) - len(loose)
+                        d_ref.update(loose)
+        self._fold(state, d_ov, d_ref, anchored)
 
     def _fold(self, state: _SiteState, d_ov: Mapping[int, int],
-              d_ref: Mapping[int, int]) -> None:
+              d_ref: Mapping[int, int], anchored: int = 0) -> None:
         """The per-task arithmetic of an insert, an evict and a whole
         report: each task of ``d_ov`` gained that many resident files
-        (negative: lost), each of ``d_ref`` that much ``ref_t``.
-        ``d_ref`` is empty unless the site keeps refsums."""
+        (negative: lost), each of ``d_ref`` that much ``ref_t``, and
+        ``anchored`` more references went to the order's anchors.
+        ``d_ref`` is empty unless the site keeps refsums; its keys
+        that no overlap change explains are marked already."""
         if state.by_refsum is not None:
             state.by_refsum.dirty.update(d_ov)
-            state.by_refsum.dirty.update(d_ref)
         refsum = state.refsum
-        if d_ref:
+        if d_ref or anchored:
             # Before the overlap changes: a task about to lose its
             # last resident file still has its entry, one about to
             # gain its first gets one here.
@@ -336,7 +386,7 @@ class OverlapIndex:
                     refsum[tid] += change
                 except KeyError:
                     refsum[tid] = float(change)
-            state.total_refsum += sum(d_ref.values())
+            state.total_refsum += sum(d_ref.values()) + anchored
         if not d_ov:
             return
         bucketed = (state.by_overlap is not None
@@ -414,7 +464,7 @@ class OverlapIndex:
             order = state.by_refsum = RefsumOrder()
             order.dirty.update(state.overlap)
         order.flush(self.candidates_by_missing(site_id).key_by_id,
-                    self._refsums(state))
+                    self._refsums(state), self._anchor_of)
         return order
 
     def has_refsum_order(self, site_id: int) -> bool:
@@ -422,14 +472,19 @@ class OverlapIndex:
         return self._sites[site_id].by_refsum is not None
 
     def drop_refsum_order(self, site_id: int) -> None:
-        """Free the site's refsum order; events stop marking for it."""
-        self._sites[site_id].by_refsum = None
+        """Free the site's refsum order (settling what its anchors owe
+        the refsums); events stop marking for it."""
+        state = self._sites[site_id]
+        if state.by_refsum is not None:
+            state.by_refsum.settle(state.refsum)
+            state.by_refsum = None
 
     def _refsums(self, state: _SiteState) -> Dict[int, float]:
         """The site's refsum map, built on the first call: every
         resident file's reference count folded into its pending
         referers, as :meth:`_on_insert` would have — integer-valued
-        floats, so the same bits whenever it is built."""
+        floats, so the same bits whenever it is built.  Unsettled:
+        readers outside the index go through :meth:`refsums`."""
         refsum = state.refsum
         if refsum is None:
             refsum = state.refsum = dict.fromkeys(state.overlap, 0.0)
@@ -457,9 +512,15 @@ class OverlapIndex:
         ``.get(task_id, 0.0)``); both views are read-only by convention.
         Built on the first call for this site (by this,
         :meth:`total_refsum`, :meth:`view` or :meth:`refsum_order`),
-        maintained by every event afterwards.
+        maintained by every event afterwards — up to the references
+        the site's order holds for its anchored ids, which a call here
+        settles first.
         """
-        return self._refsums(self._sites[site_id])
+        state = self._sites[site_id]
+        refsum = self._refsums(state)
+        if state.by_refsum is not None:
+            state.by_refsum.settle(refsum)
+        return refsum
 
     def total_rest(self, site_id: int) -> float:
         """totalRest over the pending set for this site.
@@ -480,7 +541,7 @@ class OverlapIndex:
     def view(self, site_id: int, task: Task) -> TaskView:
         """O(1) :class:`TaskView` for one (site, pending task) pair."""
         state = self._sites[site_id]
-        refsum = self._refsums(state)
+        refsum = self.refsums(site_id)
         return TaskView(
             task_id=task.task_id,
             num_files=task.num_files,

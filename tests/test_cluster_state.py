@@ -416,6 +416,49 @@ def test_open_shard_continues_the_wal_sequence(tmp_path):
     second.close()
 
 
+def test_a_torn_burst_leaves_every_next_recovery_readable(tmp_path):
+    """A kill during a commit's one ``write`` can stop at any byte of
+    the burst.  Tear a committed multi-record burst at every offset,
+    recover, work, commit, and recover again: the second recovery
+    must read the log (the first incarnation's torn line must not
+    become a complete line of bad JSON under the next one's records),
+    with one contiguous sequence and the state the work left."""
+    source = str(tmp_path / "source")
+    first = open_shard(source, metric="combined", n=2, seed=3,
+                       lease_ttl=5.0, clock=FakeClock())
+    submit(first.service, SPECS)
+    first.events.flush()
+    burst_start = os.path.getsize(wal_path(source))
+    held = pull(first.service, worker="w0", site=0)
+    first.service.task_done("w0", held.task.task_id, held.lease_id)
+    first.service.file_delta(0, added=[1, 2], removed=[],
+                             referenced=[1, 2, 3])
+    pull(first.service, worker="w1", site=1)
+    first.events.flush()  # one write of four records; no snapshot
+    with open(wal_path(source), "rb") as handle:
+        wal = handle.read()
+    assert wal.count(b"\n", burst_start) == 4
+    for offset in range(burst_start, len(wal) + 1):
+        state_dir = str(tmp_path / f"torn-{offset}")
+        os.makedirs(state_dir)
+        with open(wal_path(state_dir), "wb") as handle:
+            handle.write(wal[:offset])
+        second = open_shard(state_dir, metric="combined", n=2, seed=3,
+                            lease_ttl=5.0, clock=FakeClock())
+        assert second.report["next_seq"] == wal.count(b"\n", 0, offset)
+        submit(second.service, SPECS[:2])
+        pull(second.service, worker="w2", site=1)
+        second.events.close()  # committed; nothing else to write
+        left = functional_state(second.service)
+        third = open_shard(state_dir, metric="combined", n=2, seed=3,
+                           lease_ttl=5.0, clock=FakeClock())
+        seqs = [record["seq"] for path in wal_files(state_dir)
+                for record in iter_events(path)]
+        assert seqs == list(range(len(seqs))), offset
+        assert functional_state(third.service) == left, offset
+        third.events.close()
+
+
 def test_maybe_snapshot_skips_when_nothing_changed(tmp_path):
     shard = open_shard(str(tmp_path), clock=FakeClock())
     submit(shard.service, SPECS[:1])

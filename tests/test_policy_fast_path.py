@@ -35,11 +35,11 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import policy_engine
-from repro.core.candidates import CandidateBuckets
+from repro.core.candidates import CandidateBuckets, RefsumOrder
 from repro.core.metrics import rest_weight_exact
 from repro.core.policy_engine import PolicyEngine, SiteFileState
 from repro.grid.job import Task
@@ -74,13 +74,17 @@ def trace(engine):
     engine.kernels = []
 
 
-def same_draw(fast, reference, site, eligible=None):
-    """One decision on both engines: same winner, same ranked floats."""
+def same_draw(fast, reference, site, eligible=None, also=()):
+    """One decision on both engines (and on each of ``also``): same
+    winner, same ranked floats."""
     chosen = fast.choose(site, eligible=eligible)
     twin = reference.choose(site, eligible=eligible)
     assert chosen.task_id == twin.task_id
-    assert (fast.spans.pop()["candidates"]
-            == reference.spans.pop()["candidates"])
+    candidates = fast.spans.pop()["candidates"]
+    assert candidates == reference.spans.pop()["candidates"]
+    for other in also:
+        assert other.choose(site, eligible=eligible).task_id == twin.task_id
+        assert other.spans.pop()["candidates"] == candidates
     fast.kernels.append(
         (fast.last_kernel, len(fast._index.nonzero_overlaps(site))))
     return chosen, twin
@@ -258,6 +262,18 @@ def assert_buckets_equal_fresh_build(buckets, expected):
                     == fresh.top(count, reverse=reverse))
 
 
+def settled_refsums(state):
+    """What ``refsums()`` returns for a site, read without settling:
+    the index's map plus what the order's anchors owe their members
+    (checking must not pay the debts the code under test carries)."""
+    refsums = dict(state.refsum)
+    if state.by_refsum is not None:
+        for anchor in state.by_refsum.anchors.values():
+            for tid in anchor.members:
+                refsums[tid] += anchor.count - anchor.settled
+    return refsums
+
+
 def assert_bucket_invariants(engine, tasks, sites=(0, 1)):
     """Every candidate structure a site carries must mirror a naive
     storage rescan exactly; a structure nobody asked for is None and
@@ -282,9 +298,9 @@ def assert_bucket_invariants(engine, tasks, sites=(0, 1)):
             expected_refsums = {
                 tid: index.naive_refsum(site, tasks[tid])
                 for tid in expected_overlap}
-            assert index.refsums(site) == expected_refsums
+            assert settled_refsums(state) == expected_refsums
             assert all(type(refsum) is float
-                       for refsum in index.refsums(site).values())
+                       for refsum in settled_refsums(state).values())
             assert (index.total_refsum(site)
                     == sum(expected_refsums.values()))
             assert type(index.total_refsum(site)) is float
@@ -302,16 +318,20 @@ def assert_bucket_invariants(engine, tasks, sites=(0, 1)):
                                              expected_missing)
         if state.by_refsum is None:
             continue
+        # An anchor lives exactly as long as its file stays resident.
+        assert all(fid in state.storage for fid in state.by_refsum.anchors)
         # The refsum order (lazily re-keyed from the ids marked since
         # it was last asked for) equals a brute-force sort over the
         # rescan, group by group.
         order = index.refsum_order(site)
         assert order is state.by_refsum and state.by_missing is not None
-        order.check()
         assert not order.dirty
         expected_keys = {
             tid: (missing, index.naive_refsum(site, tasks[tid]))
             for tid, missing in expected_missing.items()}
+        # Each key plus its anchor's count is the rescan's ref_t.
+        order.check({tid: refsum
+                     for tid, (_missing, refsum) in expected_keys.items()})
         assert order.as_dict() == expected_keys
         assert all(type(refsum) is float
                    for _missing, refsum in order.as_dict().values())
@@ -466,38 +486,55 @@ def report_stream(draw):
 
 
 def check_whole_report_equals_file_by_file(metric, n, seed, task_files,
-                                           steps, read_at):
+                                           steps, read_at,
+                                           walk_cost=None):
     """``whole`` takes each report through ``apply_delta``, ``single``
-    file by file.  Every step: same duplicate counts, same winner,
-    same RNG, same ``nonzero_overlaps`` and ``total_rest``; from step
-    ``read_at`` on also the same refsums and ``totalRef`` (reading
-    them builds them, which an ``overlap``/``rest`` engine never does
-    by itself — so before ``read_at`` those run the untracked path)."""
+    file by file, ``reference`` through ``fast_path=False``.  Every
+    step: same duplicate counts, same winner, ranked floats and RNG
+    (all three), same ``nonzero_overlaps`` and ``total_rest``; from
+    step ``read_at`` on also the same refsums and ``totalRef``
+    (reading them builds them, which an ``overlap``/``rest`` engine
+    never does by itself — so before ``read_at`` those run the
+    untracked path).  ``walk_cost`` patches ``ORDER_WALK_COST``: 0
+    walks the refsum order wherever it can, 1 builds and drops it
+    through the crossover's hysteresis as the maps grow and shrink."""
+    if walk_cost is not None:
+        with mock.patch.object(policy_engine, "ORDER_WALK_COST",
+                               walk_cost):
+            return check_whole_report_equals_file_by_file(
+                metric, n, seed, task_files, steps, read_at)
     whole, tasks = build_engine(task_files, metric, n, seed,
                                 fast_path=True)
     single, _ = build_engine(task_files, metric, n, seed, fast_path=True)
+    reference, _ = build_engine(task_files, metric, n, seed,
+                                fast_path=False)
     for step, (op, site, *rest) in enumerate(steps):
         if op == "report":
             added, removed, referenced = rest
             assert (whole.apply_delta(site, added, removed, referenced)
                     == apply_file_by_file(single, site, added, removed,
                                           referenced))
+            reference.apply_delta(site, added, removed, referenced)
             for engine in (whole, single):
                 assert (engine.site_state(site).export()
                         == single.site_state(site).export())
         elif op == "requeue":
             retired = sorted(set(tasks) - set(whole.pending))
-            for engine in (whole, single):
+            for engine in (whole, single, reference):
                 if retired:
                     engine.add_task(tasks[retired[0]])
         elif whole.has_pending:
             eligible = (random_scope(whole, rest[0])
                         if op == "choose-scoped" else None)
-            chosen, twin = same_draw(whole, single, site, eligible)
+            chosen, twin = same_draw(whole, single, site, eligible,
+                                     also=(reference,))
             if op == "retire":
                 whole.remove_task(chosen)
                 single.remove_task(twin)
+                reference.remove_task(tasks[chosen.task_id])
         assert whole._rng.getstate() == single._rng.getstate()
+        assert whole._rng.getstate() == reference._rng.getstate()
+        assert_bucket_invariants(single, tasks)
         for site in (0, 1):
             assert (whole._index.has_refsums(site)
                     == single._index.has_refsums(site))
@@ -515,15 +552,43 @@ def check_whole_report_equals_file_by_file(metric, n, seed, task_files,
     return whole
 
 
+#: An anchor file evicted after all its referers retired, then a task
+#: anchored on it requeued, losing and regaining its overlap through
+#: file 1 (a ``combined`` engine with n=1 retires ids 0 and 1).  The
+#: file-by-file path once kept that anchor past its file, still owing
+#: its count: the requeued id joined it, and losing file 1 popped a
+#: refsum short of ``ref_t`` (the next settle raised KeyError).
+ANCHOR_EVICTED_WITHOUT_REFERERS = ([{0, 1}, {0}, {2}], [
+    ("report", 0, [0, 1, 2], [], []),
+    ("choose", 0, 0),                      # the order is built
+    ("report", 0, [], [], [0]),            # file 0 becomes an anchor
+    ("choose", 0, 0),                      # ids 0 and 1 join it
+    ("report", 0, [], [], [0]),            # its count passes settled
+    ("retire", 0, 0),
+    ("retire", 0, 0),                      # file 0 has no referers left
+    ("report", 0, [], [0], []),            # ... and leaves
+    ("requeue", 0, 0),                     # id 0, anchored on file 0
+    ("choose", 0, 0),
+    ("report", 0, [], [1], []),            # id 0 loses its overlap
+    ("report", 0, [1], [], [1]),           # ... and regains it
+    ("choose", 0, 0),
+    ("report", 0, [], [1], []),
+    ("choose", 0, 0),
+])
+
+
 @pytest.mark.parametrize("n", [1, 2, 4])
 @pytest.mark.parametrize("metric", METRIC_NAMES)
-@given(report_stream(), st.integers(0, 2**16), st.integers(0, 30))
+@given(report_stream(), st.integers(0, 2**16), st.integers(0, 30),
+       st.sampled_from([None, 0, 1]))
+@example(ANCHOR_EVICTED_WITHOUT_REFERERS, 5, 0, 0)
+@example(ANCHOR_EVICTED_WITHOUT_REFERERS, 5, 30, 0)
 @settings(max_examples=25, deadline=None)
 def test_whole_report_equals_file_by_file(metric, n, scenario, seed,
-                                          read_at):
+                                          read_at, walk_cost):
     task_files, steps = scenario
     check_whole_report_equals_file_by_file(metric, n, seed, task_files,
-                                           steps, read_at)
+                                           steps, read_at, walk_cost)
 
 
 @pytest.mark.parametrize("read_at", [0, 99])
@@ -535,7 +600,7 @@ def test_whole_report_with_repeats_swaps_and_redundant_ids(metric,
     leaves and re-enters; absent: a redundant remove, then an add), ids
     repeated inside ``added``/``removed``, a task losing its last
     resident file while another gains its first, a reference to a file
-    that the same report removes."""
+    that the same report removes — with and without refsum orders."""
     task_files = [{0, 1}, {1, 2}, {2, 3}, {0, 3}, {4}, {0, 1, 2, 3, 4}]
     steps = [
         ("report", 0, [0, 1, 1], [], [0, 0, 1, 4]),
@@ -551,13 +616,14 @@ def test_whole_report_with_repeats_swaps_and_redundant_ids(metric,
         ("report", 0, [], [4], [4, 4]),
         ("choose", 0, 0),
     ]
-    whole = check_whole_report_equals_file_by_file(
-        metric, 2, 13, task_files, steps, read_at)
-    assert whole.site_state(0).export() == {
-        "resident": [], "references": [[0, 3], [1, 3], [2, 1], [3, 2],
-                                       [4, 4]]}
-    assert whole._index.nonzero_overlaps(0) == {}
-    assert whole._index.total_refsum(0) == 0.0
+    for walk_cost in (None, 0):
+        whole = check_whole_report_equals_file_by_file(
+            metric, 2, 13, task_files, steps, read_at, walk_cost)
+        assert whole.site_state(0).export() == {
+            "resident": [], "references": [[0, 3], [1, 3], [2, 1],
+                                           [3, 2], [4, 4]]}
+        assert whole._index.nonzero_overlaps(0) == {}
+        assert whole._index.total_refsum(0) == 0.0
 
 
 @pytest.mark.parametrize("metric", METRIC_NAMES)
@@ -699,38 +765,99 @@ def run_task(engines, cache, site, task, capacity):
             engine.file_referenced(site, fid)
 
 
+def never_walk():
+    """Force the scan: a site's order drops below the crossover."""
+    return mock.patch.object(policy_engine, "ORDER_WALK_COST",
+                             float("inf"))
+
+
+def assert_orders_match(engine, reference):
+    """Each site's refsum order, flushed, against the refsums of the
+    same stream through ``fast_path=False``, which keeps no order and
+    so no anchors: every live entry's key plus its anchor's count is
+    the task's ``ref_t`` (checked without settling ``engine``'s
+    refsums, which a scan's read would)."""
+    for site in engine.site_ids:
+        if engine._index.has_refsum_order(site):
+            order = engine._index.refsum_order(site)
+            refsums = reference._index.refsums(site)
+            assert len(order) == len(refsums)
+            order.check(refsums)
+
+
 @pytest.mark.parametrize("metric", ORDERED_NAMES)
 def test_hotset_stream_matches_reference_with_far_fewer_scored(metric):
     """3k-task hotset, 2 sites, LRU churn: the engine picks the ordered
     kernel by itself, and the id stream, every ranked float and the
     RNG match the reference while scoring >= 10x fewer candidates
-    than the scan."""
+    than the scan.  On the way: anchor files evicted and re-admitted
+    (the LRU holds 60 files), tasks holding two hot files, requeues
+    into warm sites, and both sites' orders dropped by the crossover's
+    hysteresis and rebuilt — each order checked against the reference
+    engine's refsums after every step, and against storage at the
+    end."""
     task_files = hotset_tasks(3000, seed=7)
+    for tid in range(0, len(task_files), 9):   # a second hot file
+        task_files[tid].add((min(task_files[tid]) + 7) % 20)
     fast, tasks = build_engine(task_files, metric, 2, 11, fast_path=True)
     reference, _ = build_engine(task_files, metric, 2, 11,
                                 fast_path=False)
-    with mock.patch.object(policy_engine, "ORDER_WALK_COST",
-                           float("inf")):
+    with never_walk():
         scan, _ = build_engine(task_files, metric, 2, 11,
                                fast_path=True)
     engines = (fast, reference, scan)
     caches = {0: OrderedDict(), 1: OrderedDict()}
     job = {tid for tid in tasks if tid % 3}  # a two-thirds tenant
     kernels = set()
+    retired = []
+    released = []
+    readmitted = set()
+    release = RefsumOrder.release
+
+    def spy_release(order, fid, refsums):
+        if fid in order.anchors:
+            released.append(fid)
+        release(order, fid, refsums)
+
     for step in range(240):
         site = step % 2
         scoped = step % 4 >= 2
         eligible = job if scoped else None
-        chosen, twin = same_draw(fast, reference, site, eligible)
-        with mock.patch.object(policy_engine, "ORDER_WALK_COST",
-                               float("inf")):
+        if step in (120, 121):                 # drop both sites' orders
+            with never_walk():
+                chosen, twin = same_draw(fast, reference, site, eligible)
+            assert not fast._index.has_refsum_order(site)
+        else:
+            with mock.patch.object(RefsumOrder, "release", spy_release):
+                chosen, twin = same_draw(fast, reference, site, eligible)
+        with never_walk():
             assert scan.choose(site, eligible).task_id == chosen.task_id
         kernels.add(fast.last_kernel)
         for engine in engines:
             engine.remove_task(tasks[chosen.task_id])
         job.discard(chosen.task_id)
-        run_task(engines, caches[site], site, chosen, capacity=60)
+        with mock.patch.object(RefsumOrder, "release", spy_release):
+            run_task(engines, caches[site], site, chosen, capacity=60)
+        retired.append(chosen.task_id)
+        if released and step % 40 == 39:       # a worker fetches one back
+            run_task(engines, caches[site], site,
+                     Task(-1, frozenset({released[-1]})), capacity=60)
+        if step % 16 == 15:                    # requeue into a warm site
+            tid = retired.pop(0)
+            for engine in engines:
+                engine.add_task(tasks[tid])
+            if tid % 3:
+                job.add(tid)
+        assert_orders_match(fast, reference)
+        for state in fast._index._sites.values():
+            if state.by_refsum is not None:
+                readmitted.update(state.by_refsum.anchors.keys()
+                                  & set(released))
     assert fast._rng.getstate() == reference._rng.getstate()
+    assert all(fast._index.has_refsum_order(site) for site in (0, 1))
+    assert_bucket_invariants(fast, tasks)     # and against storage
+    # Anchors went with their files and came back with them.
+    assert readmitted, released
     # Cold start (empty caches, tiny maps) scans, then the order takes
     # over; and the caches did fill, so files were evicted.
     assert kernels == {"scored", "ordered"}
@@ -738,6 +865,48 @@ def test_hotset_stream_matches_reference_with_far_fewer_scored(metric):
     assert sum(len(cache) for cache in caches.values()) == 120
     assert fast.tasks_scored * 10 <= scan.tasks_scored
     assert scan.tasks_scored == reference.tasks_scored
+
+
+@pytest.mark.parametrize("metric", ORDERED_NAMES)
+def test_a_reference_to_an_anchor_rekeys_none_of_its_referers(metric):
+    """The fan-out, pinned: on the hotset shape, one reference to a
+    resident hot file held by m pending tasks, all anchored on it,
+    moves one count; the next flush re-keys none of the m, and the
+    next decision still equals the reference scan's."""
+    task_files = hotset_tasks(3000, seed=7)
+    fast, tasks = build_engine(task_files, metric, 2, 11, fast_path=True)
+    reference, _ = build_engine(task_files, metric, 2, 11,
+                                fast_path=False)
+    caches = {0: OrderedDict(), 1: OrderedDict()}
+    for step in range(40):
+        site = step % 2
+        chosen, twin = same_draw(fast, reference, site)
+        for engine in (fast, reference):
+            engine.remove_task(tasks[chosen.task_id])
+        run_task((fast, reference), caches[site], site, chosen,
+                 capacity=600)
+    assert fast.last_kernel == "ordered"
+    order = fast._index._sites[0].by_refsum
+    hot = max(range(20), key=lambda fid: len(
+        order.anchors[fid].members) if fid in order.anchors else 0)
+    referers = fast._index._file_to_tasks[hot]
+    assert order.anchors[hot].members == referers
+    assert len(referers) >= 100
+    rekeyed = []
+    flush = RefsumOrder.flush
+
+    def spy_flush(order, *args):
+        rekeyed.extend(order.dirty)
+        flush(order, *args)
+
+    for engine in (fast, reference):
+        engine.file_referenced(0, hot)
+    with mock.patch.object(RefsumOrder, "flush", spy_flush):
+        same_draw(fast, reference, 0)
+    assert fast.last_kernel == "ordered"
+    assert not referers & set(rekeyed)
+    assert_orders_match(fast, reference)
+    assert fast._rng.getstate() == reference._rng.getstate()
 
 
 @pytest.mark.parametrize("metric", ORDERED_NAMES)
@@ -786,6 +955,40 @@ def test_float_tie_across_distinct_refsums(metric, n, holders_of_file_2,
     assert span["candidates"] == reference.spans[-1]["candidates"]
     assert [c["task_id"] for c in span["candidates"]] == expected
     assert span["scored"] == len(eligible) > n  # walked past the n-th
+    assert fast._rng.getstate() == reference._rng.getstate()
+    # The same tie with its candidates under different anchors whose
+    # counts moved — id 5 on file 3, the holders on file 2, each made an
+    # anchor by a first reference, joined by the next flush, referenced
+    # again — and one candidate under none: id 7's anchor, file 9, is
+    # not resident.
+    late = Task(7, frozenset({9, 2}))
+    for engine in engines:
+        engine.job[7] = late
+        engine.add_task(late)
+        for fid in (3, 2):
+            engine.file_referenced(0, fid)
+    with always_walk():
+        same_draw(fast, reference, 0)
+    for engine in engines:
+        for fid in (3, 3, 2):
+            engine.file_referenced(0, fid)
+    eligible |= {7}
+    with always_walk():
+        same_draw(fast, reference, 0)
+        fast.choose(0, eligible)
+        reference.choose(0, eligible)
+    span = fast.spans[-1]
+    assert span["kernel"] == "ordered"
+    assert span["candidates"] == reference.spans[-1]["candidates"]
+    assert [c["task_id"] for c in span["candidates"]] == expected
+    assert span["scored"] == len(eligible)
+    anchors = fast._index._sites[0].by_refsum.anchors
+    assert anchors[3].members == {5}
+    assert anchors[2].members == set(holders_of_file_2)
+    assert (anchors[3].count, anchors[2].count) == (2, 1)
+    refsums = reference._index.refsums(0)
+    assert (refsums[5], refsums[7]) == (6, 4)
+    fast._index.refsum_order(0).check(refsums)
     assert fast._rng.getstate() == reference._rng.getstate()
 
 
