@@ -1,7 +1,7 @@
 """Shard-to-shard work stealing: the thief-side control loop.
 
 A drained shard — pending queue under the ``--steal-watermark``, idle
-workers parked — should not sit still while a sibling shard buckles
+unscoped pulls parked — should not sit still while a sibling shard buckles
 under a skewed job.  The :class:`StealManager` runs next to each
 shard's server and drives the protocol-v3 steal exchange as the TCP
 *client* (the thief), over the same negotiated codec streams workers
@@ -222,19 +222,21 @@ class StealManager:
                 self.forward_batches += 1
 
     async def _maybe_steal(self) -> None:
+        # A stolen task belongs to a foreign job, so only an unscoped
+        # pull can ever run it: pulls scoped to a job are no demand.
         service = self.service
         watermark = service.steal_watermark
+        parked = service.parked_unscoped
         if (watermark is None or service.draining
                 or service.queue_depth >= watermark
-                or service.parked_workers == 0
+                or parked == 0
                 or service.pending_steal_imports()):
             return
         victim = await self._pick_victim(watermark)
         if victim is None:
             return
         want = min(self.max_tasks,
-                   max(service.parked_workers,
-                       watermark - service.queue_depth))
+                   max(parked, watermark - service.queue_depth))
         self.steal_attempts += 1
         reply = await self._call(victim, messages.StealRequest(
             max_tasks=want, site_refsums=self._site_refsums()))

@@ -125,16 +125,22 @@ class _Lease:
 
 
 class _JobState:
-    """Per-job bookkeeping: which tasks are pending/assigned/done."""
+    """Per-job bookkeeping: task counts and the pending set."""
 
-    __slots__ = ("job_id", "task_ids", "pending", "completed",
+    __slots__ = ("job_id", "origin", "tasks", "pending", "completed",
                  "weight", "assigned")
 
-    def __init__(self, job_id: int):
+    def __init__(self, job_id: int, origin: Optional[int] = None):
         self.job_id = job_id
-        self.task_ids: Set[int] = set()
+        #: The shard a stolen job's tasks came from (completions are
+        #: forwarded there); None for this shard's own jobs.
+        self.origin = origin
+        #: How many tasks the job has, and how many of them are done;
+        #: which ones is in each task's :class:`_TaskRecord`.
+        self.tasks = 0
+        self.completed = 0
+        #: The pending ones — what a scoped pull hands ``choose``.
         self.pending: Set[int] = set()
-        self.completed: Set[int] = set()
         #: Fair-share weight; None = the job never asked for one.
         self.weight: Optional[float] = None
         #: Assignments granted to this job (the stride scheduler's
@@ -142,14 +148,29 @@ class _JobState:
         self.assigned = 0
 
     @property
-    def outstanding(self) -> int:
-        return (len(self.task_ids) - len(self.pending)
-                - len(self.completed))
-
-    @property
     def done(self) -> bool:
-        return bool(self.task_ids) and (
-            len(self.completed) == len(self.task_ids))
+        return self.tasks > 0 and self.completed == self.tasks
+
+
+class _TaskRecord:
+    """Where one task is: the one place the transitions edit.
+
+    A task is pending (in the engine and ``job.pending``), out under
+    ``lease`` (plus any ``replicas``), exported to a thief under
+    ``export``, or ``done``.  Only a recovery fold that re-applies a
+    stale export holds one both leased and exported, until
+    ``requeue_unacked_exports`` retires the export.
+    """
+
+    __slots__ = ("job", "lease", "replicas", "export", "done")
+
+    def __init__(self, job: _JobState):
+        self.job = job
+        self.lease: Optional[_Lease] = None
+        #: Replica leases, oldest first (the next primary if it goes).
+        self.replicas: Tuple[_Lease, ...] = ()
+        self.export: Optional[int] = None
+        self.done = False
 
 
 class _ParkedRequest(NamedTuple):
@@ -220,8 +241,11 @@ class SchedulerService:
             jobs_active=lambda: sum(1 for job in self._jobs.values()
                                     if not job.done),
             draining=lambda: 1.0 if self._draining else 0.0)
-        self._completed: Set[int] = set()
-        self._assigned: Dict[int, _Lease] = {}     # task_id -> lease
+        #: task_id -> where the task is; every transition edits this.
+        self._tasks: Dict[int, _TaskRecord] = {}
+        #: Tasks out under a primary lease (``outstanding``).
+        self._leased = 0
+        # Indexes over the records' leases, primaries and replicas.
         self._leases: Dict[int, _Lease] = {}       # lease_id -> lease
         self._by_worker: Dict[str, Set[_Lease]] = {}  # its leases
         #: Admission control: a JOB_SUBMIT that would push the pending
@@ -237,7 +261,6 @@ class SchedulerService:
         #: rejected by the ordinary lease machinery.
         self._replicate_tail = replicate_tail
         self._max_replicas = max_replicas
-        self._replicas: Dict[int, List[_Lease]] = {}  # task -> replicas
         #: Shard-to-shard work stealing.  A non-None watermark enables
         #: both halves: as the *victim*, export pending unleased tasks
         #: down to the watermark when a thief asks; as the *thief*,
@@ -249,13 +272,11 @@ class SchedulerService:
         #: An export lives from the grant until its last task's
         #: forwarded completion (or its abort).
         self._steal_exports: Dict[int, Dict] = {}
-        self._exported_tasks: Dict[int, int] = {}  # task -> export_id
         self._next_export_id = 1
         #: Thief side: (origin shard, export_id) -> task specs, held
         #: *tentatively* between the WAL import record and the
         #: victim's STEAL_ACK answer; activation requires the answer.
         self._steal_imports: Dict[Tuple[int, int], List[Dict]] = {}
-        self._foreign_jobs: Dict[int, int] = {}    # job_id -> origin
         #: Completions of stolen tasks awaiting forwarding, per origin.
         self._steal_outbox: Dict[int, List[int]] = {}
         #: Weighted-fair mode is sticky: it turns on at the first
@@ -263,7 +284,6 @@ class SchedulerService:
         #: sees a weight keeps the bit-identical unscoped choose path.
         self._weighted = False
         self._jobs: Dict[int, _JobState] = {}
-        self._task_job: Dict[int, int] = {}        # task_id -> job_id
         self._parked: Deque[_ParkedRequest] = deque()
         #: Shard-aware id allocation: shard ``i`` of ``N`` constructs
         #: with ``id_start=i, id_stride=N`` so every job/task id it
@@ -288,7 +308,7 @@ class SchedulerService:
 
     @property
     def outstanding(self) -> int:
-        return len(self._assigned)
+        return self._leased
 
     @property
     def active_leases(self) -> int:
@@ -297,6 +317,12 @@ class SchedulerService:
     @property
     def parked_workers(self) -> int:
         return len(self._parked)
+
+    @property
+    def parked_unscoped(self) -> int:
+        """Parked pulls not scoped to a job: the only ones a stolen
+        (foreign-job) task could ever be handed to."""
+        return sum(1 for entry in self._parked if entry.job_id is None)
 
     @property
     def draining(self) -> bool:
@@ -405,10 +431,10 @@ class SchedulerService:
         if job is None:
             raise ServiceError(f"unknown job id {job_id!r}")
         return {"job_id": job_id,
-                "tasks": len(job.task_ids),
-                "completed": len(job.completed),
+                "tasks": job.tasks,
+                "completed": job.completed,
                 "pending": len(job.pending),
-                "outstanding": job.outstanding,
+                "outstanding": job.tasks - len(job.pending) - job.completed,
                 "done": job.done}
 
     # -- the pull loop ---------------------------------------------------
@@ -499,6 +525,10 @@ class SchedulerService:
                     else self.engine.has_pending)):
             assignments.append(
                 self._assign(entry.worker, entry.site_id, job))
+        self._deliver(entry, assignments)
+
+    def _deliver(self, entry: _ParkedRequest,
+                 assignments: List[Assignment]) -> None:
         if entry.batched:
             self.stats.record_batch(len(assignments))
             entry.deliver(assignments)
@@ -513,17 +543,10 @@ class SchedulerService:
         1.  Ties break on the lower job id, so the pick order is
         deterministic.
         """
-        best: Optional[_JobState] = None
-        best_pass = 0.0
-        for job_id in sorted(self._jobs):
-            job = self._jobs[job_id]
-            if not job.pending:
-                continue
-            weight = job.weight if job.weight is not None else 1.0
-            pass_value = job.assigned / weight
-            if best is None or pass_value < best_pass:
-                best, best_pass = job, pass_value
-        return best
+        return min((job for _job_id, job in sorted(self._jobs.items())
+                    if job.pending),
+                   key=lambda job: job.assigned / (job.weight or 1.0),
+                   default=None)
 
     def _assign(self, worker: str, site_id: int,
                 job: Optional[_JobState]) -> Assignment:
@@ -538,7 +561,7 @@ class SchedulerService:
         task = self.engine.choose(site_id, eligible=eligible)
         latency = self._clock() - start
         overlap = self.engine.overlap(site_id, task.task_id)
-        owner_id = self._task_job[task.task_id]
+        owner_id = self._tasks[task.task_id].job.job_id
         lease_id = self._next_lease_id
         self._apply_assign(task.task_id, site_id, worker, lease_id)
         self.stats.record_assignment(site_id, latency, overlap > 0,
@@ -578,25 +601,18 @@ class SchedulerService:
         nothing is double-counted.  Returns False when no task
         qualifies (the pull parks as before).
         """
-        if job is not None:
-            candidates = (task_id for task_id in job.task_ids
-                          if task_id in self._assigned)
-        else:
-            candidates = iter(self._assigned)
-        best: Optional[_Lease] = None
-        for task_id in candidates:
-            primary = self._assigned[task_id]
-            if primary.worker == entry.worker:
-                continue
-            replicas = self._replicas.get(task_id, ())
-            if len(replicas) >= self._max_replicas:
-                continue
-            if any(r.worker == entry.worker for r in replicas):
-                continue
-            if (best is None
-                    or (primary.granted_at, primary.task_id)
-                    < (best.granted_at, best.task_id)):
-                best = primary
+        def replicable(primary: _Lease) -> bool:
+            record = self._tasks[primary.task_id]
+            return (record.lease is primary
+                    and (job is None or record.job is job)
+                    and primary.worker != entry.worker
+                    and len(record.replicas) < self._max_replicas
+                    and all(r.worker != entry.worker
+                            for r in record.replicas))
+
+        best = min(filter(replicable, self._leases.values()),
+                   key=lambda lease: (lease.granted_at, lease.task_id),
+                   default=None)
         if best is None:
             return False
         lease_id = self._next_lease_id
@@ -604,18 +620,14 @@ class SchedulerService:
                            lease_id, replica=True)
         self.stats.task_replications += 1
         self.stats.leases_granted += 1
-        owner_id = self._task_job[best.task_id]
+        owner_id = self._tasks[best.task_id].job.job_id
         self._emit("assign", task_id=best.task_id, site=entry.site_id,
                    worker=entry.worker, job_id=owner_id,
                    lease_id=lease_id, replica=True)
-        granted = Assignment(task=self._table[best.task_id],
-                             lease_id=lease_id, job_id=owner_id,
-                             lease_ttl=self.lease_ttl)
-        if entry.batched:
-            self.stats.record_batch(1)
-            entry.deliver([granted])
-        else:
-            entry.deliver(granted)
+        self._deliver(entry, [Assignment(task=self._table[best.task_id],
+                                         lease_id=lease_id,
+                                         job_id=owner_id,
+                                         lease_ttl=self.lease_ttl)])
         return True
 
     def _service_parked(self) -> None:
@@ -642,20 +654,22 @@ class SchedulerService:
         every lease on the task, so whichever copy reports second is
         rejected as ``already-complete``.
         """
-        if not protocol.is_int(task_id) or task_id not in self._task_job:
+        record = (self._tasks.get(task_id) if protocol.is_int(task_id)
+                  else None)
+        if record is None:
             raise ServiceError(f"unknown task id {task_id!r}")
         lease = self._leases.get(lease_id)
         if lease is None or lease.task_id != task_id:
-            if task_id in self._completed:
+            if record.done:
                 self.stats.duplicate_completions += 1
                 return CompletionResult(False, "already-complete")
             self.stats.stale_completions += 1
             return CompletionResult(False, "stale-lease")
-        if self._assigned.get(task_id) is not lease:
+        if record.lease is not lease:
             self.stats.replica_wins += 1
         self._apply_complete(task_id)
-        job = self._jobs[self._task_job[task_id]]
-        if job.job_id not in self._foreign_jobs:
+        job = record.job
+        if job.origin is None:
             self.stats.completions += 1
             self._emit("complete", task_id=task_id, worker=worker,
                        job_id=job.job_id, lease_id=lease_id)
@@ -706,15 +720,17 @@ class SchedulerService:
         directly with a fake clock.
         """
         now = self._clock() if now is None else now
-        lapsed = [lease for lease in self._assigned.values()
+        lapsed = [lease for lease in self._leases.values()
                   if lease.expires_at <= now]
+        primaries = [lease for lease in lapsed
+                     if self._tasks[lease.task_id].lease is lease]
         requeued = 0
-        for lease in lapsed:
+        for lease in primaries:
             self._apply_lease_expire(lease.task_id, lease.lease_id)
             self.stats.lease_expiries += 1
             self._emit("lease-expire", task_id=lease.task_id,
                        lease_id=lease.lease_id, worker=lease.worker)
-            if lease.task_id in self._assigned:
+            if self._tasks[lease.task_id].lease is not None:
                 continue  # a replica is still computing the task
             self._apply_requeue(lease.task_id)
             requeued += 1
@@ -723,22 +739,22 @@ class SchedulerService:
         # Replica leases lapse quietly: the primary still covers the
         # task, so an expired replica is dropped without a requeue.
         # (One promoted just above is a primary now and waits for the
-        # next sweep.)
-        lapsed_replicas = [
-            replica for replicas in self._replicas.values()
-            for replica in replicas if replica.expires_at <= now]
-        for replica in lapsed_replicas:
+        # next sweep; the lapsed primaries are released.)
+        replicas = [lease for lease in lapsed
+                    if lease.lease_id in self._leases
+                    and self._tasks[lease.task_id].lease is not lease]
+        for replica in replicas:
             self._apply_lease_expire(replica.task_id, replica.lease_id)
             self.stats.lease_expiries += 1
             self._emit("lease-expire", task_id=replica.task_id,
                        lease_id=replica.lease_id,
                        worker=replica.worker)
-        if lapsed or lapsed_replicas:
+        if primaries or replicas:
             self.stats.requeues += requeued
             self.stats.record_queue_depth(self.queue_depth)
             self._service_parked()
             self._maybe_drained()
-        return len(lapsed) + len(lapsed_replicas)
+        return len(primaries) + len(replicas)
 
     # -- file-state deltas ----------------------------------------------
     def file_delta(self, site_id: int, added: List[int],
@@ -780,8 +796,8 @@ class SchedulerService:
         for lease in sorted(self._by_worker.pop(worker, ()),
                             key=lambda lease: lease.task_id):
             task_id = lease.task_id
-            if (self._assigned[task_id] is lease
-                    and task_id not in self._replicas):
+            record = self._tasks[task_id]
+            if record.lease is lease and not record.replicas:
                 self._apply_requeue(task_id)
                 requeued += 1
                 self._emit("requeue", task_id=task_id,
@@ -816,7 +832,7 @@ class SchedulerService:
         # lease, no exported task is still computing on a thief, and
         # every stolen completion has been forwarded home.
         if (self._draining and self.outstanding == 0
-                and not self._exported_tasks and not self._steal_outbox):
+                and not self.exported_outstanding and not self._steal_outbox):
             callback, self.on_drained = self.on_drained, None
             if callback is not None:
                 callback()
@@ -838,14 +854,17 @@ class SchedulerService:
     @property
     def exported_outstanding(self) -> int:
         """Exported tasks still computing (or pending) on a thief."""
-        return len(self._exported_tasks)
+        return sum(self._tasks[task_id].export == export_id
+                   for export_id, export in self._steal_exports.items()
+                   for task_id in export["remaining"])
 
     def export_steal_batch(self, thief: str, max_tasks: int,
                            site_refsums: List[Dict]) -> Optional[Dict]:
         """Victim half of ``STEAL_REQUEST``: pick, detach, and grant.
 
-        Chooses up to ``max_tasks`` pending *unleased* tasks — never
-        dipping below the victim's own watermark — by lowest locality
+        Chooses up to ``max_tasks`` pending *unleased* tasks of its own
+        jobs — never dipping below the victim's own watermark, never
+        re-exporting a stolen task — by lowest locality
         loss: each candidate is scored against the thief's shipped
         per-site file/refcount summaries with the allocation-free
         :data:`~repro.core.metrics.FAST_SCORERS`, and the
@@ -864,13 +883,14 @@ class SchedulerService:
             return None
         budget = min(max_tasks,
                      self.queue_depth - self._steal_watermark)
-        if budget <= 0:
+        chosen = (self._select_steal_tasks(budget, site_refsums)
+                  if budget > 0 else [])
+        if not chosen:
             self.stats.record_steal_request("empty")
             return None
-        chosen = self._select_steal_tasks(budget, site_refsums)
         export_id = self._next_export_id
         specs = [{"task_id": task.task_id,
-                  "job_id": self._task_job[task.task_id],
+                  "job_id": self._tasks[task.task_id].job.job_id,
                   "files": sorted(task.files), "flops": task.flops}
                  for task in map(self._table.__getitem__, chosen)]
         self._apply_steal_export(export_id, thief, specs)
@@ -889,7 +909,9 @@ class SchedulerService:
         would earn at any thief site under this service's metric; the
         per-site totals stand in for the thief's aggregate normalizers
         (only the relative order matters here).  No allocation beyond
-        the candidate list, no RNG.
+        the candidate list, no RNG.  Only this shard's own jobs are
+        candidates: a stolen task stolen back would find its id known
+        at the origin, be admitted nowhere, and be lost.
         """
         sites: List[Tuple[Dict[int, float], float]] = []
         for entry in site_refsums:
@@ -900,6 +922,8 @@ class SchedulerService:
         scorer = FAST_SCORERS[self.engine.metric_name]
         scored: List[Tuple[float, int]] = []
         for task_id, task in self.engine.pending.items():
+            if self._tasks[task_id].job.origin is not None:
+                continue
             num_files = len(task.files)
             best = scorer(num_files, 0, 0.0, 0.0, 1.0)
             for refs, total_refsum in sites:
@@ -944,8 +968,8 @@ class SchedulerService:
         """
         completed = duplicates = 0
         for task_id in task_ids:
-            job_id = self._task_job.get(task_id)
-            if job_id is None:
+            record = self._tasks.get(task_id)
+            if record is None:
                 raise ServiceError(f"unknown task id {task_id!r}")
             if not self._apply_complete(task_id):
                 self.stats.duplicate_completions += 1
@@ -953,8 +977,8 @@ class SchedulerService:
                 continue
             self.stats.completions += 1
             self._emit("complete", task_id=task_id, worker=worker,
-                       job_id=job_id)
-            if self._jobs[job_id].done:
+                       job_id=record.job.job_id)
+            if record.job.done:
                 self.stats.jobs_completed += 1
             completed += 1
         if completed:
@@ -1090,6 +1114,21 @@ class SchedulerService:
         lose or duplicate a completion.  Stats counters restart at
         zero — they describe a process, not the schedule.
         """
+        def lease_row(lease: _Lease) -> List:
+            return [lease.task_id, lease.lease_id, lease.worker,
+                    lease.site_id]
+
+        # Every per-task list is read off the record table in task-id
+        # order, so each comes out sorted.
+        records = sorted(self._tasks.items())
+        jobs = {job: ([], []) for job in self._jobs.values()}
+        for task_id, record in records:
+            job_tasks, job_completed = jobs[record.job]
+            job_tasks.append(task_id)
+            if record.done:
+                job_completed.append(task_id)
+        replicas = [lease_row(lease) for _task_id, record in records
+                    for lease in record.replicas]
         engine = self.engine
         rng_state = engine.rng.getstate()
         state = {
@@ -1106,13 +1145,13 @@ class SchedulerService:
             "tasks_scored": engine.tasks_scored,
             "tasks": [[task_id, sorted(task.files), task.flops]
                       for task_id, task in sorted(self._table.items())],
-            "jobs": [[job_id, sorted(job.task_ids),
-                      sorted(job.completed)]
+            "jobs": [[job_id, *jobs[job]]
                      for job_id, job in sorted(self._jobs.items())],
-            "assigned": [[task_id, lease.lease_id, lease.worker,
-                          lease.site_id] for task_id, lease
-                         in sorted(self._assigned.items())],
-            "completed": sorted(self._completed),
+            "assigned": [lease_row(record.lease)
+                         for _task_id, record in records
+                         if record.lease is not None],
+            "completed": [task_id for task_id, record in records
+                          if record.done],
             "sites": [[site_id, engine.site_state(site_id).export()]
                       for site_id in sorted(engine.site_ids)],
             "draining": self._draining,
@@ -1121,11 +1160,8 @@ class SchedulerService:
         # has left state behind, so a service that never saw a
         # replica, a weight or a steal exports exactly the keys above,
         # byte-identical to a service without the feature.
-        if self._replicas:
-            state["replicas"] = [
-                [task_id, lease.lease_id, lease.worker, lease.site_id]
-                for task_id, leases in sorted(self._replicas.items())
-                for lease in leases]
+        if replicas:
+            state["replicas"] = replicas
         if self._weighted:
             state["weights"] = [
                 [job_id, job.weight, job.assigned]
@@ -1154,10 +1190,11 @@ class SchedulerService:
                 [origin, export_id, [dict(spec) for spec in specs]]
                 for (origin, export_id), specs
                 in sorted(self._steal_imports.items())]
-        if self._foreign_jobs:
-            steal["foreign_jobs"] = [
-                [job_id, origin] for job_id, origin
-                in sorted(self._foreign_jobs.items())]
+        foreign = [[job_id, job.origin]
+                   for job_id, job in sorted(self._jobs.items())
+                   if job.origin is not None]
+        if foreign:
+            steal["foreign_jobs"] = foreign
         if self._steal_outbox:
             steal["outbox"] = [
                 [origin, list(task_ids)] for origin, task_ids
@@ -1172,7 +1209,8 @@ class SchedulerService:
         task's overlap folds against the restored residency, exactly
         as ``watch_site`` + ``add_task`` maintain it live; refsums
         are rebuilt from the restored reference counts by the first
-        decision that reads them),
+        decision that reads them), leases and exports are restored
+        first so that only the tasks neither holds enter the engine,
         pending tasks re-enter in ascending id order (the zero-overlap
         heap ends up with the same entry set, and pop order is fully
         determined by entry tuples), and the RNG stream resumes from
@@ -1201,41 +1239,38 @@ class SchedulerService:
             self._table[task_id] = Task(task_id=task_id,
                                         files=frozenset(files),
                                         flops=float(flops))
-        completed = set(state["completed"])
-        steal = state.get("steal", {})
-        # Everything that is somewhere other than the pending queue.
-        placed = completed | {entry[0] for entry in state["assigned"]}
-        for *_export, remaining in steal.get("exports", []):
-            placed.update(remaining)
-        pending: List[int] = []
-        for job_id, task_ids, job_completed in state["jobs"]:
-            job = _JobState(job_id)
-            job.task_ids.update(task_ids)
-            job.completed.update(job_completed)
-            self._jobs[job_id] = job
+        for job_id, task_ids, _completed in state["jobs"]:
+            job = self._jobs[job_id] = _JobState(job_id)
+            job.tasks = len(task_ids)
             for task_id in task_ids:
-                self._task_job[task_id] = job_id
-                if task_id not in placed:
-                    job.pending.add(task_id)
-                    pending.append(task_id)
-        for task_id in sorted(pending):
-            engine.add_task(self._table[task_id])
-        self._completed = completed
+                self._tasks[task_id] = _TaskRecord(job)
+        for task_id in state["completed"]:
+            record = self._tasks[task_id]
+            record.done = True
+            record.job.completed += 1
         # Leases and the steal ledger go back in through the
         # transitions that first made them.
         for key in ("assigned", "replicas"):
             for task_id, lease_id, worker, site_id in state.get(key, []):
                 self._apply_assign(task_id, site_id, worker, lease_id,
                                    replica=key == "replicas")
+        steal = state.get("steal", {})
         for export_id, thief, acked, specs, _remaining in steal.get(
                 "exports", []):
             self._apply_steal_export(export_id, thief, specs)
             if acked:
                 self._apply_steal_export_ack(export_id)
+        # Every task neither done, leased nor exported is pending.
+        for task_id in sorted(self._tasks):
+            record = self._tasks[task_id]
+            if (not record.done and record.lease is None
+                    and record.export is None):
+                record.job.pending.add(task_id)
+                engine.add_task(self._table[task_id])
         for origin, export_id, specs in steal.get("imports", []):
             self._apply_steal_import(origin, export_id, specs)
         for job_id, origin in steal.get("foreign_jobs", []):
-            self._foreign_jobs[job_id] = origin
+            self._jobs[job_id].origin = origin
         for origin, task_ids in steal.get("outbox", []):
             self._steal_outbox[origin] = list(task_ids)
         for job_id, weight, assigned in state.get("weights", []):
@@ -1262,34 +1297,38 @@ class SchedulerService:
     def _admit(self, job_id: int, task_id: int, spec: Dict,
                origin: Optional[int] = None) -> bool:
         """Make one task known and pending (a known id is a no-op)."""
-        if task_id in self._task_job:
+        if task_id in self._tasks:
             return False
         job = self._jobs.get(job_id)
         if job is None:
-            job = self._jobs[job_id] = _JobState(job_id)
+            job = self._jobs[job_id] = _JobState(job_id, origin)
             if origin is None:
                 self._next_job_id = max(self._next_job_id,
                                         job_id + self._id_stride)
-            else:
-                self._foreign_jobs[job_id] = origin
         task = Task(task_id=task_id, files=frozenset(spec["files"]),
                     flops=float(spec.get("flops", 0.0)))
         self._table[task_id] = task
         self.engine.add_task(task)
-        job.task_ids.add(task_id)
+        job.tasks += 1
         job.pending.add(task_id)
-        self._task_job[task_id] = job_id
+        self._tasks[task_id] = _TaskRecord(job)
         return True
 
+    def _dequeue(self, record: _TaskRecord, task_id: int) -> None:
+        """Take a task out of the pending set (its job's and the
+        engine's), if it is in it."""
+        if task_id in record.job.pending:
+            record.job.pending.remove(task_id)
+            self.engine.remove_task(self._table[task_id])
+
     def _release_lease(self, lease: _Lease) -> None:
-        if self._assigned.get(lease.task_id) is lease:
-            del self._assigned[lease.task_id]
+        record = self._tasks[lease.task_id]
+        if record.lease is lease:
+            record.lease = None
+            self._leased -= 1
         else:
-            replicas = self._replicas.get(lease.task_id)
-            if replicas is not None and lease in replicas:
-                replicas.remove(lease)
-                if not replicas:
-                    del self._replicas[lease.task_id]
+            record.replicas = tuple(replica for replica in record.replicas
+                                    if replica is not lease)
         self._leases.pop(lease.lease_id, None)
         self._by_worker.get(lease.worker, set()).discard(lease)
 
@@ -1317,27 +1356,25 @@ class SchedulerService:
 
     def _apply_assign(self, task_id: int, site: int, worker: str,
                       lease_id: int, replica: bool = False) -> bool:
-        job_id = self._task_job.get(task_id)
-        if job_id is None:
+        record = self._tasks.get(task_id)
+        if record is None:
             raise ServiceError(f"assign record for unknown task {task_id}")
         # A replica lease rides on a live primary; a primary lease
         # needs the task to have none.
-        if (task_id in self._completed or lease_id in self._leases
-                or (task_id in self._assigned) != bool(replica)):
+        if (record.done or lease_id in self._leases
+                or (record.lease is not None) != bool(replica)):
             return False
         self.ensure_site(site)
         now = self._clock()
         lease = _Lease(lease_id, task_id, worker, site,
                        now + self.lease_ttl, granted_at=now)
         if replica:
-            self._replicas.setdefault(task_id, []).append(lease)
+            record.replicas += (lease,)
         else:
-            job = self._jobs[job_id]
-            if task_id in job.pending:
-                job.pending.remove(task_id)
-                self.engine.remove_task(self._table[task_id])
-            job.assigned += 1
-            self._assigned[task_id] = lease
+            self._dequeue(record, task_id)
+            record.job.assigned += 1
+            record.lease = lease
+            self._leased += 1
         self._leases[lease_id] = lease
         self._by_worker.setdefault(worker, set()).add(lease)
         if lease_id >= self._next_lease_id:
@@ -1346,36 +1383,33 @@ class SchedulerService:
 
     def _apply_complete(self, task_id: int) -> bool:
         """``complete`` and ``steal-task-done``: done, exactly once."""
-        if task_id in self._completed:
+        record = self._tasks[task_id]
+        if record.done:
             return False
-        job = self._jobs[self._task_job[task_id]]
-        primary = self._assigned.get(task_id)
-        if primary is not None:
+        job = record.job
+        if record.lease is not None:
             # First completion wins: every lease on the task goes, so
             # whichever copy reports second finds no lease to present.
-            self._release_lease(primary)
-            for replica in list(self._replicas.get(task_id, ())):
-                self._release_lease(replica)
-        elif task_id in job.pending:
-            # complete raced a requeue in the original run order (or
-            # is the forwarded completion of a reclaimed export);
-            # honor the completion, it is what the worker was told.
-            job.pending.remove(task_id)
-            self.engine.remove_task(self._table[task_id])
-        job.completed.add(task_id)
-        self._completed.add(task_id)
+            for lease in (record.lease, *record.replicas):
+                self._release_lease(lease)
+        else:
+            # A pending task: complete raced a requeue in the original
+            # run order (or is the forwarded completion of a reclaimed
+            # export); honor it, it is what the worker was told.
+            self._dequeue(record, task_id)
+        job.completed += 1
+        record.done = True
         # A forwarded completion retires the export bookkeeping; an
         # export lives until its last task's completion (or its abort).
-        export_id = self._exported_tasks.pop(task_id, None)
+        export_id, record.export = record.export, None
         export = self._steal_exports.get(export_id)
         if export is not None:
             export["remaining"].discard(task_id)
             if not export["remaining"]:
                 del self._steal_exports[export_id]
         # A stolen task's completion waits here to be forwarded home.
-        origin = self._foreign_jobs.get(job.job_id)
-        if origin is not None:
-            self._steal_outbox.setdefault(origin, []).append(task_id)
+        if job.origin is not None:
+            self._steal_outbox.setdefault(job.origin, []).append(task_id)
         return True
 
     def _apply_lease_expire(self, task_id: int, lease_id: int) -> bool:
@@ -1383,26 +1417,26 @@ class SchedulerService:
         if lease is None or lease.task_id != task_id:
             return False
         self._release_lease(lease)
-        replicas = self._replicas.get(task_id)
-        if replicas and task_id not in self._assigned:
+        record = self._tasks[task_id]
+        if record.replicas and record.lease is None:
             # The primary went while a replica is still computing the
             # task: the oldest live replica becomes the primary, so
             # the task is not requeued (that would start a third copy).
-            self._assigned[task_id] = replicas.pop(0)
-            if not replicas:
-                del self._replicas[task_id]
+            record.lease, record.replicas = (record.replicas[0],
+                                             record.replicas[1:])
+            self._leased += 1
         return True
 
     def _apply_requeue(self, task_id: int) -> bool:
-        lease = self._assigned.get(task_id)
+        record = self._tasks[task_id]
+        lease = record.lease
         if lease is not None:
             # Disconnect requeues have no separate release record.
             self._release_lease(lease)
-        if (task_id in self._completed
-                or self.engine.is_pending(task_id)):
+        if record.done or self.engine.is_pending(task_id):
             return lease is not None
         self.engine.add_task(self._table[task_id])
-        self._jobs[self._task_job[task_id]].pending.add(task_id)
+        record.job.pending.add(task_id)
         return True
 
     def _apply_delta(self, site: int, added_ids: List[int],
@@ -1425,13 +1459,12 @@ class SchedulerService:
         remaining: Set[int] = set()
         for spec in specs:
             task_id = spec["task_id"]
-            if task_id in self._completed:
+            record = self._tasks[task_id]
+            if record.done:
                 continue
             remaining.add(task_id)
-            self._exported_tasks[task_id] = export_id
-            if self.engine.is_pending(task_id):
-                self.engine.remove_task(self._table[task_id])
-            self._jobs[self._task_job[task_id]].pending.discard(task_id)
+            record.export = export_id
+            self._dequeue(record, task_id)
         self._steal_exports[export_id] = {
             "thief": thief, "acked": False, "specs": specs,
             "remaining": remaining}
@@ -1455,11 +1488,11 @@ class SchedulerService:
             # reclaimed stays un-acked in the WAL and the next recovery
             # folds what happened since on top of it: by now the task
             # may belong to a later export, or be out under a lease.
-            if self._exported_tasks.get(task_id) != export_id:
-                continue
-            del self._exported_tasks[task_id]
-            if task_id not in self._assigned:
-                self._apply_requeue(task_id)
+            record = self._tasks[task_id]
+            if record.export == export_id:
+                record.export = None
+                if record.lease is None:
+                    self._apply_requeue(task_id)
         return True
 
     def _apply_steal_import(self, origin: int, export_id: int,

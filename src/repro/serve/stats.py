@@ -99,6 +99,16 @@ _LIVE_GAUGES = {
 }
 
 
+def _counts(family, numeric: bool = False) -> Dict[str, int]:
+    """``{label: count}`` of a one-label counter family, in label
+    order — by value when the labels are numbers (job 10 after job 2)."""
+    rows = [(labels[0], int(child.value))
+            for labels, child in family.children()]
+    if numeric:
+        rows.sort(key=lambda row: int(row[0]))
+    return dict(rows)
+
+
 def _counter_property(attr: str) -> property:
     def getter(self: "ServeStats") -> int:
         return int(self._counters[attr].value)
@@ -202,21 +212,18 @@ class ServeStats:
             "repro_assignment_batch_size_total",
             "REQUEST_TASK batch pulls by granted batch size",
             labelnames=("size",))
-        self._batch_sizes: Dict[int, int] = {}
         #: Per-tenant (per-job) assignment counter: which job each
         #: grant went to, so weighted-fair shares are observable.
         self._tenant_assignments = reg.counter(
             "repro_tenant_assignments_total",
             "Tasks assigned, by owning job (tenant)",
             labelnames=("job",))
-        self._tenants: Dict[int, int] = {}
         #: STEAL_REQUESTs answered by this shard (as the victim), by
         #: outcome: granted / empty / rejected / error.
         self._steal_requests = reg.counter(
             "repro_steal_requests_total",
             "STEAL_REQUESTs answered, by outcome",
             labelnames=("outcome",))
-        self._steal_outcomes: Dict[str, int] = {}
 
     # -- recording -------------------------------------------------------
     def record_queue_depth(self, depth: int) -> None:
@@ -254,20 +261,16 @@ class ServeStats:
     def record_tenant_assignment(self, job_id: int) -> None:
         """One grant charged to ``job_id``'s fair-share account."""
         self._tenant_assignments.labels(job=str(job_id)).inc()
-        self._tenants[job_id] = self._tenants.get(job_id, 0) + 1
 
     def record_steal_request(self, outcome: str) -> None:
         """One answered STEAL_REQUEST, by outcome."""
         self._steal_requests.labels(outcome=outcome).inc()
-        self._steal_outcomes[outcome] = \
-            self._steal_outcomes.get(outcome, 0) + 1
 
     def record_batch(self, granted: int) -> None:
         """One answered batched pull that granted ``granted`` tasks."""
         self._counters["batch_requests"].inc()
         self._counters["batched_assignments"].inc(granted)
         self._batch_size_counter.labels(size=str(granted)).inc()
-        self._batch_sizes[granted] = self._batch_sizes.get(granted, 0) + 1
 
     def record_delta(self, added: int, removed: int, referenced: int,
                      duplicate_adds: int = 0,
@@ -309,8 +312,7 @@ class ServeStats:
     def decisions_by_kernel(self) -> Dict[str, int]:
         """``{kernel: decisions}`` (Prometheus:
         ``repro_scheduler_decisions_by_kernel_total``)."""
-        return {labels[0]: int(child.value) for labels, child
-                in self._decisions_by_kernel.children()}
+        return _counts(self._decisions_by_kernel)
 
     def snapshot(self, queue_depth: int = 0, outstanding: int = 0,
                  parked_workers: int = 0,
@@ -366,8 +368,7 @@ class ServeStats:
             "batches": {
                 "requests": self.batch_requests,
                 "tasks": self.batched_assignments,
-                "sizes": {str(size): count for size, count
-                          in sorted(self._batch_sizes.items())},
+                "sizes": _counts(self._batch_size_counter, numeric=True),
             },
             "admission": {
                 "rejections": self.admission_rejections,
@@ -379,11 +380,9 @@ class ServeStats:
             "steal": {
                 "tasks_stolen": self.tasks_stolen,
                 "tasks_exported": self.tasks_exported,
-                "requests": {outcome: count for outcome, count
-                             in sorted(self._steal_outcomes.items())},
+                "requests": _counts(self._steal_requests),
             },
-            "tenants": {str(job_id): count for job_id, count
-                        in sorted(self._tenants.items())},
+            "tenants": _counts(self._tenant_assignments, numeric=True),
             "sites": sites,
         }
         if draining is not None:

@@ -1,6 +1,6 @@
 """Shard-to-shard work stealing: durability, exactly-once, identity.
 
-Four groups:
+Five groups:
 
 * **victim crashes** — kill -9 (abandon without ``close()``: what was
   committed before each reply stays, nothing else) between
@@ -10,6 +10,8 @@ Four groups:
   export, and the forwarded completions land exactly once;
 * **thief crashes** — a tentative import survives recovery and
   resolves through the same commit/abort answers a live exchange uses;
+* **who may be stolen from, and for whom** — a victim exports only its
+  own jobs' tasks, and only an unscoped parked pull makes a thief ask;
 * **bit-identity** — a stealing-enabled service that is never asked
   exports byte-identical state (and RNG stream) to a stealing-off
   service, and the lone shard of a one-shard cluster never arms
@@ -25,6 +27,7 @@ from repro.cli import build_parser
 from repro.cluster.shard import open_shard
 from repro.cluster.steal import StealManager
 from repro.cluster.supervisor import ClusterSupervisor
+from repro.serve import messages
 from repro.serve.client import SchedulerClient, WorkerClient
 from repro.serve.server import SchedulerServer
 from repro.serve.service import SchedulerService
@@ -276,6 +279,105 @@ def test_thief_crash_with_tentative_import_resolves_on_recovery(
     second.service.steal_forwarded(0, [0, 2])
     assert second.service.steal_outbox_depth == 0
     second.close()
+
+
+# -- who may be stolen from, and for whom ------------------------------------
+
+def shard(index):
+    return SchedulerService(metric="combined", n=2, seed=3,
+                            id_start=index, id_stride=2,
+                            steal_watermark=1, clock=FakeClock())
+
+
+def steal(victim, victim_index, thief, max_tasks):
+    """One whole exchange, sans IO: grant, tentative import, ack,
+    commit.  Returns the granted specs ([] for a refusal)."""
+    grant = victim.export_steal_batch(f"steal/{1 - victim_index}",
+                                      max_tasks, [])
+    if grant is None:
+        return []
+    thief.steal_import_tentative(victim_index, grant["export_id"],
+                                 grant["tasks"])
+    assert victim.steal_export_acked(grant["export_id"])
+    thief.steal_commit_import(victim_index, grant["export_id"])
+    return grant["tasks"]
+
+
+def test_a_stolen_task_is_never_stolen_back():
+    """A victim exports only its own jobs' tasks.  Stolen tasks used to
+    be candidates too: stolen back, their ids were already known at the
+    origin, so the import admitted nothing while both shards counted
+    them exported — pending nowhere, and the job never finished."""
+    a, b = shard(0), shard(1)
+    submit(a, SPECS)                       # job 0: tasks 0 2 4 6
+    submit(b, [([9], 1.0)])                # job 1: task 1
+    assert len(steal(a, 0, b, 3)) == 3
+    assert b.queue_depth == 4              # its own task + three stolen
+    back = steal(b, 1, a, 3)
+    assert [spec["job_id"] for spec in back] == [1]
+    assert a.queue_depth == 2 and b.queue_depth == 3
+    # Exactly-once audit: every task runs once, and each shard's
+    # foreign completions are forwarded home.
+    for service in (a, b):
+        while service.queue_depth:
+            done = pull(service, worker="w", site=0)
+            assert service.task_done("w", done.task.task_id,
+                                     done.lease_id).accepted
+    for service, origin in ((a, b), (b, a)):
+        for home, task_ids in service.take_steal_completions().items():
+            assert origin.steal_done(task_ids, "steal")["duplicates"] == 0
+            service.steal_forwarded(home, task_ids)
+    assert a.job_status(0)["completed"] == 4 and a.job_status(0)["done"]
+    assert b.job_status(1)["completed"] == 1 and b.job_status(1)["done"]
+    assert a.exported_outstanding == b.exported_outstanding == 0
+    # With nothing of its own pending, a victim has nothing to give.
+    c, d = shard(0), shard(1)
+    submit(c, SPECS)
+    steal(c, 0, d, 3)
+    assert d.export_steal_batch("steal/0", 2, []) is None
+    assert d.stats_snapshot()["steal"]["requests"] == {"empty": 1}
+
+
+def test_a_job_scoped_parked_pull_does_not_steal():
+    """A stolen task belongs to another shard's job, so only an
+    unscoped pull can run it.  A thief whose one parked pull is scoped
+    to its own job used to steal anyway: the tasks sat in its queue,
+    the pull stayed parked, and the victim waited on them."""
+    victim, thief = shard(0), shard(1)
+    submit(victim, SPECS)
+    own = submit(thief, [([7], 1.0)])["job_id"]
+    pull(thief, worker="t0", job_id=own)   # leases the one task
+    assert pull(thief, worker="t1", job_id=own) == "parked"
+    manager = StealManager(thief, 1, peers={})
+    sent = []
+
+    async def pick_victim(watermark):
+        return 0
+
+    async def call(shard_index, message):
+        sent.append(type(message).__name__)
+        if isinstance(message, messages.StealRequest):
+            grant = victim.export_steal_batch(
+                "steal/1", message.max_tasks, message.site_refsums)
+            return messages.StealGrant(tasks=grant["tasks"],
+                                       export_id=grant["export_id"])
+        return messages.Ack(
+            accepted=victim.steal_export_acked(message.export_id))
+
+    manager._pick_victim = pick_victim
+    manager._call = call
+    run(manager.tick())
+    assert sent == []
+    assert victim.exported_outstanding == 0 and thief.queue_depth == 0
+    # An unscoped pull is demand: it parks, one task is stolen for it,
+    # and the steal's commit hands that task straight to it.
+    fed = []
+    thief.request_task("t2", 0, fed.append)
+    run(manager.tick())
+    assert sent == ["StealRequest", "StealAck"]
+    assert victim.exported_outstanding == 1
+    assert [answer.job_id for answer in fed] == [0]
+    assert thief.parked_workers == 1       # t1, still scoped and parked
 
 
 # -- bit-identity ------------------------------------------------------------

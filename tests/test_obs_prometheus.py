@@ -135,7 +135,8 @@ def test_parse_handles_special_values_and_comments():
 
 def test_serve_stats_registry_renders_parseable_exposition():
     """The real registry the daemon exposes passes the strict parser,
-    and the Prometheus numbers agree with the STATS snapshot."""
+    and the Prometheus numbers agree with the STATS snapshot — the
+    labeled ones included."""
     stats = ServeStats()
     stats.jobs_submitted += 1
     stats.tasks_submitted += 5
@@ -168,3 +169,31 @@ def test_serve_stats_registry_renders_parseable_exposition():
     assert families["repro_scheduler_decisions_by_kernel_total"].value(
         {"kernel": "ordered"}) == 1.0
     assert stats.decisions_by_kernel == {"ordered": 1, "scored": 1}
+    # ``tenants``, ``batches.sizes`` and ``steal.requests`` are read off
+    # the labeled counters /metrics renders — one count per fact — with
+    # job ids and batch sizes in numeric order (10 after 2).
+    for job_id in (10, 2, 2, 0):
+        stats.record_tenant_assignment(job_id)
+    for size in (10, 2, 1, 2):
+        stats.record_batch(size)
+    for outcome in ("granted", "empty", "granted"):
+        stats.record_steal_request(outcome)
+    families = parse(render(stats.registry))
+    snap = stats.snapshot()
+
+    def scraped(name, label):
+        return {labels[label]: int(value) for _sample, labels, value
+                in families[name].samples}
+
+    assert list(snap["tenants"].items()) == [("0", 1), ("2", 2),
+                                             ("10", 1)]
+    assert snap["tenants"] == scraped("repro_tenant_assignments_total",
+                                      "job")
+    assert list(snap["batches"]["sizes"]) == ["1", "2", "10"]
+    assert snap["batches"]["sizes"] == scraped(
+        "repro_assignment_batch_size_total", "size")
+    assert snap["batches"]["tasks"] == 15
+    assert list(snap["steal"]["requests"].items()) == [("empty", 1),
+                                                       ("granted", 2)]
+    assert snap["steal"]["requests"] == scraped(
+        "repro_steal_requests_total", "outcome")

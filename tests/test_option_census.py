@@ -7,7 +7,8 @@ the serve/cluster building blocks and on the flags of every ``repro``
 subcommand (read from ``build_parser()``, ``-v``/``-q`` included,
 ``-h`` not).  A change that adds an option has to raise a number here,
 in the same diff, where a reviewer sees it — and should say which
-option it retires.  A change that removes one lowers it.
+option it retires.  A change that removes one lowers it.  The
+scheduler's state containers are counted the same way.
 
 The same bookkeeping covers the wire stack (bottom of the file): how
 many message bodies are packed by hand and how many message classes
@@ -15,6 +16,7 @@ carry a rule of their own beside the one field table.
 """
 
 import argparse
+import collections
 import dataclasses
 import inspect
 import re
@@ -64,6 +66,19 @@ def test_parameter_counts_do_not_grow(target, bound):
     assert len(names) <= bound, (
         f"{target.__name__} takes {len(names)} parameters, the census "
         f"says at most {bound}: {names}")
+
+
+def test_scheduler_state_containers_do_not_grow():
+    """Every container a fresh ``SchedulerService`` holds is one more
+    thing each transition may have to keep consistent by hand.  14
+    when a task's state was spread over five task-keyed maps and each
+    job's id sets; 9 with one record per task and a stolen job's
+    origin on the job."""
+    service = SchedulerService()
+    containers = sorted(
+        name for name, value in vars(service).items()
+        if isinstance(value, (dict, set, list, collections.deque)))
+    assert len(containers) <= 9, containers
 
 
 def subcommands(parser, prefix=""):

@@ -238,7 +238,9 @@ def test_lease_expires_requeues_and_zombie_done_is_rejected():
     service = make_service(lease_ttl=10.0, clock=clock)
     submit(service, [([1], 0.0)])
     zombie = pull(service, worker="zombie")
-    assert pull(service, worker="healthy") == "parked"
+    parked = []
+    service.request_task("healthy", 0, parked.append)
+    assert parked == []
     # Nothing expires while the lease is fresh.
     clock.advance(5.0)
     assert service.expire_leases() == 0
@@ -255,7 +257,8 @@ def test_lease_expires_requeues_and_zombie_done_is_rejected():
     assert service.stats.stale_completions == 1
     # The healthy worker's completion is the one that counts, and the
     # zombie's even-later retry sees already-complete.
-    healthy = service._assigned[zombie.task.task_id]  # fresh lease
+    [healthy] = parked  # the requeued task, under a fresh lease
+    assert healthy.task.task_id == zombie.task.task_id
     result = service.task_done("healthy", zombie.task.task_id,
                                healthy.lease_id)
     assert result.accepted
