@@ -6,7 +6,7 @@ big a campaign fits in a coffee break).
 
 import random
 
-from repro.net import FlowNetwork, Topology
+from repro.net import FlowNetwork, TiersParams, Topology, generate_tiers
 from repro.obs.metrics import LatencyHistogram, reference_bucket_index
 from repro.sim import Environment, Store
 
@@ -99,6 +99,44 @@ def test_concurrent_flow_recompute(benchmark):
         return net.completed_transfers
 
     assert benchmark(run_star) == 50
+
+
+def run_tiers_flow_churn(tasks_per_site=20, seed=3):
+    """The Coadd run's flow mix over a 10-site Tiers network.
+
+    Every site loops like a worker behind its data server: a 1 KB
+    request to the scheduler and its 1 KB reply, ten 20-30 MB fetches
+    from the file server one after another, then a 1 KB completion
+    message.  So one multi-MB fetch per site is in flight while the
+    control messages come and go.  Returns ``(completed transfers,
+    final clock)``, which depend only on ``seed``.
+    """
+    grid = generate_tiers(TiersParams(num_sites=10), seed=seed)
+    env = Environment()
+    net = FlowNetwork(env, grid.topology)
+    rng = random.Random(seed)
+    sizes = [rng.uniform(20.0, 30.0) * 1024 * 1024
+             for _ in range(10 * tasks_per_site * 10)]
+
+    def site_loop(index, gateway):
+        for task in range(tasks_per_site):
+            yield net.transfer(gateway, grid.scheduler_node, 1024.0)
+            yield net.transfer(grid.scheduler_node, gateway, 1024.0)
+            base = (index * tasks_per_site + task) * 10
+            for size in sizes[base:base + 10]:
+                yield net.transfer(grid.file_server_node, gateway, size)
+            yield net.transfer(gateway, grid.scheduler_node, 1024.0)
+
+    for index, gateway in enumerate(grid.site_gateways):
+        env.process(site_loop(index, gateway))
+    env.run()
+    return net.completed_transfers, env.now
+
+
+def test_tiers_flow_churn(benchmark):
+    """Max-min recomputes at the grid's shape: ~9 flows over ~14 links."""
+    completed, _ = benchmark(run_tiers_flow_churn)
+    assert completed == 10 * 20 * 13
 
 
 def test_histogram_record_throughput(benchmark):

@@ -6,8 +6,10 @@ paper-shaped table, and archives it under ``benchmarks/results/`` so
 EXPERIMENTS.md can cite the exact output.
 
 Scale selection: set ``REPRO_BENCH_SCALE`` to ``small``, ``bench``
-(default) or ``paper``.  ``paper`` reruns the full 6,000-task protocol
-and takes hours.
+(default) or ``paper``.  ``paper`` reruns the full 6,000-task protocol:
+one run takes ~7 s and the Figure 4/5 sweep ~12 min on a 2-core
+x86-64 VM; Figures 4-8 plus Table 3 take ~1 h 46 min serially
+(EXPERIMENTS.md has the per-figure times).
 """
 
 import os

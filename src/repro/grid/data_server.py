@@ -177,10 +177,17 @@ class DataServer:
 
     def _serve(self, request: BatchRequest):
         """Pin resident files, fetch the rest one at a time."""
+        storage = self.storage
         for fid in request.files:
             if request.state == CANCELLED:
                 break
-            yield from self._acquire(request, fid)
+            if fid in storage:
+                # What _acquire does for a resident file, without a
+                # generator: it would pin at once and never yield.
+                storage.pin(fid)
+                request.pinned.append(fid)
+            else:
+                yield from self._acquire(request, fid)
         self._finish(request)
 
     def _acquire(self, request: BatchRequest, fid: FileId):

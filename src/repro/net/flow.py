@@ -15,8 +15,9 @@ The model captures the two effects the paper leans on:
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List, Optional
 
 from ..sim.engine import Environment
 from ..sim.events import Event
@@ -29,6 +30,8 @@ _EPSILON_BYTES = 1e-6
 #: Defensive floor on flow rates.  Float drift in the water-filling loop
 #: could otherwise assign a flow exactly 0 bytes/s and stall the clock.
 _MIN_RATE = 1e-9
+
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -51,19 +54,21 @@ class TransferStats:
 class _Flow:
     """Internal mutable state of one active transfer."""
 
-    __slots__ = ("flow_id", "route", "size", "remaining", "rate",
-                 "done", "requested_at", "started_at")
+    __slots__ = ("route", "link_ids", "size", "remaining", "rate",
+                 "fixed_in", "done", "requested_at", "started_at")
 
-    def __init__(self, flow_id: int, route: Route, size: float,
-                 done: Event, requested_at: float, started_at: float):
-        self.flow_id = flow_id
+    def __init__(self, route: Route, size: float, done: Event,
+                 requested_at: float):
         self.route = route
+        self.link_ids = route.link_ids
         self.size = size
         self.remaining = size
         self.rate = 0.0
+        #: The recompute that last fixed this flow's rate.
+        self.fixed_in = 0
         self.done = done
         self.requested_at = requested_at
-        self.started_at = started_at
+        self.started_at = requested_at  # set again on admission
 
 
 class FlowNetwork:
@@ -75,15 +80,33 @@ class FlowNetwork:
         Simulation environment.
     topology:
         The network graph; routes are resolved through it.
+
+    A recompute costs what the active flows cost: each link's state
+    lives in lists indexed by ``link_id``, and only the links some
+    active flow crosses (``_links``, ascending) are visited.
     """
 
     def __init__(self, env: Environment, topology: Topology):
         self.env = env
         self.topology = topology
-        self._flows: Dict[int, _Flow] = {}
-        self._next_id = 0
+        #: Active flows in admission order — the order every recompute
+        #: fixes a bottleneck's flows in.
+        self._flows: List[_Flow] = []
         self._last_update = env.now
-        self._timer_version = 0
+        #: The pending completion timer; an older one fires as a no-op.
+        self._timer: Optional[Event] = None
+        self._recomputes = 0
+        # Per link id: bandwidth, the active flows crossing it (admission
+        # order), and the water-filling's remaining capacity, count of
+        # unfixed flows and fair share.  Grown on demand if the topology
+        # gains links.
+        self._bandwidth: List[float] = []
+        self._members: List[List[_Flow]] = []
+        self._cap: List[float] = []
+        self._count: List[int] = []
+        self._share: List[float] = []
+        #: Ids of the links with at least one active flow, ascending.
+        self._links: List[int] = []
         #: Cumulative counters for analysis.
         self.completed_transfers = 0
         self.bytes_transferred = 0.0
@@ -116,96 +139,139 @@ class FlowNetwork:
             done.succeed(stats, delay=latency)
             return done
 
-        admit = self.env.timeout(latency)
-        admit.add_callback(
-            lambda _e: self._admit(route, size, done, requested_at))
+        admit = self.env.timeout(
+            latency, _Flow(route, size, done, requested_at))
+        admit.callbacks.append(self._admit)
         return done
 
     # -- internals -------------------------------------------------------
-    def _admit(self, route: Route, size: float, done: Event,
-               requested_at: float) -> None:
-        flow = _Flow(self._next_id, route, size, done, requested_at,
-                     self.env.now)
-        self._next_id += 1
-        self._flows[flow.flow_id] = flow
+    def _admit(self, event: Event) -> None:
+        flow: _Flow = event.value
+        flow.started_at = self.env.now
+        self._flows.append(flow)
+        members = self._members
+        for lid in flow.link_ids:
+            if lid >= len(members):
+                self._grow()
+            crossing = members[lid]
+            if not crossing:
+                insort(self._links, lid)
+            crossing.append(flow)
         self._update()
+
+    def _grow(self) -> None:
+        """Extend the per-link lists to every link of the topology."""
+        links = self.topology.links
+        for link in links[len(self._bandwidth):]:
+            self._bandwidth.append(link.bandwidth)
+            self._members.append([])
+            self._cap.append(0.0)
+            self._count.append(0)
+            self._share.append(0.0)
 
     def _update(self) -> None:
         """Advance all flows to now, complete finished ones, reschedule."""
         now = self.env.now
         elapsed = now - self._last_update
         self._last_update = now
-        if elapsed > 0:
-            for flow in self._flows.values():
-                flow.remaining -= flow.rate * elapsed
-                if flow.remaining < 0:
-                    flow.remaining = 0.0
-
         # A flow is done when its bytes are (numerically) gone, or when
         # the time left is below the clock's float resolution at `now` —
         # otherwise `now + dt == now` and the completion timer would
         # fire forever without advancing the clock.
         eps_t = max(1e-9, abs(now) * 1e-12)
-        finished = [f for f in self._flows.values()
-                    if f.remaining <= _EPSILON_BYTES
-                    or (f.rate > 0 and f.remaining / f.rate <= eps_t)]
-        for flow in finished:
-            del self._flows[flow.flow_id]
-            self.completed_transfers += 1
-            self.bytes_transferred += flow.size
-            flow.done.succeed(TransferStats(
-                flow.route.src, flow.route.dst, flow.size,
-                flow.requested_at, flow.started_at, now))
+        finished = []
+        for flow in self._flows:
+            remaining = flow.remaining
+            if elapsed > 0:
+                remaining -= flow.rate * elapsed
+                if remaining < 0:
+                    remaining = 0.0
+                flow.remaining = remaining
+            if remaining <= _EPSILON_BYTES or (
+                    flow.rate > 0 and remaining / flow.rate <= eps_t):
+                finished.append(flow)
+        if finished:
+            self._flows = [f for f in self._flows if f not in finished]
+            members = self._members
+            for flow in finished:
+                for lid in flow.link_ids:
+                    crossing = members[lid]
+                    crossing.remove(flow)
+                    if not crossing:
+                        self._links.remove(lid)
+                self.completed_transfers += 1
+                self.bytes_transferred += flow.size
+                flow.done.succeed(TransferStats(
+                    flow.route.src, flow.route.dst, flow.size,
+                    flow.requested_at, flow.started_at, now))
 
         self._recompute_rates()
         self._schedule_next_completion()
 
     def _recompute_rates(self) -> None:
-        """Water-filling max-min fair allocation over active flows."""
+        """Water-filling max-min fair allocation over active flows.
+
+        Each round fixes the flows of the link offering the smallest
+        fair share to its unfixed flows — ``min((cap / count, lid))`` —
+        at that share, and takes it off every link they cross.
+        """
         if not self._flows:
             return
-        remaining_cap: Dict[int, float] = {}
-        link_flows: Dict[int, List[_Flow]] = {}
-        for flow in self._flows.values():
-            for link in flow.route.links:
-                if link.link_id not in remaining_cap:
-                    remaining_cap[link.link_id] = link.bandwidth
-                    link_flows[link.link_id] = []
-                link_flows[link.link_id].append(flow)
-
-        unfixed = dict(self._flows)  # flow_id -> flow, insertion ordered
-        counts = {lid: len(flows) for lid, flows in link_flows.items()}
-        while unfixed:
-            # The bottleneck link is the one offering the smallest fair
-            # share to its unfixed flows.
-            bottleneck = min(
-                (lid for lid, n in counts.items() if n > 0),
-                key=lambda lid: (remaining_cap[lid] / counts[lid], lid))
-            fair_share = remaining_cap[bottleneck] / counts[bottleneck]
-            for flow in list(link_flows[bottleneck]):
-                if flow.flow_id not in unfixed:
+        self._recomputes += 1
+        stamp = self._recomputes
+        cap = self._cap
+        count = self._count
+        share = self._share
+        members = self._members
+        bandwidth = self._bandwidth
+        # The links still holding an unfixed flow, ascending; each one's
+        # share is re-derived whenever its capacity or count moves.
+        live = self._links[:]
+        for lid in live:
+            cap[lid] = bandwidth[lid]
+            count[lid] = len(members[lid])
+            share[lid] = cap[lid] / count[lid]
+        pick = share.__getitem__
+        while live:
+            # min() keeps the first of equal shares: the lowest link id.
+            bottleneck = min(live, key=pick)
+            fair_share = share[bottleneck]
+            rate = fair_share if fair_share > 0 else _MIN_RATE
+            for flow in members[bottleneck]:
+                if flow.fixed_in == stamp:
                     continue
-                flow.rate = fair_share if fair_share > 0 else _MIN_RATE
-                del unfixed[flow.flow_id]
-                for link in flow.route.links:
-                    counts[link.link_id] -= 1
-                    remaining_cap[link.link_id] -= fair_share
-                    if remaining_cap[link.link_id] < 0:
-                        remaining_cap[link.link_id] = 0.0
+                flow.rate = rate
+                flow.fixed_in = stamp
+                for lid in flow.link_ids:
+                    n = count[lid] - 1
+                    count[lid] = n
+                    if n:
+                        left = cap[lid] - fair_share
+                        if left < 0:
+                            left = 0.0
+                        cap[lid] = left
+                        share[lid] = left / n
+                    else:
+                        # Its last flow is fixed: the link's capacity
+                        # is read no more this recompute.
+                        live.remove(lid)
 
     def _schedule_next_completion(self) -> None:
-        self._timer_version += 1
         if not self._flows:
+            self._timer = None
             return
-        next_done = min(flow.remaining / flow.rate
-                        for flow in self._flows.values() if flow.rate > 0)
+        next_done = _INF
+        for flow in self._flows:
+            if flow.rate > 0:
+                left = flow.remaining / flow.rate
+                if left < next_done:
+                    next_done = left
         # Never schedule below the clock's resolution (see _update).
         next_done = max(next_done, 1e-9, abs(self.env.now) * 1e-12)
-        version = self._timer_version
         timer = self.env.timeout(next_done)
-        timer.add_callback(lambda _e: self._on_timer(version))
+        timer.callbacks.append(self._on_timer)
+        self._timer = timer
 
-    def _on_timer(self, version: int) -> None:
-        if version != self._timer_version:
-            return  # superseded by a later admit/complete
-        self._update()
+    def _on_timer(self, event: Event) -> None:
+        if event is self._timer:  # else superseded by a later update
+            self._update()

@@ -13,7 +13,7 @@ cost negligible.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 
@@ -55,6 +55,13 @@ class Route:
     src: str
     dst: str
     links: Tuple[Link, ...]
+    #: ``link_id`` of each link, in path order — what the flow model
+    #: indexes its per-link state by.
+    link_ids: Tuple[int, ...] = field(init=False, repr=False,
+                                      compare=False)
+
+    def __post_init__(self):
+        self.link_ids = tuple(link.link_id for link in self.links)
 
     @property
     def latency(self) -> float:

@@ -105,6 +105,12 @@ class Process(Event):
                 next_event = self.generator.send(event.value)
             else:
                 next_event = self.generator.throw(event.value)
+            while not isinstance(next_event, Event):
+                # The generator may catch this and yield a real event,
+                # return, or raise: each is handled like a send result.
+                next_event = self.generator.throw(
+                    TypeError(f"process {self.name!r} yielded non-event "
+                              f"{next_event!r}"))
         except StopIteration as stop:
             self._is_alive = False
             self.succeed(stop.value)
@@ -118,11 +124,6 @@ class Process(Event):
         finally:
             self.env._active_process = None
 
-        if not isinstance(next_event, Event):
-            self.generator.throw(
-                TypeError(f"process {self.name!r} yielded non-event "
-                          f"{next_event!r}"))
-            return
         self._target = next_event
         next_event.add_callback(self._resume)
 

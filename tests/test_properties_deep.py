@@ -57,10 +57,9 @@ def test_rates_respect_link_capacity(data):
     def checked():
         original()
         usage = {}
-        for flow in net._flows.values():
-            for link in flow.route.links:
-                usage[link.link_id] = usage.get(link.link_id, 0.0) \
-                    + flow.rate
+        for flow in net._flows:
+            for lid in flow.link_ids:
+                usage[lid] = usage.get(lid, 0.0) + flow.rate
         for link in links:
             used = usage.get(link.link_id, 0.0)
             if used > link.bandwidth * (1 + 1e-6):

@@ -67,6 +67,45 @@ def test_yielding_non_event_is_an_error(env):
         env.run_until_event(process)
 
 
+def test_non_event_error_caught_then_real_event_is_waited_on(env):
+    """A generator that catches the TypeError and yields an event keeps
+    running: the event it yields from the handler is what it waits on."""
+    seen = []
+
+    def proc(env):
+        try:
+            yield "not an event"
+        except TypeError as exc:
+            seen.append(str(exc))
+            yield env.timeout(2.0)
+        return env.now
+
+    process = env.process(proc(env))
+    assert env.run_until_event(process) == 2.0
+    assert not process.is_alive
+    assert "yielded non-event 'not an event'" in seen[0]
+
+
+def test_uncaught_non_event_error_fails_the_process(env):
+    """The TypeError fails the process (waiters see it); it does not
+    escape ``Environment.step`` and leave the process marked alive."""
+    def proc(env):
+        yield 42
+
+    def waiter(env, child):
+        try:
+            yield child
+        except TypeError:
+            return "child failed"
+
+    child = env.process(proc(env))
+    parent = env.process(waiter(env, child))
+    env.run()
+    assert not child.is_alive
+    assert not child.ok and isinstance(child.value, TypeError)
+    assert parent.value == "child failed"
+
+
 def test_process_failure_propagates_to_waiter(env):
     def child(env):
         yield env.timeout(1.0)
