@@ -1,15 +1,12 @@
 #!/usr/bin/env python
-"""Extending the library: write and evaluate your own scheduling metric.
+"""Extending the library: write and evaluate your own scheduling policy.
 
-Two extension points are shown:
-
-1. a custom *metric* plugged into the stock worker-centric scheduler —
-   here, `rest` weighted by bytes instead of file counts;
-2. a custom *policy* implementing the GridScheduler interface from
-   scratch — a site-sticky scheduler that hands each site a contiguous
-   block of the stripe (a spatial-clustering-style heuristic).
-
-Both are benchmarked against the paper's `rest.2` on the same workload.
+A custom *policy* implements the GridScheduler interface from scratch —
+here a site-sticky scheduler that hands each site a contiguous block of
+the stripe (a spatial-clustering-style heuristic).  The worker-centric
+metrics themselves (overlap / rest / combined) are the decision
+kernel's, not a plug-in point.  The policy is benchmarked against the
+paper's `rest.2` on the same workload.
 
     python examples/custom_scheduler.py
 """
@@ -23,31 +20,6 @@ from repro.exp import ExperimentConfig
 from repro.exp.runner import build_grid, build_job
 from repro.sim.events import Event
 
-
-# -- extension point 1: a custom metric -----------------------------------
-
-def make_bytes_rest_metric(catalog):
-    """rest in *bytes*: 1 / (bytes still to transfer)."""
-
-    def bytes_rest(view):
-        # view.missing counts files; all Coadd files are equally sized,
-        # but a catalog with overrides would change the story.
-        missing_bytes = view.missing * catalog.default_size
-        return 1.0 / max(missing_bytes, 1.0)
-
-    return bytes_rest
-
-
-class BytesRestScheduler(WorkerCentricScheduler):
-    """Stock worker-centric machinery, custom weight function."""
-
-    def __init__(self, job, n=2, rng=None):
-        super().__init__(job, metric="rest", n=n, rng=rng)
-        self.metric_name = "rest"  # reuse rest's zero-overlap ordering
-        self._weight = make_bytes_rest_metric(job.catalog)
-
-
-# -- extension point 2: a policy from scratch -------------------------------
 
 class SiteStickyScheduler(BaseScheduler):
     """Pre-partitions the task list into one contiguous block per site.
@@ -96,14 +68,11 @@ def evaluate(name, scheduler_factory, config, job):
 def main():
     config = ExperimentConfig(num_tasks=400, capacity_files=600)
     job = build_job(config)
-    print(f"Custom schedulers vs the paper's rest.2 "
+    print(f"A custom scheduler vs the paper's rest.2 "
           f"({config.num_tasks} tasks, {config.num_sites} sites):\n")
     evaluate("rest.2 (paper)",
              lambda j: WorkerCentricScheduler(j, "rest", 2,
                                               random.Random(0)),
-             config, job)
-    evaluate("bytes-rest (custom)",
-             lambda j: BytesRestScheduler(j, rng=random.Random(0)),
              config, job)
     evaluate("site-sticky (custom)",
              lambda j: SiteStickyScheduler(j), config, job)

@@ -3,13 +3,10 @@
 from .bounds import MakespanBounds, compute_bounds, efficiency
 from .eventlog import (Attempt, TaskTimeline, load_timelines,
                        task_timelines)
-from .export import export_trace, import_trace, iter_trace
 from .compare import (RankedAlgorithm, SampleSummary, format_ranking,
-                      rank_algorithms, significantly_less, summarize,
-                      welch_t)
+                      rank_algorithms, summarize, welch_t)
 from .plotting import ascii_chart, chart_sweep
-from .metrics import (aggregate_sites, load_imbalance, site_task_counts,
-                      summarize_sites, worker_utilization)
+from .metrics import aggregate_sites, summarize_sites
 from .timeline import Span, gantt, phase_totals, worker_spans
 from .trace import (BatchServed, FileEvicted, FileTransferred, TaskAssigned,
                     TaskCancelled, TaskCompleted, TaskStarted, TraceBus,
@@ -24,9 +21,6 @@ __all__ = [
     "MakespanBounds",
     "compute_bounds",
     "efficiency",
-    "export_trace",
-    "import_trace",
-    "iter_trace",
     "RankedAlgorithm",
     "SampleSummary",
     "ascii_chart",
@@ -36,12 +30,8 @@ __all__ = [
     "Span",
     "aggregate_sites",
     "gantt",
-    "load_imbalance",
-    "site_task_counts",
     "summarize_sites",
-    "worker_utilization",
     "phase_totals",
-    "significantly_less",
     "summarize",
     "worker_spans",
     "welch_t",

@@ -78,16 +78,6 @@ def welch_t(a: Sequence[float], b: Sequence[float]) -> float:
     return (sa.mean - sb.mean) / se
 
 
-def significantly_less(a: Sequence[float], b: Sequence[float],
-                       threshold: float = 2.0) -> bool:
-    """Heuristic: sample ``a`` is clearly below ``b`` (|t| >= threshold).
-
-    With the 5-seed protocol this approximates a 95% one-sided test;
-    callers wanting rigor should run more seeds.
-    """
-    return welch_t(a, b) <= -abs(threshold)
-
-
 @dataclass(frozen=True)
 class RankedAlgorithm:
     """One row of a ranking report."""

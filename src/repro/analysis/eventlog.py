@@ -79,10 +79,6 @@ class TaskTimeline:
                        for attempt in self.attempts) - 1, 0)
 
     @property
-    def first_assigned_at(self) -> Optional[float]:
-        return self.attempts[0].assigned_at if self.attempts else None
-
-    @property
     def queue_wait(self) -> Optional[float]:
         """Submit → first assignment, when both ends were logged."""
         if self.submitted_at is None or not self.attempts:

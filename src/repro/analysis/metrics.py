@@ -1,20 +1,16 @@
-"""Post-hoc metric extraction from traces and results.
+"""Per-site service statistics (Table 3).
 
 Most headline numbers (makespan, transfer counts) come from counters on
-the grid; this module derives the second-order statistics the paper
-discusses — per-site service statistics (Table 3), queue-wait
-distributions, worker utilization — from a kept trace or from collected
-:class:`~repro.grid.data_server.DataServerStats`.
+the grid; this module derives Table 3's per-data-server averages from
+the collected :class:`~repro.grid.data_server.DataServerStats`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 from ..grid.data_server import DataServerStats
-from .trace import (BatchServed, FileTransferred, TaskAssigned,
-                    TaskCompleted, TaskStarted, TraceBus)
 
 
 @dataclass(frozen=True)
@@ -63,105 +59,3 @@ def aggregate_sites(stats: Sequence[DataServerStats]) -> SiteServiceSummary:
         avg_transfer_time=sum(s.total_transfer_time for s in stats) / requests,
         avg_transfers=sum(s.total_transfers for s in stats) / requests,
     )
-
-
-def makespan_from_trace(trace: TraceBus) -> float:
-    """Time of the last task completion in a kept trace."""
-    completions = trace.of_type(TaskCompleted)
-    if not completions:
-        raise ValueError("trace holds no TaskCompleted records "
-                         "(was keep_trace enabled?)")
-    return max(record.time for record in completions)
-
-
-def queue_waits(trace: TraceBus) -> Dict[int, float]:
-    """Per task: time between (first) assignment and compute start.
-
-    For task-centric scheduling this is the paper's
-    assignment-to-execution latency; for worker-centric it is the batch
-    fetch time, since assignment happens at request time.
-    """
-    assigned: Dict[int, float] = {}
-    for record in trace.of_type(TaskAssigned):
-        assigned.setdefault(record.task_id, record.time)
-    waits: Dict[int, float] = {}
-    for record in trace.of_type(TaskStarted):
-        if record.task_id in assigned and record.task_id not in waits:
-            waits[record.task_id] = record.time - assigned[record.task_id]
-    return waits
-
-
-def transfers_by_site(trace: TraceBus) -> Dict[int, int]:
-    """Number of file transfers that landed at each site."""
-    counts: Dict[int, int] = {}
-    for record in trace.of_type(FileTransferred):
-        counts[record.site] = counts.get(record.site, 0) + 1
-    return counts
-
-
-def site_batch_records(trace: TraceBus,
-                       site: int) -> List[BatchServed]:
-    """All served-batch records of one site, in service order."""
-    return [r for r in trace.of_type(BatchServed) if r.site == site]
-
-
-def site_task_counts(trace: TraceBus,
-                     completed_only: bool = True) -> Dict[int, int]:
-    """Tasks per site, from completions (or first assignments).
-
-    With ``completed_only`` False, counts *initial assignments* instead
-    — for push schedulers this exposes the paper's "unbalanced task
-    assignments" problem before replication papers over it.
-    """
-    counts: Dict[int, int] = {}
-    if completed_only:
-        seen = set()
-        for record in trace.of_type(TaskCompleted):
-            if record.task_id not in seen:
-                seen.add(record.task_id)
-                counts[record.site] = counts.get(record.site, 0) + 1
-    else:
-        seen = set()
-        for record in trace.of_type(TaskAssigned):
-            if record.task_id not in seen:
-                seen.add(record.task_id)
-                counts[record.site] = counts.get(record.site, 0) + 1
-    return counts
-
-
-def load_imbalance(counts: Dict[int, int],
-                   num_sites: Optional[int] = None) -> float:
-    """Peak-to-mean ratio of per-site task counts (1.0 = perfectly even).
-
-    ``num_sites`` includes sites that got nothing (otherwise only sites
-    present in ``counts`` enter the mean).
-    """
-    if not counts:
-        raise ValueError("no task counts")
-    total = sum(counts.values())
-    sites = num_sites if num_sites is not None else len(counts)
-    if sites <= 0:
-        raise ValueError("num_sites must be positive")
-    mean = total / sites
-    return max(counts.values()) / mean
-
-
-def worker_utilization(trace: TraceBus, makespan: float) -> Dict[str, float]:
-    """Fraction of the makespan each worker spent in fetch+compute.
-
-    Computed from TaskStarted/TaskCompleted pairs; replicas cancelled
-    mid-flight contribute nothing (their time was wasted, which is the
-    point of measuring this).
-    """
-    if makespan <= 0:
-        raise ValueError("makespan must be positive")
-    started: Dict[Tuple[str, int], float] = {}
-    busy: Dict[str, float] = {}
-    for record in trace.of_type(TaskStarted):
-        started[(record.worker, record.task_id)] = record.time
-    for record in trace.of_type(TaskCompleted):
-        key = (record.worker, record.task_id)
-        if key in started:
-            busy[record.worker] = (busy.get(record.worker, 0.0)
-                                   + record.time - started.pop(key))
-    return {worker: total / makespan for worker, total in busy.items()}

@@ -7,13 +7,11 @@ from .figures import (BENCH, PAPER, SCALES, SMALL, Scale,
                       ablation_data_replication, ablation_task_order,
                       fig4_fig5, fig6, fig7, fig8, table2_fig3, table3)
 from .reproduce import reproduce_all
-from .report import (format_series, format_site_summaries, format_sweep_table,
-                     format_table3)
+from .report import format_site_summaries, format_sweep_table, format_table3
 from .runner import (AveragedResult, ExperimentResult, build_grid,
                      build_job, run_averaged, run_experiment)
 from .store import ResultRecord, ResultStore
 from .sweep import SweepResult, run_sweep
-from .validate import GridValidator, InvariantViolation
 
 __all__ = [
     "AveragedResult",
@@ -23,8 +21,6 @@ __all__ = [
     "run_campaign",
     "ExperimentConfig",
     "ExperimentResult",
-    "GridValidator",
-    "InvariantViolation",
     "PAPER",
     "ResultRecord",
     "ResultStore",
@@ -42,7 +38,6 @@ __all__ = [
     "fig6",
     "fig7",
     "fig8",
-    "format_series",
     "format_site_summaries",
     "format_sweep_table",
     "format_table3",

@@ -42,15 +42,6 @@ def format_sweep_table(sweep: SweepResult, metric: str = "makespan_minutes",
     return "\n".join(lines)
 
 
-def format_series(points: Sequence, label: str = "",
-                  value_format: str = "{:.1f}") -> str:
-    """One (x, y) series as `x y` lines, gnuplot-style."""
-    lines = [f"# {label}"] if label else []
-    for x, y in points:
-        lines.append(f"{x} {value_format.format(y)}")
-    return "\n".join(lines)
-
-
 def format_table3(rows: Sequence[tuple], ) -> str:
     """Render Table 3: (workers, waiting h, transfer h, transfers)."""
     lines = [f"{'':>12s} {'waiting':>12s} {'transfer':>12s} {'# of file':>12s}",

@@ -13,7 +13,7 @@ import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, List, Sequence, Union
+from typing import Iterator, List, Union
 
 from .config import ExperimentConfig
 from .runner import ExperimentResult
@@ -98,10 +98,6 @@ class ResultStore:
         with self.path.open("a") as handle:
             handle.write(json.dumps(result_to_dict(result)) + "\n")
 
-    def append_many(self, results: Sequence) -> None:
-        for result in results:
-            self.append(result)
-
     def __iter__(self) -> Iterator[ResultRecord]:
         if not self.path.exists():
             return
@@ -123,10 +119,3 @@ class ResultStore:
                    for field, value in config_fields.items()):
                 out.append(record)
         return out
-
-    def makespan_samples(self, scheduler: str,
-                         **config_fields) -> List[float]:
-        """Makespan minutes of matching runs (compare.py input)."""
-        return [record.makespan_minutes
-                for record in self.query(scheduler=scheduler,
-                                         **config_fields)]

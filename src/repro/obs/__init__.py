@@ -13,14 +13,12 @@ One registry feeds every exporter:
   ``PolicyEngine.choose`` ("why was this task picked"),
 * :mod:`repro.obs.top` — the ``repro top`` live terminal view.
 
-The live daemon (:mod:`repro.serve`) and the simulator's
-:class:`~repro.sim.monitor.StateMonitor` both publish into this layer
-under identical metric names, so one dashboard covers both.
+The live daemon (:mod:`repro.serve`) and the cluster tier
+(:mod:`repro.cluster`) publish through this layer.
 """
 
 from .events import (EVENT_SCHEMAS, EventLog, EventSchemaError,
-                     RotatingJsonlSink, iter_events, read_events,
-                     validate_event)
+                     RotatingJsonlSink, iter_events, validate_event)
 from .http import ObsHttpServer
 from .metrics import (Counter, Gauge, LatencyHistogram, MetricFamily,
                       MetricsRegistry)
@@ -46,7 +44,6 @@ __all__ = [
     "fetch_json",
     "iter_events",
     "parse",
-    "read_events",
     "render",
     "render_top",
     "run_top",

@@ -53,7 +53,7 @@ from typing import (Deque, Dict, Iterator, KeysView, List, Optional,
 log = logging.getLogger("repro.obs.events")
 
 __all__ = ["EVENT_SCHEMAS", "EventLog", "EventSchemaError",
-           "RotatingJsonlSink", "read_events", "iter_events",
+           "RotatingJsonlSink", "iter_events",
            "validate_event"]
 
 #: event type -> required fields (beyond ``ts``/``seq``/``event``).
@@ -302,7 +302,3 @@ def iter_events(path: str) -> Iterator[Dict]:
                     f"{path}:{line_number}: bad JSON: {exc}") from exc
             yield validate_event(record)
 
-
-def read_events(path: str) -> List[Dict]:
-    """All validated records of one JSONL file, in file order."""
-    return list(iter_events(path))

@@ -1,8 +1,8 @@
 """Dependency-free metrics core: counters, gauges, histograms, registry.
 
-The unified observability layer for both the live scheduler daemon
-(:mod:`repro.serve`) and the simulator (:mod:`repro.sim.monitor`
-bridges its probes in).  Pure standard library, O(1) per event, and
+The metrics layer of the live scheduler daemon (:mod:`repro.serve`)
+and the cluster tier (:mod:`repro.cluster`).  Pure standard library,
+O(1) per event, and
 every metric is held behind a :class:`MetricsRegistry` so one walk of
 the registry produces the Prometheus exposition
 (:mod:`repro.obs.prometheus`) or a JSON snapshot.

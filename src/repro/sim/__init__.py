@@ -3,11 +3,9 @@
 A compact, deterministic, generator-process DES engine:
 
 * :class:`Environment` — clock, event queue, run loop.
-* :class:`Event`, :class:`Timeout`, :class:`AllOf`, :class:`AnyOf` —
-  waitable occurrences.
+* :class:`Event`, :class:`Timeout` — waitable occurrences.
 * :class:`Process` — a generator stepped through the events it yields.
-* :class:`Resource`, :class:`Store`, :class:`PriorityStore` — contention
-  primitives.
+* :class:`Store` — a FIFO queue, the one contention primitive.
 * :class:`RngRegistry` — named deterministic random streams.
 """
 
@@ -19,30 +17,22 @@ from .errors import (
     SchedulingInPastError,
     SimulationError,
 )
-from .events import AllOf, AnyOf, Event, Timeout
-from .monitor import StateMonitor, grid_probes
+from .events import Event, Timeout
 from .process import Process
-from .resources import PriorityStore, Request, Resource, Store
+from .resources import Store
 from .rng import RngRegistry, derive_seed
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "EmptyScheduleError",
     "Environment",
     "Event",
     "EventAlreadyTriggeredError",
     "Interrupt",
-    "PriorityStore",
     "Process",
-    "Request",
-    "Resource",
     "RngRegistry",
     "SchedulingInPastError",
     "SimulationError",
-    "StateMonitor",
     "Store",
     "Timeout",
     "derive_seed",
-    "grid_probes",
 ]

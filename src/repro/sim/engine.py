@@ -19,7 +19,7 @@ import heapq
 from typing import Any, List, Optional, Tuple
 
 from .errors import EmptyScheduleError, SchedulingInPastError
-from .events import Event, Timeout, AllOf, AnyOf, NORMAL
+from .events import Event, Timeout, NORMAL
 from .process import Process, EventGenerator
 
 #: Queue entry layout: (time, priority, sequence, event)
@@ -73,14 +73,6 @@ class Environment:
                 name: Optional[str] = None) -> Process:
         """Spawn ``generator`` as a new simulation process."""
         return Process(self, generator, name=name)
-
-    def all_of(self, events) -> AllOf:
-        """Event that succeeds when all of ``events`` have succeeded."""
-        return AllOf(self, events)
-
-    def any_of(self, events) -> AnyOf:
-        """Event that succeeds when any of ``events`` succeeds."""
-        return AnyOf(self, events)
 
     # -- scheduling --------------------------------------------------------
     def schedule(self, event: Event, delay: float = 0.0,

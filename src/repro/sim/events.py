@@ -10,11 +10,6 @@ An :class:`Event` moves through three states:
 ``PROCESSED``
     Its callbacks have run.  Waiting on a processed event resumes the
     waiter immediately (at the current simulation time).
-
-Composite events (:class:`AllOf`, :class:`AnyOf`) wait on collections of
-child events and are the kernel-level building blocks for scatter/gather
-communication patterns used by the grid model (e.g. a batch file request
-completing when every file transfer in the batch has finished).
 """
 
 from __future__ import annotations
@@ -33,8 +28,8 @@ PENDING = 0
 TRIGGERED = 1
 PROCESSED = 2
 
-#: Queue priorities.  URGENT is used for interrupts and resource
-#: bookkeeping so they run before ordinary events at the same timestamp.
+#: Queue priorities.  URGENT is used for interrupts so they run before
+#: ordinary events at the same timestamp.
 URGENT = 0
 NORMAL = 1
 
@@ -144,66 +139,3 @@ class Timeout(Event):
         self._value = value
         self._state = TRIGGERED
         env.schedule(self, delay=delay)
-
-
-class _Condition(Event):
-    """Shared machinery for :class:`AllOf` / :class:`AnyOf`."""
-
-    __slots__ = ("events", "_count")
-
-    def __init__(self, env: "Environment", events: typing.Iterable[Event]):
-        super().__init__(env)
-        self.events: List[Event] = list(events)
-        self._count = 0
-        if not self.events:
-            self.succeed(self._collect())
-            return
-        for event in self.events:
-            if event.env is not env:
-                raise ValueError("all events must share one environment")
-            event.add_callback(self._check)
-
-    def _collect(self) -> dict:
-        return {e: e.value for e in self.events if e.processed and e.ok}
-
-    def _check(self, event: Event) -> None:
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Succeeds when every child event has succeeded.
-
-    Fails as soon as any child fails, with that child's exception.  The
-    value of a successful ``AllOf`` is a dict mapping each child event to
-    its value.
-    """
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event.ok:
-            self.fail(event.value)
-            return
-        self._count += 1
-        if self._count == len(self.events):
-            self.succeed(self._collect())
-
-
-class AnyOf(_Condition):
-    """Succeeds when the first child event succeeds.
-
-    Fails if a child fails before any succeeds.  The value is a dict of
-    the child events processed successfully so far (usually one entry).
-    """
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event.ok:
-            self.fail(event.value)
-            return
-        self.succeed(self._collect())

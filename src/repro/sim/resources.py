@@ -1,99 +1,21 @@
-"""Shared-resource primitives built on the event kernel.
+"""The kernel's one contention primitive: a FIFO item store.
 
-Two families cover everything the grid model needs:
-
-* :class:`Resource` — a counted semaphore with a FIFO wait queue; models
-  exclusive servers (a data server's single request-processing loop, a
-  worker's CPU).
-* :class:`Store` — an unbounded (or capacity-bounded) FIFO of items with
-  blocking ``get``; models mailboxes and request queues between
-  processes.  :class:`PriorityStore` retrieves the smallest item first.
-
-All wait queues are FIFO with deterministic ordering, in keeping with the
-kernel's reproducibility guarantee.
+:class:`Store` is an unbounded (or capacity-bounded) FIFO of items with
+blocking ``get``; it models mailboxes and request queues between
+processes (a data server's batch-request queue).  Its wait queues are
+FIFO with deterministic ordering, in keeping with the kernel's
+reproducibility guarantee.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from typing import Any, Deque, Generic, List, Optional, Tuple, TypeVar
+from typing import Deque, Generic, Optional, Tuple, TypeVar
 
 from .engine import Environment
 from .events import Event
 
 T = TypeVar("T")
-
-
-class Request(Event):
-    """Event granted when a :class:`Resource` slot becomes available."""
-
-    __slots__ = ("resource",)
-
-    def __init__(self, resource: "Resource"):
-        super().__init__(resource.env)
-        self.resource = resource
-
-
-class Resource:
-    """A counted, FIFO-fair resource with ``capacity`` concurrent users.
-
-    Usage::
-
-        req = resource.request()
-        yield req
-        try:
-            ... exclusive work ...
-        finally:
-            resource.release()
-    """
-
-    def __init__(self, env: Environment, capacity: int = 1):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.env = env
-        self.capacity = capacity
-        self._in_use = 0
-        self._waiters: Deque[Request] = deque()
-
-    @property
-    def count(self) -> int:
-        """Number of slots currently held."""
-        return self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        """Number of requests waiting for a slot."""
-        return len(self._waiters)
-
-    def request(self) -> Request:
-        """Ask for a slot; the returned event succeeds once granted."""
-        req = Request(self)
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            req.succeed()
-        else:
-            self._waiters.append(req)
-        return req
-
-    def release(self) -> None:
-        """Return a slot, waking the oldest waiter if any."""
-        if self._in_use <= 0:
-            raise RuntimeError("release() without a matching request()")
-        if self._waiters:
-            # Hand the slot directly to the next waiter; _in_use is
-            # unchanged because ownership transfers.
-            self._waiters.popleft().succeed()
-        else:
-            self._in_use -= 1
-
-    def cancel(self, req: Request) -> bool:
-        """Withdraw a still-queued request.  Returns True if removed."""
-        try:
-            self._waiters.remove(req)
-            return True
-        except ValueError:
-            return False
 
 
 class StoreGet(Event):
@@ -158,52 +80,3 @@ class Store(Generic[T]):
         else:
             self._getters.append(ev)
         return ev
-
-
-class PriorityStore(Store[T]):
-    """A store whose ``get`` returns the smallest item first.
-
-    Items must be mutually comparable; ties are broken by insertion
-    order via an internal sequence number, keeping retrieval
-    deterministic.
-    """
-
-    def __init__(self, env: Environment, capacity: Optional[int] = None):
-        super().__init__(env, capacity)
-        self._heap: List[Tuple[Any, int, T]] = []
-        self._seq = 0
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    @property
-    def items(self) -> Tuple[T, ...]:
-        return tuple(item for _k, _s, item in sorted(self._heap))
-
-    def put(self, item: T) -> StorePut:
-        ev = StorePut(self.env)
-        if self._getters:
-            self._getters.popleft().succeed(item)
-            ev.succeed()
-        elif self.capacity is None or len(self._heap) < self.capacity:
-            self._push(item)
-            ev.succeed()
-        else:
-            self._putters.append((ev, item))
-        return ev
-
-    def get(self) -> StoreGet:
-        ev = StoreGet(self.env)
-        if self._heap:
-            ev.succeed(heapq.heappop(self._heap)[2])
-            if self._putters:
-                put_ev, item = self._putters.popleft()
-                self._push(item)
-                put_ev.succeed()
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def _push(self, item: T) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (item, self._seq, item))

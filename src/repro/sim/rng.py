@@ -43,11 +43,3 @@ class RngRegistry:
             stream = random.Random(derive_seed(self.master_seed, name))
             self._streams[name] = stream
         return stream
-
-    def fork(self, name: str) -> "RngRegistry":
-        """A child registry whose master seed is derived from ``name``.
-
-        Used to give each of several repeated experiment runs its own
-        namespace of streams.
-        """
-        return RngRegistry(derive_seed(self.master_seed, name))

@@ -1,13 +1,9 @@
-"""TraceBus and post-hoc metric extraction."""
+"""TraceBus and the per-site service summaries."""
 
 import pytest
 
-from repro.analysis import (BatchServed, FileTransferred, TaskAssigned,
-                            TaskCompleted, TaskStarted, TraceBus)
-from repro.analysis.metrics import (aggregate_sites, makespan_from_trace,
-                                    queue_waits, site_batch_records,
-                                    summarize_sites, transfers_by_site,
-                                    worker_utilization)
+from repro.analysis import TaskCompleted, TaskStarted, TraceBus
+from repro.analysis.metrics import aggregate_sites, summarize_sites
 from repro.grid.data_server import DataServerStats
 
 
@@ -43,63 +39,6 @@ def test_listener_type_filtering():
     bus.subscribe(TaskStarted, started.append)
     bus.emit(TaskStarted(time=0.0, task_id=0, worker="w", site=0))
     assert len(started) == 1 and completed == []
-
-
-def test_makespan_from_trace():
-    bus = TraceBus()
-    for t in (5.0, 9.0, 3.0):
-        bus.emit(TaskCompleted(time=t, task_id=int(t), worker="w", site=0))
-    assert makespan_from_trace(bus) == 9.0
-
-
-def test_makespan_requires_records():
-    with pytest.raises(ValueError):
-        makespan_from_trace(TraceBus())
-
-
-def test_queue_waits_first_assignment_wins():
-    bus = TraceBus()
-    bus.emit(TaskAssigned(time=1.0, task_id=0, worker="a", site=0))
-    bus.emit(TaskAssigned(time=5.0, task_id=0, worker="b", site=1))
-    bus.emit(TaskStarted(time=7.0, task_id=0, worker="b", site=1))
-    assert queue_waits(bus) == {0: 6.0}
-
-
-def test_transfers_by_site():
-    bus = TraceBus()
-    for site in (0, 0, 1):
-        bus.emit(FileTransferred(time=0.0, file_id=1, site=site,
-                                 size=10.0, duration=1.0))
-    assert transfers_by_site(bus) == {0: 2, 1: 1}
-
-
-def test_site_batch_records_filters():
-    bus = TraceBus()
-    for site in (0, 1, 0):
-        bus.emit(BatchServed(time=0.0, site=site, worker="w", num_files=1,
-                             num_transfers=1, waiting_time=0.0,
-                             transfer_time=1.0, cancelled=False))
-    assert len(site_batch_records(bus, 0)) == 2
-
-
-def test_worker_utilization():
-    bus = TraceBus()
-    bus.emit(TaskStarted(time=0.0, task_id=0, worker="w", site=0))
-    bus.emit(TaskCompleted(time=5.0, task_id=0, worker="w", site=0))
-    bus.emit(TaskStarted(time=6.0, task_id=1, worker="w", site=0))
-    bus.emit(TaskCompleted(time=10.0, task_id=1, worker="w", site=0))
-    util = worker_utilization(bus, makespan=10.0)
-    assert util == {"w": pytest.approx(0.9)}
-    with pytest.raises(ValueError):
-        worker_utilization(bus, makespan=0.0)
-
-
-def test_cancelled_tasks_excluded_from_utilization():
-    bus = TraceBus()
-    bus.emit(TaskStarted(time=0.0, task_id=0, worker="w", site=0))
-    # no completion for task 0 (it was cancelled)
-    util = worker_utilization(bus, makespan=10.0)
-    assert util == {}
 
 
 def make_stats(served, wait, xfer, transfers):

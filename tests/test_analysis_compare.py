@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis.compare import (format_ranking,
     rank_algorithms,
-    significantly_less,
     summarize,
     welch_t)
 
@@ -48,14 +47,6 @@ def test_welch_t_sign():
 def test_welch_t_degenerate():
     assert welch_t([1.0], [2.0]) == 0.0
     assert welch_t([1.0, 1.0], [1.0, 1.0]) == 0.0
-
-
-def test_significantly_less():
-    low = [1.0, 1.1, 0.9, 1.05, 1.02]
-    high = [2.0, 2.1, 1.9, 2.05, 2.02]
-    assert significantly_less(low, high)
-    assert not significantly_less(high, low)
-    assert not significantly_less(low, low)
 
 
 def test_rank_algorithms_orders_by_mean():

@@ -68,13 +68,6 @@ def test_store_query(tmp_path, small_result):
     assert store.query(scheduler="rest", num_tasks=999) == []
 
 
-def test_makespan_samples(tmp_path, small_result):
-    store = ResultStore(tmp_path / "results.jsonl")
-    store.append_many([small_result, small_result])
-    samples = store.makespan_samples("rest")
-    assert samples == [pytest.approx(small_result.makespan_minutes)] * 2
-
-
 def test_store_reappend_reloaded_record(tmp_path, small_result):
     """Reloaded records can be archived again (round-trip stability)."""
     store = ResultStore(tmp_path / "results.jsonl")

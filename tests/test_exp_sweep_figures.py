@@ -8,7 +8,7 @@ from repro.exp import (SMALL, ExperimentConfig, fig4_fig5, fig6, fig7, fig8,
 from repro.exp.figures import (ablation_choose_n, ablation_combined_formula,
                                ablation_data_replication,
                                ablation_task_order)
-from repro.exp.report import format_series, format_site_summaries
+from repro.exp.report import format_site_summaries
 from repro.analysis.metrics import summarize_sites
 
 
@@ -66,11 +66,6 @@ def test_format_sweep_table_transform():
     text = format_sweep_table(
         sweep, transform=lambda cell: cell.file_transfers / 2)
     assert text
-
-
-def test_format_series():
-    text = format_series([(1, 2.0), (3, 4.5)], label="demo")
-    assert "# demo" in text and "1 2.0" in text and "3 4.5" in text
 
 
 def test_table2_fig3_small():

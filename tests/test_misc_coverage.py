@@ -4,7 +4,7 @@ accounting, figures scaling helpers, config catalog helpers."""
 
 from repro.exp import ExperimentConfig
 from repro.exp.figures import BENCH, PAPER, SMALL, _workers_capacity
-from repro.exp.report import format_series, format_sweep_table
+from repro.exp.report import format_sweep_table
 
 from conftest import make_grid, make_job
 
@@ -38,11 +38,6 @@ def test_base_config_overrides():
 
 
 # -- report edge cases ----------------------------------------------------
-
-def test_format_series_without_label():
-    text = format_series([(1, 2.0)])
-    assert text == "1 2.0"
-
 
 def test_format_sweep_table_custom_format():
     from repro.exp.sweep import run_sweep

@@ -10,7 +10,7 @@ from repro.analysis.eventlog import load_timelines, task_timelines
 from repro.obs import events as events_module
 from repro.obs.events import (EVENT_SCHEMAS, EventLog, EventSchemaError,
                               RotatingJsonlSink, iter_events,
-                              read_events, validate_event)
+                              validate_event)
 
 
 def fake_clock(start=1000.0, step=1.0):
@@ -117,7 +117,7 @@ def test_jsonl_round_trip_through_the_file_sink(tmp_path):
         log.emit("submit", job_id=0, tasks=2, task_ids=[0, 1])
         log.emit("assign", task_id=0, site=2, worker="w1", lease_id=9)
         log.emit("complete", task_id=0, worker="w1")
-    records = read_events(path)
+    records = list(iter_events(path))
     assert [record["event"] for record in records] == \
         ["submit", "assign", "complete"]
     assert records[1]["lease_id"] == 9  # extra fields survive
@@ -131,10 +131,10 @@ def test_read_rejects_corrupt_lines(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"event": "assign", "task_id": 1}\n')
     with pytest.raises(EventSchemaError):
-        read_events(str(path))
+        list(iter_events(str(path)))
     path.write_text("not json\n")
     with pytest.raises(EventSchemaError):
-        read_events(str(path))
+        list(iter_events(str(path)))
 
 
 def test_rotating_sink_shifts_backups(tmp_path):

@@ -1,9 +1,8 @@
 """The metrics core: counters, gauges, histograms, registry, labels.
 
 Covers the O(1) ``bit_length`` bucket indexing against the old linear
-loop (kept as ``reference_bucket_index``), label-family semantics, the
-callback-gauge contract, and the bridge that publishes simulator
-probes into a registry under the live scheduler's metric names.
+loop (kept as ``reference_bucket_index``), label-family semantics and
+the callback-gauge contract.
 """
 
 import math
@@ -14,8 +13,6 @@ from hypothesis import strategies as st
 
 from repro.obs.metrics import (Counter, Gauge, LatencyHistogram,
                                MetricsRegistry, reference_bucket_index)
-from repro.sim import Environment
-from repro.sim.monitor import PROBE_METRIC_NAMES, StateMonitor
 
 
 # -- counter / gauge ---------------------------------------------------------
@@ -164,32 +161,6 @@ def test_registry_collects_in_registration_order():
         ["b_total", "a", "c_seconds"]
     assert "a" in registry and "zzz" not in registry
     assert registry.get("a").kind == "gauge"
-
-
-# -- simulator bridge --------------------------------------------------------
-
-def test_state_monitor_publishes_probes_under_serve_metric_names():
-    env = Environment()
-    monitor = StateMonitor(env, interval=1.0,
-                           stop_when=lambda: env.now >= 3.0)
-    backlog = [5.0]
-    monitor.add_probe("pending_tasks", lambda: backlog[0])
-    registry = MetricsRegistry()
-    monitor.bind_registry(registry)
-    # Probes added after binding are exported too.
-    monitor.add_probe("weirdness", lambda: 1.25)
-
-    assert "repro_queue_depth" in registry  # PROBE_METRIC_NAMES mapping
-    assert PROBE_METRIC_NAMES["pending_tasks"] == "repro_queue_depth"
-    assert "repro_sim_weirdness" in registry  # fallback naming
-
-    gauge = registry.get("repro_queue_depth").labels()
-    assert gauge.value == 0.0  # no samples yet
-    env.run()
-    backlog[0] = 9.0  # later than the last sample: gauge shows latest
-    assert monitor.latest("pending_tasks") == 5.0
-    assert gauge.value == 5.0
-    assert registry.get("repro_sim_weirdness").labels().value == 1.25
 
 
 def test_histogram_rejects_bad_geometry():

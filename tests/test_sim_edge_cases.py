@@ -1,35 +1,7 @@
-"""Kernel edge cases: nested conditions, event bridging, store churn."""
+"""Kernel edge cases: event bridging, interrupts, store churn."""
 
 
-from repro.sim import (AllOf, AnyOf, Environment, Event, Interrupt,
-                       PriorityStore, Resource, Store)
-
-
-def test_nested_conditions(env):
-    a = env.timeout(1.0, value="a")
-    b = env.timeout(2.0, value="b")
-    c = env.timeout(3.0, value="c")
-    nested = AllOf(env, [AnyOf(env, [a, b]), c])
-    env.run()
-    assert nested.processed and nested.ok
-    assert env.now == 3.0
-
-
-def test_allof_with_already_processed_children(env):
-    done = env.timeout(1.0)
-    env.run()
-    assert done.processed
-    gathered = AllOf(env, [done, env.timeout(2.0)])
-    env.run()
-    assert gathered.processed and gathered.ok
-
-
-def test_anyof_with_already_processed_child(env):
-    done = env.timeout(1.0)
-    env.run()
-    first = AnyOf(env, [done, env.timeout(50.0)])
-    env.run(until=2.0)
-    assert first.processed
+from repro.sim import Environment, Event, Interrupt, Store
 
 
 def test_process_yield_on_processed_event(env):
@@ -66,48 +38,6 @@ def test_interrupt_while_waiting_on_store(env):
     # the dangling getter remains queued; a later put satisfies it
     store.put("x")
     assert store.items == () or store.items == ("x",)
-
-
-def test_resource_released_in_finally_under_interrupt(env):
-    resource = Resource(env, capacity=1)
-    order = []
-
-    def holder(env):
-        request = resource.request()
-        yield request
-        try:
-            yield env.timeout(100.0)
-        except Interrupt:
-            order.append("interrupted")
-        finally:
-            resource.release()
-
-    def next_user(env):
-        request = resource.request()
-        yield request
-        order.append(("acquired", env.now))
-        resource.release()
-
-    victim = env.process(holder(env))
-    env.process(next_user(env))
-
-    def attacker(env):
-        yield env.timeout(5.0)
-        victim.interrupt()
-
-    env.process(attacker(env))
-    env.run()
-    assert order == ["interrupted", ("acquired", 5.0)]
-
-
-def test_priority_store_len_tracks_heap(env):
-    store = PriorityStore(env)
-    store.put(3)
-    store.put(1)
-    assert len(store) == 2
-    store.get()
-    assert len(store) == 1
-    assert store.items == (3,)
 
 
 def test_event_value_before_trigger_is_none(env):

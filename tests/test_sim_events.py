@@ -1,9 +1,8 @@
-"""Event, Timeout, AllOf, AnyOf semantics."""
+"""Event and Timeout semantics."""
 
 import pytest
 
-from repro.sim import (AllOf, AnyOf, Environment, Event,
-                       EventAlreadyTriggeredError, Timeout)
+from repro.sim import Event, EventAlreadyTriggeredError, Timeout
 
 
 def test_event_starts_pending(env):
@@ -85,68 +84,6 @@ def test_timeout_value_passes_through(env):
     assert env.run_until_event(process) == "tick"
 
 
-def test_allof_waits_for_all(env):
-    t1 = env.timeout(1.0, value="a")
-    t2 = env.timeout(5.0, value="b")
-    gathered = AllOf(env, [t1, t2])
-    env.run()
-    assert gathered.processed
-    assert env.now == 5.0
-    assert gathered.value == {t1: "a", t2: "b"}
-
-
-def test_allof_empty_succeeds_immediately(env):
-    gathered = AllOf(env, [])
-    env.run()
-    assert gathered.processed and gathered.ok
-
-
-def test_allof_fails_on_first_child_failure(env):
-    good = env.timeout(10.0)
-    bad = Event(env)
-    gathered = AllOf(env, [good, bad])
-    caught = []
-
-    def proc(env):
-        try:
-            yield gathered
-        except RuntimeError as exc:
-            caught.append(str(exc))
-
-    env.process(proc(env))
-    bad.fail(RuntimeError("child"))
-    env.run()
-    assert caught == ["child"]
-
-
-def test_anyof_fires_on_first_success(env):
-    slow = env.timeout(10.0, value="slow")
-    fast = env.timeout(2.0, value="fast")
-    first = AnyOf(env, [slow, fast])
-    env.run()
-    assert first.processed
-    # AnyOf triggered at t=2 with only `fast` in its collected dict.
-    assert fast in first.value
-    assert first.value[fast] == "fast"
-
-
-def test_anyof_mixed_environments_rejected():
-    env_a, env_b = Environment(), Environment()
-    with pytest.raises(ValueError):
-        AnyOf(env_a, [Event(env_a), Event(env_b)])
-
-
-def test_condition_ignores_children_after_trigger(env):
-    fast = env.timeout(1.0)
-    slow = env.timeout(2.0)
-    first = AnyOf(env, [fast, slow])
-    env.run()
-    # slow completing later must not double-trigger the AnyOf.
-    assert first.processed and first.ok
-
-
 def test_env_factories(env):
     assert isinstance(env.event(), Event)
     assert isinstance(env.timeout(1.0), Timeout)
-    assert isinstance(env.all_of([]), AllOf)
-    assert isinstance(env.any_of([env.timeout(0)]), AnyOf)

@@ -1,66 +1,8 @@
-"""Resource / Store / PriorityStore contention semantics."""
+"""Store contention semantics."""
 
 import pytest
 
-from repro.sim import PriorityStore, Resource, Store
-
-
-def test_resource_grants_up_to_capacity(env):
-    resource = Resource(env, capacity=2)
-    first, second, third = (resource.request() for _ in range(3))
-    assert first.triggered and second.triggered
-    assert not third.triggered
-    assert resource.count == 2
-    assert resource.queue_length == 1
-
-
-def test_resource_release_wakes_fifo(env):
-    resource = Resource(env, capacity=1)
-    resource.request()
-    waiting_a = resource.request()
-    waiting_b = resource.request()
-    resource.release()
-    assert waiting_a.triggered
-    assert not waiting_b.triggered
-
-
-def test_resource_release_without_request_raises(env):
-    with pytest.raises(RuntimeError):
-        Resource(env).release()
-
-
-def test_resource_capacity_validation(env):
-    with pytest.raises(ValueError):
-        Resource(env, capacity=0)
-
-
-def test_resource_cancel_queued_request(env):
-    resource = Resource(env, capacity=1)
-    resource.request()
-    queued = resource.request()
-    assert resource.cancel(queued)
-    assert not resource.cancel(queued)  # already removed
-    resource.release()
-    assert not queued.triggered
-    assert resource.count == 0
-
-
-def test_resource_serializes_processes(env):
-    resource = Resource(env, capacity=1)
-    spans = []
-
-    def user(env, tag, hold):
-        request = resource.request()
-        yield request
-        start = env.now
-        yield env.timeout(hold)
-        resource.release()
-        spans.append((tag, start, env.now))
-
-    env.process(user(env, "a", 4.0))
-    env.process(user(env, "b", 2.0))
-    env.run()
-    assert spans == [("a", 0.0, 4.0), ("b", 4.0, 6.0)]
+from repro.sim import Store
 
 
 def test_store_put_then_get(env):
@@ -139,36 +81,3 @@ def test_store_len_and_items(env):
     store.put(2)
     assert len(store) == 2
     assert store.items == (1, 2)
-
-
-def test_priority_store_orders_items(env):
-    store = PriorityStore(env)
-    for value in (5, 1, 3):
-        store.put(value)
-    assert [store.get().value for _ in range(3)] == [1, 3, 5]
-
-
-def test_priority_store_ties_fifo(env):
-    store = PriorityStore(env)
-    store.put((1, "first"))
-    store.put((1, "second"))
-    assert store.get().value == (1, "first")
-    assert store.get().value == (1, "second")
-
-
-def test_priority_store_blocking_get(env):
-    store = PriorityStore(env)
-    got = store.get()
-    assert not got.triggered
-    store.put(7)
-    assert got.triggered and got.value == 7
-
-
-def test_priority_store_bounded_put(env):
-    store = PriorityStore(env, capacity=1)
-    store.put(2)
-    blocked = store.put(1)
-    assert not blocked.triggered
-    assert store.get().value == 2
-    assert blocked.triggered
-    assert store.get().value == 1

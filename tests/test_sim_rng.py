@@ -32,17 +32,3 @@ def test_streams_are_independent():
 def test_stream_identity_is_cached():
     registry = RngRegistry(3)
     assert registry.stream("s") is registry.stream("s")
-
-
-def test_fork_produces_distinct_namespace():
-    parent = RngRegistry(9)
-    child = parent.fork("run-1")
-    assert child.master_seed != parent.master_seed
-    assert (child.stream("x").random()
-            != parent.stream("x").random())
-
-
-def test_fork_is_reproducible():
-    a = RngRegistry(9).fork("run-1").stream("x").random()
-    b = RngRegistry(9).fork("run-1").stream("x").random()
-    assert a == b
