@@ -1,15 +1,14 @@
 """Benchmark harness support.
 
-Every figure/table benchmark runs its experiment once (pedantic
-rounds=1 — a simulated campaign is not a microbenchmark), prints the
-paper-shaped table, and archives it under ``benchmarks/results/`` so
-EXPERIMENTS.md can cite the exact output.
+The paper's tables and figures are not benchmarks: ``python -m repro
+reproduce`` renders and checks them (``repro.exp.reproduce``).  What
+is left here times the implementation.  The serve and cluster
+throughput benches run once (pedantic rounds=1), print their tables
+and archive them under ``benchmarks/results/``.
 
-Scale selection: set ``REPRO_BENCH_SCALE`` to ``small``, ``bench``
-(default) or ``paper``.  ``paper`` reruns the full 6,000-task protocol:
-one run takes ~7 s and the Figure 4/5 sweep ~12 min on a 2-core
-x86-64 VM; Figures 4-8 plus Table 3 take ~1 h 46 min serially
-(EXPERIMENTS.md has the per-figure times).
+``REPRO_BENCH_SCALE`` (``small``, ``bench`` — the default — or
+``paper``) sizes those two benches only:
+``bench_serve_throughput.py`` and ``bench_cluster_throughput.py``.
 """
 
 import os
@@ -17,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.exp.figures import SCALES
+from repro.exp.config import SCALES
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -48,10 +47,3 @@ def artifact():
         return path
 
     return write
-
-
-@pytest.fixture(scope="session")
-def fig4_fig5_sweep(scale):
-    """Shared capacity sweep feeding both Figure 4 and Figure 5."""
-    from repro.exp.figures import fig4_fig5
-    return fig4_fig5(scale)

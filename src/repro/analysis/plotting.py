@@ -2,7 +2,7 @@
 
 The paper's figures are line plots; for a terminal-only environment we
 render them as character rasters — one mark per algorithm, shared axes,
-a legend — so ``python -m repro figures --plot`` and the examples can
+a legend — so ``python -m repro sweep --plot`` and the examples can
 show the *shape* of a result, not just its table.
 
 Pure string manipulation; no dependencies.

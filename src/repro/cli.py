@@ -7,8 +7,8 @@ Commands
 ``sweep``     sweep one config field, table to stdout.
 ``workload``  generate + characterize a workload (Table 2 block),
               optionally saving it to JSON.
-``figures``   regenerate one of the paper's figures/tables by name.
-``reproduce`` regenerate every table and figure into one report.
+``reproduce`` regenerate the paper's tables and figures and check
+              every claim EXPERIMENTS.md makes about them.
 ``serve``     run the live scheduler daemon (protocol v3 over TCP:
               JSON lines with negotiated binary framing),
               optionally with an HTTP metrics endpoint, a JSONL
@@ -29,7 +29,7 @@ Examples
     python -m repro compare --tasks 400 --schedulers rest.2 workqueue
     python -m repro sweep --field capacity_files --values 300 600 1500
     python -m repro workload --tasks 6000 --out coadd.json
-    python -m repro figures --name fig4 --scale small
+    python -m repro reproduce --only fig4_capacity_makespan
     python -m repro serve --port 7077 --metric combined --n 2 \
         --metrics-port 9090 --event-log events.jsonl
     python -m repro load --port 7077 --tasks 500 --sites 4 --workers 2 \
@@ -47,9 +47,8 @@ from typing import List, Optional, Sequence
 from .analysis.compare import format_ranking, rank_algorithms
 from .analysis.plotting import chart_sweep
 from .core.registry import PAPER_ALGORITHMS, available_schedulers
-from .exp import figures as figure_defs
-from .exp.config import ExperimentConfig
-from .exp.report import format_sweep_table, format_table3
+from .exp.config import SCALES, ExperimentConfig
+from .exp.report import format_sweep_table
 from .exp.runner import build_job, run_averaged, run_experiment
 from .exp.sweep import run_sweep
 from .workload.stats import characterize, reference_cdf_series
@@ -209,58 +208,16 @@ def _cmd_workload(args: argparse.Namespace) -> int:
     return 0
 
 
-_FIGURES = {
-    "table2": lambda scale: _print_table2(scale),
-    "fig4": lambda scale: print(format_sweep_table(
-        figure_defs.fig4_fig5(scale), metric="makespan_minutes",
-        title="Figure 4: makespan (minutes) vs capacity")),
-    "fig5": lambda scale: _print_fig5(scale),
-    "fig6": lambda scale: print(format_sweep_table(
-        figure_defs.fig6(scale), metric="makespan_minutes",
-        title="Figure 6: makespan (minutes) vs workers per site")),
-    "table3": lambda scale: print(format_table3(
-        figure_defs.table3(scale))),
-    "fig7": lambda scale: print(format_sweep_table(
-        figure_defs.fig7(scale), metric="makespan_minutes",
-        title="Figure 7: makespan (minutes) vs number of sites")),
-    "fig8": lambda scale: print(format_sweep_table(
-        figure_defs.fig8(scale), metric="makespan_minutes",
-        title="Figure 8: makespan (minutes) vs file size (MB)")),
-}
-
-
-def _print_table2(scale) -> None:
-    stats = figure_defs.table2_fig3(scale)
-    print(stats.as_table())
-
-
-def _print_fig5(scale) -> None:
-    sweep = figure_defs.fig4_fig5(scale)
-    print(format_sweep_table(
-        sweep,
-        transform=lambda cell: cell.file_transfers / sweep.base.num_sites,
-        title="Figure 5: # file transfers per data server vs capacity"))
-
-
-def _cmd_figures(args: argparse.Namespace) -> int:
-    scale = figure_defs.SCALES[args.scale]
-    _FIGURES[args.name](scale)
-    return 0
-
-
 def _cmd_reproduce(args: argparse.Namespace) -> int:
-    from .exp.reproduce import reproduce_all
-    scale = figure_defs.SCALES[args.scale]
-    report = reproduce_all(
-        scale, include_ablations=args.ablations,
-        progress=lambda msg: print(f"  {msg}", file=sys.stderr))
-    if args.out:
-        from pathlib import Path
-        Path(args.out).write_text(report)
-        print(f"report written to {args.out}")
-    else:
-        print(report)
-    return 0
+    from .exp.reproduce import ARTIFACTS, reproduce
+    unknown = sorted(set(args.only) - set(ARTIFACTS))
+    if unknown:
+        print(f"repro reproduce: unknown artifact(s) {unknown}; choose "
+              f"from {sorted(ARTIFACTS)}", file=sys.stderr)
+        raise SystemExit(2)
+    return reproduce(SCALES[args.scale], only=args.only, out=args.out,
+                     progress=lambda msg: print(f"  {msg}",
+                                                file=sys.stderr))
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -642,21 +599,16 @@ def build_parser() -> argparse.ArgumentParser:
                                  help="write the workload JSON here")
     workload_parser.set_defaults(func=_cmd_workload)
 
-    figures_parser = sub.add_parser("figures",
-                                    help="regenerate a paper artifact")
-    figures_parser.add_argument("--name", required=True,
-                                choices=sorted(_FIGURES))
-    figures_parser.add_argument("--scale", default="small",
-                                choices=sorted(figure_defs.SCALES))
-    figures_parser.set_defaults(func=_cmd_figures)
-
     reproduce_parser = sub.add_parser(
-        "reproduce", help="regenerate every table and figure")
+        "reproduce", help="regenerate and check the paper's artifacts")
     reproduce_parser.add_argument("--scale", default="small",
-                                  choices=sorted(figure_defs.SCALES))
-    reproduce_parser.add_argument("--ablations", action="store_true")
-    reproduce_parser.add_argument("--out", default=None,
-                                  help="write the markdown report here")
+                                  choices=sorted(SCALES))
+    reproduce_parser.add_argument(
+        "--only", nargs="+", default=(), metavar="NAME",
+        help="just these artifacts (benchmarks/results/<NAME>.txt)")
+    reproduce_parser.add_argument(
+        "--out", default=None, metavar="DIR",
+        help="write each artifact to DIR/<name>.txt")
     reproduce_parser.set_defaults(func=_cmd_reproduce)
 
     serve_parser = sub.add_parser(

@@ -44,8 +44,8 @@ from ..serve.service import SchedulerService
 from .snapshot import (list_snapshots, load_latest_snapshot,
                        write_snapshot)
 
-__all__ = ["ShardDurability", "open_shard", "recover_service",
-           "wal_files"]
+__all__ = ["ShardDurability", "WalGapError", "open_shard",
+           "recover_service", "wal_files"]
 
 log = logging.getLogger("repro.cluster.shard")
 
@@ -104,6 +104,10 @@ def trim_torn_tail(path: str) -> int:
     return end - keep
 
 
+class WalGapError(RuntimeError):
+    """The WAL skips a sequence number recovery would have to fold."""
+
+
 def recover_service(service: SchedulerService,
                     state_dir: str) -> Dict:
     """Snapshot + tail-replay recovery into a fresh ``service``.
@@ -112,6 +116,13 @@ def recover_service(service: SchedulerService,
     snapshot, full-log replay), ``replayed`` (records folded in),
     ``skipped`` (records already covered by the snapshot) and
     ``next_seq`` (where the new incarnation's WAL continues).
+
+    The log must be one contiguous history: each record's ``seq`` is
+    the previous one's + 1 across the rotated files, and the first
+    record at or past the snapshot's ``wal_seq`` is that ``wal_seq``.
+    A gap means a committed record was lost, and folding what follows
+    it would land in a state the live service never held, so
+    :class:`WalGapError` names the file and the missing seq instead.
     """
     snapshot_seq: Optional[int] = None
     start_seq = 0
@@ -122,11 +133,19 @@ def recover_service(service: SchedulerService,
         start_seq = snapshot_seq
     replayed = 0
     skipped = 0
-    next_seq = start_seq
+    last: Optional[int] = None
     for path in wal_files(state_dir):
         for record in iter_events(path):
             seq = record["seq"]
-            next_seq = max(next_seq, seq + 1)
+            # The log may begin anywhere up to the snapshot; from its
+            # first record on, every seq is the last one's + 1.
+            expected = start_seq if last is None else last + 1
+            if seq != expected and (last is not None or seq > expected):
+                raise WalGapError(
+                    f"{path}: WAL record seq {expected} is missing (the "
+                    f"next record is seq {seq}); refusing to replay "
+                    f"past the gap")
+            last = seq
             if seq < start_seq:
                 skipped += 1
                 continue
@@ -138,6 +157,7 @@ def recover_service(service: SchedulerService,
     # way.  Must run after the full tail fold, when completions and
     # acks that *did* land have been applied.
     steal_requeued = service.requeue_unacked_exports()
+    next_seq = start_seq if last is None else max(start_seq, last + 1)
     report = {"snapshot_seq": snapshot_seq, "replayed": replayed,
               "skipped": skipped, "next_seq": next_seq,
               "steal_requeued": steal_requeued}

@@ -17,7 +17,7 @@ config is a complete, hashable description of a run.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..grid.files import MB
 from ..net.tiers import TiersParams
@@ -149,3 +149,67 @@ class ExperimentConfig:
         return CoaddParams(num_tasks=self.num_tasks,
                            file_size=self.file_size_bytes,
                            flops_per_file=self.flops_per_file)
+
+
+@dataclass(frozen=True)
+class Scale:
+    """Sizing preset of the paper's evaluation (``repro reproduce``).
+
+    * ``small`` — seconds per artifact; CI checks every claim at it.
+    * ``bench`` — a 1/10-scale Coadd (600 tasks) with capacities and
+      sweep ranges scaled to match; ~10 minutes for every artifact,
+      and the scale of the archived ``benchmarks/results/*.txt``.
+    * ``paper`` — the paper's full protocol (6,000 tasks, 5
+      topologies); hours of wall time.
+
+    Scaling keeps the *ratios* the paper's effects depend on —
+    capacity versus total files, working-set size versus capacity — so
+    the shapes (who wins, where curves flatten or cross) are preserved.
+    """
+
+    name: str
+    num_tasks: int
+    capacity_default: int
+    capacities: Tuple[int, ...]        # Figure 4/5 sweep
+    workers: Tuple[int, ...]           # Figure 6 sweep
+    table3_workers: Tuple[int, ...]    # Table 3 rows
+    sites: Tuple[int, ...]             # Figure 7 sweep
+    file_sizes_mb: Tuple[float, ...]   # Figure 8 sweep
+    topology_seeds: Tuple[int, ...]
+
+    def base_config(self, **overrides) -> ExperimentConfig:
+        defaults = dict(num_tasks=self.num_tasks,
+                        capacity_files=self.capacity_default)
+        defaults.update(overrides)
+        return ExperimentConfig(**defaults)
+
+    def capacity_for(self, max_workers: int) -> int:
+        """Capacity for runs with up to ``max_workers`` per site:
+        concurrent pinned batches of up to ``max_workers + 1`` tasks
+        must fit, or the run deadlocks by design (a single site's
+        working set exceeding storage)."""
+        return max(self.capacity_default, (max_workers + 1) * 130)
+
+
+SMALL = Scale(
+    name="small", num_tasks=120, capacity_default=400,
+    capacities=(150, 400, 800), workers=(2, 3), table3_workers=(2, 3),
+    sites=(3, 5), file_sizes_mb=(5.0, 25.0), topology_seeds=(0,),
+)
+
+BENCH = Scale(
+    name="bench", num_tasks=600, capacity_default=600,
+    capacities=(300, 600, 1500, 3000), workers=(2, 4, 6, 8, 10),
+    table3_workers=(2, 4, 6, 8), sites=(10, 14, 18, 22, 26),
+    file_sizes_mb=(5.0, 25.0, 50.0), topology_seeds=(0, 1),
+)
+
+PAPER = Scale(
+    name="paper", num_tasks=6000, capacity_default=6000,
+    capacities=(3000, 6000, 15000, 30000),
+    workers=(2, 3, 4, 5, 6, 7, 8, 9, 10), table3_workers=(2, 4, 6, 8),
+    sites=(10, 14, 18, 22, 26), file_sizes_mb=(5.0, 25.0, 50.0),
+    topology_seeds=(0, 1, 2, 3, 4),
+)
+
+SCALES = {scale.name: scale for scale in (SMALL, BENCH, PAPER)}

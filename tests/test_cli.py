@@ -75,16 +75,20 @@ def test_workload_command_without_out(capsys):
     assert "reference CDF" in out
 
 
-def test_figures_table2(capsys):
-    code, out = run_cli(capsys, "figures", "--name", "table2",
-                        "--scale", "small")
+def test_reproduce_only_table2(capsys):
+    code, out = run_cli(capsys, "reproduce", "--scale", "small",
+                        "--only", "table2_fig3_workload")
     assert code == 0
     assert "Total number of files" in out
+    assert "PASS table2-task-count" in out
+    assert "Figure 4" not in out
 
 
-def test_figures_rejects_unknown(capsys):
-    with pytest.raises(SystemExit):
-        main(["figures", "--name", "fig99"])
+def test_reproduce_rejects_unknown_artifact(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["reproduce", "--only", "fig99"])
+    assert exc.value.code == 2
+    assert "fig99" in capsys.readouterr().err
 
 
 def test_compare_uses_task_order_flag(capsys):

@@ -13,7 +13,8 @@ import os
 
 import pytest
 
-from repro.cluster.shard import (open_shard, recover_service, wal_files,
+from repro.cluster.shard import (WalGapError, open_shard, recover_service,
+                                 wal_files,
                                  wal_path)
 from repro.cluster.snapshot import (SnapshotError, list_snapshots,
                                     load_latest_snapshot, load_snapshot,
@@ -457,6 +458,70 @@ def test_a_torn_burst_leaves_every_next_recovery_readable(tmp_path):
         assert seqs == list(range(len(seqs))), offset
         assert functional_state(third.service) == left, offset
         third.events.close()
+
+
+def committed_life(state_dir, snapshot_at=None):
+    """A shard commits a submit and three replies (seqs 0-3), taking a
+    snapshot when its WAL reaches ``snapshot_at``, then crashes;
+    returns the WAL's lines."""
+    shard = open_shard(state_dir, metric="combined", n=2, seed=3,
+                       lease_ttl=5.0, clock=FakeClock())
+    submit(shard.service, SPECS)
+    shard.events.flush()  # JOB_ACCEPTED
+    for worker, site in (("w0", 0), ("w1", 1), ("w2", 0)):
+        if shard.events.next_seq == snapshot_at:
+            shard.maybe_snapshot()
+        pull(shard.service, worker=worker, site=site)
+        shard.events.flush()  # TASK
+    with open(wal_path(state_dir)) as handle:
+        return handle.readlines()
+
+
+def write_wal(state_dir, files):
+    """Lay ``files`` (oldest first, each a list of lines) out as the
+    rotated WAL: ``wal.jsonl.N`` … ``wal.jsonl.1``, then ``wal.jsonl``."""
+    paths = [f"{wal_path(state_dir)}.{index}"
+             for index in range(len(files) - 1, 0, -1)]
+    for path, lines in zip(paths + [wal_path(state_dir)], files):
+        with open(path, "w") as handle:
+            handle.writelines(lines)
+
+
+@pytest.mark.parametrize("rotated", [False, True],
+                         ids=["one-file", "across-rotation"])
+def test_recovery_refuses_a_wal_with_a_lost_record(tmp_path, rotated):
+    """Seqs 0, 1, 3: a commit whose write failed after the sink cleared
+    its buffer loses seq 2 while the next commit lands at 3.  Folding
+    3 would build a state the live service never held."""
+    state_dir = str(tmp_path)
+    lines = committed_life(state_dir)
+    assert [json.loads(line)["seq"] for line in lines] == [0, 1, 2, 3]
+    kept = [lines[0], lines[1], lines[3]]
+    write_wal(state_dir, [kept[:2], kept[2:]] if rotated else [kept])
+    with pytest.raises(WalGapError, match=r"wal\.jsonl: WAL record "
+                                          r"seq 2 is missing"):
+        open_shard(state_dir, metric="combined", n=2, seed=3,
+                   lease_ttl=5.0, clock=FakeClock())
+
+
+def test_recovery_refuses_a_gap_right_after_the_snapshot(tmp_path):
+    """The snapshot covers seqs below 2 and the older records are gone
+    with a rotated-out file: the tail must start at seq 2, and one
+    that starts at 3 has lost the record the snapshot names."""
+    state_dir = str(tmp_path)
+    lines = committed_life(state_dir, snapshot_at=2)
+    assert [seq for seq, _path in list_snapshots(state_dir)] == [2]
+    write_wal(state_dir, [lines[3:]])
+    with pytest.raises(WalGapError, match="seq 2 is missing"):
+        open_shard(state_dir, metric="combined", n=2, seed=3,
+                   lease_ttl=5.0, clock=FakeClock())
+    # From the snapshot's seq on, the same tail recovers.
+    write_wal(state_dir, [lines[2:]])
+    shard = open_shard(state_dir, metric="combined", n=2, seed=3,
+                       lease_ttl=5.0, clock=FakeClock())
+    assert (shard.report["snapshot_seq"], shard.report["replayed"],
+            shard.report["next_seq"]) == (2, 2, 4)
+    shard.events.close()
 
 
 def test_maybe_snapshot_skips_when_nothing_changed(tmp_path):

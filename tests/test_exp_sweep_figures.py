@@ -1,14 +1,15 @@
-"""Sweeps, per-figure experiments (SMALL scale), and report rendering."""
+"""Sweeps, the rows of the artifact table (SMALL scale), and report
+rendering."""
+
+import dataclasses
 
 import pytest
 
-from repro.exp import (SMALL, ExperimentConfig, fig4_fig5, fig6, fig7, fig8,
-                       format_sweep_table, format_table3, run_sweep,
-                       table2_fig3, table3)
-from repro.exp.figures import (ablation_choose_n, ablation_combined_formula,
-                               ablation_data_replication,
-                               ablation_task_order)
+from repro.core.registry import available_schedulers
+from repro.exp import (SMALL, ExperimentConfig, format_sweep_table,
+                       format_table3, run_sweep)
 from repro.exp.report import format_site_summaries
+from repro.exp.reproduce import ARTIFACTS
 from repro.analysis.metrics import summarize_sites
 
 
@@ -68,15 +69,39 @@ def test_format_sweep_table_transform():
     assert text
 
 
+def small_cells(name, schedulers=None):
+    """Run one ``ARTIFACTS`` row's cells at SMALL, on fewer schedulers
+    when given."""
+    cells = ARTIFACTS[name].cells
+    if schedulers is not None:
+        cells = dataclasses.replace(cells, schedulers=schedulers)
+    return cells.run(SMALL)
+
+
+@pytest.mark.parametrize("name", [name for name, artifact
+                                  in ARTIFACTS.items() if artifact.cells])
+def test_every_sweep_row_names_real_knobs(name):
+    cells = ARTIFACTS[name].cells
+    fields = {field.name for field in dataclasses.fields(ExperimentConfig)}
+    assert cells.field in fields
+    assert set(dict(cells.overrides)) <= fields
+    assert set(cells.schedulers) <= set(available_schedulers()) | {
+        f"wc:rest:{n}" for n in (1, 2, 4, 8)}
+    assert ARTIFACTS[name].compute is None
+
+
 def test_table2_fig3_small():
-    stats = table2_fig3(SMALL)
-    assert stats.num_tasks == SMALL.num_tasks
+    num_tasks, stats = ARTIFACTS["table2_fig3_workload"].compute(SMALL)
+    assert stats.num_tasks == num_tasks == SMALL.num_tasks
     assert stats.total_files > 0
     assert 0 < stats.fraction_referenced_at_least(6) <= 1.0
 
 
 def test_fig4_fig5_small_subset():
-    sweep = fig4_fig5(SMALL, schedulers=("rest", "storage-affinity"))
+    assert ARTIFACTS["fig5_capacity_transfers"].cells \
+        == ARTIFACTS["fig4_capacity_makespan"].cells  # one shared sweep
+    sweep = small_cells("fig4_capacity_makespan",
+                        ("rest", "storage-affinity"))
     assert sweep.field == "capacity_files"
     assert sweep.values == SMALL.capacities
     for scheduler in ("rest", "storage-affinity"):
@@ -85,13 +110,16 @@ def test_fig4_fig5_small_subset():
 
 
 def test_fig6_small_subset():
-    sweep = fig6(SMALL, schedulers=("rest",))
+    sweep = small_cells("fig6_workers_makespan", ("rest",))
     assert sweep.field == "workers_per_site"
     assert [x for x, _ in sweep.series("rest")] == list(SMALL.workers)
+    # every worker count's pinned batches fit the capacity
+    assert sweep.base.capacity_files == SMALL.capacity_for(
+        max(SMALL.workers))
 
 
 def test_table3_small():
-    rows = table3(SMALL)
+    rows = ARTIFACTS["table3_waiting_transfer"].compute(SMALL)
     assert [row[0] for row in rows] == list(SMALL.table3_workers)
     for _workers, waiting_h, transfer_h, transfers in rows:
         assert waiting_h >= 0
@@ -102,40 +130,41 @@ def test_table3_small():
 
 
 def test_fig7_small_subset():
-    sweep = fig7(SMALL, schedulers=("rest",))
+    sweep = small_cells("fig7_sites_makespan", ("rest",))
     assert sweep.field == "num_sites"
     makespans = dict(sweep.series("rest"))
     assert makespans[SMALL.sites[-1]] <= makespans[SMALL.sites[0]] * 1.5
 
 
 def test_fig8_small_subset():
-    sweep = fig8(SMALL, schedulers=("rest",))
+    sweep = small_cells("fig8_filesize_makespan", ("rest",))
     makespans = dict(sweep.series("rest"))
     small_size, big_size = SMALL.file_sizes_mb[0], SMALL.file_sizes_mb[-1]
     assert makespans[big_size] > makespans[small_size]
 
 
 def test_ablation_choose_n_small():
-    sweep = ablation_choose_n(SMALL, n_values=(1, 2))
+    sweep = small_cells("ablation_choose_n", ("wc:rest:1", "wc:rest:2"))
     assert set(sweep.schedulers) == {"wc:rest:1", "wc:rest:2"}
+    assert sweep.values == (SMALL.capacity_default,)
 
 
 def test_ablation_combined_formula_runs():
-    small = SMALL
-    sweep = ablation_combined_formula(small)
-    assert ("combined", small.capacities[0]) in sweep.cells
-    assert ("combined-literal", small.capacities[0]) in sweep.cells
+    sweep = small_cells("ablation_combined_formula",
+                        ("combined", "combined-literal"))
+    assert ("combined", SMALL.capacities[0]) in sweep.cells
+    assert ("combined-literal", SMALL.capacities[0]) in sweep.cells
 
 
 def test_ablation_replication_runs():
-    sweep = ablation_data_replication(SMALL, schedulers=("rest",))
+    sweep = small_cells("ablation_data_replication", ("rest",))
     off = sweep.cell("rest", False)
     on = sweep.cell("rest", True)
     assert off.makespan > 0 and on.makespan > 0
 
 
 def test_ablation_task_order_runs():
-    sweep = ablation_task_order(SMALL, schedulers=("rest",))
+    sweep = small_cells("ablation_task_order", ("rest",))
     assert set(v for _s, v in sweep.cells) == {"natural", "shuffled",
                                                "striped"}
 

@@ -1,15 +1,15 @@
 """Edge cases across smaller surfaces: report formatting, worker
-accounting, figures scaling helpers, config catalog helpers."""
+accounting, scale presets, config catalog helpers."""
 
 
 from repro.exp import ExperimentConfig
-from repro.exp.figures import BENCH, PAPER, SMALL, _workers_capacity
+from repro.exp.config import BENCH, PAPER, SMALL
 from repro.exp.report import format_sweep_table
 
 from conftest import make_grid, make_job
 
 
-# -- figures helpers ---------------------------------------------------------
+# -- scale presets ---------------------------------------------------------
 
 def test_scales_are_ordered():
     assert SMALL.num_tasks < BENCH.num_tasks < PAPER.num_tasks
@@ -26,7 +26,7 @@ def test_paper_scale_matches_table1():
 
 def test_workers_capacity_floor():
     # must fit (workers+1) concurrent pinned batches of ~101-130 files
-    capacity = _workers_capacity(SMALL, 10)
+    capacity = SMALL.capacity_for(10)
     assert capacity >= 11 * 130
 
 

@@ -51,7 +51,7 @@ PARAMETERS = [
 
 FLAGS = {
     "run": 10, "compare": 11, "sweep": 15, "workload": 10,
-    "figures": 2, "reproduce": 3, "serve": 24, "cluster": 14,
+    "reproduce": 3, "serve": 24, "cluster": 14,
     "load": 21, "scenario list": 0, "scenario run": 5,
     "scenario compare": 0, "top": 4,
 }
