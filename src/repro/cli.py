@@ -228,11 +228,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from .obs.events import EventLog
     from .obs.http import ObsHttpServer
+    from .obs.top import render_top
     from .obs.trace import DecisionTracer
     from .serve import protocol
     from .serve.server import SchedulerServer, install_uvloop
     from .serve.service import SchedulerService
-    from .serve.stats import format_stats
 
     _configure_logging(args)
     if args.uvloop and not install_uvloop():
@@ -299,10 +299,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             def stats_json():
                 snapshot = service.stats_snapshot()
                 snapshot["jobs"] = service.jobs_overview()
-                # Not part of the STATS wire snapshot (kept
-                # byte-compatible); /stats.json is free to carry more.
-                snapshot["file_delta_latency"] = \
-                    service.stats.file_delta.snapshot()
                 if durability is not None:
                     snapshot["shard"] = durability.describe()
                 return snapshot
@@ -367,7 +363,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             if events is not None:
                 events.close()
         print("drained; final stats:", file=sys.stderr)
-        print(format_stats(service.stats_snapshot()))
+        print(render_top(service.stats_snapshot()))
 
     try:
         asyncio.run(main())
@@ -415,9 +411,9 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 def _cmd_load(args: argparse.Namespace) -> int:
     import asyncio
 
+    from .obs.top import render_top
     from .serve.loadgen import run_load
     from .serve.server import install_uvloop
-    from .serve.stats import format_stats
 
     if args.uvloop and not install_uvloop():
         print("uvloop requested but not importable; staying on the "
@@ -471,7 +467,7 @@ def _cmd_load(args: argparse.Namespace) -> int:
     if args.event_log:
         print(f"event log        : {args.event_log}")
     print("server stats:")
-    print(format_stats(report["stats"]))
+    print(render_top(report["stats"]))
     audit = report["audit"]
     if not audit["clean"]:
         print(f"AUDIT FAILED: lost={audit['lost']} "

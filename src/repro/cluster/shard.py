@@ -204,10 +204,19 @@ class ShardDurability:
         the snapshot naming the synced sequence — a snapshot must
         never claim coverage the log cannot back.
         """
+        wal_seq = self._sync(force)
+        return None if wal_seq is None else self._write(wal_seq)
+
+    def _sync(self, force: bool = False) -> Optional[int]:
+        """The WAL barrier: the sequence a snapshot taken now covers,
+        or None when nothing changed since the last one."""
         wal_seq = self.events.next_seq
         if not force and wal_seq == self._last_snapshot_seq:
             return None
         self.events.sync()
+        return wal_seq
+
+    def _write(self, wal_seq: int) -> str:
         path = write_snapshot(self.state_dir,
                               self.service.export_state(),
                               wal_seq, keep=self.keep)
@@ -217,10 +226,22 @@ class ShardDurability:
         return path
 
     async def snapshot_loop(self) -> None:
-        """Periodic :meth:`maybe_snapshot`; run as an asyncio task."""
+        """Periodic :meth:`maybe_snapshot`; run as an asyncio task.
+
+        A snapshot that fails to write (a full disk) is logged and
+        tried again next tick: the WAL still holds everything it would
+        have.  A failed WAL sync propagates — the log is the truth.
+        """
         while True:
             await asyncio.sleep(self.snapshot_interval)
-            self.maybe_snapshot()
+            wal_seq = self._sync()
+            if wal_seq is None:
+                continue
+            try:
+                self._write(wal_seq)
+            except OSError as exc:
+                log.warning("snapshot at WAL seq %d failed, retrying "
+                            "next tick: %s", wal_seq, exc)
 
     def describe(self) -> Dict:
         """Shard block for ``/stats.json`` (identity + recovery)."""

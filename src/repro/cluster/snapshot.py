@@ -24,6 +24,7 @@ bit-rotted snapshot costs replay time, never correctness.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
@@ -85,12 +86,18 @@ def write_snapshot(state_dir: str, payload: Dict, wal_seq: int,
     wrapper = {"version": SNAPSHOT_VERSION, "wal_seq": wal_seq,
                "checksum": _checksum(payload), "payload": payload}
     tmp_path = path + ".tmp"
-    with open(tmp_path, "w", encoding="utf-8") as handle:
-        json.dump(wrapper, handle, separators=(",", ":"),
-                  sort_keys=True)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp_path, path)
+    try:
+        with open(tmp_path, "w", encoding="utf-8") as handle:
+            json.dump(wrapper, handle, separators=(",", ":"),
+                      sort_keys=True)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp_path, path)
+    except BaseException:
+        # A full disk must not leave a half-written file behind.
+        with contextlib.suppress(OSError):
+            os.remove(tmp_path)
+        raise
     _fsync_dir(state_dir)
     for _seq, old_path in list_snapshots(state_dir)[:-keep]:
         try:

@@ -1,61 +1,34 @@
 """Cluster-wide STATS aggregation.
 
 :func:`aggregate_stats` merges per-shard ``stats_snapshot()`` dicts
-into one cluster view with the *same top-level shape* as a single
-shard's snapshot — ``repro top``, the Prometheus text renderer's JSON
-sibling and every existing consumer read the totals unchanged — plus
-two cluster-only keys:
+into one cluster view with the *same shape* as a single shard's
+snapshot — ``repro top`` and every other consumer read the totals
+unchanged — by the merge rule each row of
+:data:`repro.serve.stats.STATS` names, plus three cluster-only keys:
 
 * ``"cluster"``: ``{shard_count, shards_reporting}``.
+* ``"errors"``: per-shard fetch failures (``{}`` when all reported).
 * ``"shards"``: the raw per-shard snapshots keyed by shard index
   (``{"error": ...}`` for a shard that could not be reached), so a
   per-shard breakdown is one lookup away from the aggregate.
 
-Counters and gauges sum; ``uptime_s`` is the oldest shard's;
-per-site and per-tenant counters sum across shards that touched the
-same site / job id.
 Latency percentiles cannot be merged exactly from summaries, so the
 aggregate reports the count-weighted mean of the shard percentiles —
-an approximation, labeled as such below, good enough for dashboards
-(``count``, ``mean_us`` and ``max_us`` merge exactly).
+an approximation, good enough for dashboards (``count``, ``mean_us``
+and ``max_us`` merge exactly).  The aggregate of one shard is that
+shard's snapshot.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from ..serve.stats import (ALL, LABELS, LATENCY, MAX, RATIO, STATS, SUM,
+                           get_path, put_path, put_ratio)
+
 __all__ = ["aggregate_stats"]
 
-#: Top-level scalar fields that sum across shards.
-_SUM_FIELDS = ("jobs_submitted", "jobs_completed", "jobs_active",
-               "tasks_submitted", "assignments", "assignments_per_sec",
-               "completions", "duplicate_completions",
-               "stale_completions", "requeues", "queue_depth",
-               "peak_queue_depth", "outstanding", "parked_workers")
-
-#: Nested blocks whose scalar counters sum across shards.
-_SUM_BLOCKS = {
-    "leases": ("active", "granted", "renewals", "expiries"),
-    "file_deltas": ("added", "removed", "referenced"),
-    "delta_dedup": ("duplicate_adds", "duplicate_removes"),
-    "batches": ("requests", "tasks"),
-    "admission": ("rejections",),
-    "replication": ("granted", "replica_wins"),
-    "steal": ("tasks_stolen", "tasks_exported"),
-}
-
-
-def _by_int(item: Tuple[str, object]) -> int:
-    return int(item[0])
-
-
-def _sum_counts(maps: List[Dict[str, int]], key=None) -> Dict[str, int]:
-    """Sum ``{label: count}`` maps label by label, sorted by label."""
-    total: Dict[str, int] = {}
-    for counts in maps:
-        for label, count in counts.items():
-            total[label] = total.get(label, 0) + count
-    return dict(sorted(total.items(), key=key))
+_PERCENTILES = ("mean_us", "p50_us", "p90_us", "p99_us")
 
 
 def _merge_latency(summaries: List[Dict]) -> Dict[str, float]:
@@ -69,11 +42,27 @@ def _merge_latency(summaries: List[Dict]) -> Dict[str, float]:
         return merged
     for summary in summaries:
         weight = summary.get("count", 0) / total
-        for key in ("mean_us", "p50_us", "p90_us", "p99_us"):
+        for key in _PERCENTILES:
             merged[key] += weight * summary.get(key, 0.0)
         merged["max_us"] = max(merged["max_us"],
                                summary.get("max_us", 0.0))
     return merged
+
+
+def _by_label(maps: List[Dict]) -> Dict[str, List]:
+    """``{label: [value, ...]}`` over ``{label: value}`` maps."""
+    grouped: Dict[str, List] = {}
+    for values in maps:
+        for label, value in values.items():
+            grouped.setdefault(label, []).append(value)
+    return grouped
+
+
+_MERGES = {
+    SUM: sum,
+    MAX: lambda values: max(values, default=0.0),
+    ALL: lambda values: bool(values) and all(values),
+}
 
 
 def aggregate_stats(per_shard: List[Tuple[int, Optional[Dict]]],
@@ -88,48 +77,25 @@ def aggregate_stats(per_shard: List[Tuple[int, Optional[Dict]]],
     shard reported) and inside the ``"shards"`` breakdown."""
     reporting = [(index, snap) for index, snap in per_shard
                  if snap is not None]
-    snaps = [snap for _index, snap in reporting]
-    merged: Dict = {
-        "uptime_s": max((s.get("uptime_s", 0.0) for s in snaps),
-                        default=0.0)}
-    for field in _SUM_FIELDS:
-        merged[field] = sum(s.get(field, 0) for s in snaps)
-    for block, fields in _SUM_BLOCKS.items():
-        merged[block] = {
-            field: sum(s.get(block, {}).get(field, 0) for s in snaps)
-            for field in fields}
-    merged["batches"]["sizes"] = _sum_counts(
-        [s.get("batches", {}).get("sizes", {}) for s in snaps], _by_int)
-    merged["steal"]["requests"] = _sum_counts(
-        [s.get("steal", {}).get("requests", {}) for s in snaps])
-    # A stolen task is assigned off its owner shard, so one job can
-    # have counts on several shards.
-    merged["tenants"] = _sum_counts(
-        [s.get("tenants", {}) for s in snaps], _by_int)
-    sites: Dict[str, Dict] = {}
-    for snap in snaps:
-        for site_id, site in snap.get("sites", {}).items():
-            into = sites.setdefault(site_id, {"assignments": 0,
-                                              "overlap_hits": 0})
-            into["assignments"] += site.get("assignments", 0)
-            into["overlap_hits"] += site.get("overlap_hits", 0)
-    for site in sites.values():
-        site["overlap_hit_rate"] = (site["overlap_hits"]
-                                    / site["assignments"]
-                                    if site["assignments"] else 0.0)
-    merged["sites"] = dict(sorted(sites.items(), key=_by_int))
-    merged["decision_latency"] = _merge_latency(
-        [s.get("decision_latency", {}) for s in snaps])
-    by_metric: Dict[str, List[Dict]] = {}
-    for snap in snaps:
-        for metric, summary in snap.get("scheduler_decision",
-                                        {}).items():
-            by_metric.setdefault(metric, []).append(summary)
-    merged["scheduler_decision"] = {
-        metric: _merge_latency(summaries)
-        for metric, summaries in sorted(by_metric.items())}
-    merged["draining"] = all(s.get("draining", False) for s in snaps) \
-        if snaps else False
+    merged: Dict = {}
+    for stat in STATS:
+        if stat.merge == RATIO:
+            put_ratio(merged, stat)
+            continue
+        values = [get_path(snap, stat.keys, {} if stat.merge == LATENCY
+                           else 0) for _index, snap in reporting]
+        if stat.merge == LABELS:
+            value = stat.ordered((label, sum(counts)) for label, counts
+                                 in _by_label(values).items())
+        elif stat.merge == LATENCY and stat.labels:
+            value = stat.ordered(
+                (label, _merge_latency(summaries)) for label, summaries
+                in _by_label(values).items())
+        elif stat.merge == LATENCY:
+            value = _merge_latency(values)
+        else:
+            value = _MERGES[stat.merge](values)
+        put_path(merged, stat.keys, value)
     merged["cluster"] = {
         "shard_count": (shard_count if shard_count is not None
                         else len(per_shard)),

@@ -232,6 +232,12 @@ class MetricFamily:
             child = self._children[key] = self._factory()
         return child
 
+    def adopt(self, child, **labelvalues: object) -> None:
+        """Expose an existing metric as the child for one label
+        combination — one histogram shown under two families."""
+        self._children[tuple(str(labelvalues[name])
+                             for name in self.labelnames)] = child
+
     def children(self) -> Iterator[Tuple[Tuple[str, ...], object]]:
         yield from sorted(self._children.items())
 

@@ -7,7 +7,9 @@ queue/lease state, per-site overlap hit rates, and per-job progress —
 the terminal twin of a Grafana dashboard, with zero dependencies.
 
 ``render_top`` is a pure function of the snapshot dict so tests (and
-anything else) can render without a socket; ``fetch_json``/``run_top``
+anything else) can render without a socket — it is the one text view
+of a ``STATS`` snapshot, also what ``repro serve`` prints at drain and
+``repro load`` prints under "server stats:"; ``fetch_json``/``run_top``
 add the polling loop — over one endpoint or several, merged into the
 cluster view by ``render_cluster_top``.
 """
@@ -50,7 +52,9 @@ def render_top(snapshot: Dict) -> str:
         f"{snapshot.get('jobs_submitted', 0)} submitted / "
         f"{snapshot.get('jobs_completed', 0)} done",
         f"tasks     : {snapshot.get('tasks_submitted', 0)} submitted, "
-        f"{snapshot.get('completions', 0)} done, "
+        f"{snapshot.get('completions', 0)} done "
+        f"(+{snapshot.get('duplicate_completions', 0)} duplicate, "
+        f"{snapshot.get('stale_completions', 0)} stale), "
         f"{snapshot.get('queue_depth', 0)} queued "
         f"(peak {snapshot.get('peak_queue_depth', 0)}), "
         f"{snapshot.get('outstanding', 0)} running",
@@ -73,6 +77,10 @@ def render_top(snapshot: Dict) -> str:
             f"  kernel [{metric}]: p50 {hist.get('p50_us', 0.0):.0f} us"
             f"   p99 {hist.get('p99_us', 0.0):.0f} us   "
             f"mean {hist.get('mean_us', 0.0):.1f} us")
+    kernels = snapshot.get("decisions_by_kernel", {})
+    if kernels:
+        lines.append("kernels   : " + ", ".join(
+            f"{count} {kernel}" for kernel, count in kernels.items()))
     delta = snapshot.get("file_delta_latency", {})
     if delta.get("count"):
         lines.append(

@@ -233,14 +233,7 @@ class SchedulerService:
             # The hook observes the already-made decision; it cannot
             # change it (no RNG use, fires after sampling).
             self.engine.on_decision = tracer.record
-        self.stats.bind_live(
-            queue_depth=lambda: self.queue_depth,
-            outstanding=lambda: self.outstanding,
-            parked_workers=lambda: self.parked_workers,
-            active_leases=lambda: self.active_leases,
-            jobs_active=lambda: sum(1 for job in self._jobs.values()
-                                    if not job.done),
-            draining=lambda: 1.0 if self._draining else 0.0)
+        self.stats.bind_live(self, metric=metric)
         #: task_id -> where the task is; every transition edits this.
         self._tasks: Dict[int, _TaskRecord] = {}
         #: Tasks out under a primary lease (``outstanding``).
@@ -329,6 +322,10 @@ class SchedulerService:
         return self._draining
 
     @property
+    def jobs_active(self) -> int:
+        return sum(1 for job in self._jobs.values() if not job.done)
+
+    @property
     def is_idle(self) -> bool:
         return self.queue_depth == 0 and self.outstanding == 0
 
@@ -382,7 +379,7 @@ class SchedulerService:
         if (self._admission_watermark is not None
                 and self.queue_depth + len(tasks_payload)
                 > self._admission_watermark):
-            self.stats.admission_rejections += 1
+            self.stats.metrics["admission_rejections"].inc()
             raise AdmissionRejected(self._admission_retry_after)
         for spec in tasks_payload:
             if not isinstance(spec, dict):
@@ -398,7 +395,7 @@ class SchedulerService:
                 raise ServiceError("'flops' must be a number >= 0")
         if job_id is None:
             job_id = self._next_job_id
-            self.stats.jobs_submitted += 1
+            self.stats.metrics["jobs_submitted"].inc()
         first, stride = self._next_task_id, self._id_stride
         task_ids = list(range(
             first, first + stride * len(tasks_payload), stride))
@@ -413,7 +410,7 @@ class SchedulerService:
                     [jid, job.assigned]
                     for jid, job in sorted(self._jobs.items())]
         self._apply_submit(job_id, task_ids, tasks_payload, **extra)
-        self.stats.tasks_submitted += len(task_ids)
+        self.stats.metrics["tasks_submitted"].inc(len(task_ids))
         self.stats.record_queue_depth(self.queue_depth)
         if self.events is not None:
             # ``specs`` is what re-creates the tasks on replay.
@@ -565,10 +562,9 @@ class SchedulerService:
         lease_id = self._next_lease_id
         self._apply_assign(task.task_id, site_id, worker, lease_id)
         self.stats.record_assignment(site_id, latency, overlap > 0,
-                                     metric=self.engine.metric_name,
                                      kernel=self.engine.last_kernel)
         self.stats.record_tenant_assignment(owner_id)
-        self.stats.leases_granted += 1
+        self.stats.metrics["leases_granted"].inc()
         if self.events is not None:
             # The decision rides on the assignment it explains: the
             # tracer's newest span is the one ``choose`` just recorded.
@@ -618,8 +614,8 @@ class SchedulerService:
         lease_id = self._next_lease_id
         self._apply_assign(best.task_id, entry.site_id, entry.worker,
                            lease_id, replica=True)
-        self.stats.task_replications += 1
-        self.stats.leases_granted += 1
+        self.stats.metrics["task_replications"].inc()
+        self.stats.metrics["leases_granted"].inc()
         owner_id = self._tasks[best.task_id].job.job_id
         self._emit("assign", task_id=best.task_id, site=entry.site_id,
                    worker=entry.worker, job_id=owner_id,
@@ -661,20 +657,20 @@ class SchedulerService:
         lease = self._leases.get(lease_id)
         if lease is None or lease.task_id != task_id:
             if record.done:
-                self.stats.duplicate_completions += 1
+                self.stats.metrics["duplicate_completions"].inc()
                 return CompletionResult(False, "already-complete")
-            self.stats.stale_completions += 1
+            self.stats.metrics["stale_completions"].inc()
             return CompletionResult(False, "stale-lease")
         if record.lease is not lease:
-            self.stats.replica_wins += 1
+            self.stats.metrics["replica_wins"].inc()
         self._apply_complete(task_id)
         job = record.job
         if job.origin is None:
-            self.stats.completions += 1
+            self.stats.metrics["completions"].inc()
             self._emit("complete", task_id=task_id, worker=worker,
                        job_id=job.job_id, lease_id=lease_id)
             if job.done:
-                self.stats.jobs_completed += 1
+                self.stats.metrics["jobs_completed"].inc()
         else:
             # Stolen task: the owning shard keeps the canonical
             # ``complete`` record and the per-job counters; this is
@@ -710,7 +706,7 @@ class SchedulerService:
             else:
                 lease.expires_at = now + self.lease_ttl
                 renewed.append(lease_id)
-        self.stats.lease_renewals += len(renewed)
+        self.stats.metrics["lease_renewals"].inc(len(renewed))
         return renewed, gone
 
     def expire_leases(self, now: Optional[float] = None) -> int:
@@ -727,7 +723,7 @@ class SchedulerService:
         requeued = 0
         for lease in primaries:
             self._apply_lease_expire(lease.task_id, lease.lease_id)
-            self.stats.lease_expiries += 1
+            self.stats.metrics["lease_expiries"].inc()
             self._emit("lease-expire", task_id=lease.task_id,
                        lease_id=lease.lease_id, worker=lease.worker)
             if self._tasks[lease.task_id].lease is not None:
@@ -745,12 +741,12 @@ class SchedulerService:
                     and self._tasks[lease.task_id].lease is not lease]
         for replica in replicas:
             self._apply_lease_expire(replica.task_id, replica.lease_id)
-            self.stats.lease_expiries += 1
+            self.stats.metrics["lease_expiries"].inc()
             self._emit("lease-expire", task_id=replica.task_id,
                        lease_id=replica.lease_id,
                        worker=replica.worker)
         if primaries or replicas:
-            self.stats.requeues += requeued
+            self.stats.metrics["requeues"].inc(requeued)
             self.stats.record_queue_depth(self.queue_depth)
             self._service_parked()
             self._maybe_drained()
@@ -813,7 +809,7 @@ class SchedulerService:
                            lease_id=lease.lease_id, worker=worker,
                            reason="disconnect")
         if requeued:
-            self.stats.requeues += requeued
+            self.stats.metrics["requeues"].inc(requeued)
             self.stats.record_queue_depth(self.queue_depth)
             self._service_parked()
         self._abort_exports_for(worker)
@@ -894,7 +890,7 @@ class SchedulerService:
                   "files": sorted(task.files), "flops": task.flops}
                  for task in map(self._table.__getitem__, chosen)]
         self._apply_steal_export(export_id, thief, specs)
-        self.stats.tasks_exported += len(specs)
+        self.stats.metrics["tasks_exported"].inc(len(specs))
         self.stats.record_steal_request("granted")
         self._emit("steal-export", export_id=export_id, thief=thief,
                    specs=specs)
@@ -972,14 +968,14 @@ class SchedulerService:
             if record is None:
                 raise ServiceError(f"unknown task id {task_id!r}")
             if not self._apply_complete(task_id):
-                self.stats.duplicate_completions += 1
+                self.stats.metrics["duplicate_completions"].inc()
                 duplicates += 1
                 continue
-            self.stats.completions += 1
+            self.stats.metrics["completions"].inc()
             self._emit("complete", task_id=task_id, worker=worker,
                        job_id=record.job.job_id)
             if record.job.done:
-                self.stats.jobs_completed += 1
+                self.stats.metrics["jobs_completed"].inc()
             completed += 1
         if completed:
             self._service_parked()
@@ -1005,7 +1001,7 @@ class SchedulerService:
             self._apply_steal_export_abort(export_id)
             self._emit("steal-export-abort", export_id=export_id)
             if self.queue_depth > depth:
-                self.stats.requeues += self.queue_depth - depth
+                self.stats.metrics["requeues"].inc(self.queue_depth - depth)
                 self.stats.record_queue_depth(self.queue_depth)
                 self._service_parked()
 
@@ -1051,7 +1047,7 @@ class SchedulerService:
         self._emit("steal-import-commit", origin=origin,
                    export_id=export_id)
         count = self.queue_depth - depth
-        self.stats.tasks_stolen += count
+        self.stats.metrics["tasks_stolen"].inc(count)
         self.stats.record_queue_depth(self.queue_depth)
         self._service_parked()
         return count
@@ -1085,14 +1081,7 @@ class SchedulerService:
 
     # -- observability ---------------------------------------------------
     def stats_snapshot(self) -> Dict:
-        return self.stats.snapshot(
-            queue_depth=self.queue_depth,
-            outstanding=self.outstanding,
-            parked_workers=self.parked_workers,
-            draining=self._draining,
-            active_leases=self.active_leases,
-            jobs_active=sum(1 for job in self._jobs.values()
-                            if not job.done))
+        return self.stats.snapshot()
 
     def jobs_overview(self) -> List[Dict]:
         """Per-job progress rows (what ``repro top`` renders as bars)."""

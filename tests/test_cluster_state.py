@@ -8,6 +8,8 @@ versioned+checksummed snapshot files, ``export_state`` /
 guarantees it must preserve.
 """
 
+import asyncio
+import errno
 import json
 import os
 
@@ -105,6 +107,74 @@ def test_torn_and_wrong_version_snapshots_are_unusable(tmp_path):
 def test_write_snapshot_rejects_bad_keep(tmp_path):
     with pytest.raises(ValueError):
         write_snapshot(str(tmp_path), {}, wal_seq=0, keep=0)
+
+
+def full_disk(monkeypatch):
+    """Make every ``os.fsync`` fail as a full disk does."""
+    def fsync(_fd):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "fsync", fsync)
+
+
+def test_failed_snapshot_write_leaves_no_debris(tmp_path, monkeypatch):
+    state_dir = str(tmp_path)
+    kept = write_snapshot(state_dir, {"good": "old"}, wal_seq=3)
+    full_disk(monkeypatch)
+    with pytest.raises(OSError) as failure:
+        write_snapshot(state_dir, {"good": "new"}, wal_seq=7)
+    assert failure.value.errno == errno.ENOSPC
+    assert sorted(os.listdir(state_dir)) == [os.path.basename(kept)]
+    assert load_latest_snapshot(state_dir) == (3, {"good": "old"})
+
+
+def test_snapshot_loop_survives_a_failed_write(tmp_path, monkeypatch,
+                                                caplog):
+    """A full disk costs one snapshot, not the loop: the next tick
+    writes the snapshot the failed one would have."""
+    shard = open_shard(str(tmp_path), clock=FakeClock(),
+                       snapshot_interval=0.01)
+    shard.events.sync()  # the WAL file exists before the disk fills
+    submit(shard.service, SPECS[:1])
+    real_fsync = os.fsync
+    calls = []
+
+    def fsync(fd):
+        calls.append(fd)
+        if len(calls) == 2:  # the first snapshot file, after the WAL
+            raise OSError(errno.ENOSPC, "No space left on device")
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+
+    async def run_until_written():
+        loop_task = asyncio.ensure_future(shard.snapshot_loop())
+        try:
+            while shard.snapshots_written == 0:
+                assert not loop_task.done()
+                await asyncio.sleep(0.01)
+        finally:
+            loop_task.cancel()
+
+    with caplog.at_level("WARNING", logger="repro.cluster.shard"):
+        asyncio.run(asyncio.wait_for(run_until_written(), 10.0))
+    assert any("retrying next tick" in record.getMessage()
+               for record in caplog.records)
+    assert not [name for name in os.listdir(str(tmp_path))
+                if name.endswith(".tmp")]
+    assert len(list_snapshots(str(tmp_path))) == 1
+    shard.close()
+
+
+def test_snapshot_loop_stops_on_a_failed_wal_sync(tmp_path, monkeypatch):
+    """The WAL is the truth: a sync that fails ends the loop."""
+    shard = open_shard(str(tmp_path), clock=FakeClock(),
+                       snapshot_interval=0.01)
+    submit(shard.service, SPECS[:1])
+    full_disk(monkeypatch)
+    with pytest.raises(OSError):
+        asyncio.run(asyncio.wait_for(shard.snapshot_loop(), 10.0))
+    assert shard.snapshots_written == 0
 
 
 # -- export / import round-trip ----------------------------------------------

@@ -125,3 +125,15 @@ def test_architecture_documents_every_declared_message_field():
         rows = list(message_table_rows(registry))
         missing = [row for row in rows if row not in text]
         assert not missing, "docs/architecture.md lacks:\n" + "\n".join(rows)
+
+
+def test_observability_names_every_registered_family():
+    """Every family a fresh service registers, and a durable shard's
+    ``repro_shard``, is named in docs/observability.md."""
+    from repro.serve.service import SchedulerService
+    text = (README.parent / "docs" / "observability.md").read_text()
+    families = [family.name for family
+                in SchedulerService().stats.registry.collect()]
+    missing = [name for name in families + ["repro_shard"]
+               if not re.search(f"`{name}[`{{]", text)]
+    assert not missing, f"docs/observability.md lacks {missing}"

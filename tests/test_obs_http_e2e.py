@@ -57,8 +57,6 @@ async def obs_stack(metric="combined", n=2, seed=42):
     def stats_json():
         snapshot = service.stats_snapshot()
         snapshot["jobs"] = service.jobs_overview()
-        snapshot["file_delta_latency"] = \
-            service.stats.file_delta.snapshot()
         return snapshot
 
     obs = ObsHttpServer(
@@ -119,12 +117,14 @@ def test_scrape_endpoint_under_live_load():
         assert tracer.recorded == report["stats"]["assignments"]
         # The write path's histogram: one sample per FILE_DELTA (the
         # workers send one per task), never one per file — and the
-        # STATS wire snapshot does not carry it.
+        # STATS reply carries its summary, count and sum alike.
+        delta = report["stats"]["file_delta_latency"]
         assert families["repro_file_delta_seconds"].value(
-            suffix="_count") == service.stats.file_delta.count == len(job)
+            suffix="_count") == delta["count"] == len(job)
+        assert delta["count"] * delta["mean_us"] * 1e-6 == pytest.approx(
+            families["repro_file_delta_seconds"].value(suffix="_sum"))
         assert (report["stats"]["file_deltas"]["referenced"]
                 > 10 * len(job))
-        assert "file_delta_latency" not in report["stats"]
         # Every decision is attributed to the kernel that ranked it,
         # in the scrape and on each /trace.json span.
         by_kernel = service.stats.decisions_by_kernel

@@ -138,8 +138,8 @@ def test_serve_stats_registry_renders_parseable_exposition():
     and the Prometheus numbers agree with the STATS snapshot — the
     labeled ones included."""
     stats = ServeStats()
-    stats.jobs_submitted += 1
-    stats.tasks_submitted += 5
+    stats.metrics["jobs_submitted"].inc()
+    stats.metrics["tasks_submitted"].inc(5)
     stats.record_assignment(0, 120e-6, overlap_hit=True,
                             kernel="ordered")
     stats.record_assignment(1, 80e-6, overlap_hit=False,
@@ -148,14 +148,17 @@ def test_serve_stats_registry_renders_parseable_exposition():
                        latency_s=250e-6)
     families = parse(render(stats.registry))
     snap = stats.snapshot()
-    # One FILE_DELTA, one sample — on /metrics only: the STATS wire
-    # snapshot has no key for it.
+    # One FILE_DELTA, one sample — and the STATS snapshot carries the
+    # same histogram's summary: its count, and count x mean = sum.
     assert families["repro_file_delta_seconds"].value(
         suffix="_count") == 1.0
     assert families["repro_file_delta_seconds"].value(
         suffix="_sum") == pytest.approx(250e-6)
-    assert "file_delta_latency" not in snap
-    assert not any("file_delta_seconds" in key for key in snap)
+    delta = snap["file_delta_latency"]
+    assert delta["count"] == families["repro_file_delta_seconds"].value(
+        suffix="_count")
+    assert delta["count"] * delta["mean_us"] * 1e-6 == pytest.approx(
+        families["repro_file_delta_seconds"].value(suffix="_sum"))
     assert families["repro_assignments_total"].value() == \
         snap["assignments"]
     assert families["repro_tasks_submitted_total"].value() == 5.0

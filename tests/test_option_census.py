@@ -35,6 +35,7 @@ from repro.serve.client import WorkerClient
 from repro.serve.loadgen import run_load
 from repro.serve.server import SchedulerServer
 from repro.serve.service import SchedulerService
+from repro.serve.stats import ServeStats
 
 PARAMETERS = [
     (SchedulerService, 15),
@@ -47,6 +48,7 @@ PARAMETERS = [
     (run_load, 16),
     (open_shard, 9),  # its **service_options are SchedulerService's
     (EventLog, 6),  # its owner commits: no flush-per-record knob
+    (ServeStats, 1),  # ``clock``, which tests substitute
 ]
 
 FLAGS = {

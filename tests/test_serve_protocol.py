@@ -1,11 +1,14 @@
 """Wire format and observability primitives of the live service."""
 
 import json
+import types
 
 import pytest
 
+from repro.obs.metrics import LatencyHistogram
+from repro.obs.top import render_top
 from repro.serve import protocol
-from repro.serve.stats import LatencyHistogram, ServeStats, format_stats
+from repro.serve.stats import ServeStats
 
 
 # -- framing -----------------------------------------------------------------
@@ -124,16 +127,18 @@ def test_stats_snapshot_and_rendering():
     clock_value = [0.0]
     stats = ServeStats(clock=lambda: clock_value[0])
     clock_value[0] = 2.0
-    stats.jobs_submitted += 1
-    stats.tasks_submitted += 10
+    stats.metrics["jobs_submitted"].inc()
+    stats.metrics["tasks_submitted"].inc(10)
     stats.record_queue_depth(10)
     stats.record_assignment(0, 100e-6, overlap_hit=True)
     stats.record_assignment(0, 200e-6, overlap_hit=False)
     stats.record_assignment(1, 50e-6, overlap_hit=True)
-    stats.completions += 3
+    stats.metrics["completions"].inc(3)
     stats.record_delta(added=4, removed=1, referenced=9)
-    snap = stats.snapshot(queue_depth=7, outstanding=2,
-                          parked_workers=1, draining=False)
+    stats.bind_live(types.SimpleNamespace(
+        queue_depth=7, outstanding=2, parked_workers=1, draining=False,
+        active_leases=2, jobs_active=1))
+    snap = stats.snapshot()
     assert snap["assignments"] == 3
     assert snap["assignments_per_sec"] == pytest.approx(1.5)
     assert snap["peak_queue_depth"] == 10
@@ -142,9 +147,10 @@ def test_stats_snapshot_and_rendering():
     assert snap["file_deltas"] == {"added": 4, "removed": 1,
                                    "referenced": 9}
     assert snap["draining"] is False
-    rendered = format_stats(snap)
-    assert "assignments" in rendered
+    assert snap["queue_depth"] == 7 and snap["leases"]["active"] == 2
+    rendered = render_top(snap)
+    assert "3 total (1.5/s)" in rendered
     assert "p99" in rendered
-    assert "site   0" in rendered
+    assert "   0  [" in rendered and " 50.0% (1/2)" in rendered
     # The snapshot must be JSON-serializable (it rides the wire).
     json.dumps(snap)
