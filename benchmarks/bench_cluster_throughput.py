@@ -335,8 +335,8 @@ def check_against_baseline(shard_rows, skew):
     return failures
 
 
-def test_cluster_throughput(benchmark, scale, artifact):
-    num_tasks = max(120, scale.num_tasks // 8)
+def test_cluster_throughput(benchmark, throughput_tasks, artifact):
+    num_tasks = max(120, throughput_tasks // 8)
 
     def sweep():
         return (sweep_shards(num_tasks),

@@ -139,6 +139,45 @@ def test_tiers_flow_churn(benchmark):
     assert completed == 10 * 20 * 13
 
 
+def run_random_route_churn(transfers=400, seed=5):
+    """Transfers between random endpoints of a 26-site Tiers network.
+
+    Each one starts at a uniform random time in the first 1200 s,
+    between two distinct endpoints (file server, scheduler, site
+    gateways) drawn at random, with a 5-30 MB size: ~9 flows are in
+    flight, as in the grid, but over hundreds of possible paths, so
+    an active flow set hardly ever recurs.  Returns ``(completed
+    transfers, recomputes, water-fills)``.
+    """
+    grid = generate_tiers(TiersParams(num_sites=26), seed=seed)
+    endpoints = [grid.file_server_node, grid.scheduler_node,
+                 *grid.site_gateways]
+    rng = random.Random(seed)
+    plan = sorted((rng.uniform(0.0, 1200.0), *rng.sample(endpoints, 2),
+                   rng.uniform(5.0, 30.0) * 1024 * 1024)
+                  for _ in range(transfers))
+    env = Environment()
+    net = FlowNetwork(env, grid.topology)
+
+    def launcher():
+        for at, src, dst, size in plan:
+            if at > env.now:
+                yield env.timeout(at - env.now)
+            net.transfer(src, dst, size)
+
+    env.process(launcher())
+    env.run()
+    return net.completed_transfers, net._recomputes, net._water_fills
+
+
+def test_random_route_flow_churn(benchmark):
+    """The rate table's miss path: nearly every recompute meets a new
+    set of active paths, so it pays the key upkeep and a water-fill."""
+    completed, recomputes, water_fills = benchmark(run_random_route_churn)
+    assert completed == 400
+    assert water_fills > 0.9 * recomputes
+
+
 def test_histogram_record_throughput(benchmark):
     """O(1) bit_length bucket lookup on the hot stats path.
 

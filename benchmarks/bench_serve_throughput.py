@@ -26,6 +26,7 @@ Standalone CLI (no pytest) for CI regression gating::
     python benchmarks/bench_serve_throughput.py --quick --check
     python benchmarks/bench_serve_throughput.py --quick --write-baseline
     python benchmarks/bench_serve_throughput.py --batch 8 --codec binary
+    python benchmarks/bench_serve_throughput.py --tasks 3000
 
 ``--check`` compares against the checked-in baseline
 (``results/serve_throughput_baseline.json``): any codec x batch cell
@@ -289,8 +290,8 @@ def format_tables(num_tasks, worker_rows, codec_rows, wires, batch_tasks=None):
     return "\n".join(lines)
 
 
-def test_serve_throughput(benchmark, scale, artifact):
-    num_tasks = max(200, scale.num_tasks // 3)
+def test_serve_throughput(benchmark, throughput_tasks, artifact):
+    num_tasks = max(200, throughput_tasks // 3)
 
     def sweep():
         return (
@@ -405,6 +406,12 @@ def main(argv=None):
         help="CI-sized sweep (fewer tasks)",
     )
     parser.add_argument(
+        "--tasks",
+        type=int,
+        default=None,
+        help="tasks per run (overrides --quick)",
+    )
+    parser.add_argument(
         "--batch",
         type=int,
         default=None,
@@ -428,7 +435,7 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
 
-    num_tasks = 600 if args.quick else 1200
+    num_tasks = args.tasks or (600 if args.quick else 1200)
     mode = "quick" if args.quick else "full"
 
     if args.batch is not None:

@@ -4,35 +4,24 @@ The paper's tables and figures are not benchmarks: ``python -m repro
 reproduce`` renders and checks them (``repro.exp.reproduce``).  What
 is left here times the implementation.  The serve and cluster
 throughput benches run once (pedantic rounds=1), print their tables
-and archive them under ``benchmarks/results/``.
-
-``REPRO_BENCH_SCALE`` (``small``, ``bench`` — the default — or
-``paper``) sizes those two benches only:
-``bench_serve_throughput.py`` and ``bench_cluster_throughput.py``.
+and archive them under ``benchmarks/results/``.  Both are sized from
+one fixed task count; run either script standalone with ``--tasks`` for
+another size.
 """
 
-import os
 from pathlib import Path
 
 import pytest
 
-from repro.exp.config import SCALES
-
 RESULTS_DIR = Path(__file__).parent / "results"
 
-
-def current_scale():
-    name = os.environ.get("REPRO_BENCH_SCALE", "bench")
-    try:
-        return SCALES[name]
-    except KeyError:
-        raise RuntimeError(
-            f"REPRO_BENCH_SCALE={name!r}; choose from {sorted(SCALES)}")
+#: The task count the two throughput benches derive their runs from.
+THROUGHPUT_TASKS = 600
 
 
 @pytest.fixture(scope="session")
-def scale():
-    return current_scale()
+def throughput_tasks():
+    return THROUGHPUT_TASKS
 
 
 @pytest.fixture(scope="session")

@@ -13,14 +13,16 @@ per site:
   either,
 
 updated from storage changes through an inverted file → pending-tasks
-index.  A change arrives either file by file — the insert/evict/touch
-notifications of a simulated :class:`~repro.grid.storage.SiteStorage`,
-each costing O(tasks referencing that file), about 9 for Coadd,
-instead of O(T·I) per request — or as one whole worker report
-(:meth:`OverlapIndex.apply_delta`, the live service's path), which
-first adds up what the report changes per task and then visits each
-affected task once.  Whatever moves an overlap count ends in the same
-per-task arithmetic (:meth:`OverlapIndex._fold`).
+index.  A change arrives either as a storage notification — the
+insert/evict of one file, or one served batch's references, of a
+simulated :class:`~repro.grid.storage.SiteStorage`, each costing
+O(tasks referencing those files), about 9 per file for Coadd, instead
+of O(T·I) per request — or as one whole worker report
+(:meth:`OverlapIndex.apply_delta`, the live service's path).  Both add
+up what the change does per task first (a batch of references through
+the same :meth:`OverlapIndex._count_touched` as a report) and then
+visit each affected task once, in the same per-task arithmetic
+(:meth:`OverlapIndex._fold`).
 
 :meth:`OverlapIndex.view` then assembles the O(1)
 :class:`~repro.core.metrics.TaskView` a metric needs, and the naive
@@ -293,23 +295,38 @@ class OverlapIndex:
             self._fold(state, dict.fromkeys(tasks, -1),
                        dict.fromkeys(tasks, -ref) if ref else {})
 
-    def _on_touch(self, state: _SiteState, fid: int) -> None:
-        refsum = state.refsum
-        if refsum is None or fid not in state.storage:
+    def _on_touch(self, state: _SiteState, fids: Sequence[int]) -> None:
+        """One batch of references: the ``touched`` half of a report."""
+        if state.refsum is None:
             return
-        tasks = self._file_to_tasks.get(fid)
-        if not tasks:
-            return
-        # By far the most frequent event of a simulated run (one per
-        # input of every task) and no overlap moves, so not worth a
-        # mapping for :meth:`_fold`.  The file is resident: every
-        # pending referer overlaps it and has its entry.  An order
-        # takes its members' +1 in one count and hands back the rest.
-        state.total_refsum += len(tasks)
-        if state.by_refsum is not None:
-            tasks = state.by_refsum.touched(fid, tasks, self._anchor_of)
-        for tid in tasks:
-            refsum[tid] += 1
+        d_ref: Dict[int, int] = Counter()
+        anchored = self._count_touched(state, fids, d_ref)
+        self._fold(state, {}, d_ref, anchored)
+
+    def _count_touched(self, state: _SiteState, touched: Sequence[int],
+                       d_ref: Dict[int, int]) -> int:
+        """Count into the Counter ``d_ref`` one ``ref_t`` per pending
+        referer of each resident file in ``touched`` — with an order,
+        only of the referers it hands back — and return how many
+        references its anchors took instead."""
+        storage = state.storage
+        file_to_tasks = self._file_to_tasks
+        order = state.by_refsum
+        if order is None:
+            # One counting pass over the referers of every resident
+            # file referenced, not a loop per file.
+            d_ref.update(chain.from_iterable(
+                file_to_tasks.get(fid, ()) for fid in touched
+                if fid in storage))
+            return 0
+        anchored = 0
+        for fid in touched:
+            tasks = file_to_tasks.get(fid)
+            if tasks and fid in storage:
+                loose = order.touched(fid, tasks, self._anchor_of)
+                anchored += len(tasks) - len(loose)
+                d_ref.update(loose)
+        return anchored
 
     def apply_delta(self, site_id: int, gained: Sequence[int],
                     lost: Sequence[int], touched: Sequence[int]) -> None:
@@ -348,22 +365,9 @@ class OverlapIndex:
                 if ref:
                     for tid in tasks:
                         d_ref[tid] = d_ref.get(tid, 0) + ref
-        anchored = 0
-        if tracked:
-            # The bulk of a report: one counting pass over the referers
-            # of every resident file referenced, not a loop per file —
-            # and with an order, only over the referers it hands back.
-            if order is None:
-                d_ref.update(chain.from_iterable(
-                    file_to_tasks.get(fid, ()) for fid in touched
-                    if fid in storage))
-            else:
-                for fid in touched:
-                    tasks = file_to_tasks.get(fid)
-                    if tasks and fid in storage:
-                        loose = order.touched(fid, tasks, self._anchor_of)
-                        anchored += len(tasks) - len(loose)
-                        d_ref.update(loose)
+        # The bulk of a report.
+        anchored = (self._count_touched(state, touched, d_ref)
+                    if tracked else 0)
         self._fold(state, d_ov, d_ref, anchored)
 
     def _fold(self, state: _SiteState, d_ov: Mapping[int, int],

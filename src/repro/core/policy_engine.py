@@ -84,7 +84,7 @@ class SiteFileState:
         self._references: Dict[int, int] = {}
         self._insert_listeners: List[Callable[[int], None]] = []
         self._evict_listeners: List[Callable[[int], None]] = []
-        self._touch_listeners: List[Callable[[int], None]] = []
+        self._touch_listeners: List[Callable[[Sequence[int]], None]] = []
 
     # -- listener hooks (OverlapIndex.watch_site contract) ---------------
     def on_insert(self, listener: Callable[[int], None]) -> None:
@@ -93,7 +93,7 @@ class SiteFileState:
     def on_evict(self, listener: Callable[[int], None]) -> None:
         self._evict_listeners.append(listener)
 
-    def on_touch(self, listener: Callable[[int], None]) -> None:
+    def on_touch(self, listener: Callable[[Sequence[int]], None]) -> None:
         self._touch_listeners.append(listener)
 
     # -- queries (OverlapIndex read surface) -----------------------------
@@ -139,13 +139,15 @@ class SiteFileState:
         """A task referenced ``fid`` (resident or not); returns r_i.
 
         Mirrors :meth:`SiteStorage.touch`: the counter is bumped and
-        listeners fire regardless of residency — the index decides
-        whether the reference contributes to a refsum.
+        listeners fire, with a batch of one, regardless of residency —
+        the index decides whether the reference contributes to a
+        refsum.
         """
         references = self._references
         count = references[fid] = references.get(fid, 0) + 1
+        batch = (fid,)
         for listener in self._touch_listeners:
-            listener(fid)
+            listener(batch)
         return count
 
     # -- whole reports (PolicyEngine.apply_delta) ------------------------

@@ -12,14 +12,15 @@ tracks:
   metric).  Reference counts survive eviction, matching the paper's
   definition of "past references ... from prior tasks".
 
-Listeners can subscribe to insert/evict transitions; the scheduler's
-incremental overlap index is driven entirely by these callbacks.
+Listeners can subscribe to insert/evict transitions and to references
+(one call per batch of them); the scheduler's incremental overlap
+index is driven entirely by these callbacks.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .files import FileId
 
@@ -33,6 +34,7 @@ class StorageFullError(RuntimeError):
 
 
 ChangeListener = Callable[[FileId], None]
+TouchListener = Callable[[Sequence[FileId]], None]
 
 
 class SiteStorage:
@@ -54,7 +56,7 @@ class SiteStorage:
         self._past_references: Dict[FileId, int] = {}
         self._insert_listeners: List[ChangeListener] = []
         self._evict_listeners: List[ChangeListener] = []
-        self._touch_listeners: List[ChangeListener] = []
+        self._touch_listeners: List[TouchListener] = []
         #: Cumulative eviction count (analysis).
         self.evictions = 0
 
@@ -67,8 +69,9 @@ class SiteStorage:
         """Call ``listener(fid)`` whenever a file is evicted."""
         self._evict_listeners.append(listener)
 
-    def on_touch(self, listener: ChangeListener) -> None:
-        """Call ``listener(fid)`` whenever a file reference is recorded."""
+    def on_touch(self, listener: TouchListener) -> None:
+        """Call ``listener(fids)`` with every batch of references
+        recorded, once per batch."""
         self._touch_listeners.append(listener)
 
     # -- inspection --------------------------------------------------------
@@ -133,12 +136,20 @@ class SiteStorage:
             f"a task working set exceeds capacity {self.capacity_files}")
 
     def touch(self, fid: FileId) -> None:
-        """Record a task reference: bump LRU position and ``r_i``."""
-        if fid in self._resident:
-            self._resident.move_to_end(fid)
-        self._past_references[fid] = self._past_references.get(fid, 0) + 1
+        """Record one task reference (a batch of one)."""
+        self.touch_all((fid,))
+
+    def touch_all(self, fids: Sequence[FileId]) -> None:
+        """Record a task's references: bump each file's LRU position
+        and ``r_i`` in order, then hand the listeners the whole batch."""
+        resident = self._resident
+        references = self._past_references
+        for fid in fids:
+            if fid in resident:
+                resident.move_to_end(fid)
+            references[fid] = references.get(fid, 0) + 1
         for listener in self._touch_listeners:
-            listener(fid)
+            listener(fids)
 
     def pin(self, fid: FileId) -> None:
         """Protect a resident file from eviction (counted, re-entrant)."""

@@ -11,13 +11,18 @@ The model captures the two effects the paper leans on:
 * a site's workers and data server share one uplink, so concurrent
   transfers into a site contend with each other, and
 * transfer time scales with bytes over the bottleneck link.
+
+The rates depend only on how many active flows take each path, so a
+recompute looks them up by that multiset and water-fills only a set it
+has not seen (see :meth:`FlowNetwork._water_fill` for why that is
+exact).
 """
 
 from __future__ import annotations
 
-from bisect import insort
+from array import array
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..sim.engine import Environment
 from ..sim.events import Event
@@ -32,6 +37,12 @@ _EPSILON_BYTES = 1e-6
 _MIN_RATE = 1e-9
 
 _INF = float("inf")
+
+#: Most sets of active paths whose rates a network keeps; a full table
+#: is cleared.  An entry costs ~0.5 KB on the default 10-site grid (20
+#: paths; 12 bytes more per path the network has seen), so a full
+#: table there holds ~1 MB.
+RATE_TABLE_SIZE = 2048
 
 
 @dataclass(frozen=True)
@@ -54,18 +65,17 @@ class TransferStats:
 class _Flow:
     """Internal mutable state of one active transfer."""
 
-    __slots__ = ("route", "link_ids", "size", "remaining", "rate",
-                 "fixed_in", "done", "requested_at", "started_at")
+    __slots__ = ("route", "path", "size", "remaining", "rate", "done",
+                 "requested_at", "started_at")
 
-    def __init__(self, route: Route, size: float, done: Event,
+    def __init__(self, route: Route, path: int, size: float, done: Event,
                  requested_at: float):
         self.route = route
-        self.link_ids = route.link_ids
+        #: The interned id of the route's set of links.
+        self.path = path
         self.size = size
         self.remaining = size
         self.rate = 0.0
-        #: The recompute that last fixed this flow's rate.
-        self.fixed_in = 0
         self.done = done
         self.requested_at = requested_at
         self.started_at = requested_at  # set again on admission
@@ -81,32 +91,40 @@ class FlowNetwork:
     topology:
         The network graph; routes are resolved through it.
 
-    A recompute costs what the active flows cost: each link's state
-    lives in lists indexed by ``link_id``, and only the links some
-    active flow crosses (``_links``, ascending) are visited.
+    Each distinct set of links a flow crosses is a *path*, interned to
+    a small int (a route and its reverse are one path).  The network
+    keeps how many active flows take each path; that multiset keys a
+    table of per-path rates, and only a miss water-fills.
     """
 
     def __init__(self, env: Environment, topology: Topology):
         self.env = env
         self.topology = topology
-        #: Active flows in admission order — the order every recompute
-        #: fixes a bottleneck's flows in.
+        #: Active flows in admission order.
         self._flows: List[_Flow] = []
         self._last_update = env.now
         #: The pending completion timer; an older one fires as a no-op.
         self._timer: Optional[Event] = None
+        #: Route link ids (and a path's own, ascending) -> path id; path
+        #: id -> its link ids, ascending.
+        self._path_of: Dict[Tuple[int, ...], int] = {}
+        self._path_links: List[Tuple[int, ...]] = []
+        #: Path id -> active flows taking it.  Its bytes are the key of
+        #: the rate table.
+        self._path_count = array("I")
+        #: Active-path multiset -> rate per path id.
+        self._rate_table: Dict[bytes, List[float]] = {}
+        #: Recomputes, and the water-fills among them (the misses).
         self._recomputes = 0
-        # Per link id: bandwidth, the active flows crossing it (admission
-        # order), and the water-filling's remaining capacity, count of
-        # unfixed flows and fair share.  Grown on demand if the topology
-        # gains links.
+        self._water_fills = 0
+        # Per link id: bandwidth, and the water-filling's active paths,
+        # remaining capacity, count of unfixed flows and fair share.
+        # Grown on demand if the topology gains links.
         self._bandwidth: List[float] = []
-        self._members: List[List[_Flow]] = []
+        self._crossing: List[List[int]] = []
         self._cap: List[float] = []
         self._count: List[int] = []
         self._share: List[float] = []
-        #: Ids of the links with at least one active flow, ascending.
-        self._links: List[int] = []
         #: Cumulative counters for analysis.
         self.completed_transfers = 0
         self.bytes_transferred = 0.0
@@ -139,35 +157,44 @@ class FlowNetwork:
             done.succeed(stats, delay=latency)
             return done
 
+        path = self._path_of.get(route.link_ids)
+        if path is None:
+            path = self._intern(route.link_ids)
         admit = self.env.timeout(
-            latency, _Flow(route, size, done, requested_at))
+            latency, _Flow(route, path, size, done, requested_at))
         admit.callbacks.append(self._admit)
         return done
 
     # -- internals -------------------------------------------------------
-    def _admit(self, event: Event) -> None:
-        flow: _Flow = event.value
-        flow.started_at = self.env.now
-        self._flows.append(flow)
-        members = self._members
-        for lid in flow.link_ids:
-            if lid >= len(members):
+    def _intern(self, link_ids: Tuple[int, ...]) -> int:
+        """The path id of a route not seen before."""
+        links = tuple(sorted(link_ids))
+        path = self._path_of.get(links)
+        if path is None:
+            path = self._path_of[links] = len(self._path_links)
+            self._path_links.append(links)
+            self._path_count.append(0)
+            if links[-1] >= len(self._bandwidth):
                 self._grow()
-            crossing = members[lid]
-            if not crossing:
-                insort(self._links, lid)
-            crossing.append(flow)
-        self._update()
+        self._path_of[link_ids] = path
+        return path
 
     def _grow(self) -> None:
         """Extend the per-link lists to every link of the topology."""
         links = self.topology.links
         for link in links[len(self._bandwidth):]:
             self._bandwidth.append(link.bandwidth)
-            self._members.append([])
+            self._crossing.append([])
             self._cap.append(0.0)
             self._count.append(0)
             self._share.append(0.0)
+
+    def _admit(self, event: Event) -> None:
+        flow: _Flow = event.value
+        flow.started_at = self.env.now
+        self._flows.append(flow)
+        self._path_count[flow.path] += 1
+        self._update()
 
     def _update(self) -> None:
         """Advance all flows to now, complete finished ones, reschedule."""
@@ -192,13 +219,9 @@ class FlowNetwork:
                 finished.append(flow)
         if finished:
             self._flows = [f for f in self._flows if f not in finished]
-            members = self._members
+            counts = self._path_count
             for flow in finished:
-                for lid in flow.link_ids:
-                    crossing = members[lid]
-                    crossing.remove(flow)
-                    if not crossing:
-                        self._links.remove(lid)
+                counts[flow.path] -= 1
                 self.completed_transfers += 1
                 self.bytes_transferred += flow.size
                 flow.done.succeed(TransferStats(
@@ -209,52 +232,92 @@ class FlowNetwork:
         self._schedule_next_completion()
 
     def _recompute_rates(self) -> None:
-        """Water-filling max-min fair allocation over active flows.
-
-        Each round fixes the flows of the link offering the smallest
-        fair share to its unfixed flows — ``min((cap / count, lid))`` —
-        at that share, and takes it off every link they cross.
-        """
+        """Give every active flow its max-min fair rate: the rate table's
+        entry for the active paths, water-filled on a miss."""
         if not self._flows:
             return
         self._recomputes += 1
-        stamp = self._recomputes
+        key = self._path_count.tobytes()
+        rates = self._rate_table.get(key)
+        if rates is None:
+            if len(self._rate_table) >= RATE_TABLE_SIZE:
+                self._rate_table.clear()
+            rates = self._rate_table[key] = self._water_fill()
+        for flow in self._flows:
+            flow.rate = rates[flow.path]
+
+    def _water_fill(self) -> List[float]:
+        """Max-min fair rate of each active path (0 for the others).
+
+        Each round takes the link offering the smallest fair share to
+        its unfixed flows — ``min((cap / count, lid))`` — fixes every
+        unfixed flow crossing it at that share, and takes the share off
+        every link those flows cross, once per flow, clamping at 0.
+        All flows fixed in a round get one share, so what a link sees
+        — its capacity less that share once per fixed flow — does not
+        depend on which flow came first.  The rates are therefore a
+        function of how many flows take each path, flows on one path
+        get one rate, and a path's ``k`` flows are fixed together by
+        ``k`` subtractions on each of its links.
+        """
+        self._water_fills += 1
+        counts = self._path_count
+        path_links = self._path_links
+        bandwidth = self._bandwidth
         cap = self._cap
         count = self._count
         share = self._share
-        members = self._members
-        bandwidth = self._bandwidth
+        crossing = self._crossing
+        rates = [0.0] * len(counts)
+        # Every count is 0 and every crossing list empty between
+        # water-fills: the rounds below fix every flow, and the lists
+        # are emptied at the end.  A path is listed once per flow; the
+        # rounds skip it once fixed.
+        links = []
+        for flow in self._flows:
+            path = flow.path
+            for lid in path_links[path]:
+                on_link = crossing[lid]
+                if not on_link:
+                    links.append(lid)
+                on_link.append(path)
+                count[lid] += 1
+        links.sort()
+        for lid in links:
+            cap[lid] = bandwidth[lid]
+            share[lid] = cap[lid] / count[lid]
         # The links still holding an unfixed flow, ascending; each one's
         # share is re-derived whenever its capacity or count moves.
-        live = self._links[:]
-        for lid in live:
-            cap[lid] = bandwidth[lid]
-            count[lid] = len(members[lid])
-            share[lid] = cap[lid] / count[lid]
+        live = links[:]
         pick = share.__getitem__
         while live:
             # min() keeps the first of equal shares: the lowest link id.
             bottleneck = min(live, key=pick)
             fair_share = share[bottleneck]
             rate = fair_share if fair_share > 0 else _MIN_RATE
-            for flow in members[bottleneck]:
-                if flow.fixed_in == stamp:
+            for path in crossing[bottleneck]:
+                if rates[path]:
                     continue
-                flow.rate = rate
-                flow.fixed_in = stamp
-                for lid in flow.link_ids:
-                    n = count[lid] - 1
+                rates[path] = rate
+                k = counts[path]
+                for lid in path_links[path]:
+                    n = count[lid] - k
                     count[lid] = n
                     if n:
-                        left = cap[lid] - fair_share
-                        if left < 0:
-                            left = 0.0
+                        left = cap[lid]
+                        for _ in range(k):
+                            left -= fair_share
+                            if left < 0:
+                                left = 0.0
                         cap[lid] = left
                         share[lid] = left / n
                     else:
                         # Its last flow is fixed: the link's capacity
                         # is read no more this recompute.
                         live.remove(lid)
+        for lid in links:
+            crossing[lid].clear()
+        return rates
 
     def _schedule_next_completion(self) -> None:
         if not self._flows:

@@ -59,14 +59,12 @@ class Route:
     #: indexes its per-link state by.
     link_ids: Tuple[int, ...] = field(init=False, repr=False,
                                       compare=False)
+    #: Sum of per-link propagation delays along the path.
+    latency: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.link_ids = tuple(link.link_id for link in self.links)
-
-    @property
-    def latency(self) -> float:
-        """Sum of per-link propagation delays along the path."""
-        return sum(link.latency for link in self.links)
+        self.latency = sum(link.latency for link in self.links)
 
     @property
     def bottleneck_bandwidth(self) -> float:

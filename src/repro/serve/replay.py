@@ -59,8 +59,8 @@ def instrument_engine(engine: PolicyEngine, events: List[Event]) -> None:
             lambda fid, s=site_id: events.append(("insert", s, fid)))
         storage.on_evict(
             lambda fid, s=site_id: events.append(("evict", s, fid)))
-        storage.on_touch(
-            lambda fid, s=site_id: events.append(("touch", s, fid)))
+        storage.on_touch(lambda fids, s=site_id: events.extend(
+            ("touch", s, fid) for fid in fids))
 
     def add_task(task):
         orig_add(task)

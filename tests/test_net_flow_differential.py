@@ -8,20 +8,27 @@ timer.  It lives here, and only here, as the executable specification.
 
 The same transfer schedule is driven through the oracle and through
 :class:`repro.net.FlowNetwork`, each in its own environment over one
-shared Tiers topology.  The two must agree *exactly* — no tolerance:
-the rates after every recompute, every completion time, every
+shared topology.  The two must agree *exactly* — no tolerance: the
+rates after every recompute, every completion time, every
 :class:`TransferStats`, and the cumulative counters.
+
+The oracle water-fills on every recompute; :class:`FlowNetwork` looks
+the rates up by the multiset of active paths and water-fills only a
+set it has not seen.  So the schedules below also bring one set of
+routes back in another admission order, and clear the rate table
+mid-run, and the grid-shaped churn must actually hit the table.
 """
 
 from __future__ import annotations
 
 import random
 from typing import Dict, List
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net import FlowNetwork, TiersParams, generate_tiers
+from repro.net import FlowNetwork, TiersParams, flow, generate_tiers
 from repro.net.flow import TransferStats
 from repro.net.topology import Route, Topology
 from repro.sim import Environment
@@ -170,11 +177,14 @@ def _active(net) -> list:
     return list(flows.values()) if isinstance(flows, dict) else list(flows)
 
 
-def simulate(network_cls, topology, endpoints, chains):
+def simulate(network_cls, topology, endpoints, chains, networks=None):
     """Run ``chains`` through a fresh ``network_cls``; return everything
-    observable: per-recompute rates, per-transfer outcomes, counters."""
+    observable: per-recompute rates, per-transfer outcomes, counters.
+    The network is appended to ``networks`` if given."""
     env = Environment()
     net = network_cls(env, topology)
+    if networks is not None:
+        networks.append(net)
     recomputes = []
     original = net._recompute_rates
 
@@ -200,8 +210,8 @@ def simulate(network_cls, topology, endpoints, chains):
             net.bytes_transferred, env.now)
 
 
-def assert_identical(topology, endpoints, chains):
-    new = simulate(FlowNetwork, topology, endpoints, chains)
+def assert_identical(topology, endpoints, chains, networks=None):
+    new = simulate(FlowNetwork, topology, endpoints, chains, networks)
     old = simulate(OracleFlowNetwork, topology, endpoints, chains)
     new_rates, new_outcomes, *new_totals = new
     old_rates, old_outcomes, *old_totals = old
@@ -264,9 +274,9 @@ def test_rates_and_completions_match_the_oracle(schedule):
     assert_identical(topology, endpoints, chains)
 
 
-def test_grid_shaped_churn_matches_the_oracle():
+def grid_shaped_churn():
     """A worker-like loop per site on a 10-site network: request, reply,
-    ten multi-MB fetches, completion — thousands of recomputes."""
+    ten multi-MB fetches, completion."""
     grid = generate_tiers(TiersParams(num_sites=10), seed=3)
     endpoints = [grid.file_server_node, grid.scheduler_node,
                  *grid.site_gateways]
@@ -281,10 +291,86 @@ def test_grid_shaped_churn_matches_the_oracle():
                      for _ in range(10)]
             legs.append((site, SCHEDULER, CONTROL))
         chains.append((0.0, legs))
+    return grid.topology, endpoints, chains
+
+
+def test_grid_shaped_churn_matches_the_oracle():
+    """Thousands of recomputes, most of them answered by the table."""
+    networks = []
     recomputes, outcomes, completed, _, _ = assert_identical(
-        grid.topology, endpoints, chains)
+        *grid_shaped_churn(), networks=networks)
     assert completed == 10 * 6 * 13
     assert len(recomputes) > 1000
+    net, = networks
+    assert net._recomputes == sum(1 for _, rates in recomputes if rates)
+    # Hits really happen: far fewer water-fills than recomputes.
+    assert 0 < net._water_fills < net._recomputes // 4
+    assert len(net._rate_table) == net._water_fills
+
+
+def test_grid_shaped_churn_matches_the_oracle_across_table_clears():
+    """With room for two flow sets the table is cleared over and over
+    mid-run; the rates stay the oracle's."""
+    networks = []
+    with mock.patch.object(flow, "RATE_TABLE_SIZE", 2):
+        recomputes, _, completed, _, _ = assert_identical(
+            *grid_shaped_churn(), networks=networks)
+    net, = networks
+    assert completed == 10 * 6 * 13
+    assert len(net._rate_table) <= 2
+    # Clearing forgot sets the default table would have kept.
+    assert net._water_fills > len(recomputes) // 4
+
+
+@st.composite
+def permuted_schedules(draw):
+    """One set of transfers admitted twice over a random tree of
+    zero-latency links, all at one instant each time: in a drawn order
+    at t=0, then — after every flow of the first round is done — in a
+    drawn permutation of it.  Admission order at an instant is chain
+    order, so the second round meets every flow set of the first in
+    another order."""
+    nodes = draw(st.integers(2, 7))
+    topology = Topology()
+    names = [topology.add_node(f"n{i}") for i in range(nodes)]
+    # Few distinct bandwidths make equal fair shares common.
+    bandwidths = st.one_of(st.sampled_from([1.0, 2.0, 4.0]),
+                           st.floats(0.5, 8.0))
+    for i in range(1, nodes):
+        topology.add_link(names[draw(st.integers(0, i - 1))], names[i],
+                          draw(bandwidths), 0.0)
+    pairs = st.tuples(st.integers(0, nodes - 1),
+                      st.integers(0, nodes - 1)).filter(
+                          lambda pair: pair[0] != pair[1])
+    sizes = st.one_of(st.sampled_from([1.0, 3.0]), st.floats(0.5, 20.0))
+    transfers = draw(st.lists(st.tuples(pairs, sizes), min_size=1,
+                              max_size=10))
+    order = draw(st.permutations(range(len(transfers))))
+    # Each flow gets at least min(bandwidth) / len(transfers).
+    later = (sum(size for _, size in transfers) * len(transfers)
+             / 0.5 + 1.0)
+    chains = [(0.0, [(src, dst, size)])
+              for (src, dst), size in transfers]
+    chains += [(later, [chains[i][1][0]]) for i in order]
+    return topology, names, chains
+
+
+@given(permuted_schedules())
+@settings(max_examples=120, deadline=None)
+def test_a_flow_set_in_another_admission_order_matches_the_oracle(
+        schedule):
+    topology, endpoints, chains = schedule
+    networks = []
+    recomputes, outcomes, *_ = assert_identical(topology, endpoints,
+                                                chains, networks)
+    first = {index for index, _leg, when, _stats in outcomes
+             if index < len(chains) // 2}
+    assert len(first) == len(chains) // 2
+    assert max(when for index, _leg, when, _stats in outcomes
+               if index in first) < chains[-1][0]
+    # The second round's full set was the first round's: a hit.
+    net, = networks
+    assert net._water_fills < net._recomputes
 
 
 def test_simultaneous_identical_flows_complete_together():

@@ -58,7 +58,7 @@ def test_rates_respect_link_capacity(data):
         original()
         usage = {}
         for flow in net._flows:
-            for lid in flow.link_ids:
+            for lid in flow.route.link_ids:
                 usage[lid] = usage.get(lid, 0.0) + flow.rate
         for link in links:
             used = usage.get(link.link_id, 0.0)

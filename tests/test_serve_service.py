@@ -53,7 +53,7 @@ def test_site_file_state_mirrors_storage_semantics():
     seen = []
     state.on_insert(lambda fid: seen.append(("+", fid)))
     state.on_evict(lambda fid: seen.append(("-", fid)))
-    state.on_touch(lambda fid: seen.append(("t", fid)))
+    state.on_touch(lambda fids: seen.extend(("t", fid) for fid in fids))
     assert state.add(5) and not state.add(5)       # idempotent
     assert 5 in state and len(state) == 1
     assert state.reference(5) == 1
