@@ -26,7 +26,6 @@ Standalone CLI (no pytest) for CI regression gating::
     python benchmarks/bench_serve_throughput.py --quick --check
     python benchmarks/bench_serve_throughput.py --quick --write-baseline
     python benchmarks/bench_serve_throughput.py --batch 8 --codec binary
-    python benchmarks/bench_serve_throughput.py --tasks 3000
 
 ``--check`` compares against the checked-in baseline
 (``results/serve_throughput_baseline.json``): any codec x batch cell
@@ -406,12 +405,6 @@ def main(argv=None):
         help="CI-sized sweep (fewer tasks)",
     )
     parser.add_argument(
-        "--tasks",
-        type=int,
-        default=None,
-        help="tasks per run (overrides --quick)",
-    )
-    parser.add_argument(
         "--batch",
         type=int,
         default=None,
@@ -435,7 +428,7 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
 
-    num_tasks = args.tasks or (600 if args.quick else 1200)
+    num_tasks = 600 if args.quick else 1200
     mode = "quick" if args.quick else "full"
 
     if args.batch is not None:

@@ -5,8 +5,7 @@ reproduce`` renders and checks them (``repro.exp.reproduce``).  What
 is left here times the implementation.  The serve and cluster
 throughput benches run once (pedantic rounds=1), print their tables
 and archive them under ``benchmarks/results/``.  Both are sized from
-one fixed task count; run either script standalone with ``--tasks`` for
-another size.
+one fixed task count.
 """
 
 from pathlib import Path

@@ -232,7 +232,7 @@ class DataServer:
         else:
             request.state = DONE
             # Record past references (r_i) for every file of the batch.
-            self.storage.touch_all(request.files)
+            self.storage.touch(*request.files)
             self.stats.requests_served += 1
             self.stats.total_waiting_time += request.waiting_time
             self.stats.total_transfer_time += request.transfer_time

@@ -135,11 +135,7 @@ class SiteStorage:
             f"all {len(self._resident)} resident files are pinned; "
             f"a task working set exceeds capacity {self.capacity_files}")
 
-    def touch(self, fid: FileId) -> None:
-        """Record one task reference (a batch of one)."""
-        self.touch_all((fid,))
-
-    def touch_all(self, fids: Sequence[FileId]) -> None:
+    def touch(self, *fids: FileId) -> None:
         """Record a task's references: bump each file's LRU position
         and ``r_i`` in order, then hand the listeners the whole batch."""
         resident = self._resident

@@ -150,7 +150,7 @@ def test_touch_listener_fires():
     storage.touch(1)
     storage.touch(1)
     # One call per batch: a single touch is a batch of one.
-    storage.touch_all((1, 7, 1))
+    storage.touch(1, 7, 1)
     assert touched == [(1,), (1,), (1, 7, 1)]
     assert storage.reference_count(1) == 4
     assert storage.reference_count(7) == 1

@@ -2,14 +2,14 @@
 same references recorded one by one leave.
 
 ``DataServer`` records a served batch's ~78 references with one
-``SiteStorage.touch_all``, whose listeners receive the whole batch, and
+``SiteStorage.touch``, whose listeners receive the whole batch, and
 the overlap index folds it through the counting code of a worker
 report's ``touched`` half.  Three engines over their own storages are
 driven through one hypothesis stream of inserts (evicting when full),
 reference batches (repeats and non-resident ids included) and
 decisions:
 
-* ``batched`` records each batch with ``touch_all``;
+* ``batched`` records each batch with one ``touch(*files)``;
 * ``single`` records the same files with one ``touch`` each;
 * ``oracle`` records them one by one into the per-file handler the
   index had before batches, kept below verbatim as the specification.
@@ -176,8 +176,8 @@ def run_stream(task_files, steps, metric, n, seed, capacity):
                 for each in storages + (reference_storages,):
                     for fid in batch:
                         each[site].insert(fid)
-            batched_storages[site].touch_all(batch)
-            reference_storages[site].touch_all(batch)
+            batched_storages[site].touch(*batch)
+            reference_storages[site].touch(*batch)
             for each in (single_storages, oracle_storages):
                 for fid in batch:
                     each[site].touch(fid)
