@@ -1,4 +1,5 @@
-"""Microbenchmarks: DES event throughput and flow-network updates.
+"""Microbenchmarks: DES event throughput, flow-network updates and the
+victim's steal selection.
 
 Not a paper artifact — capacity planning for the harness itself (how
 big a campaign fits in a coffee break).
@@ -6,8 +7,11 @@ big a campaign fits in a coffee break).
 
 import random
 
+import pytest
+
 from repro.net import FlowNetwork, TiersParams, Topology, generate_tiers
 from repro.obs.metrics import LatencyHistogram, reference_bucket_index
+from repro.serve.service import SchedulerService
 from repro.sim import Environment, Store
 
 
@@ -201,3 +205,36 @@ def test_histogram_record_throughput(benchmark):
         return histogram.count
 
     assert benchmark(run_records) == len(samples)
+
+
+def steal_victim(pending, seed=3):
+    """A stealing shard holding ``pending`` tasks shaped like the
+    cluster workload's: three files each from a pool as large as the
+    queue, under ``combined``."""
+    rng = random.Random(seed)
+    service = SchedulerService(metric="combined", n=2, seed=0,
+                               steal_watermark=4)
+    service.submit_job([{"files": rng.sample(range(pending), 3),
+                         "flops": 1.0} for _ in range(pending)])
+    return service
+
+
+def thief_summary(files, pool, seed=5):
+    """One thief site holding ``files`` of the pool, 1-4 references
+    each: the ``site_refsums`` of a ``STEAL_REQUEST``."""
+    rng = random.Random(seed)
+    resident = sorted(rng.sample(range(pool), files))
+    return [{"site": 0, "files": resident,
+             "refs": [rng.randint(1, 4) for _ in resident]}]
+
+
+@pytest.mark.parametrize("summary_files", [50, 600])
+@pytest.mark.parametrize("pending", [2000, 10000])
+def test_steal_victim_selection(benchmark, pending, summary_files):
+    """The victim's ranking of a 64-task export.  A 50-file summary
+    shares a file with few pending tasks; at 2 000 pending a 600-file
+    one makes two thirds of the queue candidates, the least saving."""
+    service = steal_victim(pending)
+    summary = thief_summary(summary_files, pending)
+    chosen = benchmark(service._select_steal_tasks, 64, summary)
+    assert len(chosen) == 64

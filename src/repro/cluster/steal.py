@@ -45,6 +45,7 @@ import asyncio
 import contextlib
 import json
 import logging
+import os
 from typing import Dict, List, Optional, Tuple
 
 from ..serve import messages
@@ -64,9 +65,14 @@ class StealManager:
 
     ``peers`` pins a static topology (embedded/benchmark setups):
     ``{shard_index: (host, port)}``.  ``cluster_file`` instead points
-    at the supervisor's ``cluster.json`` and is re-read every tick, so
-    restarts (new ephemeral ports) and drained peers are picked up
-    live.  One of the two must be provided.
+    at the supervisor's ``cluster.json`` and is re-read whenever it
+    changed, so restarts (new ephemeral ports) and drained peers are
+    picked up live.  One of the two must be provided.
+
+    Once started, the loop runs a tick as soon as the service parks an
+    unscoped pull (its ``on_steal_demand`` slot), and otherwise every
+    ``interval`` seconds, which is the retry cadence for steals that
+    found no victim and for forwarding.
     """
 
     def __init__(self, service: SchedulerService, shard_index: int,
@@ -93,6 +99,9 @@ class StealManager:
             shard: self._link(ShardAddress(shard, *address))
             for shard, address in (peers or {}).items()}
         self._task: Optional[asyncio.Task] = None
+        self._wake: Optional[asyncio.Event] = None
+        #: ``(st_ino, st_mtime_ns, st_size)`` of the topology last read.
+        self._topology_key: Optional[Tuple[int, int, int]] = None
         #: Loop-level counters for ``repro top`` / debugging.
         self.steal_attempts = 0
         self.steal_grants = 0
@@ -100,9 +109,12 @@ class StealManager:
 
     # -- lifecycle ---------------------------------------------------
     async def start(self) -> None:
+        self._wake = asyncio.Event()
+        self.service.on_steal_demand = self._wake.set
         self._task = asyncio.get_running_loop().create_task(self._run())
 
     async def stop(self) -> None:
+        self.service.on_steal_demand = None
         if self._task is not None:
             self._task.cancel()
             with contextlib.suppress(asyncio.CancelledError):
@@ -119,14 +131,19 @@ class StealManager:
         await self.stop()
 
     async def _run(self) -> None:
+        wake = self._wake
         while True:
+            # Cleared before the tick: a pull that parks while the
+            # tick awaits a peer sets it again and gets its own tick.
+            wake.clear()
             try:
                 await self.tick()
             except asyncio.CancelledError:
                 raise
             except Exception:  # noqa: BLE001 - peers come and go
                 log.debug("steal tick failed", exc_info=True)
-            await asyncio.sleep(self.interval)
+            with contextlib.suppress(asyncio.TimeoutError):
+                await asyncio.wait_for(wake.wait(), self.interval)
 
     async def tick(self) -> None:
         """One pass: refresh topology, settle tentative imports,
@@ -145,11 +162,21 @@ class StealManager:
     async def _refresh_peers(self) -> None:
         if self.cluster_file is None:
             return
+        # The supervisor rewrites the file through os.replace, so a
+        # new topology is a new inode: parse only when the stat moved.
+        try:
+            stat = os.stat(self.cluster_file)
+        except OSError:
+            return  # not written yet (startup)
+        key = (stat.st_ino, stat.st_mtime_ns, stat.st_size)
+        if key == self._topology_key:
+            return
         try:
             with open(self.cluster_file, "r", encoding="utf-8") as fh:
                 topology = json.load(fh)
         except (OSError, json.JSONDecodeError):
-            return  # not written yet (startup) or mid-rewrite
+            return  # replaced since the stat, or mid-rewrite
+        self._topology_key = key
         peers: Dict[int, ShardAddress] = {}
         for entry in topology.get("shards", []):
             shard = entry.get("shard")
@@ -277,12 +304,8 @@ class StealManager:
         engine = self.service.engine
         out: List[Dict] = []
         for site_id in sorted(engine.site_ids):
-            payload = engine.site_state(site_id).export()
-            references = dict(payload["references"])
-            files = payload["resident"]
-            out.append({"site": site_id, "files": list(files),
-                        "refs": [int(references.get(fid, 0))
-                                 for fid in files]})
+            files, refs = engine.site_state(site_id).summary()
+            out.append({"site": site_id, "files": files, "refs": refs})
         return out
 
     def describe(self) -> Dict:

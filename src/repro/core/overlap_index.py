@@ -419,6 +419,17 @@ class OverlapIndex:
         state.rest_correction += correction
 
     # -- queries -----------------------------------------------------------
+    def tasks_sharing(self, files: Iterable[int]) -> Set[int]:
+        """Pending tasks holding at least one of ``files`` (a new set;
+        the index is only read)."""
+        file_to_tasks = self._file_to_tasks
+        sharing: Set[int] = set()
+        for fid in files:
+            tasks = file_to_tasks.get(fid)
+            if tasks:
+                sharing |= tasks
+        return sharing
+
     def nonzero_overlaps(self, site_id: int) -> Dict[int, int]:
         """task id -> |F_t| for pending tasks with overlap > 0."""
         return self._sites[site_id].overlap

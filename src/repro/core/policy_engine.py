@@ -32,7 +32,7 @@ import heapq
 import random
 from bisect import insort
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple)
+                    Set, Tuple)
 
 from ..grid.job import Task
 from .metrics import (BUCKETED_METRICS, FAST_SCORERS, METRICS,
@@ -176,6 +176,13 @@ class SiteFileState:
         references = self._references
         for fid in referenced:
             references[fid] = references.get(fid, 0) + 1
+
+    def summary(self) -> Tuple[List[int], List[int]]:
+        """The resident files, sorted, and their reference counts
+        aligned to them: a thief's ``STEAL_REQUEST`` site entry."""
+        references = self._references
+        files = sorted(self._resident)
+        return files, [references.get(fid, 0) for fid in files]
 
     # -- snapshot surface (repro.cluster durability) ---------------------
     def export(self) -> Dict[str, list]:
@@ -379,6 +386,10 @@ class PolicyEngine:
     def overlap(self, site_id: int, task_id: int) -> int:
         """|F_t| of a pending task at a site (0 if no overlap)."""
         return self._index.nonzero_overlaps(site_id).get(task_id, 0)
+
+    def tasks_sharing(self, files: Iterable[int]) -> Set[int]:
+        """Pending tasks holding at least one of ``files``."""
+        return self._index.tasks_sharing(files)
 
     def _push_zero_candidate(self, task: Task) -> None:
         order = ZERO_OVERLAP_ORDER[self.metric_name]

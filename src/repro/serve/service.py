@@ -42,6 +42,7 @@ from :data:`repro.serve.protocol.NO_TASK_REASONS`.
 
 from __future__ import annotations
 
+import heapq
 import random
 import time
 from collections import deque
@@ -293,6 +294,10 @@ class SchedulerService:
         #: Called (once) when a drain completes: draining and no
         #: outstanding work.  The server uses it to shut down.
         self.on_drained: Optional[Callable[[], None]] = None
+        #: Called each time an unscoped pull parks, while a
+        #: :class:`~repro.cluster.steal.StealManager` is started: the
+        #: demand that wakes its steal loop at once.
+        self.on_steal_demand: Optional[Callable[[], None]] = None
 
     # -- introspection ---------------------------------------------------
     @property
@@ -479,6 +484,8 @@ class SchedulerService:
             # Park until the situation changes (work arrives, a lease
             # expires, the job/server finishes, or a drain starts).
             self._parked.append(entry)
+            if job_id is None and self.on_steal_demand is not None:
+                self.on_steal_demand()
 
     def _try_answer(self, entry: _ParkedRequest) -> bool:
         """Answer a pull if its outcome is decided; False to park."""
@@ -904,10 +911,18 @@ class SchedulerService:
         (parallel id/refcount lists).  A task's score is the best it
         would earn at any thief site under this service's metric; the
         per-site totals stand in for the thief's aggregate normalizers
-        (only the relative order matters here).  No allocation beyond
-        the candidate list, no RNG.  Only this shard's own jobs are
-        candidates: a stolen task stolen back would find its id known
-        at the origin, be admitted nowhere, and be lost.
+        (only the relative order matters here).  Only this shard's own
+        jobs are candidates: a stolen task stolen back would find its
+        id known at the origin, be admitted nowhere, and be lost.
+
+        A task sharing no file with any summary scores
+        ``scorer(|t|, 0, 0.0, 0.0, 1.0)`` at every site (a zero
+        refsum makes the ref term 0.0 whatever the site's total), so
+        only the tasks the engine's file index finds sharing a file
+        are scored file by file; every other task takes that
+        zero-overlap score of its size.  The top ``budget`` keys
+        ``(-score, task_id)`` are unique, so a heap yields exactly a
+        full sort's prefix.  Read-only: no RNG, no engine change.
         """
         sites: List[Tuple[Dict[int, float], float]] = []
         for entry in site_refsums:
@@ -915,28 +930,38 @@ class SchedulerService:
                     for fid, count in zip(entry.get("files", ()),
                                           entry.get("refs", ()))}
             sites.append((refs, sum(refs.values())))
+        sharing = self.engine.tasks_sharing(
+            fid for refs, _total in sites for fid in refs)
         scorer = FAST_SCORERS[self.engine.metric_name]
-        scored: List[Tuple[float, int]] = []
-        for task_id, task in self.engine.pending.items():
-            if self._tasks[task_id].job.origin is not None:
+        table = self._table
+        zero: Dict[int, float] = {}
+        ranked: List[Tuple[float, int]] = []
+        for job in self._jobs.values():
+            if job.origin is not None:
                 continue
-            num_files = len(task.files)
-            best = scorer(num_files, 0, 0.0, 0.0, 1.0)
-            for refs, total_refsum in sites:
-                overlap = 0
-                refsum = 0.0
-                for fid in task.files:
-                    count = refs.get(fid)
-                    if count is not None:
-                        overlap += 1
-                        refsum += count
-                score = scorer(num_files, overlap, refsum,
-                               total_refsum, 1.0)
-                if score > best:
-                    best = score
-            scored.append((best, task_id))
-        scored.sort(key=lambda pair: (-pair[0], pair[1]))
-        return [task_id for _score, task_id in scored[:budget]]
+            for task_id in job.pending:
+                files = table[task_id].files
+                num_files = len(files)
+                best = zero.get(num_files)
+                if best is None:
+                    best = zero[num_files] = scorer(num_files, 0, 0.0,
+                                                    0.0, 1.0)
+                if task_id in sharing:
+                    for refs, total_refsum in sites:
+                        overlap = 0
+                        refsum = 0.0
+                        for fid in files:
+                            count = refs.get(fid)
+                            if count is not None:
+                                overlap += 1
+                                refsum += count
+                        score = scorer(num_files, overlap, refsum,
+                                       total_refsum, 1.0)
+                        if score > best:
+                            best = score
+                ranked.append((-best, task_id))
+        return [task_id
+                for _score, task_id in heapq.nsmallest(budget, ranked)]
 
     def steal_export_acked(self, export_id: int) -> bool:
         """Victim half of ``STEAL_ACK``: commit or refuse an export.
