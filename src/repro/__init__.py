@@ -38,11 +38,33 @@ _LAZY = {
 }
 
 
-def __getattr__(name):
-    try:
-        module_name, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+def _lazy_exports(namespace):
+    """The PEP 562 ``__getattr__`` and ``__dir__`` of a package whose
+    re-exports are its ``_LAZY`` table, ``{name: (module, attribute)}``.
+
+    A name is imported on first access and then cached in the package,
+    so importing a package costs only its own ``__init__``: the daemon
+    loads the modules it serves with and none of their siblings.
+    """
     import importlib
 
-    return getattr(importlib.import_module(module_name), attr)
+    package = namespace["__name__"]
+    table = namespace["_LAZY"]
+
+    def __getattr__(name):
+        try:
+            module_name, attr = table[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}") from None
+        value = getattr(importlib.import_module(module_name), attr)
+        namespace[name] = value
+        return value
+
+    def __dir__():
+        return sorted(set(namespace) | set(table))
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = _lazy_exports(globals())

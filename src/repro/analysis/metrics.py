@@ -8,9 +8,10 @@ the collected :class:`~repro.grid.data_server.DataServerStats`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import TYPE_CHECKING, List, Sequence
 
-from ..grid.data_server import DataServerStats
+if TYPE_CHECKING:  # pragma: no cover - grid.data_server imports analysis
+    from ..grid.data_server import DataServerStats
 
 
 @dataclass(frozen=True)

@@ -42,17 +42,22 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from .analysis.compare import format_ranking, rank_algorithms
-from .analysis.plotting import chart_sweep
-from .core.registry import PAPER_ALGORITHMS, available_schedulers
-from .exp.config import SCALES, ExperimentConfig
-from .exp.report import format_sweep_table
-from .exp.runner import build_job, run_averaged, run_experiment
-from .exp.sweep import run_sweep
-from .workload.stats import characterize, reference_cdf_series
-from .workload.traces import save_job
+if TYPE_CHECKING:  # pragma: no cover
+    from .exp.config import ExperimentConfig
+
+# Each command imports what it runs inside its handler, so ``repro
+# serve`` loads the daemon and not the simulator.  The parser shows
+# these names of the scheduler registry and of ``exp.config.SCALES``
+# without importing either; the tests pin them to their sources.
+PAPER_ALGORITHMS = ("storage-affinity", "overlap", "rest", "combined",
+                    "rest.2", "combined.2")
+SCHEDULERS = ["combined", "combined-literal", "combined-literal.2",
+              "combined.2", "maxmin", "minmin", "overlap", "random",
+              "rest", "rest.2", "spatial-clustering", "storage-affinity",
+              "workqueue", "xsufferage"]
+SCALE_NAMES = ["bench", "paper", "small"]
 
 
 def _add_verbosity_arguments(parser: argparse.ArgumentParser) -> None:
@@ -128,6 +133,8 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from(args: argparse.Namespace) -> ExperimentConfig:
+    from .exp.config import ExperimentConfig
+
     return ExperimentConfig(
         scheduler=args.scheduler,
         num_tasks=args.tasks,
@@ -142,6 +149,8 @@ def _config_from(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from .exp.runner import run_experiment
+
     config = _config_from(args)
     result = run_experiment(config)
     if args.save:
@@ -159,6 +168,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from .analysis.compare import format_ranking, rank_algorithms
+    from .exp.runner import run_averaged
+
     config = _config_from(args)
     seeds = tuple(range(args.topologies))
     samples = {}
@@ -173,6 +185,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .analysis.plotting import chart_sweep
+    from .exp.report import format_sweep_table
+    from .exp.sweep import run_sweep
+
     config = _config_from(args)
     values: List[object] = []
     for raw in args.values:
@@ -195,6 +211,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_workload(args: argparse.Namespace) -> int:
+    from .exp.runner import build_job
+    from .workload.stats import characterize, reference_cdf_series
+    from .workload.traces import save_job
+
     config = _config_from(args)
     job = build_job(config)
     stats = characterize(job)
@@ -209,7 +229,9 @@ def _cmd_workload(args: argparse.Namespace) -> int:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
+    from .exp.config import SCALES
     from .exp.reproduce import ARTIFACTS, reproduce
+
     unknown = sorted(set(args.only) - set(ARTIFACTS))
     if unknown:
         print(f"repro reproduce: unknown artifact(s) {unknown}; choose "
@@ -287,6 +309,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             service = SchedulerService(
                 events=events, id_start=args.shard_index,
                 id_stride=args.shard_count, **options)
+        stealer = None
+        if service.steal_enabled and args.cluster_file:
+            from .cluster.steal import StealManager
+            stealer = StealManager(service, args.shard_index,
+                                   cluster_file=args.cluster_file,
+                                   codec=args.codec)
         server = SchedulerServer(service, host=args.host,
                                  port=args.port,
                                  stats_interval=args.stats_interval,
@@ -336,12 +364,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if durability is not None:
             snapshotter = asyncio.get_running_loop().create_task(
                 durability.snapshot_loop())
-        stealer = None
-        if service.steal_enabled and args.cluster_file:
-            from .cluster.steal import StealManager
-            stealer = StealManager(service, args.shard_index,
-                                   cluster_file=args.cluster_file,
-                                   codec=args.codec)
+        if stealer is not None:
             await stealer.start()
             print(f"work stealing armed: watermark "
                   f"{service.steal_watermark}, topology from "
@@ -385,7 +408,11 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             host=args.host, router_port=args.port,
             metrics_port=args.metrics_port, codec=args.codec,
             shard_args=_scheduler_argv(args))
-        await supervisor.start()
+        try:
+            await supervisor.start()  # stops every shard if it fails
+        except (RuntimeError, OSError) as exc:
+            print(f"repro cluster: {exc}", file=sys.stderr)
+            return 1
         print(f"repro-cluster router on "
               f"{supervisor.host}:{supervisor.router_port} over "
               f"{args.shards} shard(s); topology in "
@@ -411,6 +438,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 def _cmd_load(args: argparse.Namespace) -> int:
     import asyncio
 
+    from .exp.runner import build_job
     from .obs.top import render_top
     from .serve.loadgen import run_load
     from .serve.server import install_uvloop
@@ -571,8 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_arguments(compare_parser)
     compare_parser.add_argument("--schedulers", nargs="+",
                                 default=list(PAPER_ALGORITHMS),
-                                help=f"choose from "
-                                     f"{available_schedulers()}")
+                                help=f"choose from {SCHEDULERS}")
     compare_parser.add_argument("--topologies", type=int, default=3)
     compare_parser.set_defaults(func=_cmd_compare)
 
@@ -598,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
     reproduce_parser = sub.add_parser(
         "reproduce", help="regenerate and check the paper's artifacts")
     reproduce_parser.add_argument("--scale", default="small",
-                                  choices=sorted(SCALES))
+                                  choices=SCALE_NAMES)
     reproduce_parser.add_argument(
         "--only", nargs="+", default=(), metavar="NAME",
         help="just these artifacts (benchmarks/results/<NAME>.txt)")

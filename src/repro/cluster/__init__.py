@@ -24,17 +24,21 @@ See ``docs/cluster.md`` for topology, wire flow, the snapshot format
 and the recovery procedure.
 """
 
-from .link import ShardAddress
-from .router import ClusterRouter
-from .shard import ShardDurability, open_shard
-from .snapshot import (SnapshotError, list_snapshots,
-                       load_latest_snapshot, write_snapshot)
-from .stats import aggregate_stats
-from .supervisor import ClusterSupervisor
+from .. import _lazy_exports
 
-__all__ = [
-    "ClusterRouter", "ClusterSupervisor", "ShardAddress",
-    "ShardDurability", "SnapshotError", "aggregate_stats",
-    "list_snapshots", "load_latest_snapshot", "open_shard",
-    "write_snapshot",
-]
+_LAZY = {
+    "ShardAddress": ("repro.cluster.link", "ShardAddress"),
+    "ClusterRouter": ("repro.cluster.router", "ClusterRouter"),
+    "ShardDurability": ("repro.cluster.shard", "ShardDurability"),
+    "open_shard": ("repro.cluster.shard", "open_shard"),
+    "SnapshotError": ("repro.cluster.snapshot", "SnapshotError"),
+    "list_snapshots": ("repro.cluster.snapshot", "list_snapshots"),
+    "load_latest_snapshot": ("repro.cluster.snapshot", "load_latest_snapshot"),
+    "write_snapshot": ("repro.cluster.snapshot", "write_snapshot"),
+    "aggregate_stats": ("repro.cluster.stats", "aggregate_stats"),
+    "ClusterSupervisor": ("repro.cluster.supervisor", "ClusterSupervisor"),
+}
+
+__all__ = sorted(_LAZY)
+
+__getattr__, __dir__ = _lazy_exports(globals())

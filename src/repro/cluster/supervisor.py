@@ -1,7 +1,7 @@
 """The cluster supervisor: spawn, watch and restart shard processes.
 
 ``repro cluster --shards N`` builds one :class:`ClusterSupervisor`.
-It spawns N ``repro serve`` shard processes (each with ``--port 0``,
+It spawns N ``repro serve`` shard processes at once (each with ``--port 0``,
 ``--metrics-port 0``, its own state directory, the
 ``--shard-index/--shard-count`` id strides, ``--cluster-file``, and
 then ``shard_args`` — the scheduler flags ``repro cluster`` was given,
@@ -47,6 +47,11 @@ from .router import ClusterRouter
 __all__ = ["ClusterSupervisor"]
 
 log = logging.getLogger("repro.cluster.supervisor")
+
+#: Seconds between looks at a booting shard's port file.  A shard
+#: listens 0.15-0.3 s after its spawn, so a coarser poll would be a
+#: visible share of every (re)start.
+HANDSHAKE_POLL_S = 0.005
 
 
 class ClusterSupervisor:
@@ -109,9 +114,28 @@ class ClusterSupervisor:
 
     # -- lifecycle ---------------------------------------------------
     async def start(self) -> None:
+        """Boot every shard at once, then the router over them.
+
+        A start that fails stops whatever it had started, shard
+        processes included, before it re-raises: a shard that could
+        not recover must not leave its peers running unsupervised.
+        """
         os.makedirs(self.state_root, exist_ok=True)
-        for index in range(self.shards):
-            await self._spawn(index)
+        try:
+            await self._start()
+        except BaseException:
+            await self.stop()
+            raise
+
+    async def _start(self) -> None:
+        # Every spawn runs to its handshake or its failure, so none is
+        # still creating a process when a failed start cleans up.
+        results = await asyncio.gather(
+            *(self._spawn(index) for index in range(self.shards)),
+            return_exceptions=True)
+        for result in results:
+            if isinstance(result, BaseException):
+                raise result
         self.router = ClusterRouter(
             [ShardAddress(index, self.host, self._ports[index])
              for index in range(self.shards)],
@@ -155,14 +179,8 @@ class ClusterSupervisor:
                 await self._refresher
             self._refresher = None
         self._monitors = []
-        for index, proc in list(self._procs.items()):
-            if proc.returncode is None:
-                proc.terminate()
-                try:
-                    await asyncio.wait_for(proc.wait(), timeout=5)
-                except asyncio.TimeoutError:
-                    proc.kill()
-                    await proc.wait()
+        await asyncio.gather(*(self._terminate(proc)
+                               for proc in self._procs.values()))
         if self.obs_server is not None:
             await self.obs_server.stop()
             self.obs_server = None
@@ -173,6 +191,16 @@ class ClusterSupervisor:
         self._log_handles.clear()
 
     # -- shard processes ---------------------------------------------
+    @staticmethod
+    async def _terminate(proc: asyncio.subprocess.Process) -> None:
+        if proc.returncode is None:
+            proc.terminate()
+            try:
+                await asyncio.wait_for(proc.wait(), timeout=5)
+            except asyncio.TimeoutError:
+                proc.kill()
+                await proc.wait()
+
     def _shard_command(self, index: int) -> List[str]:
         return [
             sys.executable, "-m", "repro", "serve",
@@ -245,8 +273,9 @@ class ClusterSupervisor:
             if loop.time() >= deadline:
                 raise RuntimeError(
                     f"shard {index} did not report its port within "
-                    f"{self.spawn_timeout:.0f}s")
-            await asyncio.sleep(0.05)
+                    f"{self.spawn_timeout:.0f}s; see "
+                    f"{self.shard_log_path(index)}")
+            await asyncio.sleep(HANDSHAKE_POLL_S)
 
     async def _monitor(self, index: int) -> None:
         """Restart on crash; mark drained on clean (zero) exit."""

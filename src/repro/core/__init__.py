@@ -10,43 +10,38 @@
 * :func:`create_scheduler` — name-based factory ("combined.2", ...).
 """
 
-from .base import BaseScheduler
-from .metrics import (METRICS, TaskView, combined_literal_metric,
-                      combined_metric, overlap_metric, rest_metric,
-                      rest_weight)
-from .overlap_index import OverlapIndex
-from .policy_engine import PolicyEngine, SiteFileState
-from .reference import NaiveWorkerCentricScheduler
-from .registry import (PAPER_ALGORITHMS, available_schedulers,
-                       create_scheduler)
-from .replication import DataReplicator
-from .spatial_clustering import SpatialClusteringScheduler, cluster_tasks
-from .storage_affinity import StorageAffinityScheduler
-from .worker_centric import WorkerCentricScheduler
-from .workqueue import WorkqueueScheduler
-from .xsufferage import XSufferageScheduler
+from .. import _lazy_exports
 
-__all__ = [
-    "BaseScheduler",
-    "DataReplicator",
-    "METRICS",
-    "NaiveWorkerCentricScheduler",
-    "OverlapIndex",
-    "PAPER_ALGORITHMS",
-    "PolicyEngine",
-    "SiteFileState",
-    "SpatialClusteringScheduler",
-    "XSufferageScheduler",
-    "cluster_tasks",
-    "StorageAffinityScheduler",
-    "TaskView",
-    "WorkerCentricScheduler",
-    "WorkqueueScheduler",
-    "available_schedulers",
-    "combined_literal_metric",
-    "combined_metric",
-    "create_scheduler",
-    "overlap_metric",
-    "rest_metric",
-    "rest_weight",
-]
+_LAZY = {
+    "BaseScheduler": ("repro.core.base", "BaseScheduler"),
+    "METRICS": ("repro.core.metrics", "METRICS"),
+    "TaskView": ("repro.core.metrics", "TaskView"),
+    "combined_literal_metric":
+        ("repro.core.metrics", "combined_literal_metric"),
+    "combined_metric": ("repro.core.metrics", "combined_metric"),
+    "overlap_metric": ("repro.core.metrics", "overlap_metric"),
+    "rest_metric": ("repro.core.metrics", "rest_metric"),
+    "rest_weight": ("repro.core.metrics", "rest_weight"),
+    "OverlapIndex": ("repro.core.overlap_index", "OverlapIndex"),
+    "PolicyEngine": ("repro.core.policy_engine", "PolicyEngine"),
+    "SiteFileState": ("repro.core.policy_engine", "SiteFileState"),
+    "NaiveWorkerCentricScheduler":
+        ("repro.core.reference", "NaiveWorkerCentricScheduler"),
+    "PAPER_ALGORITHMS": ("repro.core.registry", "PAPER_ALGORITHMS"),
+    "available_schedulers": ("repro.core.registry", "available_schedulers"),
+    "create_scheduler": ("repro.core.registry", "create_scheduler"),
+    "DataReplicator": ("repro.core.replication", "DataReplicator"),
+    "SpatialClusteringScheduler":
+        ("repro.core.spatial_clustering", "SpatialClusteringScheduler"),
+    "cluster_tasks": ("repro.core.spatial_clustering", "cluster_tasks"),
+    "StorageAffinityScheduler":
+        ("repro.core.storage_affinity", "StorageAffinityScheduler"),
+    "WorkerCentricScheduler":
+        ("repro.core.worker_centric", "WorkerCentricScheduler"),
+    "WorkqueueScheduler": ("repro.core.workqueue", "WorkqueueScheduler"),
+    "XSufferageScheduler": ("repro.core.xsufferage", "XSufferageScheduler"),
+}
+
+__all__ = sorted(_LAZY)
+
+__getattr__, __dir__ = _lazy_exports(globals())

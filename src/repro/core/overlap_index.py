@@ -83,13 +83,15 @@ from collections import Counter
 from functools import partial
 from itertools import chain
 from math import lcm
-from typing import (Dict, Iterable, KeysView, List, Mapping, Optional,
-                    Sequence, Set)
+from typing import (TYPE_CHECKING, Dict, Iterable, KeysView, List,
+                    Mapping, Optional, Sequence, Set)
 
 from ..grid.job import Job, Task
-from ..grid.storage import SiteStorage
 from .candidates import CandidateBuckets, RefsumOrder
 from .metrics import TaskView, rest_weight
+
+if TYPE_CHECKING:  # pragma: no cover - the simulator's cache model
+    from ..grid.storage import SiteStorage
 
 
 class _SiteState:

@@ -14,39 +14,33 @@ kernel and the flow network:
   :mod:`repro.core`.
 """
 
-from .arrivals import (ArrivalSchedule, JobArrivalProcess,
-                       batched_arrivals, jittered_arrivals)
-from .cluster import Grid, GridRunResult
-from .data_server import BatchRequest, DataServer, DataServerStats
-from .file_server import FileServer
-from .files import FileCatalog, FileId, MB
-from .job import Job, Task, TaskId
-from .scheduler_api import GridScheduler
-from .site import Site
-from .storage import SiteStorage, StorageFullError
-from .worker import CONTROL_MESSAGE_BYTES, Worker
+from .. import _lazy_exports
 
-__all__ = [
-    "ArrivalSchedule",
-    "BatchRequest",
-    "CONTROL_MESSAGE_BYTES",
-    "DataServer",
-    "DataServerStats",
-    "FileCatalog",
-    "FileId",
-    "FileServer",
-    "Grid",
-    "GridRunResult",
-    "JobArrivalProcess",
-    "GridScheduler",
-    "Job",
-    "MB",
-    "Site",
-    "SiteStorage",
-    "StorageFullError",
-    "Task",
-    "TaskId",
-    "Worker",
-    "batched_arrivals",
-    "jittered_arrivals",
-]
+_LAZY = {
+    "ArrivalSchedule": ("repro.grid.arrivals", "ArrivalSchedule"),
+    "JobArrivalProcess": ("repro.grid.arrivals", "JobArrivalProcess"),
+    "batched_arrivals": ("repro.grid.arrivals", "batched_arrivals"),
+    "jittered_arrivals": ("repro.grid.arrivals", "jittered_arrivals"),
+    "Grid": ("repro.grid.cluster", "Grid"),
+    "GridRunResult": ("repro.grid.cluster", "GridRunResult"),
+    "BatchRequest": ("repro.grid.data_server", "BatchRequest"),
+    "DataServer": ("repro.grid.data_server", "DataServer"),
+    "DataServerStats": ("repro.grid.data_server", "DataServerStats"),
+    "FileServer": ("repro.grid.file_server", "FileServer"),
+    "FileCatalog": ("repro.grid.files", "FileCatalog"),
+    "FileId": ("repro.grid.files", "FileId"),
+    "MB": ("repro.grid.files", "MB"),
+    "Job": ("repro.grid.job", "Job"),
+    "Task": ("repro.grid.job", "Task"),
+    "TaskId": ("repro.grid.job", "TaskId"),
+    "GridScheduler": ("repro.grid.scheduler_api", "GridScheduler"),
+    "Site": ("repro.grid.site", "Site"),
+    "SiteStorage": ("repro.grid.storage", "SiteStorage"),
+    "StorageFullError": ("repro.grid.storage", "StorageFullError"),
+    "CONTROL_MESSAGE_BYTES": ("repro.grid.worker", "CONTROL_MESSAGE_BYTES"),
+    "Worker": ("repro.grid.worker", "Worker"),
+}
+
+__all__ = sorted(_LAZY)
+
+__getattr__, __dir__ = _lazy_exports(globals())

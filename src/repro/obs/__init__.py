@@ -17,35 +17,32 @@ The live daemon (:mod:`repro.serve`) and the cluster tier
 (:mod:`repro.cluster`) publish through this layer.
 """
 
-from .events import (EVENT_SCHEMAS, EventLog, EventSchemaError,
-                     RotatingJsonlSink, iter_events, validate_event)
-from .http import ObsHttpServer
-from .metrics import (Counter, Gauge, LatencyHistogram, MetricFamily,
-                      MetricsRegistry)
-from .prometheus import CONTENT_TYPE, ParseError, parse, render
-from .top import fetch_json, render_top, run_top
-from .trace import DecisionTracer, explain_span
+from .. import _lazy_exports
 
-__all__ = [
-    "CONTENT_TYPE",
-    "Counter",
-    "DecisionTracer",
-    "EVENT_SCHEMAS",
-    "EventLog",
-    "EventSchemaError",
-    "Gauge",
-    "LatencyHistogram",
-    "MetricFamily",
-    "MetricsRegistry",
-    "ObsHttpServer",
-    "ParseError",
-    "RotatingJsonlSink",
-    "explain_span",
-    "fetch_json",
-    "iter_events",
-    "parse",
-    "render",
-    "render_top",
-    "run_top",
-    "validate_event",
-]
+_LAZY = {
+    "EVENT_SCHEMAS": ("repro.obs.events", "EVENT_SCHEMAS"),
+    "EventLog": ("repro.obs.events", "EventLog"),
+    "EventSchemaError": ("repro.obs.events", "EventSchemaError"),
+    "RotatingJsonlSink": ("repro.obs.events", "RotatingJsonlSink"),
+    "iter_events": ("repro.obs.events", "iter_events"),
+    "validate_event": ("repro.obs.events", "validate_event"),
+    "ObsHttpServer": ("repro.obs.http", "ObsHttpServer"),
+    "Counter": ("repro.obs.metrics", "Counter"),
+    "Gauge": ("repro.obs.metrics", "Gauge"),
+    "LatencyHistogram": ("repro.obs.metrics", "LatencyHistogram"),
+    "MetricFamily": ("repro.obs.metrics", "MetricFamily"),
+    "MetricsRegistry": ("repro.obs.metrics", "MetricsRegistry"),
+    "CONTENT_TYPE": ("repro.obs.prometheus", "CONTENT_TYPE"),
+    "ParseError": ("repro.obs.prometheus", "ParseError"),
+    "parse": ("repro.obs.prometheus", "parse"),
+    "render": ("repro.obs.prometheus", "render"),
+    "fetch_json": ("repro.obs.top", "fetch_json"),
+    "render_top": ("repro.obs.top", "render_top"),
+    "run_top": ("repro.obs.top", "run_top"),
+    "DecisionTracer": ("repro.obs.trace", "DecisionTracer"),
+    "explain_span": ("repro.obs.trace", "explain_span"),
+}
+
+__all__ = sorted(_LAZY)
+
+__getattr__, __dir__ = _lazy_exports(globals())

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import json
 import time
-import urllib.error
-import urllib.request
 from typing import Callable, Dict, List, Optional, Tuple
 
 __all__ = ["fetch_json", "render_cluster_top", "render_top",
@@ -30,6 +28,8 @@ _CLEAR = "\x1b[2J\x1b[H"
 
 def fetch_json(url: str, timeout: float = 5.0) -> Dict:
     """GET ``url`` and decode its JSON body."""
+    import urllib.request
+
     with urllib.request.urlopen(url, timeout=timeout) as response:
         return json.loads(response.read().decode("utf-8"))
 
@@ -220,8 +220,7 @@ def run_top(urls: List[str], interval: float = 2.0,
             label = url.split("//", 1)[-1].rsplit("/", 1)[0]
             try:
                 per_endpoint.append((label, fetch(url)))
-            except (urllib.error.URLError, ConnectionError,
-                    OSError) as exc:
+            except OSError as exc:  # URLError and refusals included
                 per_endpoint.append((label, None))
                 out(f"repro top: cannot fetch {url}: {exc}")
         if all(snap is None for _label, snap in per_endpoint):

@@ -25,35 +25,31 @@ streams.
 CLI entry points: ``python -m repro serve`` and ``python -m repro load``.
 """
 
-from .client import (DeltaAggregator, JobHandle, SchedulerClient,
-                     WorkerClient)
-from .codec import BinaryCodec, Codec, JsonLinesCodec, make_codec
-from .loadgen import run_load, serve_and_load
-from .protocol import (CodecNegotiation, ProtocolError, codec_offers,
-                       negotiate_codec)
-from .server import SchedulerServer, install_uvloop
-from .service import (Assignment, CompletionResult, SchedulerService,
-                      ServiceError)
+from .. import _lazy_exports
 
-__all__ = [
-    "Assignment",
-    "BinaryCodec",
-    "Codec",
-    "CodecNegotiation",
-    "CompletionResult",
-    "DeltaAggregator",
-    "JobHandle",
-    "JsonLinesCodec",
-    "ProtocolError",
-    "SchedulerClient",
-    "SchedulerServer",
-    "SchedulerService",
-    "ServiceError",
-    "WorkerClient",
-    "codec_offers",
-    "install_uvloop",
-    "make_codec",
-    "negotiate_codec",
-    "run_load",
-    "serve_and_load",
-]
+_LAZY = {
+    "DeltaAggregator": ("repro.serve.client", "DeltaAggregator"),
+    "JobHandle": ("repro.serve.client", "JobHandle"),
+    "SchedulerClient": ("repro.serve.client", "SchedulerClient"),
+    "WorkerClient": ("repro.serve.client", "WorkerClient"),
+    "BinaryCodec": ("repro.serve.codec", "BinaryCodec"),
+    "Codec": ("repro.serve.codec", "Codec"),
+    "JsonLinesCodec": ("repro.serve.codec", "JsonLinesCodec"),
+    "make_codec": ("repro.serve.codec", "make_codec"),
+    "run_load": ("repro.serve.loadgen", "run_load"),
+    "serve_and_load": ("repro.serve.loadgen", "serve_and_load"),
+    "CodecNegotiation": ("repro.serve.protocol", "CodecNegotiation"),
+    "ProtocolError": ("repro.serve.protocol", "ProtocolError"),
+    "codec_offers": ("repro.serve.protocol", "codec_offers"),
+    "negotiate_codec": ("repro.serve.protocol", "negotiate_codec"),
+    "SchedulerServer": ("repro.serve.server", "SchedulerServer"),
+    "install_uvloop": ("repro.serve.server", "install_uvloop"),
+    "Assignment": ("repro.serve.service", "Assignment"),
+    "CompletionResult": ("repro.serve.service", "CompletionResult"),
+    "SchedulerService": ("repro.serve.service", "SchedulerService"),
+    "ServiceError": ("repro.serve.service", "ServiceError"),
+}
+
+__all__ = sorted(_LAZY)
+
+__getattr__, __dir__ = _lazy_exports(globals())
