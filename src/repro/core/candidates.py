@@ -282,12 +282,13 @@ class RefsumOrder:
         group.heads = heads
 
     # -- mutation --------------------------------------------------------
-    def touched(self, fid: int, referers: Set[int],
+    def touched(self, fid: int, referers: Collection[int],
                 anchor_of: Mapping[int, int]) -> Collection[int]:
         """One reference to the resident file ``fid``, whose pending
-        referers are ``referers``: returns — and marks dirty — those
-        whose key it moves, every referer not anchored on ``fid``.
-        The members' shared +1 goes into the anchor's count.
+        referers are ``referers`` (the index's list or set of them,
+        only read): returns — and marks dirty — those whose key it
+        moves, every referer not anchored on ``fid``.  The members'
+        shared +1 goes into the anchor's count.
 
         The first reference to a file since it became resident here
         makes it an anchor, if it is some referer's (``anchor_of``):
@@ -301,9 +302,14 @@ class RefsumOrder:
             for group in self._groups.values():
                 if fid in group.heaps:
                     self._push_head(group, fid, anchor.count)
-            if len(anchor.members) == len(referers):
+            members = anchor.members
+            if len(members) == len(referers):
                 return ()
-            referers = referers - anchor.members
+            if referers.__class__ is list:
+                referers = [task_id for task_id in referers
+                            if task_id not in members]
+            else:
+                referers = referers - members
         elif any(anchor_of[task_id] == fid for task_id in referers):
             self.anchors[fid] = _Anchor()
         self.dirty.update(referers)

@@ -13,11 +13,12 @@ per site:
   either,
 
 updated from storage changes through an inverted file → pending-tasks
-index.  A change arrives either as a storage notification — the
-insert/evict of one file, or one served batch's references, of a
-simulated :class:`~repro.grid.storage.SiteStorage`, each costing
-O(tasks referencing those files), about 9 per file for Coadd, instead
-of O(T·I) per request — or as one whole worker report
+index (a file's referers are a list while they are few, a set past
+:data:`PROMOTE_AT`).  A change arrives either as a storage
+notification — the insert/evict of one file, or one served batch's
+references, of a simulated :class:`~repro.grid.storage.SiteStorage`,
+each costing O(tasks referencing those files), about 9 per file for
+Coadd, instead of O(T·I) per request — or as one whole worker report
 (:meth:`OverlapIndex.apply_delta`, the live service's path).  Both add
 up what the change does per task first (a batch of references through
 the same :meth:`OverlapIndex._count_touched` as a report) and then
@@ -83,8 +84,8 @@ from collections import Counter
 from functools import partial
 from itertools import chain
 from math import lcm
-from typing import (TYPE_CHECKING, Dict, Iterable, KeysView, List,
-                    Mapping, Optional, Sequence, Set)
+from typing import (TYPE_CHECKING, Collection, Dict, Iterable, KeysView,
+                    List, Mapping, Optional, Sequence, Set)
 
 from ..grid.job import Job, Task
 from .candidates import CandidateBuckets, RefsumOrder
@@ -92,6 +93,16 @@ from .metrics import TaskView, rest_weight
 
 if TYPE_CHECKING:  # pragma: no cover - the simulator's cache model
     from ..grid.storage import SiteStorage
+
+#: A file's pending referers are held as a list while there are at most
+#: this many, and as a set from the first one past it on.  A list of
+#: Coadd's ~9 referers takes a quarter of a set's memory, and up to this
+#: size its two linear operations — removing one id, and the anchors'
+#: ``referers - members`` — cost under half a microsecond more than a
+#: set's; hot files (hundreds of referers) stay sets.  A set is never
+#: turned back into a list: it is dropped when its last referer leaves.
+#: ``0`` makes every group a set, the reference tests compare against.
+PROMOTE_AT = 16
 
 
 class _SiteState:
@@ -149,7 +160,8 @@ class _Anchors(dict):
 
     __slots__ = ("_job", "_file_to_tasks")
 
-    def __init__(self, job: Job, file_to_tasks: Dict[int, Set[int]]):
+    def __init__(self, job: Job,
+                 file_to_tasks: Dict[int, Collection[int]]):
         super().__init__()
         self._job = job
         self._file_to_tasks = file_to_tasks
@@ -168,7 +180,9 @@ class OverlapIndex:
     def __init__(self, job: Job, tasks: Optional[Iterable[Task]] = None):
         """Track ``tasks`` (default: every task of ``job``) as pending."""
         self.job = job
-        self._file_to_tasks: Dict[int, Set[int]] = {}
+        #: File id -> ids of its pending referers: a list up to
+        #: :data:`PROMOTE_AT` of them, else a set; never empty.
+        self._file_to_tasks: Dict[int, Collection[int]] = {}
         self._anchor_of = _Anchors(job, self._file_to_tasks)
         #: Pending task id -> |t|; its key set *is* the pending set.
         self._size: Dict[int, int] = {}
@@ -230,7 +244,11 @@ class OverlapIndex:
         for fid in files:
             referers = file_to_tasks.get(fid)
             if referers is None:
-                file_to_tasks[fid] = {tid}
+                file_to_tasks[fid] = [tid] if PROMOTE_AT else {tid}
+            elif referers.__class__ is list:
+                referers.append(tid)
+                if len(referers) > PROMOTE_AT:
+                    file_to_tasks[fid] = set(referers)
             else:
                 referers.add(tid)
         # Fold in any storage that already holds some of its files.
@@ -262,7 +280,10 @@ class OverlapIndex:
         for fid in task.files:
             referers = file_to_tasks.get(fid)
             if referers is not None:
-                referers.discard(tid)
+                try:
+                    referers.remove(tid)  # a list's or a set's
+                except (KeyError, ValueError):
+                    continue
                 if not referers:
                     del file_to_tasks[fid]
         for state in self._sites.values():
@@ -429,7 +450,7 @@ class OverlapIndex:
         for fid in files:
             tasks = file_to_tasks.get(fid)
             if tasks:
-                sharing |= tasks
+                sharing.update(tasks)
         return sharing
 
     def nonzero_overlaps(self, site_id: int) -> Dict[int, int]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import typing
 from collections import deque
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from ..grid.job import Job, Task
 from ..sim.events import Event
@@ -38,10 +38,7 @@ def cluster_tasks(job: Job, cluster_size: int,
     """
     if cluster_size < 1:
         raise ValueError("cluster_size must be >= 1")
-    file_to_tasks: Dict[int, Set[int]] = {}
-    for task in job:
-        for fid in task.files:
-            file_to_tasks.setdefault(fid, set()).add(task.task_id)
+    file_to_tasks = job.file_referers()
 
     unclustered: Dict[int, Task] = {t.task_id: t for t in job}
     clusters: List[List[Task]] = []

@@ -105,10 +105,7 @@ class StorageAffinityScheduler(BaseScheduler):
         capacities = [site.storage.capacity_files for site in grid.sites]
         # affinity[s][t]: overlap of unassigned task t with views[s].
         affinities: List[Dict[int, int]] = [{} for _ in range(num_sites)]
-        file_to_tasks: Dict[int, Set[int]] = {}
-        for task in self.job:
-            for fid in task.files:
-                file_to_tasks.setdefault(fid, set()).add(task.task_id)
+        file_to_tasks = self.job.file_referers()
         unassigned: Dict[int, Task] = {t.task_id: t for t in self.job}
         site_load = [0] * num_sites
         # Lazy max-heap of (-affinity, task_id, site_id).

@@ -130,8 +130,7 @@ def generate(params: CoaddParams = COADD_6000, seed: int = 0,
     by multi-job campaigns, where passes over the same stripe share
     field files but not exact input sets.
     """
-    job, _keys = _build(params, seed, file_size, jitter_seed)
-    return job
+    return _build(params, seed, file_size, jitter_seed)[0]
 
 
 def generate_with_keys(params: CoaddParams = COADD_6000, seed: int = 0,
@@ -144,12 +143,27 @@ def generate_with_keys(params: CoaddParams = COADD_6000, seed: int = 0,
     or ``("aux", index)`` for per-job auxiliary files.  Campaign
     builders merge multiple passes' file spaces by these keys.
     """
-    return _build(params, seed, file_size, jitter_seed)
+    job, file_ids, num_aux = _build(params, seed, file_size, jitter_seed)
+    num_field_files = len(file_ids)
+    keys: List[Tuple] = [None] * (num_field_files + num_aux)
+    for (run_index, k), fid in file_ids.items():
+        keys[fid] = ("field", run_index, k)
+    for aux_index in range(num_aux):
+        keys[num_field_files + aux_index] = ("aux", aux_index)
+    return job, keys
 
 
 def _build(params: CoaddParams, seed: int, file_size: Optional[float],
            jitter_seed: Optional[int]):
-    """Shared generator body; returns (job, per-file identity keys)."""
+    """Shared generator body; returns the job, the ``(run, k) -> fid``
+    map of its field files and its number of auxiliary ids.
+
+    Each task's field ids are collected as a list; its set is built,
+    given its auxiliary ids and frozen one task at a time, by the same
+    ``add`` sequence as a set grown in place, so each ``Task.files``
+    iterates in that order (data servers fetch in it).  Holding every
+    task's growing set until the auxiliary pass would keep thousands
+    of over-sized hash tables alive at once."""
     rng = random.Random(seed)
     # Per-run geometry: lengths cycle round-robin through the candidate
     # set (keeping aggregate statistics stable across seeds); phases are
@@ -175,14 +189,14 @@ def _build(params: CoaddParams, seed: int, file_size: Optional[float],
 
     stripe_end = (params.num_tasks - 1) * params.stride
     file_ids: Dict[Tuple[int, int], int] = {}
-    task_file_sets: List[set] = []
+    task_fields: List[List[int]] = []
     for i in range(params.num_tasks):
         centre = i * params.stride
         width = rng.triangular(params.width_lo, params.width_hi,
                                params.width_mode)
         lo = max(0.0, centre - width / 2.0)
         hi = min(stripe_end, centre + width / 2.0)
-        files = set()
+        fields: List[int] = []
         for run_index, (length, phase) in enumerate(runs):
             k_lo = math.floor((lo - phase) / length)
             k_hi = math.floor((hi - phase) / length)
@@ -192,27 +206,23 @@ def _build(params: CoaddParams, seed: int, file_size: Optional[float],
                 if fid is None:
                     fid = len(file_ids)
                     file_ids[key] = fid
-                files.add(fid)
-        task_file_sets.append(files)
+                fields.append(fid)
+        task_fields.append(fields)
 
     # Auxiliary file ids follow the field files in the dense id space.
     num_field_files = len(file_ids)
     tasks: List[Task] = []
-    for i, files in enumerate(task_file_sets):
-        for aux_index in aux_by_task.get(i, ()):
-            files.add(num_field_files + aux_index)
+    for i, fields in enumerate(task_fields):
+        files = set(fields)
+        files.update(num_field_files + aux_index
+                     for aux_index in aux_by_task.get(i, ()))
         tasks.append(Task(task_id=i, files=frozenset(files),
                           flops=params.flops_per_file * len(files)))
+        task_fields[i] = None  # freed as its task is made
 
     # Some auxiliary ids may be unused (span fell entirely off the end);
     # the catalog still carries them, which is harmless.
     catalog = FileCatalog(num_field_files + num_aux,
                           default_size=file_size or params.file_size)
     job = Job(tasks, catalog, name=f"coadd-{params.num_tasks}")
-
-    keys: List[Tuple] = [None] * (num_field_files + num_aux)
-    for (run_index, k), fid in file_ids.items():
-        keys[fid] = ("field", run_index, k)
-    for aux_index in range(num_aux):
-        keys[num_field_files + aux_index] = ("aux", aux_index)
-    return job, keys
+    return job, file_ids, num_aux
