@@ -21,7 +21,8 @@ driven two ways:
 
 All of them end in the same per-task arithmetic of the index, so a
 delta stream replayed from a simulation reproduces the simulator's
-decisions bit-for-bit (property-tested via :mod:`repro.serve.replay`),
+decisions bit-for-bit (property-tested through
+:meth:`repro.serve.service.SchedulerService.redecide`),
 and a report applied whole equals the same report applied file by file
 (``tests/test_policy_fast_path.py``).
 """
@@ -314,10 +315,9 @@ class PolicyEngine:
         return self._sites[site_id]
 
     # -- file-state deltas (delta-driven sites only) ---------------------
-    # One file at a time: the calls ``serve/replay.py`` replays a
-    # recorded simulation through, and the names the bench tracer
-    # wraps.  They reach the index through the mirror's listeners; the
-    # live service reports whole deltas through :meth:`apply_delta`.
+    # One file at a time: the names the bench tracer wraps.  They
+    # reach the index through the mirror's listeners; the live service
+    # reports whole deltas through :meth:`apply_delta`.
     def file_added(self, site_id: int, fid: int) -> bool:
         return self._sites[site_id].add(fid)
 
@@ -787,6 +787,10 @@ class PolicyEngine:
             task_id = entry[-1]
             if task_id not in self._pending:
                 continue  # stale: task was assigned; drop permanently
+            if skipped and skipped[-1] == entry:
+                # A requeued task's second entry (the first was still
+                # in the heap): equal entries pop in a row; drop it.
+                continue
             skipped.append(entry)
             if eligible is not None and task_id not in eligible:
                 continue

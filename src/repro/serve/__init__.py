@@ -18,9 +18,9 @@ push lease-validated completions; submitters drive jobs through
 :class:`~repro.serve.client.JobHandle` with per-job status and
 ``wait_done()``.  The :mod:`repro.serve.loadgen` module replays
 ``workload``-generated jobs against a server at high concurrency, and
-:mod:`repro.serve.replay` proves the live engine makes decisions
-identical to the simulator's by replaying recorded storage-delta
-streams.
+:meth:`~repro.serve.service.SchedulerService.redecide` re-makes the
+pull decisions of any event log, a simulated run's included, to show
+the service chooses as the simulator does.
 
 CLI entry points: ``python -m repro serve`` and ``python -m repro load``.
 """

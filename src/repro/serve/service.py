@@ -31,7 +31,9 @@ testable without sockets:
   live method validates and decides, applies the transition, then
   counts, emits and wakes parked pulls; ``replay_record`` applies the
   same transition to a recorded outcome and does nothing else, so
-  crash recovery rebuilds the state with the code that built it.
+  crash recovery rebuilds the state with the code that built it;
+  ``redecide`` folds a log the same way but asks each recorded pull
+  again, so the log checks the decisions the fold takes on trust.
 
 Everything is single-threaded: callers (the asyncio event loop, or a
 test) serialize calls.  Replies to parked requests are delivered
@@ -47,8 +49,9 @@ import random
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import (Callable, Deque, Dict, List, NamedTuple, Optional,
-                    Sequence, Set, Tuple, Union)
+from itertools import zip_longest
+from typing import (Callable, Deque, Dict, Iterable, List, NamedTuple,
+                    Optional, Sequence, Set, Tuple, Union)
 
 from ..core.metrics import FAST_SCORERS
 from ..core.policy_engine import PolicyEngine, SiteFileState
@@ -536,12 +539,11 @@ class SchedulerService:
         iterated sampling without replacement, with the service's
         bookkeeping interleaved per task.
         """
-        assignments = [self._assign(entry.worker, entry.site_id, job)]
+        assignments = [self._assign(entry, job, first=True)]
         while (len(assignments) < entry.max_tasks
                and (job.pending if job is not None
                     else self.engine.has_pending)):
-            assignments.append(
-                self._assign(entry.worker, entry.site_id, job))
+            assignments.append(self._assign(entry, job, first=False))
         self._deliver(entry, assignments)
 
     def _deliver(self, entry: _ParkedRequest,
@@ -565,8 +567,9 @@ class SchedulerService:
                    key=lambda job: job.assigned / (job.weight or 1.0),
                    default=None)
 
-    def _assign(self, worker: str, site_id: int,
-                job: Optional[_JobState]) -> Assignment:
+    def _assign(self, entry: _ParkedRequest, job: Optional[_JobState],
+                first: bool) -> Assignment:
+        worker, site_id = entry.worker, entry.site_id
         start = self._clock()
         if job is None and self._weighted:
             # Weighted-fair pick-order: choose the tenant first, then
@@ -593,6 +596,10 @@ class SchedulerService:
                 "metric": span["metric"],
                 "candidates": span["candidates"],
                 "decision": span["decision"]}
+            if decision and first:
+                # What the pull asked for, so ``redecide`` can ask again.
+                decision.update(scope=entry.job_id,
+                                max_tasks=entry.max_tasks)
             self.events.emit("assign", task_id=task.task_id,
                              site=site_id, worker=worker,
                              job_id=owner_id, lease_id=lease_id,
@@ -1338,6 +1345,14 @@ class SchedulerService:
         self._tasks[task_id] = _TaskRecord(job)
         return True
 
+    def _task(self, task_id: int) -> _TaskRecord:
+        """The record of a task a transition names.  A log is outside
+        input: an id it never admitted is refused, not a ``KeyError``."""
+        record = self._tasks.get(task_id)
+        if record is None:
+            raise ServiceError(f"record for unknown task {task_id!r}")
+        return record
+
     def _dequeue(self, record: _TaskRecord, task_id: int) -> None:
         """Take a task out of the pending set (its job's and the
         engine's), if it is in it."""
@@ -1380,9 +1395,7 @@ class SchedulerService:
 
     def _apply_assign(self, task_id: int, site: int, worker: str,
                       lease_id: int, replica: bool = False) -> bool:
-        record = self._tasks.get(task_id)
-        if record is None:
-            raise ServiceError(f"assign record for unknown task {task_id}")
+        record = self._task(task_id)
         # A replica lease rides on a live primary; a primary lease
         # needs the task to have none.
         if (record.done or lease_id in self._leases
@@ -1407,7 +1420,7 @@ class SchedulerService:
 
     def _apply_complete(self, task_id: int) -> bool:
         """``complete`` and ``steal-task-done``: done, exactly once."""
-        record = self._tasks[task_id]
+        record = self._task(task_id)
         if record.done:
             return False
         job = record.job
@@ -1441,7 +1454,7 @@ class SchedulerService:
         if lease is None or lease.task_id != task_id:
             return False
         self._release_lease(lease)
-        record = self._tasks[task_id]
+        record = self._task(task_id)
         if record.replicas and record.lease is None:
             # The primary went while a replica is still computing the
             # task: the oldest live replica becomes the primary, so
@@ -1452,7 +1465,7 @@ class SchedulerService:
         return True
 
     def _apply_requeue(self, task_id: int) -> bool:
-        record = self._tasks[task_id]
+        record = self._task(task_id)
         lease = record.lease
         if lease is not None:
             # Disconnect requeues have no separate release record.
@@ -1480,10 +1493,11 @@ class SchedulerService:
                             specs: List[Dict]) -> bool:
         if export_id < self._next_export_id:
             return False  # ids only grow: this one was applied before
+        # Every id is looked up before any task moves.
+        records = [(spec["task_id"], self._task(spec["task_id"]))
+                   for spec in specs]
         remaining: Set[int] = set()
-        for spec in specs:
-            task_id = spec["task_id"]
-            record = self._tasks[task_id]
+        for task_id, record in records:
             if record.done:
                 continue
             remaining.add(task_id)
@@ -1512,7 +1526,7 @@ class SchedulerService:
             # reclaimed stays un-acked in the WAL and the next recovery
             # folds what happened since on top of it: by now the task
             # may belong to a later export, or be out under a lease.
-            record = self._tasks[task_id]
+            record = self._task(task_id)
             if record.export == export_id:
                 record.export = None
                 if record.lease is None:
@@ -1565,8 +1579,10 @@ class SchedulerService:
     #: WAL record kind -> (transition, required fields, optional fields).
     #: The field names are the on-disk format (additive-only), written
     #: out here so that renaming a parameter cannot change what recovery
-    #: reads.  The decision span an ``assign`` carries, the ``decision``
-    #: records older logs hold and unknown kinds carry no state.
+    #: reads.  The decision span an ``assign`` carries, the pull a
+    #: traced burst's first ``assign`` names (``scope``, ``max_tasks``:
+    #: read by ``redecide`` only), the ``decision`` records older logs
+    #: hold and unknown kinds carry no state.
     _TRANSITIONS = {
         "submit": (_apply_submit, "job_id task_ids specs", "weight assigned"),
         "assign": (_apply_assign, "task_id site worker lease_id", "replica"),
@@ -1599,7 +1615,8 @@ class SchedulerService:
         recreated for in-flight assignments get a fresh TTL; the
         worker either reconnects and completes under its original
         lease id, or the sweeper requeues the task — exactly-once
-        either way.
+        either way.  A record that lacks a field, or names a task the
+        log never admitted, raises :class:`ServiceError`.
         """
         entry = self._TRANSITIONS.get(record.get("event"))
         if entry is None:
@@ -1610,5 +1627,74 @@ class SchedulerService:
         except KeyError as missing:
             raise ServiceError(
                 f"{record['event']} record lacks {missing}") from None
-        return bool(apply(self, *args,
-                          *map(record.get, optional.split())))
+        try:
+            return bool(apply(self, *args,
+                              *map(record.get, optional.split())))
+        except ServiceError as error:
+            raise ServiceError(f"{record['event']} {error}") from None
+
+    def redecide(self, records: Iterable[Dict],
+                 ) -> List[Tuple[int, Optional[int], Optional[int]]]:
+        """Make a log's pull decisions again; return where they differ.
+
+        Call it on a fresh service with the log's settings and a fixed
+        clock (after :meth:`import_state` of the state the log starts
+        from, if any), so that leases lapse only through the log's
+        ``lease-expire`` records.  Each burst of non-replica
+        ``assign`` records, the grants of one pull, is answered by
+        :meth:`request_tasks` with the worker and site of its first
+        record and the ``scope`` and ``max_tasks`` it names; every
+        other record folds through :meth:`replay_record`.  A log
+        written without a tracer names neither, so its bursts are
+        unscoped pulls of each run of assigns to one worker.
+
+        Returns ``(seq, recorded task id, re-made task id)`` per grant
+        that differs (the record's index when it has no ``seq``; a
+        grant only one side made pairs with None): an empty list means
+        every decision agreed.  After a mismatch the service goes on
+        from its own choice, so later entries may follow from it.
+        """
+        mismatches: List[Tuple[int, Optional[int], Optional[int]]] = []
+        burst: List[Tuple[int, Dict]] = []
+        for index, record in enumerate(records):
+            # An assign that lacks a field goes to replay_record, which
+            # refuses it by name.
+            pulled = (record.get("event") == "assign"
+                      and not record.get("replica")
+                      and {"task_id", "site", "worker"} <= record.keys())
+            joins = (pulled and burst and "max_tasks" not in record
+                     and record["worker"] == burst[0][1]["worker"])
+            if burst and not joins:
+                mismatches += self._repull(burst)
+                burst = []
+            if pulled:
+                burst.append((record.get("seq", index), record))
+            else:
+                self.replay_record(record)
+        if burst:
+            mismatches += self._repull(burst)
+        return mismatches
+
+    def _repull(self, burst: List[Tuple[int, Dict]],
+                ) -> List[Tuple[int, Optional[int], Optional[int]]]:
+        """Ask one recorded pull again; the grants that differ."""
+        first = burst[0][1]
+        granted: List[Assignment] = []
+
+        def deliver(answer: Union[str, List[Assignment]]) -> None:
+            if not isinstance(answer, str):  # a str is a NO_TASK reason
+                granted.extend(answer)
+
+        parked = len(self._parked)
+        self.request_tasks(first["worker"], first["site"],
+                           first.get("max_tasks", len(burst)), deliver,
+                           job_id=first.get("scope"))
+        if len(self._parked) > parked:
+            self._parked.pop()  # the log says this pull was answered
+        mismatches = []
+        for entry, grant in zip_longest(burst, granted):
+            seq, record = entry or (burst[-1][0], {})
+            remade = None if grant is None else grant.task.task_id
+            if record.get("task_id") != remade:
+                mismatches.append((seq, record.get("task_id"), remade))
+        return mismatches

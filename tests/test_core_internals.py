@@ -128,3 +128,18 @@ def test_zero_candidates_fifo_for_overlap_metric(env):
     scheduler = WorkerCentricScheduler(job, metric="overlap", n=2)
     grid.attach_scheduler(scheduler)
     assert scheduler._zero_overlap_candidates(0) == [0, 1]
+
+
+@pytest.mark.parametrize("metric", ["overlap", "rest"])
+def test_a_requeued_task_is_one_zero_candidate(env, metric):
+    """A task put back before its old heap entry was popped has two
+    equal entries; ChooseTask(n) still sees n distinct tasks."""
+    job = make_job([{0}, {1}, {2}])
+    grid = make_grid(env, job, num_sites=1)
+    scheduler = WorkerCentricScheduler(job, metric=metric, n=2)
+    grid.attach_scheduler(scheduler)
+    engine = scheduler.engine
+    engine.remove_task(job[0])  # assigned; its entry stays in the heap
+    engine.add_task(job[0])     # requeued: a second, equal entry
+    assert scheduler._zero_overlap_candidates(0) == [0, 1]
+    assert scheduler._zero_overlap_candidates(0) == [0, 1]

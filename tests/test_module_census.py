@@ -10,7 +10,8 @@ a function.  A package ``__init__`` is different.  Importing a name from
 a package reaches only the module that *defines* that name, so a package
 that re-exports a module nothing uses does not keep that module alive.
 A module nothing reaches has to be deleted, or given a caller in the
-diff that creates it, or named in :data:`ALLOWED` with its reason.
+diff that creates it: a module only tests reach does not belong under
+``src/``.
 """
 
 import ast
@@ -21,14 +22,6 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 ENTRY_MODULES = ("repro.cli", "repro.__main__")
 ENTRY_DIRS = ("benchmarks", "bench", "examples")
-
-#: Modules only tests reach, each with the reason it stays.
-ALLOWED = {
-    "repro.serve.replay": (
-        "the record/replay reference that "
-        "tests/test_core_reference_equivalence.py compares the live "
-        "engine's decisions against"),
-}
 
 
 def _module_files():
@@ -136,22 +129,9 @@ def _absolute(node, module, package):
     return ".".join(parts)
 
 
-def _unreached():
-    census = _Census().run()
-    return sorted(set(census.files) - census.reached)
-
-
 def test_every_module_is_reached_from_an_entry_point():
-    orphans = [module for module in _unreached() if module not in ALLOWED]
+    census = _Census().run()
+    orphans = sorted(set(census.files) - census.reached)
     assert not orphans, (
         f"nothing under {', '.join(ENTRY_MODULES + ENTRY_DIRS)} reaches "
-        f"{orphans}: delete them, give them a caller, or justify them "
-        f"in ALLOWED")
-
-
-def test_the_allowlist_names_only_modules_nothing_reaches():
-    unreached = set(_unreached())
-    stale = sorted(module for module in ALLOWED
-                   if module not in unreached)
-    assert not stale, f"{stale} are reached now; drop them from ALLOWED"
-    assert all(reason for reason in ALLOWED.values())
+        f"{orphans}: delete them or give them a caller")

@@ -15,7 +15,12 @@ that
   crash-and-recover step has swapped the live service for a recovered
   one, so a second recovery folds the first one's aftermath;
 * every known task is in exactly one of pending / leased / exported /
-  completed (nothing lost, nothing held twice).
+  completed (nothing lost, nothing held twice);
+* the records since the last crash-and-recover re-decide: a fresh
+  service given the state that incarnation started from re-makes
+  every pull of the log, scoped, batched and weighted ones included
+  (``SchedulerService.redecide``).  A log re-decides one incarnation
+  at a time: recovery writes no record of where one begins.
 
 The hand-written crash matrix in ``test_cluster_state.py`` and
 ``test_cluster_steal.py`` stays as named regressions.
@@ -23,12 +28,14 @@ The hand-written crash matrix in ``test_cluster_state.py`` and
 
 import json
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, invariant,
                                  precondition, rule)
 
 from repro.obs.events import EventLog
+from repro.obs.trace import DecisionTracer
 from repro.serve.service import (Assignment, SchedulerService,
                                  ServiceError)
 
@@ -48,8 +55,10 @@ task_specs = st.lists(
 def make_service(clock, events=None):
     # Shard 0 of 2 with every optional part armed, so local ids are
     # even, stolen (foreign) ids odd, and tail pulls may replicate.
+    # Traced, as a shard is: its assign records name the pull.
     return SchedulerService(metric="combined", n=2, seed=5, clock=clock,
                             lease_ttl=5.0, events=events,
+                            tracer=DecisionTracer(),
                             id_start=0, id_stride=2,
                             replicate_tail=True, max_replicas=2,
                             steal_watermark=1)
@@ -72,6 +81,9 @@ class ServiceFold(RuleBasedStateMachine):
         self.crashes = 0
         # (export_state(), records before it, crashes before it)
         self.snapshot = None
+        # (export_state() the live incarnation started from, records
+        # before it); a fresh service before the first crash.
+        self.incarnation = (None, 0)
         self.foreign_task_id = 1
 
     # -- bookkeeping -----------------------------------------------------
@@ -246,6 +258,8 @@ class ServiceFold(RuleBasedStateMachine):
         service.events = self.events
         self.live = service
         self.crashes += 1
+        self.incarnation = (through_json(service.export_state()),
+                            self.events.emitted)
 
     @invariant()
     def replay_of_the_whole_log_is_the_live_state(self):
@@ -256,6 +270,15 @@ class ServiceFold(RuleBasedStateMachine):
     def snapshot_plus_tail_is_the_live_state(self):
         if self.snapshot is not None:
             self.check_recovery(*self.snapshot)
+
+    @invariant()
+    def this_incarnation_redecides(self):
+        start, covered = self.incarnation
+        service = make_service(FakeClock())
+        if start is not None:
+            service.import_state(start)
+        assert service.redecide(
+            through_json(self.events.tail())[covered:]) == []
 
     @invariant()
     def every_task_is_in_exactly_one_place(self):
@@ -279,3 +302,32 @@ class ServiceFold(RuleBasedStateMachine):
 ServiceFold.TestCase.settings = settings(
     max_examples=60, stateful_step_count=30, deadline=None)
 TestServiceFold = ServiceFold.TestCase
+
+
+def test_a_log_names_each_pull_so_scoped_batched_weighted_ones_redecide():
+    """Without ``scope`` and ``max_tasks`` these pulls re-decide as
+    unscoped ones and choose other tasks; with them, all agree."""
+    events = EventLog()
+    live = make_service(FakeClock(), events)
+    live.submit_job([{"files": [fid, fid + 1]} for fid in range(6)])
+    live.submit_job([{"files": [fid, 9]} for fid in range(5)],
+                    weight=3.0)
+    live.file_delta(0, [1, 2, 9], [], [9])
+    live.request_tasks("w0", 0, 3, lambda _grants: None, job_id=0)
+    live.request_tasks("w1", 1, 2, lambda _grants: None)
+    live.request_tasks("w0", 0, 2, lambda _grants: None, job_id=2)
+    live.request_task("w2", 0, lambda _grant: None, job_id=0)
+    records = through_json(events.tail())
+    assert make_service(FakeClock()).redecide(records) == []
+    unnamed = [{key: value for key, value in record.items()
+                if key not in ("scope", "max_tasks")}
+               for record in records]
+    assert make_service(FakeClock()).redecide(unnamed) != []
+
+
+def test_redecide_refuses_an_assign_that_lacks_a_field():
+    records = [{"event": "submit", "job_id": 0, "tasks": 1,
+                "task_ids": [0], "specs": [{"files": [1]}]},
+               {"event": "assign", "task_id": 0, "worker": "w0"}]
+    with pytest.raises(ServiceError, match="assign record lacks 'site'"):
+        make_service(FakeClock()).redecide(records)

@@ -20,8 +20,8 @@ order (anchors, their counts and members, the ids marked dirty), and
 on every decision, ranked floats and RNG state included.  A
 ``fast_path=False`` twin of ``batched`` draws along too.
 
-The replay log of :mod:`repro.serve.replay` still records one
-``touch`` event per file.
+A simulated run's write-ahead log records each served batch as one
+``delta`` whose ``referenced_ids`` hold each of its files once.
 """
 
 import random
@@ -35,10 +35,9 @@ from repro.core import policy_engine
 from repro.core.policy_engine import PolicyEngine
 from repro.grid.job import Task
 from repro.grid.storage import SiteStorage
-from repro.serve.replay import (record_run, recorded_decisions,
-                                replay_decisions)
+from repro.serve.service import SchedulerService
 
-from conftest import make_job
+from conftest import make_job, simulated_wal
 from test_policy_fast_path import (METRIC_NAMES, assert_bucket_invariants,
                                    same_draw, settled_refsums, trace,
                                    walked)
@@ -241,19 +240,23 @@ def test_references_through_an_anchor_reach_the_order_as_one_count():
     assert anchor.count == 4 and anchor.members == {0, 1, 2}
 
 
-def test_replay_log_keeps_one_touch_event_per_file():
-    """A recorded run logs each served batch file by file, and the
-    log still replays to the recorded decisions."""
+def test_a_simulated_wal_references_each_served_file_once():
+    """A recorded run logs each served batch's references in one
+    delta, every file once, and the log re-decides to the recorded
+    decisions through the service."""
     rng = random.Random(5)
     task_files = [rng.sample(range(30), rng.randint(2, 8))
                   for _ in range(40)]
     job = make_job(task_files)
-    events = record_run(job, metric="combined", n=2, seed=5,
-                        num_sites=2, workers_per_site=2,
-                        capacity_files=20)
-    touches = Counter(fid for kind, _site, fid in events
-                      if kind == "touch")
+    records, engine = simulated_wal(job, metric="combined", n=2, seed=5,
+                                    num_sites=2, workers_per_site=2,
+                                    capacity_files=20)
+    touches = Counter(fid for record in records
+                      if record["event"] == "delta"
+                      for fid in record["referenced_ids"])
     # Each task is served once, with no cancellation.
     assert touches == Counter(fid for files in task_files for fid in files)
-    assert (replay_decisions(job, events, metric="combined", n=2, seed=5)
-            == recorded_decisions(events))
+    service = SchedulerService(metric="combined", n=2, seed=5,
+                               clock=lambda: 0.0)
+    assert service.redecide(records) == []
+    assert service.engine.rng.getstate() == engine.rng.getstate()
