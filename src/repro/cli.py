@@ -33,7 +33,7 @@ Examples
     python -m repro serve --port 7077 --metric combined --n 2 \
         --metrics-port 9090 --event-log events.jsonl
     python -m repro load --port 7077 --tasks 500 --sites 4 --workers 2 \
-        --batch 8 --aggregate-deltas
+        --batch 8
     python -m repro top --port 9090 --once
 """
 
@@ -465,8 +465,6 @@ def _cmd_load(args: argparse.Namespace) -> int:
             drain=not args.no_drain,
             event_log=args.event_log,
             batch=args.batch,
-            aggregate_deltas=args.aggregate_deltas,
-            delta_flush_interval=args.delta_flush_interval,
             codec=args.codec))
     except ValueError as exc:
         print(f"repro load: {exc}", file=sys.stderr)
@@ -486,12 +484,6 @@ def _cmd_load(args: argparse.Namespace) -> int:
     if report["reconnects"]:
         print(f"reconnects       : {report['reconnects']} (workers "
               f"resumed across shard restarts)")
-    if args.aggregate_deltas:
-        aggregation = report["delta_aggregation"]
-        print(f"delta dedup      : "
-              f"{aggregation['duplicates_suppressed']} duplicate "
-              f"op(s) suppressed across "
-              f"{len(aggregation['sites'])} site aggregator(s)")
     if args.event_log:
         print(f"event log        : {args.event_log}")
     print("server stats:")
@@ -751,14 +743,6 @@ def build_parser() -> argparse.ArgumentParser:
                                   "(TASK_BATCH); completions are "
                                   "pipelined at any depth (default 1 "
                                   "= a batch of one, answered TASK)")
-    load_parser.add_argument("--aggregate-deltas", action="store_true",
-                             help="coalesce FILE_DELTAs from workers "
-                                  "sharing a site through one "
-                                  "site-local aggregator")
-    load_parser.add_argument("--delta-flush-interval", type=float,
-                             default=0.02,
-                             help="aggregator flush interval in "
-                                  "seconds (with --aggregate-deltas)")
     load_parser.add_argument("--no-drain", action="store_true",
                              help="leave the server running afterwards")
     load_parser.add_argument("--event-log", default=None,

@@ -18,7 +18,9 @@ newest verified snapshot restores the bulk of the state
 :meth:`SchedulerService.replay_record`.  The new incarnation's event
 log continues the WAL sequence (``seq_start``), so the log stays one
 monotone history across restarts and the *next* recovery can do the
-same dance.
+same dance.  A restarted incarnation's first record is ``recovered``
+(:meth:`SchedulerService.log_recovery`), which lets
+:meth:`SchedulerService.redecide` go on across the restart.
 
 Durability contract: a WAL record is in the OS before any byte that
 could reveal its effect leaves the process — the owner of the log
@@ -286,6 +288,8 @@ def open_shard(state_dir: str, metric: str = "combined", n: int = 2,
                       seq_start=report["next_seq"],
                       max_bytes=WAL_MAX_BYTES, backups=WAL_BACKUPS)
     service.events = events
+    if report["next_seq"]:  # a restart: mark where this log resumes
+        service.log_recovery(report["snapshot_seq"])
     return ShardDurability(service, events, state_dir, report,
                            shard_index=shard_index,
                            shard_count=shard_count,

@@ -65,6 +65,9 @@ EVENT_SCHEMAS: Dict[str, Set[str]] = {
     "requeue": {"task_id", "reason"},
     "delta": {"site", "added", "removed", "referenced"},
     "drain": set(),
+    # The first record of a recovered shard incarnation: the snapshot
+    # seq it resumed from (None: the whole log) and its engine RNG.
+    "recovered": {"wal_seq", "rng"},
     # Written before decisions rode on their ``assign`` record; kept so
     # those logs still read (replay skips them).
     "decision": {"site", "metric", "chosen", "candidates"},

@@ -28,7 +28,6 @@ CLI entry points: ``python -m repro serve`` and ``python -m repro load``.
 from .. import _lazy_exports
 
 _LAZY = {
-    "DeltaAggregator": ("repro.serve.client", "DeltaAggregator"),
     "JobHandle": ("repro.serve.client", "JobHandle"),
     "SchedulerClient": ("repro.serve.client", "SchedulerClient"),
     "WorkerClient": ("repro.serve.client", "WorkerClient"),

@@ -34,21 +34,13 @@ decision-identical to per-task reports) and piggybacks the next
 ``REQUEST_TASK`` on the same write burst, so a grant of k tasks costs
 ~one round trip.  The strict in-order request/response protocol makes
 this safe: replies are consumed in send order before the next blocking
-call's reply.  Two throughput levers sit on top:
-
-* **batched pulls** (``batch=k``): ``REQUEST_TASK`` carries
-  ``max_tasks`` and the server answers with a ``TASK_BATCH`` of up to
-  k leased tasks.  ``batch=1`` is a batch of one on the older wire
-  shapes — no ``max_tasks``, a plain ``TASK`` back — through the same
-  loop.  A server that predates ``max_tasks`` ignores the unknown
-  field and answers a plain ``TASK`` too; the worker then runs
-  batches of one.
-* **delta aggregation** (:class:`DeltaAggregator`): workers sharing a
-  site hand their cache deltas to one site-local aggregator, which
-  coalesces overlapping adds/removes against its view of what the
-  server already knows and flushes one deduplicated ``FILE_DELTA``
-  per interval — cutting the redundant wire traffic co-located
-  workers otherwise produce.
+call's reply.  On top of it, **batched pulls** (``batch=k``):
+``REQUEST_TASK`` carries ``max_tasks`` and the server answers with a
+``TASK_BATCH`` of up to k leased tasks.  ``batch=1`` is a batch of one
+on the older wire shapes — no ``max_tasks``, a plain ``TASK`` back —
+through the same loop.  A server that predates ``max_tasks`` ignores
+the unknown field and answers a plain ``TASK`` too; the worker then
+runs batches of one.
 
 :class:`SchedulerClient` is the submitter/operator side:
 :meth:`SchedulerClient.submit` sends a job (chunked ``JOB_SUBMIT``
@@ -342,7 +334,6 @@ class WorkerClient:
                  job_id: Optional[int] = None,
                  events: Optional[EventLog] = None,
                  batch: int = 1,
-                 delta_sink: Optional["DeltaAggregator"] = None,
                  codec: str = "auto",
                  resume_window: float = 30.0,
                  retry_interval: float = 0.2,
@@ -374,11 +365,6 @@ class WorkerClient:
         #: gets a TASK_BATCH; 1 sends no max_tasks and gets a TASK — a
         #: batch of one through the same pipelined loop.
         self.batch = batch
-        #: When set, cache deltas go to this site-local aggregator
-        #: instead of straight to the wire (see
-        #: :class:`DeltaAggregator`).  The local LRU mirror still
-        #: runs — only the reporting is coalesced.
-        self.delta_sink = delta_sink
         #: Behind a router: how long reconnects may keep failing with
         #: nothing completed before the outage is reported instead of
         #: ridden out; the supervisor restarts a crashed shard well
@@ -508,15 +494,14 @@ class WorkerClient:
             assignments = self._as_assignments(reply)
             self.batches_pulled += 1
             self._held = {a.lease_id for a in assignments}
-            fold: Optional[_DeltaFold] = (
-                None if self.delta_sink is not None else _DeltaFold())
+            fold = _DeltaFold()
             try:
                 for assignment in assignments:
                     await self._execute(conn, assignment, fold)
                     self._held.discard(assignment.lease_id)
             finally:
                 self._held = set()
-            if fold is not None and fold.referenced:
+            if fold.referenced:
                 conn.send_nowait(fold.message(self.site),
                                  on_reply=self._expect_ack)
             # Completion pipelining: this write shares a burst with
@@ -542,7 +527,7 @@ class WorkerClient:
 
     async def _execute(self, conn: _Connection,
                        assignment: messages.TaskAssign,
-                       fold: Optional["_DeltaFold"]) -> None:
+                       fold: _DeltaFold) -> None:
         files = assignment.files
         missing = [fid for fid in files if fid not in self.cache]
         self._emit("assign", task_id=assignment.task_id, site=self.site,
@@ -553,16 +538,9 @@ class WorkerClient:
             await self._work(conn, self.seconds_per_file * len(missing))
         delta = self.cache.admit(files)
         self.files_fetched += len(delta["added"])
-        if self.delta_sink is not None:
-            # Site-local coalescing: the aggregator owns the wire
-            # reporting; no FILE_DELTA from this worker at all.
-            self.delta_sink.report(added=delta["added"],
-                                   removed=delta["removed"],
-                                   referenced=list(files))
-        else:
-            # _pull sends one merged FILE_DELTA before the next
-            # REQUEST_TASK.
-            fold.add(delta["added"], delta["removed"], files)
+        # _pull sends one merged FILE_DELTA before the next
+        # REQUEST_TASK.
+        fold.add(delta["added"], delta["removed"], files)
         if delta["added"] or delta["removed"]:
             self._emit("delta", site=self.site,
                        added=len(delta["added"]),
@@ -619,159 +597,6 @@ class WorkerClient:
             if not isinstance(reply, messages.HeartbeatAck):
                 raise RuntimeError(f"expected HEARTBEAT_ACK, got {reply}")
             self.heartbeats_sent += 1
-
-
-class DeltaAggregator:
-    """Site-local FILE_DELTA coalescer for co-located workers.
-
-    Workers on one site each mirror their own cache, so their delta
-    streams overlap: two workers fetching the same popular file both
-    report it added, and a file one worker re-fetches right after
-    another evicted it crosses the wire twice.  The aggregator sits
-    between a site's workers and the server: :meth:`report` folds
-    each worker's delta into the *desired* site state (last op per
-    file wins), and a periodic flush sends one deduplicated
-    ``FILE_DELTA`` carrying only the net changes against what the
-    server already believes about the site.
-
-    References are **not** deduplicated: the paper's r_i reference
-    counts weight files by how often tasks use them, so multiplicity
-    is preserved verbatim — only the add/remove residency churn is
-    coalesced.
-
-    One aggregator per site, shared by its workers::
-
-        async with DeltaAggregator(host, port, site=3) as agg:
-            fleet = [WorkerClient(..., site=3, delta_sink=agg)
-                     for _ in range(4)]
-            await asyncio.gather(*(w.run() for w in fleet))
-
-    Exiting the context cancels the flusher and performs a final
-    best-effort flush, so nothing reported is ever silently dropped
-    while the server is up.
-    """
-
-    def __init__(self, host: str, port: int, site: int,
-                 flush_interval: float = 0.02,
-                 name: Optional[str] = None,
-                 events: Optional[EventLog] = None,
-                 codec: str = "auto"):
-        if flush_interval <= 0:
-            raise ValueError(
-                f"flush_interval must be > 0, got {flush_interval}")
-        self._conn = _Connection(host, port, codec=codec)
-        self.site = site
-        self.flush_interval = flush_interval
-        self.name = name if name is not None else f"delta-agg-s{site}"
-        self.events = events
-        #: Post-flush residency each file should have (True=resident).
-        #: Files whose desired state already matches the server view
-        #: never make it onto the wire.
-        self._desired: Dict[int, bool] = {}
-        #: What the server believes is resident at this site, as far
-        #: as this aggregator has told it.
-        self._server_resident: Set[int] = set()
-        self._referenced: List[int] = []
-        self.reports = 0
-        self.flushes = 0
-        self.duplicates_suppressed = 0
-        self._flusher: Optional[asyncio.Task] = None
-        self._flush_lock = asyncio.Lock()
-
-    async def __aenter__(self) -> "DeltaAggregator":
-        await self.start()
-        return self
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.stop()
-
-    async def start(self) -> None:
-        await self._conn.open()
-        await self._conn.hello(self.name, self.site)
-        self._flusher = asyncio.get_running_loop().create_task(
-            self._flush_loop())
-
-    async def stop(self) -> None:
-        if self._flusher is not None:
-            self._flusher.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._flusher
-            self._flusher = None
-        # Final flush is best-effort: if the server already went away
-        # (e.g. post-drain teardown) there is nobody left to tell.
-        with contextlib.suppress(ConnectionError, ConnectionResetError,
-                                 BrokenPipeError):
-            await self.flush()
-        await self._conn.close()
-
-    def report(self, added: List[int], removed: List[int],
-               referenced: List[int]) -> None:
-        """Fold one worker's cache delta into the pending picture.
-
-        An op that would not change the pending site state (the file
-        is already headed where the op puts it) is a duplicate from a
-        co-located worker and is suppressed instead of queued.
-        """
-        self.reports += 1
-        for fid in removed:
-            if self._pending_state(fid):
-                self._desired[fid] = False
-            else:
-                self.duplicates_suppressed += 1
-        for fid in added:
-            if self._pending_state(fid):
-                self.duplicates_suppressed += 1
-            else:
-                self._desired[fid] = True
-        self._referenced.extend(referenced)
-
-    def _pending_state(self, fid: int) -> bool:
-        """Residency of ``fid`` as of the next flush."""
-        if fid in self._desired:
-            return self._desired[fid]
-        return fid in self._server_resident
-
-    async def flush(self) -> None:
-        """Send one deduplicated FILE_DELTA with the net changes."""
-        async with self._flush_lock:
-            desired, self._desired = self._desired, {}
-            referenced, self._referenced = self._referenced, []
-            added = sorted(fid for fid, want in desired.items()
-                           if want and fid not in self._server_resident)
-            removed = sorted(fid for fid, want in desired.items()
-                             if not want and fid in self._server_resident)
-            # Entries matching the server view are add/remove pairs
-            # that cancelled out within one window: pure churn the
-            # wire never sees.
-            self.duplicates_suppressed += (
-                len(desired) - len(added) - len(removed))
-            # Update the server view before awaiting so reports that
-            # land mid-flight dedup against the post-flush state.
-            self._server_resident.update(added)
-            self._server_resident.difference_update(removed)
-            if not added and not removed and not referenced:
-                return
-            ack = await self._conn.call(messages.FileDelta(
-                site=self.site, added=added, removed=removed,
-                referenced=referenced))
-            if not isinstance(ack, messages.Ack):
-                raise RuntimeError(f"expected ACK, got {ack}")
-            self.flushes += 1
-            if self.events is not None and (added or removed):
-                self.events.emit("delta", site=self.site,
-                                 added=len(added), removed=len(removed),
-                                 referenced=len(referenced),
-                                 aggregated=True)
-
-    async def _flush_loop(self) -> None:
-        while True:
-            await asyncio.sleep(self.flush_interval)
-            await self.flush()
-
-    def summary(self) -> Dict:
-        return {"site": self.site, "reports": self.reports,
-                "flushes": self.flushes,
-                "duplicates_suppressed": self.duplicates_suppressed}
 
 
 class JobHandle:

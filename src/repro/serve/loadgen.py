@@ -16,12 +16,10 @@ router's is the cross-shard aggregate) and optionally drains.
 ``serve_and_load`` bundles server + load into one event loop for
 tests, benchmarks and single-command demos.
 
-Throughput levers: ``batch=k`` gives every worker a prefetch depth of
+Throughput lever: ``batch=k`` gives every worker a prefetch depth of
 k (``TASK_BATCH`` pulls; the default 1 is a batch of one through the
-same pipelined loop), and ``aggregate_deltas=True`` routes cache
-deltas through one site-local
-:class:`~repro.serve.client.DeltaAggregator` per site instead of one
-``FILE_DELTA`` per pull per worker.
+same pipelined loop).  Each worker reports its cache changes itself,
+one merged ``FILE_DELTA`` per grant on its own connection.
 """
 
 from __future__ import annotations
@@ -32,8 +30,8 @@ from typing import Dict, Optional, Sequence
 
 from ..grid.job import Job
 from ..obs.events import EventLog
-from .client import (SUBMIT_CHUNK, DeltaAggregator, JobHandle,
-                     SchedulerClient, WorkerClient)
+from .client import (SUBMIT_CHUNK, JobHandle, SchedulerClient,
+                     WorkerClient)
 from .server import SchedulerServer
 from .service import SchedulerService
 
@@ -49,8 +47,6 @@ async def run_load(host: str, port: int, jobs: Sequence[Job],
                    drain: bool = True,
                    event_log: Optional[str] = None,
                    batch: int = 1,
-                   aggregate_deltas: bool = False,
-                   delta_flush_interval: float = 0.02,
                    codec: str = "auto",
                    resume_window: float = 30.0,
                    unscoped: bool = False) -> Dict:
@@ -86,12 +82,6 @@ async def run_load(host: str, port: int, jobs: Sequence[Job],
             stack.enter_context(events)
         control = await stack.enter_async_context(
             SchedulerClient(host, port, name="loadgen", codec=codec))
-        if aggregate_deltas and control.shard_count > 1:
-            raise ValueError(
-                "aggregate_deltas needs one scheduler behind the "
-                f"address, found {control.shard_count} shards: a "
-                "site's workers pull from different shards and one "
-                "aggregator reports to one")
         handles = []
         for job in jobs:
             handle = await control.submit(job)
@@ -100,16 +90,6 @@ async def run_load(host: str, port: int, jobs: Sequence[Job],
                 events.emit("submit", job_id=handle.job_id,
                             tasks=len(handle.task_ids),
                             task_ids=handle.task_ids)
-        aggregators: Dict[int, DeltaAggregator] = {}
-        if aggregate_deltas:
-            scheduler = control.shard_map()[0]
-            for site in sorted({index % sites
-                                for index in range(workers)}):
-                aggregators[site] = await stack.enter_async_context(
-                    DeltaAggregator(scheduler["host"],
-                                    scheduler["port"], site,
-                                    flush_interval=delta_flush_interval,
-                                    events=events, codec=codec))
         fleet = [
             WorkerClient(host, port, worker=f"w{index}",
                          site=index % sites,
@@ -119,7 +99,6 @@ async def run_load(host: str, port: int, jobs: Sequence[Job],
                          job_id=(None if unscoped else
                                  handles[index % len(handles)].job_id),
                          events=events, batch=batch,
-                         delta_sink=aggregators.get(index % sites),
                          codec=codec, resume_window=resume_window,
                          shard=(index % control.shard_count
                                 if unscoped else None))
@@ -134,10 +113,6 @@ async def run_load(host: str, port: int, jobs: Sequence[Job],
                 await handle.wait_done()
         else:
             await asyncio.gather(*running)
-        # Push any still-buffered deltas so the final stats reflect
-        # everything the workers reported.
-        for aggregator in aggregators.values():
-            await aggregator.flush()
         job_statuses = [await handle.status() for handle in handles]
         stats = await control.stats()
         if drain or unscoped:
@@ -171,13 +146,6 @@ async def run_load(host: str, port: int, jobs: Sequence[Job],
         "batch": batch,
         "codec": codec,
         "workers": summaries,
-        "delta_aggregation": {
-            "enabled": aggregate_deltas,
-            "sites": [agg.summary() for agg in aggregators.values()],
-            "duplicates_suppressed": sum(
-                agg.duplicates_suppressed
-                for agg in aggregators.values()),
-        },
         "audit": audit,
         "stats": stats,
         "event_log": event_log,
@@ -192,8 +160,6 @@ async def serve_and_load(job: Job, workers: int = 8, sites: int = 4,
                          lease_ttl: Optional[float] = None,
                          event_log: Optional[str] = None,
                          batch: int = 1,
-                         aggregate_deltas: bool = False,
-                         delta_flush_interval: float = 0.02,
                          codec: str = "auto") -> Dict:
     """In-process server + load run; returns the load report."""
     kwargs = {} if lease_ttl is None else {"lease_ttl": lease_ttl}
@@ -207,10 +173,7 @@ async def serve_and_load(job: Job, workers: int = 8, sites: int = 4,
             sites=sites,
             capacity_files=capacity_files, flops_per_sec=flops_per_sec,
             seconds_per_file=seconds_per_file, drain=True,
-            event_log=event_log, batch=batch,
-            aggregate_deltas=aggregate_deltas,
-            delta_flush_interval=delta_flush_interval,
-            codec=codec)
+            event_log=event_log, batch=batch, codec=codec)
         await serve_task
     finally:
         if not serve_task.done():

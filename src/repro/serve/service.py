@@ -177,6 +177,17 @@ class _TaskRecord:
         self.done = False
 
 
+def _rng_row(rng: random.Random) -> List:
+    """``rng``'s state as JSON-native data."""
+    version, internal, gauss = rng.getstate()
+    return [version, list(internal), gauss]
+
+
+def _resume_rng(rng: random.Random, row: List) -> None:
+    version, internal, gauss = row
+    rng.setstate((version, tuple(internal), gauss))
+
+
 def _make_task(task_id: int, files: Sequence[int], flops: float) -> Task:
     """A task as the service holds it, admitted live or recovered.
 
@@ -1006,12 +1017,15 @@ class SchedulerService:
         tasks (a re-forward after a thief crash) count as duplicates
         and change nothing: the receiver is idempotent, so the
         thief's at-least-once forwarding is exactly-once end to end.
+        A batch naming an unknown id is refused whole: every id is
+        looked up before any lands.
         """
+        for task_id in task_ids:
+            if task_id not in self._tasks:
+                raise ServiceError(f"unknown task id {task_id!r}")
         completed = duplicates = 0
         for task_id in task_ids:
-            record = self._tasks.get(task_id)
-            if record is None:
-                raise ServiceError(f"unknown task id {task_id!r}")
+            record = self._tasks[task_id]
             if not self._apply_complete(task_id):
                 self.stats.metrics["duplicate_completions"].inc()
                 duplicates += 1
@@ -1164,7 +1178,6 @@ class SchedulerService:
         replicas = [lease_row(lease) for _task_id, record in records
                     for lease in record.replicas]
         engine = self.engine
-        rng_state = engine.rng.getstate()
         state = {
             "version": self.STATE_VERSION,
             "metric": engine.metric_name,
@@ -1174,7 +1187,7 @@ class SchedulerService:
             "next_task_id": self._next_task_id,
             "next_job_id": self._next_job_id,
             "next_lease_id": self._next_lease_id,
-            "rng": [rng_state[0], list(rng_state[1]), rng_state[2]],
+            "rng": _rng_row(engine.rng),
             "decisions": engine.decisions,
             "tasks_scored": engine.tasks_scored,
             "tasks": [[task_id, sorted(task.files), task.flops]
@@ -1313,12 +1326,24 @@ class SchedulerService:
         self._next_job_id = state["next_job_id"]
         self._next_lease_id = state["next_lease_id"]
         self._next_export_id = steal.get("next_export_id", 1)
-        rng_version, rng_internal, rng_gauss = state["rng"]
-        engine.rng.setstate((rng_version, tuple(rng_internal),
-                             rng_gauss))
+        _resume_rng(engine.rng, state["rng"])
         engine.decisions = state.get("decisions", 0)
         engine.tasks_scored = state.get("tasks_scored", 0)
         self._draining = bool(state.get("draining", False))
+
+    def log_recovery(self, wal_seq: Optional[int]) -> None:
+        """Begin a recovered incarnation's log with a ``recovered``
+        record: the snapshot's ``wal_seq`` it resumed from and the RNG
+        it resumed with.
+
+        Recovery folds outcomes, so the engine goes on from the
+        snapshot's RNG rather than the one the lost incarnation had
+        reached, and it reclaims un-acked exports without a record.
+        :meth:`redecide` does both again here; :meth:`replay_record`
+        skips the record, which holds no state the fold lacks.
+        """
+        self._emit("recovered", wal_seq=wal_seq,
+                   rng=_rng_row(self.engine.rng))
 
     # -- state transitions -----------------------------------------------
     # One per WAL record kind, taking that record's fields, tolerating a
@@ -1581,8 +1606,9 @@ class SchedulerService:
     #: out here so that renaming a parameter cannot change what recovery
     #: reads.  The decision span an ``assign`` carries, the pull a
     #: traced burst's first ``assign`` names (``scope``, ``max_tasks``:
-    #: read by ``redecide`` only), the ``decision`` records older logs
-    #: hold and unknown kinds carry no state.
+    #: read by ``redecide`` only), an incarnation's ``recovered``
+    #: record, the ``decision`` records older logs hold and unknown
+    #: kinds carry no state.
     _TRANSITIONS = {
         "submit": (_apply_submit, "job_id task_ids specs", "weight assigned"),
         "assign": (_apply_assign, "task_id site worker lease_id", "replica"),
@@ -1646,7 +1672,10 @@ class SchedulerService:
         record and the ``scope`` and ``max_tasks`` it names; every
         other record folds through :meth:`replay_record`.  A log
         written without a tracer names neither, so its bursts are
-        unscoped pulls of each run of assigns to one worker.
+        unscoped pulls of each run of assigns to one worker.  A
+        ``recovered`` record (:meth:`log_recovery`) is a restart: the
+        un-acked exports are reclaimed and the RNG resumes from it, as
+        recovery did, so one call re-decides a log across restarts.
 
         Returns ``(seq, recorded task id, re-made task id)`` per grant
         that differs (the record's index when it has no ``seq``; a
@@ -1669,6 +1698,9 @@ class SchedulerService:
                 burst = []
             if pulled:
                 burst.append((record.get("seq", index), record))
+            elif record.get("event") == "recovered":
+                self.requeue_unacked_exports()
+                _resume_rng(self.engine.rng, record["rng"])
             else:
                 self.replay_record(record)
         if burst:

@@ -174,13 +174,6 @@ def test_cluster_survives_kill9_with_exactly_once_completion(tmp_path):
             lambda c: isinstance(c.get("router", {}).get("port"), int),
             time.monotonic() + 45, "router port")
         router_port = cluster["router"]["port"]
-        # One aggregator reports to one scheduler: refused up front,
-        # before anything is submitted.
-        refused = run_cli(["load", "--port", str(router_port),
-                           "--tasks", "8", "--aggregate-deltas"])
-        assert refused.returncode == 2
-        assert "aggregate_deltas" in refused.stderr
-        assert "2 shards" in refused.stderr
         jobs = [coadd_job(40, seed=seed) for seed in (1, 2, 3)]
 
         async def kill_shard_one():

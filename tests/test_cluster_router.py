@@ -533,32 +533,18 @@ def test_one_worker_object_keeps_cache_and_counters_across_reconnect():
     run(scenario())
 
 
-def test_aggregate_deltas_follows_a_one_shard_router_and_refuses_many():
+def test_a_multi_site_fleet_follows_a_one_shard_router():
     async def scenario():
         router, shards = await start_cluster(shard_count=1)
         try:
             report = await run_load(
                 router.host, router.port, [coadd_job(16, seed=2)],
-                workers=4, sites=2, capacity_files=400,
-                aggregate_deltas=True)
+                workers=4, sites=2, capacity_files=400)
             assert report["tasks_done"] == 16
-            assert report["delta_aggregation"]["enabled"]
-            assert [site["site"] for site
-                    in report["delta_aggregation"]["sites"]] == [0, 1]
-            assert all(site["flushes"] >= 1 for site
-                       in report["delta_aggregation"]["sites"])
+            assert report["audit"]["clean"]
+            assert [worker["shard"] for worker in report["workers"]] \
+                == [0, 0, 0, 0]
         finally:
-            await stop_cluster(router, shards)
-        router, shards = await start_cluster(shard_count=2)
-        try:
-            await run_load(router.host, router.port, [coadd_job(4)],
-                           aggregate_deltas=True)
-        except ValueError as exc:
-            assert "2 shards" in str(exc)
-        else:  # pragma: no cover - must be refused up front
-            raise AssertionError("per-shard aggregation was accepted")
-        finally:
-            assert shards[0][0].stats.tasks_submitted == 0
             await stop_cluster(router, shards)
 
     run(scenario())

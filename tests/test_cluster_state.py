@@ -22,6 +22,7 @@ from repro.cluster.snapshot import (SnapshotError, list_snapshots,
                                     load_latest_snapshot, load_snapshot,
                                     snapshot_path, write_snapshot)
 from repro.obs.events import EventLog, iter_events
+from repro.obs.trace import DecisionTracer
 from repro.serve.service import SchedulerService
 
 
@@ -498,16 +499,73 @@ def test_open_shard_continues_the_wal_sequence(tmp_path):
     first.events.flush()  # JOB_ACCEPTED
     next_seq = first.events.next_seq
     assert next_seq > 0
-    # Crash; the second incarnation appends where the first stopped.
+    # Crash; the second incarnation appends where the first stopped,
+    # beginning with the record of where it resumed.
     second = open_shard(state_dir, clock=FakeClock())
     assert second.report["next_seq"] == next_seq
-    assert second.events.next_seq == next_seq
+    assert second.events.next_seq == next_seq + 1
     submit(second.service, SPECS[2:], job_id=0)
-    seqs = [record["seq"] for path in wal_files(state_dir)
-            for record in iter_events(path)]
+    rng = second.service.export_state()["rng"]
+    second.close()
+    records = [record for path in wal_files(state_dir)
+               for record in iter_events(path)]
+    seqs = [record["seq"] for record in records]
     assert seqs == sorted(seqs)
     assert len(set(seqs)) == len(seqs)  # one monotone history
-    second.close()
+    boundary = records[seqs.index(next_seq)]
+    assert boundary["event"] == "recovered"
+    assert boundary["wal_seq"] == second.report["snapshot_seq"]
+    assert boundary["rng"] == json.loads(json.dumps(rng))
+
+
+def test_a_log_spanning_a_crash_redecides_in_one_call(tmp_path):
+    """kill -9 after a snapshot and more decisions: the restarted
+    shard resumes with the snapshot's RNG, not the one the dead
+    incarnation reached.  Its ``recovered`` record says so, and the
+    whole WAL, both incarnations, re-decides with no mismatch and
+    ends on the live RNG."""
+    import random
+
+    def life(shard, rounds, seed):
+        service, picks = shard.service, random.Random(seed)
+        for step in range(rounds):
+            worker, site = f"w{step % 3}", step % 3
+            grants = []
+            service.request_tasks(worker, site, picks.randint(1, 3),
+                                  grants.extend)
+            for grant in grants:
+                service.file_delta(site, list(grant.task.files), [],
+                                   list(grant.task.files))
+                service.task_done(worker, grant.task.task_id,
+                                  grant.lease_id)
+            shard.events.flush()
+
+    specs = [([fid % 9, (fid * 5) % 9, 9 + fid % 4], 1.0)
+             for fid in range(60)]
+    state_dir = str(tmp_path)
+    options = dict(metric="combined", n=2, seed=3, lease_ttl=5.0)
+    shard = open_shard(state_dir, clock=FakeClock(),
+                       tracer=DecisionTracer(), **options)
+    submit(shard.service, specs)
+    shard.events.flush()
+    life(shard, 6, seed=1)
+    assert shard.maybe_snapshot() is not None
+    life(shard, 6, seed=2)  # decisions past the snapshot
+    # Crash: no close(); every record was committed before a reply.
+    shard = open_shard(state_dir, clock=FakeClock(),
+                       tracer=DecisionTracer(), **options)
+    assert shard.report["snapshot_seq"] is not None
+    life(shard, 12, seed=3)
+    live_rng = shard.service.engine.rng.getstate()
+    shard.close()
+
+    records = [record for path in wal_files(state_dir)
+               for record in iter_events(path)]
+    assert [record["event"] for record in records].count(
+        "recovered") == 1
+    fresh = SchedulerService(clock=FakeClock(), **options)
+    assert fresh.redecide(records) == []
+    assert fresh.engine.rng.getstate() == live_rng
 
 
 def test_a_torn_burst_leaves_every_next_recovery_readable(tmp_path):
@@ -843,7 +901,9 @@ def test_recovered_draining_shard_with_nothing_outstanding_exits(
 
     asyncio.run(serve())
     second.close()
-    assert wal_records() == before  # no second ``drain`` record
+    # No second ``drain`` record: only the restart's own.
+    assert [record["event"] for record in wal_records()[len(before):]] \
+        == ["recovered"]
 
 
 # What the parent commit (PR 14) wrote for ``parent_shaped_life``: its

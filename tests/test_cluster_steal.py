@@ -23,14 +23,17 @@ Five groups:
 
 import asyncio
 
+import pytest
+
 from repro.cli import build_parser
 from repro.cluster.shard import open_shard
 from repro.cluster.steal import StealManager
 from repro.cluster.supervisor import ClusterSupervisor
+from repro.obs.events import EventLog
 from repro.serve import messages
 from repro.serve.client import SchedulerClient, WorkerClient
 from repro.serve.server import SchedulerServer
-from repro.serve.service import SchedulerService
+from repro.serve.service import SchedulerService, ServiceError
 
 TIMEOUT = 60
 
@@ -235,6 +238,28 @@ def test_victim_crash_after_ack_preserves_export(tmp_path):
     assert second.service.stats.completions == 4
     assert second.service.exported_outstanding == 0
     second.close()
+
+
+def test_a_refused_steal_done_changes_nothing():
+    """A ``STEAL_DONE`` naming one task the victim never had is refused
+    whole: the known completion beside it does not land, so the ERROR
+    answer is the truth and no ``complete`` record or counter moves."""
+    events = EventLog()
+    service = SchedulerService(metric="combined", n=2, seed=3,
+                               id_start=0, id_stride=2,
+                               steal_watermark=1, events=events)
+    submit(service, SPECS)
+    grant = service.export_steal_batch("steal/1", 1, [])
+    assert service.steal_export_acked(grant["export_id"])
+    known = grant["tasks"][0]["task_id"]
+    before = (service.export_state(), events.emitted,
+              service.stats.completions)
+    with pytest.raises(ServiceError, match="unknown task id 999"):
+        service.steal_done([known, 999], "steal/1")
+    assert (service.export_state(), events.emitted,
+            service.stats.completions) == before
+    assert service.steal_done([known], "steal/1") \
+        == {"completed": 1, "duplicates": 0}
 
 
 # -- thief crashes -----------------------------------------------------------

@@ -44,8 +44,8 @@ PARAMETERS = [
     (ClusterSupervisor, 11),
     (StealManager, 7),
     (PeerLink, 4),
-    (WorkerClient, 15),
-    (run_load, 16),
+    (WorkerClient, 14),
+    (run_load, 14),
     (open_shard, 9),  # its **service_options are SchedulerService's
     (EventLog, 6),  # its owner commits: no flush-per-record knob
     (ServeStats, 1),  # ``clock``, which tests substitute
@@ -54,7 +54,7 @@ PARAMETERS = [
 FLAGS = {
     "run": 10, "compare": 11, "sweep": 15, "workload": 10,
     "reproduce": 3, "serve": 24, "cluster": 14,
-    "load": 21, "scenario list": 0, "scenario run": 5,
+    "load": 19, "scenario list": 0, "scenario run": 5,
     "scenario compare": 0, "top": 4,
 }
 

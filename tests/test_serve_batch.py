@@ -279,24 +279,6 @@ def test_e2e_batched_fleet_completes_job_exactly_once():
     assert report["jobs"][0]["status"]["done"]
 
 
-def test_e2e_delta_aggregation_coalesces_colocated_workers():
-    job = coadd_job(60)
-    report = run(serve_and_load(job, workers=8, sites=2,
-                                metric="combined", n=2, seed=1,
-                                capacity_files=300, batch=4,
-                                aggregate_deltas=True))
-    assert report["tasks_done"] == len(job)
-    aggregation = report["delta_aggregation"]
-    assert aggregation["enabled"]
-    assert len(aggregation["sites"]) == 2
-    # Co-located workers over a shared Coadd working set must overlap.
-    assert aggregation["duplicates_suppressed"] > 0
-    # And the server never saw a redundant add/remove: the aggregator
-    # already dropped them client-side.
-    assert report["stats"]["delta_dedup"] == {"duplicate_adds": 0,
-                                              "duplicate_removes": 0}
-
-
 def test_e2e_abrupt_death_mid_batch_requeues_all_leases():
     async def scenario():
         service = SchedulerService(metric="rest", n=1)

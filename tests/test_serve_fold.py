@@ -16,11 +16,12 @@ that
   one, so a second recovery folds the first one's aftermath;
 * every known task is in exactly one of pending / leased / exported /
   completed (nothing lost, nothing held twice);
-* the records since the last crash-and-recover re-decide: a fresh
-  service given the state that incarnation started from re-makes
-  every pull of the log, scoped, batched and weighted ones included
-  (``SchedulerService.redecide``).  A log re-decides one incarnation
-  at a time: recovery writes no record of where one begins.
+* the whole log re-decides in one call: a fresh service re-makes
+  every pull of it, scoped, batched and weighted ones included, and
+  ends on the live RNG (``SchedulerService.redecide``).  Each
+  crash-and-recover step begins the next incarnation's records with
+  the ``recovered`` record ``open_shard`` writes, from which the
+  re-decision resumes the RNG recovery left.
 
 The hand-written crash matrix in ``test_cluster_state.py`` and
 ``test_cluster_steal.py`` stays as named regressions.
@@ -81,9 +82,6 @@ class ServiceFold(RuleBasedStateMachine):
         self.crashes = 0
         # (export_state(), records before it, crashes before it)
         self.snapshot = None
-        # (export_state() the live incarnation started from, records
-        # before it); a fresh service before the first crash.
-        self.incarnation = (None, 0)
         self.foreign_task_id = 1
 
     # -- bookkeeping -----------------------------------------------------
@@ -245,7 +243,9 @@ class ServiceFold(RuleBasedStateMachine):
     def crash_and_recover(self, use_snapshot):
         """kill -9, then what ``open_shard`` does: the snapshot if one
         was taken, the tail, ``requeue_unacked_exports``, and only then
-        the log.  Later steps run against the recovered service."""
+        the log, which the new incarnation begins with its
+        ``recovered`` record.  Later steps run against the recovered
+        service."""
         snapshot, covered, _ = (
             self.snapshot if use_snapshot and self.snapshot
             else (None, 0, 0))
@@ -256,10 +256,9 @@ class ServiceFold(RuleBasedStateMachine):
         self.live.requeue_unacked_exports()
         assert functional_state(service) == functional_state(self.live)
         service.events = self.events
+        service.log_recovery(covered if snapshot is not None else None)
         self.live = service
         self.crashes += 1
-        self.incarnation = (through_json(service.export_state()),
-                            self.events.emitted)
 
     @invariant()
     def replay_of_the_whole_log_is_the_live_state(self):
@@ -272,13 +271,11 @@ class ServiceFold(RuleBasedStateMachine):
             self.check_recovery(*self.snapshot)
 
     @invariant()
-    def this_incarnation_redecides(self):
-        start, covered = self.incarnation
+    def the_whole_log_redecides(self):
         service = make_service(FakeClock())
-        if start is not None:
-            service.import_state(start)
-        assert service.redecide(
-            through_json(self.events.tail())[covered:]) == []
+        assert service.redecide(through_json(self.events.tail())) == []
+        assert service.engine.rng.getstate() \
+            == self.live.engine.rng.getstate()
 
     @invariant()
     def every_task_is_in_exactly_one_place(self):
