@@ -17,6 +17,9 @@ from ..serve.client import _Connection
 
 __all__ = ["PeerLink", "ShardAddress"]
 
+#: Seconds between reconnect attempts inside a call's retry window.
+RETRY_INTERVAL_S = 0.1
+
 
 @dataclass(frozen=True)
 class ShardAddress:
@@ -46,10 +49,9 @@ class PeerLink:
     """
 
     def __init__(self, address: ShardAddress, retry_window: float,
-                 retry_interval: float = 0.1, codec: str = "json"):
+                 codec: str = "json"):
         self.address = address
         self.retry_window = retry_window
-        self.retry_interval = retry_interval
         self.codec = codec
         self._conn: Optional[_Connection] = None
         self._lock = asyncio.Lock()
@@ -101,7 +103,7 @@ class PeerLink:
                             f"shard {self.address.shard} unreachable "
                             f"for {self.retry_window:.1f}s: {exc}"
                         ) from exc
-                    await asyncio.sleep(self.retry_interval)
+                    await asyncio.sleep(RETRY_INTERVAL_S)
 
     async def close(self) -> None:
         async with self._lock:

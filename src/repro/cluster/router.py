@@ -22,7 +22,7 @@ the same listener, connection loop and wire rules as a scheduler shard
   ``FILE_DELTA``) → ``ERROR`` pointing at the redirect flow.
 
 Each shard is reached over one :class:`~repro.cluster.link.PeerLink`.
-A failed call retries inside ``retry_window`` seconds — exactly the
+A failed call retries inside :data:`RETRY_WINDOW_S` seconds — the
 window in which the supervisor restarts a crashed shard and calls
 :meth:`ClusterRouter.update_shard` with its new port — so control
 traffic rides out a shard restart instead of failing fast.
@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import asyncio
 import logging
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..serve import messages
+from ..serve import messages, protocol
 from ..serve.server import FrontEnd, _Conn
 from .link import PeerLink, ShardAddress
 from .stats import aggregate_stats
@@ -42,6 +42,9 @@ from .stats import aggregate_stats
 __all__ = ["ClusterRouter"]
 
 log = logging.getLogger("repro.cluster.router")
+
+#: Seconds a forwarded call retries a shard: longer than a restart.
+RETRY_WINDOW_S = 15.0
 
 #: Message types the router refuses: the data plane belongs to shards.
 _DATA_PLANE = (messages.RequestTask, messages.TaskDone,
@@ -51,18 +54,15 @@ _DATA_PLANE = (messages.RequestTask, messages.TaskDone,
 class ClusterRouter(FrontEnd):
     """Stateless protocol-v3 front end over a fixed shard map.
 
-    ``codecs`` is what the router accepts from *clients* (defaults to
-    everything the protocol module knows).  ``upstream_codec`` is the
-    ``--codec``-style option for the router's own shard links:
-    ``"json"`` (the default) keeps the plain JSON-lines streams,
-    ``"binary"``/``"auto"`` negotiate an upgrade on connect.
+    Clients may negotiate every codec the protocol module knows.
+    ``upstream_codec`` is the ``--codec``-style option for the
+    router's own shard links: ``"json"`` (the default) keeps the plain
+    JSON-lines streams, ``"binary"``/``"auto"`` negotiate an upgrade
+    on connect.
     """
 
     def __init__(self, shards: List[ShardAddress],
                  host: str = "127.0.0.1", port: int = 0,
-                 name: str = "cluster-router",
-                 retry_window: float = 15.0,
-                 codecs: Optional[Sequence[str]] = None,
                  upstream_codec: str = "json"):
         if not shards:
             raise ValueError("a cluster needs at least one shard")
@@ -70,11 +70,10 @@ class ClusterRouter(FrontEnd):
         if indices != list(range(len(shards))):
             raise ValueError(f"shard indices must be 0..{len(shards) - 1},"
                              f" got {indices}")
-        super().__init__(host, port, codecs)
+        super().__init__(host, port, protocol.DEFAULT_CODECS)
         self.shard_count = len(shards)
-        self.name = name
         self._links: Dict[int, PeerLink] = {
-            address.shard: PeerLink(address, retry_window,
+            address.shard: PeerLink(address, RETRY_WINDOW_S,
                                     codec=upstream_codec)
             for address in shards}
         self._next_new_job_shard = 0

@@ -176,7 +176,7 @@ class ShardDurability:
     def __init__(self, service: SchedulerService, events: EventLog,
                  state_dir: str, report: Dict,
                  shard_index: int = 0, shard_count: int = 1,
-                 snapshot_interval: float = 5.0, keep: int = 3):
+                 snapshot_interval: float = 5.0):
         if snapshot_interval <= 0:
             raise ValueError(f"snapshot_interval must be > 0, "
                              f"got {snapshot_interval}")
@@ -187,7 +187,6 @@ class ShardDurability:
         self.shard_index = shard_index
         self.shard_count = shard_count
         self.snapshot_interval = snapshot_interval
-        self.keep = keep
         self.snapshots_written = 0
         self._last_snapshot_seq = report["next_seq"] \
             if report["snapshot_seq"] is not None else None
@@ -220,8 +219,7 @@ class ShardDurability:
 
     def _write(self, wal_seq: int) -> str:
         path = write_snapshot(self.state_dir,
-                              self.service.export_state(),
-                              wal_seq, keep=self.keep)
+                              self.service.export_state(), wal_seq)
         self._last_snapshot_seq = wal_seq
         self.snapshots_written += 1
         log.debug("snapshot written: %s", path)
@@ -263,7 +261,7 @@ class ShardDurability:
 
 def open_shard(state_dir: str, metric: str = "combined", n: int = 2,
                shard_index: int = 0, shard_count: int = 1,
-               snapshot_interval: float = 5.0, keep: int = 3,
+               snapshot_interval: float = 5.0,
                name: Optional[str] = None,
                **service_options) -> ShardDurability:
     """Build + recover one durable shard from its state directory.
@@ -293,5 +291,4 @@ def open_shard(state_dir: str, metric: str = "combined", n: int = 2,
     return ShardDurability(service, events, state_dir, report,
                            shard_index=shard_index,
                            shard_count=shard_count,
-                           snapshot_interval=snapshot_interval,
-                           keep=keep)
+                           snapshot_interval=snapshot_interval)

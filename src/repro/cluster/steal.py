@@ -49,6 +49,7 @@ import os
 from typing import Dict, List, Optional, Tuple
 
 from ..serve import messages
+from ..serve.server import commit_or_exit
 from ..serve.service import SchedulerService
 from .link import PeerLink, ShardAddress
 
@@ -57,7 +58,7 @@ __all__ = ["StealManager"]
 log = logging.getLogger("repro.cluster.steal")
 
 #: Cap on tasks requested per STEAL_REQUEST.
-DEFAULT_MAX_TASKS = 64
+MAX_STEAL_TASKS = 64
 
 
 class StealManager:
@@ -79,19 +80,15 @@ class StealManager:
                  peers: Optional[Dict[int, Tuple[str, int]]] = None,
                  cluster_file: Optional[str] = None,
                  interval: float = 0.05,
-                 max_tasks: int = DEFAULT_MAX_TASKS,
                  codec: str = "auto"):
         if peers is None and cluster_file is None:
             raise ValueError("need a static peers map or a cluster_file")
         if interval <= 0:
             raise ValueError(f"interval must be > 0, got {interval}")
-        if max_tasks < 1:
-            raise ValueError(f"max_tasks must be >= 1, got {max_tasks}")
         self.service = service
         self.shard_index = shard_index
         self.cluster_file = cluster_file
         self.interval = interval
-        self.max_tasks = max_tasks
         self.codec = codec
         #: One link per live peer; ``retry_window=0`` because the next
         #: tick — which re-reads the topology first — is the retry.
@@ -102,7 +99,7 @@ class StealManager:
         self._wake: Optional[asyncio.Event] = None
         #: ``(st_ino, st_mtime_ns, st_size)`` of the topology last read.
         self._topology_key: Optional[Tuple[int, int, int]] = None
-        #: Loop-level counters for ``repro top`` / debugging.
+        #: Loop-level counters, for tests and debugging.
         self.steal_attempts = 0
         self.steal_grants = 0
         self.forward_batches = 0
@@ -122,13 +119,6 @@ class StealManager:
             self._task = None
         for link in self._links.values():
             await link.close()
-
-    async def __aenter__(self) -> "StealManager":
-        await self.start()
-        return self
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.stop()
 
     async def _run(self) -> None:
         wake = self._wake
@@ -201,13 +191,14 @@ class StealManager:
 
         Commits the WAL first: whatever this shard recorded (the
         tentative ``steal-import`` before ``STEAL_ACK`` above all) is
-        in the OS before a peer can act on it."""
+        in the OS before a peer can act on it.  A failed commit ends
+        the process (:func:`~repro.serve.server.commit_or_exit`)."""
         link = self._links.get(shard)
         if link is None:
             return None
         events = self.service.events
         if events is not None:
-            events.flush()
+            commit_or_exit(events.flush)
         try:
             return await link.call(message)
         except ConnectionError:
@@ -262,7 +253,7 @@ class StealManager:
         victim = await self._pick_victim(watermark)
         if victim is None:
             return
-        want = min(self.max_tasks,
+        want = min(MAX_STEAL_TASKS,
                    max(parked, watermark - service.queue_depth))
         self.steal_attempts += 1
         reply = await self._call(victim, messages.StealRequest(
@@ -307,10 +298,3 @@ class StealManager:
             files, refs = engine.site_state(site_id).summary()
             out.append({"site": site_id, "files": files, "refs": refs})
         return out
-
-    def describe(self) -> Dict:
-        return {"shard": self.shard_index,
-                "peers": sorted(self._links),
-                "attempts": self.steal_attempts,
-                "grants": self.steal_grants,
-                "forward_batches": self.forward_batches}

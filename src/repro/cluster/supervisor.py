@@ -52,6 +52,14 @@ log = logging.getLogger("repro.cluster.supervisor")
 #: listens 0.15-0.3 s after its spawn, so a coarser poll would be a
 #: visible share of every (re)start.
 HANDSHAKE_POLL_S = 0.005
+#: Seconds a spawned shard has to report its ports.
+SPAWN_TIMEOUT_S = 30.0
+#: Crash restarts per shard before the supervisor gives up on it.
+MAX_RESTARTS = 20
+#: Seconds between a shard's crash and its respawn.
+RESTART_BACKOFF_S = 0.25
+#: Seconds between refreshes of the ``/stats.json`` cache.
+STATS_REFRESH_S = 1.0
 
 
 class ClusterSupervisor:
@@ -60,10 +68,6 @@ class ClusterSupervisor:
     def __init__(self, shards: int, state_root: str,
                  host: str = "127.0.0.1", router_port: int = 0,
                  metrics_port: Optional[int] = None,
-                 max_restarts: int = 20,
-                 restart_backoff: float = 0.25,
-                 spawn_timeout: float = 30.0,
-                 stats_refresh: float = 1.0,
                  codec: str = "json",
                  shard_args: Sequence[str] = ()):
         if shards < 1:
@@ -73,10 +77,6 @@ class ClusterSupervisor:
         self.host = host
         self.router_port = router_port
         self.metrics_port = metrics_port
-        self.max_restarts = max_restarts
-        self.restart_backoff = restart_backoff
-        self.spawn_timeout = spawn_timeout
-        self.stats_refresh = stats_refresh
         #: ``--codec`` stance for the router's own shard streams.
         self.codec = codec
         #: ``repro serve`` flags appended to every shard's command
@@ -255,7 +255,7 @@ class ClusterSupervisor:
                                ) -> Dict:
         """Poll for the shard's bound-ports handshake file."""
         loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.spawn_timeout
+        deadline = loop.time() + SPAWN_TIMEOUT_S
         port_file = self._port_file(index)
         while True:
             try:
@@ -273,7 +273,7 @@ class ClusterSupervisor:
             if loop.time() >= deadline:
                 raise RuntimeError(
                     f"shard {index} did not report its port within "
-                    f"{self.spawn_timeout:.0f}s; see "
+                    f"{SPAWN_TIMEOUT_S:.0f}s; see "
                     f"{self.shard_log_path(index)}")
             await asyncio.sleep(HANDSHAKE_POLL_S)
 
@@ -292,9 +292,9 @@ class ClusterSupervisor:
                     self._all_drained.set()
                 return
             self._restarts[index] += 1
-            if self._restarts[index] > self.max_restarts:
+            if self._restarts[index] > MAX_RESTARTS:
                 log.error("shard %d exceeded %d restarts; giving up",
-                          index, self.max_restarts)
+                          index, MAX_RESTARTS)
                 self._drained_shards.add(index)
                 if len(self._drained_shards) == self.shards:
                     self._all_drained.set()
@@ -302,8 +302,8 @@ class ClusterSupervisor:
             log.warning("shard %d (pid %d) exited with %s; "
                         "restarting (%d/%d)", index, proc.pid,
                         returncode, self._restarts[index],
-                        self.max_restarts)
-            await asyncio.sleep(self.restart_backoff)
+                        MAX_RESTARTS)
+            await asyncio.sleep(RESTART_BACKOFF_S)
             await self._spawn(index)
             self.router.update_shard(ShardAddress(
                 index, self.host, self._ports[index]))
@@ -355,4 +355,4 @@ class ClusterSupervisor:
                 self._stats_cache = await self.router.aggregated_stats()
             except Exception:  # noqa: BLE001 - keep refreshing
                 log.exception("cluster stats refresh failed")
-            await asyncio.sleep(self.stats_refresh)
+            await asyncio.sleep(STATS_REFRESH_S)

@@ -7,8 +7,8 @@ One registry feeds every exporter:
 * :mod:`repro.obs.prometheus` — text exposition writer + strict parser,
 * :mod:`repro.obs.http` — asyncio ``/metrics`` + ``/healthz`` +
   ``/stats.json`` scrape endpoint,
-* :mod:`repro.obs.events` — schema'd JSON-lines event log (ring buffer
-  + rotating file sink),
+* :mod:`repro.obs.events` — schema'd JSON-lines event log (a rotating
+  file sink, or in memory without a path),
 * :mod:`repro.obs.trace` — per-decision spans from
   ``PolicyEngine.choose`` ("why was this task picked"),
 * :mod:`repro.obs.top` — the ``repro top`` live terminal view.

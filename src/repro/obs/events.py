@@ -4,13 +4,11 @@ Every interesting state transition — job submit, task assignment
 (with the decision that made it, when a tracer records one),
 completion, lease expiry, requeue, file-delta —
 is one schema-checked JSON object on one line, stamped with a wall
-clock and a monotonically increasing sequence number.  The log is
-simultaneously:
-
-* a bounded in-memory **ring buffer** (``tail()``) for live endpoints,
-* an optional **rotating file sink** (``--event-log PATH``) for
-  post-hoc analysis — :mod:`repro.analysis.eventlog` reconstructs
-  per-task assign→complete timelines from it.
+clock and a monotonically increasing sequence number.  The log is a
+**rotating file sink** (``--event-log PATH``, a shard's WAL) that
+:func:`iter_events` reads back and :mod:`repro.analysis.eventlog`
+folds into per-task timelines, keeping nothing in memory; a log
+without a path keeps every record for :meth:`EventLog.tail` instead.
 
 Schemas are *minimum* field sets: emitters may attach extra fields
 (the server adds ``lease_id``/``latency_us`` to ``assign`` records,
@@ -45,10 +43,8 @@ import json
 import logging
 import os
 import time
-from collections import deque
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import (Deque, Dict, Iterator, KeysView, List, Optional,
-                    Set)
+from typing import Dict, Iterator, KeysView, List, Optional, Set
 
 log = logging.getLogger("repro.obs.events")
 
@@ -203,12 +199,12 @@ class RotatingJsonlSink:
 
 
 class EventLog:
-    """Ring buffer + optional rotating file sink of schema'd events.
+    """A rotating file sink of schema'd events, or an in-memory list.
 
-    ``emit("assign", task_id=3, site=0, worker="w1", ...)`` validates,
-    stamps ``ts`` (wall clock) and ``seq``, keeps the record in the
-    ring, and buffers one JSON line in the sink when a path was given;
-    :meth:`flush` commits what is buffered.
+    ``emit("assign", task_id=3, site=0, worker="w1", ...)`` validates
+    and stamps ``ts`` (wall clock) and ``seq``; with a path it buffers
+    one JSON line in the sink and :meth:`flush` commits what is
+    buffered, without one it keeps the record for :meth:`tail`.
 
     WAL duty (``repro.cluster`` shards): ``seq_start`` continues the
     sequence of a previous incarnation after crash recovery, and the
@@ -217,11 +213,11 @@ class EventLog:
     machine — before the mutation it describes is acked.
     """
 
-    def __init__(self, path: Optional[str] = None, ring_size: int = 2048,
-                 clock=time.time, max_bytes: int = 16 << 20,
-                 backups: int = 3, seq_start: int = 0):
+    def __init__(self, path: Optional[str] = None, clock=time.time,
+                 max_bytes: int = 16 << 20, backups: int = 3,
+                 seq_start: int = 0):
         self._clock = clock
-        self._ring: Deque[Dict] = deque(maxlen=ring_size)
+        self._records: List[Dict] = []
         self._seq = seq_start
         self._seq_start = seq_start
         self._sink = (RotatingJsonlSink(path, max_bytes=max_bytes,
@@ -235,14 +231,15 @@ class EventLog:
         record = {"ts": round(float(self._clock()), 6),
                   "seq": self._seq, "event": event, **fields}
         self._seq += 1
-        self._ring.append(record)
         if self._sink is not None:
             self._sink.write("".join(_line_chunks(record, 0)) + "\n")
+        elif self.path is None:
+            self._records.append(record)
         return record
 
     @property
     def emitted(self) -> int:
-        """Records emitted by *this* log (ring may hold fewer)."""
+        """Records emitted by *this* log."""
         return self._seq - self._seq_start
 
     @property
@@ -250,11 +247,10 @@ class EventLog:
         """The sequence number the next emitted record will carry."""
         return self._seq
 
-    def tail(self, count: Optional[int] = None) -> List[Dict]:
-        """The newest ``count`` records (all buffered if None)."""
-        if count is None or count >= len(self._ring):
-            return list(self._ring)
-        return list(self._ring)[-count:]
+    def tail(self) -> List[Dict]:
+        """Every record of a path-less log, oldest first; empty for a
+        file-backed one (read its file with :func:`iter_events`)."""
+        return list(self._records)
 
     def flush(self) -> None:
         """The commit: every record emitted so far goes to the OS."""

@@ -68,6 +68,13 @@ SUBMIT_CHUNK = 200
 #: One socket read's worth of pipelined replies.
 READ_CHUNK = 64 * 1024
 
+#: Behind a router: seconds a worker's reconnects may keep failing
+#: with nothing completed before the outage is reported instead of
+#: ridden out; the supervisor restarts a crashed shard well inside it.
+RESUME_WINDOW_S = 30.0
+#: Seconds between a worker's reconnect attempts.
+RETRY_INTERVAL_S = 0.2
+
 log = logging.getLogger("repro.serve.client")
 
 
@@ -319,7 +326,7 @@ class WorkerClient:
     idle shard's parked workers are fed stolen tasks.  When that shard
     dies mid-lease the worker asks ``host:port`` again (picking up the
     restarted shard's new port) and resumes, riding out up to
-    ``resume_window`` seconds without progress.  The cache mirror and
+    :data:`RESUME_WINDOW_S` seconds without progress.  The cache mirror and
     every counter live on this object, so the residency picture — and
     the ``FILE_DELTA`` stream a recovered shard sees — stays continuous.
     Exactly-once needs nothing here: a completion acked before the
@@ -335,8 +342,6 @@ class WorkerClient:
                  events: Optional[EventLog] = None,
                  batch: int = 1,
                  codec: str = "auto",
-                 resume_window: float = 30.0,
-                 retry_interval: float = 0.2,
                  shard: Optional[int] = None):
         if batch < 1:
             raise ValueError(f"batch must be >= 1, got {batch}")
@@ -365,12 +370,6 @@ class WorkerClient:
         #: gets a TASK_BATCH; 1 sends no max_tasks and gets a TASK — a
         #: batch of one through the same pipelined loop.
         self.batch = batch
-        #: Behind a router: how long reconnects may keep failing with
-        #: nothing completed before the outage is reported instead of
-        #: ridden out; the supervisor restarts a crashed shard well
-        #: inside this.
-        self.resume_window = resume_window
-        self.retry_interval = retry_interval
         #: Behind a router: pull unscoped from this shard (mod the
         #: shard count) instead of from the shard owning ``job_id``.
         self.shard = shard
@@ -409,16 +408,16 @@ class WorkerClient:
                 now = loop.time()
                 if outage_started is None or self._progress() != before:
                     outage_started = now
-                elif now - outage_started > self.resume_window:
+                elif now - outage_started > RESUME_WINDOW_S:
                     raise ConnectionError(
                         f"worker {self.worker}: shard "
                         f"{self.redirected_to} unreachable for "
-                        f"{self.resume_window:.1f}s") from exc
+                        f"{RESUME_WINDOW_S:.1f}s") from exc
                 self.reconnects += 1
                 log.info("worker %s: shard %s connection lost (%s); "
                          "re-resolving via %s:%d", self.worker,
                          self.redirected_to, exc, self.host, self.port)
-                await asyncio.sleep(self.retry_interval)
+                await asyncio.sleep(RETRY_INTERVAL_S)
         return {"worker": self.worker, "site": self.site,
                 "job_id": self.job_id,
                 "shard": self.redirected_to,

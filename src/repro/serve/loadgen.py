@@ -48,7 +48,6 @@ async def run_load(host: str, port: int, jobs: Sequence[Job],
                    event_log: Optional[str] = None,
                    batch: int = 1,
                    codec: str = "auto",
-                   resume_window: float = 30.0,
                    unscoped: bool = False) -> Dict:
     """Submit ``jobs``, run the worker fleet, return a load report.
 
@@ -98,8 +97,7 @@ async def run_load(host: str, port: int, jobs: Sequence[Job],
                          seconds_per_file=seconds_per_file,
                          job_id=(None if unscoped else
                                  handles[index % len(handles)].job_id),
-                         events=events, batch=batch,
-                         codec=codec, resume_window=resume_window,
+                         events=events, batch=batch, codec=codec,
                          shard=(index % control.shard_count
                                 if unscoped else None))
             for index in range(workers)

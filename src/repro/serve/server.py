@@ -17,7 +17,8 @@ messages, and their replies accumulate into a single buffered
 write + ``drain()`` instead of one syscall per message.  A server with
 an event log commits it (:meth:`~repro.obs.events.EventLog.flush`)
 right before that write — one WAL ``write`` per burst, and no reply
-ever leaves ahead of the records it depends on.
+ever leaves ahead of the records it depends on.  A commit that raises
+ends the process (:func:`commit_or_exit`).
 Backpressure stays per-connection — the drain happens on the
 connection's own writer, so a slow worker throttles only its own
 stream, never the scheduler.  A parked ``REQUEST_TASK`` blocks only
@@ -46,8 +47,9 @@ still get an ``ERROR``/negative-ack reply on a connection that stays
 open.
 
 Lease sweeping: :meth:`start` spawns a monotonic-clock sweeper task
-that calls :meth:`SchedulerService.expire_leases` every
-``sweep_interval`` seconds, so a worker that dies *without* closing
+that calls :meth:`SchedulerService.expire_leases` every quarter lease
+TTL (bounded to [10 ms, 1 s], so expiry lag is a small fraction of the
+TTL without busy-looping): a worker that dies *without* closing
 its TCP connection (kill -9, network partition, frozen VM) still has
 its tasks requeued within one lease TTL plus one sweep.
 
@@ -63,6 +65,7 @@ import asyncio
 import contextlib
 import json
 import logging
+import os
 from typing import Callable, Optional, Sequence, Set
 
 from . import messages, protocol
@@ -74,6 +77,22 @@ stats_log = logging.getLogger("repro.serve.stats")
 
 #: One socket read's worth of pipelined traffic.
 READ_CHUNK = 64 * 1024
+
+#: Exit status after a failed WAL commit (sysexits' ``EX_IOERR``).
+EXIT_COMMIT_FAILED = 74
+
+
+def commit_or_exit(commit: Callable[[], None]) -> None:
+    """Run one WAL commit; if it raises, log it and end the process
+    with :data:`EXIT_COMMIT_FAILED` — serving on would run ahead of
+    the log.  No retry and no final snapshot: recovery starts from
+    what the failure left, at most one torn final line."""
+    try:
+        commit()
+    except Exception:  # noqa: BLE001 - any commit failure is fatal
+        log.critical("WAL commit failed; exiting with %d",
+                     EXIT_COMMIT_FAILED, exc_info=True)
+        os._exit(EXIT_COMMIT_FAILED)
 
 
 def install_uvloop() -> bool:
@@ -116,7 +135,7 @@ class _Conn:
         not have yet."""
         if self.out:
             if self.commit is not None:
-                self.commit()
+                commit_or_exit(self.commit)
             self.writer.write(bytes(self.out))
             self.out.clear()
             await self.writer.drain()  # per-connection backpressure
@@ -280,17 +299,10 @@ class SchedulerServer(FrontEnd):
 
     def __init__(self, service: SchedulerService,
                  host: str = "127.0.0.1", port: int = 0,
-                 sweep_interval: Optional[float] = None,
                  stats_interval: Optional[float] = None,
                  codecs: Optional[Sequence[str]] = None):
         super().__init__(host, port, codecs)
         self.service = service
-        #: How often the lease sweeper runs; defaults to a quarter of
-        #: the lease TTL (bounded to [10 ms, 1 s]) so expiry lag is a
-        #: small fraction of the TTL without busy-looping.
-        if sweep_interval is None:
-            sweep_interval = min(max(service.lease_ttl / 4.0, 0.01), 1.0)
-        self.sweep_interval = sweep_interval
         #: Every ``stats_interval`` seconds the full stats snapshot is
         #: logged as one JSON line at INFO on ``repro.serve.stats`` —
         #: greppable history for runs without a scraper.  None (the
@@ -323,12 +335,13 @@ class SchedulerServer(FrontEnd):
 
     async def _sweep_leases(self) -> None:
         while True:
-            await asyncio.sleep(self.sweep_interval)
+            await asyncio.sleep(
+                min(max(self.service.lease_ttl / 4.0, 0.01), 1.0))
             expired = self.service.expire_leases()
             if expired:
                 log.info("lease sweep requeued %d task(s)", expired)
             if self._commit is not None:
-                self._commit()  # freshness only: nothing is acked here
+                commit_or_exit(self._commit)  # freshness only
 
     async def _tick_stats(self) -> None:
         while True:

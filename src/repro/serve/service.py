@@ -385,7 +385,8 @@ class SchedulerService:
         optional ``flops``.  Task ids are assigned by the service so
         independent submitters can never collide.  ``job_id`` of None
         opens a new job; otherwise the batch extends an existing job
-        (how large submissions are chunked across messages).
+        (how large submissions are chunked across messages) this
+        shard owns, not one stolen from a peer.
 
         ``weight`` sets the job's fair-share weight: when any job has
         one, unscoped pulls pick the job with the lowest
@@ -401,6 +402,11 @@ class SchedulerService:
             raise ServiceError("JOB_SUBMIT needs a non-empty task list")
         if job_id is not None and job_id not in self._jobs:
             raise ServiceError(f"unknown job id {job_id!r}")
+        if job_id is not None and self._jobs[job_id].origin is not None:
+            # Its owner allocates its ids: a completion of an id made
+            # here would be refused at home.
+            raise ServiceError(f"job {job_id} is stolen; submit to "
+                               f"shard {self._jobs[job_id].origin}")
         if weight is not None and (
                 isinstance(weight, bool)
                 or not isinstance(weight, (int, float))

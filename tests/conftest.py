@@ -138,7 +138,7 @@ def simulated_wal(job, metric="rest", n=1, seed=0, *, num_sites=2,
     scheduler = WorkerCentricScheduler(
         job, metric=metric, n=n, rng=random.Random(seed),
         initial_task_ids=initial_task_ids)
-    events = EventLog(ring_size=1 << 22, clock=lambda: 0.0)
+    events = EventLog(clock=lambda: 0.0)
     log_engine(scheduler, events)
     grid.attach_scheduler(scheduler)
     if arm is not None:

@@ -10,6 +10,7 @@ in-process so the report and event log are directly inspectable.
 import asyncio
 import json
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -17,10 +18,14 @@ import time
 
 import pytest
 
+from repro.cluster.shard import open_shard
 from repro.exp import ExperimentConfig
 from repro.exp.runner import build_job
 from repro.obs.events import iter_events
+from repro.serve import client, messages
+from repro.serve.client import SchedulerClient, _Connection
 from repro.serve.loadgen import run_load
+from repro.serve.server import EXIT_COMMIT_FAILED
 
 pytestmark = pytest.mark.skipif(os.name != "posix",
                                 reason="kill -9 semantics are POSIX")
@@ -46,11 +51,12 @@ def cli_env():
     return env
 
 
-def spawn_cli(args, log_path):
+def spawn_cli(args, log_path, preexec_fn=None):
     handle = open(log_path, "w", encoding="utf-8")
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", *args],
-        stdout=handle, stderr=subprocess.STDOUT, env=cli_env())
+        stdout=handle, stderr=subprocess.STDOUT, env=cli_env(),
+        preexec_fn=preexec_fn)
     return proc, handle
 
 
@@ -142,6 +148,80 @@ def test_load_jobs_drives_several_tenants_at_a_standalone_server(
         handle.close()
 
 
+#: Largest file the fail-stop test's server may write: the job's
+#: submit records fit, the records of all its grants do not.
+FSIZE_LIMIT = 48 << 10
+
+
+def limit_file_size():
+    resource.setrlimit(resource.RLIMIT_FSIZE, (FSIZE_LIMIT, FSIZE_LIMIT))
+
+
+def test_a_failed_wal_commit_stops_the_server(tmp_path):
+    """A WAL commit the OS refuses ends the process with its own exit
+    status instead of serving on ahead of the log.  Past
+    ``RLIMIT_FSIZE`` a write fills the file to the limit and the next
+    one fails with ``EFBIG`` (CPython ignores ``SIGXFSZ``).  What the
+    process leaves recovers: the torn final line is trimmed, and every
+    completion the worker saw acked is in the WAL."""
+    state_dir = str(tmp_path / "state")
+    port_file = str(tmp_path / "port.json")
+    proc, handle = spawn_cli(
+        ["serve", "--port", "0", "--port-file", port_file,
+         "--state-dir", state_dir, "--snapshot-interval", "3600"],
+        str(tmp_path / "serve.log"), preexec_fn=limit_file_size)
+    acked = []
+
+    async def pull_until_the_server_is_gone(port):
+        async with SchedulerClient("127.0.0.1", port) as control:
+            job = await control.submit(
+                [{"files": [fid, fid + 1]} for fid in range(400)])
+        conn = _Connection("127.0.0.1", port, codec="json")
+        await conn.open()
+        try:
+            await conn.handshake("w0", 0)
+            while True:
+                grant = await conn.call(
+                    messages.RequestTask(job_id=job.job_id))
+                ack = await conn.call(messages.TaskDone(
+                    task_id=grant.task_id, lease_id=grant.lease_id))
+                assert ack.accepted
+                acked.append(grant.task_id)
+        except ConnectionError:
+            pass  # the server is gone
+        finally:
+            await conn.close()
+        return job.job_id
+
+    try:
+        ports = wait_for_json(
+            port_file, lambda p: isinstance(p.get("port"), int),
+            time.monotonic() + 30, "bound port")
+        job_id = run(pull_until_the_server_is_gone(ports["port"]))
+        assert proc.wait(timeout=30) == EXIT_COMMIT_FAILED
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        handle.close()
+    assert "WAL commit failed" in open(str(tmp_path / "serve.log"),
+                                       encoding="utf-8").read()
+    assert 0 < len(acked) < 400
+    wal = os.path.join(state_dir, "wal.jsonl")
+    assert os.path.getsize(wal) == FSIZE_LIMIT  # the refused commit
+    durability = open_shard(state_dir)
+    try:
+        with open(wal, "rb") as fh:
+            assert fh.read().endswith(b"\n")  # the torn line is gone
+        completed = {record["task_id"] for record in iter_events(wal)
+                     if record["event"] == "complete"}
+        assert set(acked) <= completed
+        assert durability.service.job_status(job_id)["completed"] \
+            == len(completed)
+    finally:
+        durability.events.close()
+
+
 def shard_wal_completions(state_root, shard_count):
     """task_id -> completion count across every shard's whole WAL."""
     from repro.cluster.shard import wal_files
@@ -156,11 +236,14 @@ def shard_wal_completions(state_root, shard_count):
     return counts
 
 
-def test_cluster_survives_kill9_with_exactly_once_completion(tmp_path):
+def test_cluster_survives_kill9_with_exactly_once_completion(
+        tmp_path, monkeypatch):
     """The acceptance scenario: 2 shards + router, one shard SIGKILL'd
     mid-load and restarted by the supervisor, every task completes
     exactly once, and the restart recovered from a snapshot + WAL
     tail rather than a cold start."""
+    # Room to spare for the kill and respawn on a slow box.
+    monkeypatch.setattr(client, "RESUME_WINDOW_S", 45.0)
     state_root = str(tmp_path / "cluster-state")
     event_log = str(tmp_path / "load-events.jsonl")
     proc, handle = spawn_cli(
@@ -192,7 +275,7 @@ def test_cluster_survives_kill9_with_exactly_once_completion(tmp_path):
             report = await run_load(
                 "127.0.0.1", router_port, jobs, workers=4, sites=2,
                 capacity_files=400, seconds_per_file=0.02,
-                event_log=event_log, resume_window=45.0)
+                event_log=event_log)
             return report, await killer
 
         report, killed_pid = run(scenario())

@@ -34,8 +34,7 @@ def coadd_job(num_tasks=30, seed=0):
                                       capacity_files=500, seed=seed))
 
 
-async def start_cluster(shard_count=2, seed=7, retry_window=3.0,
-                        upstream_codec="json"):
+async def start_cluster(shard_count=2, seed=7, upstream_codec="json"):
     """N in-process shard servers plus their router."""
     shards = []
     for index in range(shard_count):
@@ -49,7 +48,7 @@ async def start_cluster(shard_count=2, seed=7, retry_window=3.0,
     router = ClusterRouter(
         [ShardAddress(index, server.host, server.port)
          for index, (_service, server) in enumerate(shards)],
-        retry_window=retry_window, upstream_codec=upstream_codec)
+        upstream_codec=upstream_codec)
     await router.start()
     return router, shards
 
@@ -237,8 +236,7 @@ def test_router_rides_out_a_shard_moving_ports():
     """A forwarded call retries inside the window while the supervisor
     restarts the shard at a new address."""
     async def scenario():
-        router, shards = await start_cluster(shard_count=2,
-                                             retry_window=5.0)
+        router, shards = await start_cluster(shard_count=2)
         service0, server0 = shards[0]
         try:
             async with SchedulerClient(router.host,
@@ -295,7 +293,7 @@ def test_peer_link_replace_mid_retry_lands_on_the_new_port():
         await dead.start()
         await dead.stop()  # a port nobody listens on any more
         link = PeerLink(ShardAddress(0, dead.host, dead.port),
-                        retry_window=10.0, retry_interval=0.02)
+                        retry_window=10.0)
         calling = asyncio.ensure_future(
             link.call(messages.StatsRequest()))
         await asyncio.sleep(0.1)
@@ -454,8 +452,7 @@ def test_worker_at_a_plain_server_uses_one_connection_and_fails_fast():
         server = DyingScheduler()
         await server.start()
         worker = WorkerClient("127.0.0.1", server.port, worker="solo",
-                              site=2, codec="json",
-                              resume_window=30.0)
+                              site=2, codec="json")
         loop = asyncio.get_running_loop()
         started = loop.time()
         try:
@@ -497,7 +494,7 @@ def test_one_worker_object_keeps_cache_and_counters_across_reconnect():
                 worker = WorkerClient(
                     router.host, router.port, job_id=handle.job_id,
                     capacity_files=len(distinct_files) + 1,
-                    seconds_per_file=0.002, retry_interval=0.05)
+                    seconds_per_file=0.002)
                 cache = worker.cache
                 running = asyncio.ensure_future(worker.run())
                 while service.stats.completions < 3:
@@ -553,7 +550,7 @@ def test_a_multi_site_fleet_follows_a_one_shard_router():
 # -- the determinism pin -----------------------------------------------------
 
 def decision_stream(service):
-    """The schedule as the service's event ring recorded it."""
+    """The schedule as the service's event log recorded it."""
     return [(record["event"], record.get("task_id"),
              record.get("worker"), record.get("site"),
              record.get("lease_id"), record.get("job_id"))

@@ -308,10 +308,11 @@ def test_thief_crash_with_tentative_import_resolves_on_recovery(
 
 # -- who may be stolen from, and for whom ------------------------------------
 
-def shard(index):
+def shard(index, **options):
     return SchedulerService(metric="combined", n=2, seed=3,
                             id_start=index, id_stride=2,
-                            steal_watermark=1, clock=FakeClock())
+                            steal_watermark=1, clock=FakeClock(),
+                            **options)
 
 
 def steal(victim, victim_index, thief, max_tasks):
@@ -361,6 +362,36 @@ def test_a_stolen_task_is_never_stolen_back():
     steal(c, 0, d, 3)
     assert d.export_steal_batch("steal/0", 2, []) is None
     assert d.stats_snapshot()["steal"]["requests"] == {"empty": 1}
+
+
+def test_a_stolen_job_cannot_be_extended_on_the_thief():
+    """Only a job's owner allocates its task ids.  A ``JOB_SUBMIT``
+    extending a stolen job on the thief used to be accepted: the new
+    id rode home in the same ``STEAL_DONE`` batch as the real stolen
+    completion, the origin refused that batch whole every tick, and
+    the job never finished.  Now it is refused before any id is
+    allocated or any record emitted."""
+    events = EventLog()
+    origin, thief = shard(0), shard(1, events=events)
+    submit(origin, SPECS[:3])                  # job 0: tasks 0 2 4
+    (stolen,) = steal(origin, 0, thief, 1)
+    next_task_id, emitted = thief._next_task_id, events.emitted
+    with pytest.raises(ServiceError, match="is stolen; submit to shard 0"):
+        submit(thief, [([7], 1.0)], job_id=stolen["job_id"])
+    assert thief._next_task_id == next_task_id
+    assert events.emitted == emitted
+    assert not [record for record in events.tail()
+                if record["event"] == "submit"]
+    # The real stolen completion still forwards home and lands.
+    done = pull(thief, worker="w", site=0)
+    assert thief.task_done("w", done.task.task_id, done.lease_id).accepted
+    outbox = thief.take_steal_completions()
+    assert outbox == {0: [stolen["task_id"]]}
+    assert origin.steal_done(outbox[0], "steal/1") \
+        == {"completed": 1, "duplicates": 0}
+    thief.steal_forwarded(0, outbox[0])
+    assert thief.steal_outbox_depth == 0
+    assert origin.job_status(0)["completed"] == 1
 
 
 def test_a_job_scoped_parked_pull_does_not_steal():

@@ -100,13 +100,23 @@ def test_emit_rejects_an_unknown_type_like_validate_does():
     assert log.emitted == 0
 
 
-def test_ring_buffer_keeps_only_the_newest():
-    log = EventLog(ring_size=3, clock=fake_clock())
-    for task_id in range(5):
+def test_a_path_less_log_keeps_every_record():
+    log = EventLog(clock=fake_clock())
+    for task_id in range(3000):  # past the 2 048 a ring used to hold
         log.emit("requeue", task_id=task_id, reason="test")
-    assert log.emitted == 5
-    assert [record["task_id"] for record in log.tail()] == [2, 3, 4]
-    assert [record["task_id"] for record in log.tail(2)] == [3, 4]
+    assert log.emitted == 3000
+    assert [record["task_id"] for record in log.tail()] \
+        == list(range(3000))
+
+
+def test_a_file_backed_log_keeps_no_record_in_memory(tmp_path):
+    path = str(tmp_path / "events.jsonl")
+    with EventLog(path=path, clock=fake_clock()) as log:
+        for task_id in range(3000):
+            log.emit("requeue", task_id=task_id, reason="test")
+        assert log.tail() == []
+    assert [record["task_id"] for record in iter_events(path)] \
+        == list(range(3000))
 
 
 # -- file sink + round-trip --------------------------------------------------
@@ -230,7 +240,7 @@ def test_a_sink_nobody_commits_spills_whole_lines(tmp_path, monkeypatch):
 
 
 def test_sync_is_a_durability_barrier_and_survives_no_sink():
-    log = EventLog()  # ring-only: sync must be a harmless no-op
+    log = EventLog()  # path-less: sync must be a harmless no-op
     log.emit("requeue", task_id=0, reason="test")
     log.sync()
     log.flush()

@@ -7,8 +7,10 @@ the serve/cluster building blocks and on the flags of every ``repro``
 subcommand (read from ``build_parser()``, ``-v``/``-q`` included,
 ``-h`` not).  A change that adds an option has to raise a number here,
 in the same diff, where a reviewer sees it — and should say which
-option it retires.  A change that removes one lowers it.  The
-scheduler's state containers are counted the same way.
+option it retires.  A change that removes one lowers it.  A value no
+entry point sets to anything but its default is a module constant,
+not a parameter; a test that needs another value patches the
+constant.  The scheduler's state containers are counted the same way.
 
 The same bookkeeping covers the wire stack (bottom of the file): how
 many message bodies are packed by hand and how many message classes
@@ -26,7 +28,7 @@ import pytest
 from repro.cli import build_parser
 from repro.cluster.link import PeerLink
 from repro.cluster.router import ClusterRouter
-from repro.cluster.shard import open_shard
+from repro.cluster.shard import ShardDurability, open_shard
 from repro.cluster.steal import StealManager
 from repro.cluster.supervisor import ClusterSupervisor
 from repro.obs.events import EventLog
@@ -39,15 +41,16 @@ from repro.serve.stats import ServeStats
 
 PARAMETERS = [
     (SchedulerService, 15),
-    (SchedulerServer, 6),
-    (ClusterRouter, 7),
-    (ClusterSupervisor, 11),
-    (StealManager, 7),
-    (PeerLink, 4),
-    (WorkerClient, 14),
-    (run_load, 14),
-    (open_shard, 9),  # its **service_options are SchedulerService's
-    (EventLog, 6),  # its owner commits: no flush-per-record knob
+    (SchedulerServer, 5),
+    (ClusterRouter, 4),
+    (ClusterSupervisor, 7),
+    (StealManager, 6),
+    (PeerLink, 3),
+    (WorkerClient, 12),
+    (run_load, 13),
+    (open_shard, 8),  # its **service_options are SchedulerService's
+    (ShardDurability, 7),
+    (EventLog, 5),  # its owner commits: no flush-per-record knob
     (ServeStats, 1),  # ``clock``, which tests substitute
 ]
 

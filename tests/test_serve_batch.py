@@ -331,7 +331,7 @@ def test_e2e_abrupt_death_mid_batch_requeues_all_leases():
 def test_e2e_silent_death_mid_batch_expires_all_leases():
     async def scenario():
         service = SchedulerService(metric="rest", n=1, lease_ttl=0.3)
-        server = SchedulerServer(service, sweep_interval=0.02)
+        server = SchedulerServer(service)
         await server.start()
         try:
             async with SchedulerClient(server.host,

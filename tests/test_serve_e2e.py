@@ -215,7 +215,7 @@ def test_dead_worker_lease_expires_task_requeues_zombie_rejected():
     async def scenario():
         service = SchedulerService(metric="rest", n=1, seed=0,
                                    lease_ttl=lease_ttl)
-        server = SchedulerServer(service, sweep_interval=0.02)
+        server = SchedulerServer(service)
         await server.start()
         try:
             async with SchedulerClient(server.host,
@@ -289,7 +289,7 @@ def test_reassignment_happens_within_two_heartbeat_intervals():
     async def scenario():
         service = SchedulerService(metric="rest", n=1, seed=0,
                                    lease_ttl=lease_ttl)
-        server = SchedulerServer(service, sweep_interval=0.02)
+        server = SchedulerServer(service)
         await server.start()
         try:
             async with SchedulerClient(server.host,
@@ -346,7 +346,7 @@ def test_heartbeats_keep_a_slow_worker_alive():
     async def scenario():
         service = SchedulerService(metric="rest", n=1, seed=0,
                                    lease_ttl=lease_ttl)
-        server = SchedulerServer(service, sweep_interval=0.02)
+        server = SchedulerServer(service)
         await server.start()
         try:
             async with SchedulerClient(server.host,

@@ -74,7 +74,7 @@ class ServiceFold(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.clock = FakeClock()
-        self.events = EventLog(ring_size=1 << 20)
+        self.events = EventLog()
         self.live = make_service(self.clock, self.events)
         self.granted = []        # every Assignment ever delivered
         self.exports = []        # grants from export_steal_batch

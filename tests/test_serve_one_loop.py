@@ -43,7 +43,7 @@ def assigns(events):
 
 async def pull_over_the_wire(job, spy=None):
     """One ``batch=1`` worker drains ``job`` from a real server."""
-    service = SchedulerService(events=EventLog(ring_size=1 << 16),
+    service = SchedulerService(events=EventLog(),
                                **OPTIONS)
     server = SchedulerServer(service)
     await server.start()
@@ -65,7 +65,7 @@ async def pull_over_the_wire(job, spy=None):
 
 def pull_in_the_old_order(job):
     """The retired loop, sans IO: per task a delta, a done, a pull."""
-    service = SchedulerService(events=EventLog(ring_size=1 << 16),
+    service = SchedulerService(events=EventLog(),
                                **OPTIONS)
     service.ensure_site(SITE)  # what the control client's HELLO does
     job_id = service.submit_job(specs_of(job))["job_id"]

@@ -55,7 +55,7 @@ async def deployed(kind):
     if kind != "scheduler":
         front = ClusterRouter(
             [ShardAddress(0, server.host, server.port)],
-            retry_window=3.0, upstream_codec=kind.split("-")[1])
+            upstream_codec=kind.split("-")[1])
         await front.start()
     deployment = Deployed(front, server)
     # A handler task that dies of an unhandled exception is a
