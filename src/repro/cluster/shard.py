@@ -42,6 +42,7 @@ import os
 from typing import Dict, List, Optional
 
 from ..obs.events import EventLog, iter_events
+from ..serve.server import commit_or_exit
 from ..serve.service import SchedulerService
 from .snapshot import (list_snapshots, load_latest_snapshot,
                        write_snapshot)
@@ -205,16 +206,18 @@ class ShardDurability:
         the snapshot naming the synced sequence — a snapshot must
         never claim coverage the log cannot back.
         """
-        wal_seq = self._sync(force)
-        return None if wal_seq is None else self._write(wal_seq)
+        wal_seq = self._uncovered(force)
+        if wal_seq is None:
+            return None
+        self.events.sync()
+        return self._write(wal_seq)
 
-    def _sync(self, force: bool = False) -> Optional[int]:
-        """The WAL barrier: the sequence a snapshot taken now covers,
-        or None when nothing changed since the last one."""
+    def _uncovered(self, force: bool = False) -> Optional[int]:
+        """The sequence a snapshot taken now covers, or None when
+        nothing changed since the last one."""
         wal_seq = self.events.next_seq
         if not force and wal_seq == self._last_snapshot_seq:
             return None
-        self.events.sync()
         return wal_seq
 
     def _write(self, wal_seq: int) -> str:
@@ -230,13 +233,18 @@ class ShardDurability:
 
         A snapshot that fails to write (a full disk) is logged and
         tried again next tick: the WAL still holds everything it would
-        have.  A failed WAL sync propagates — the log is the truth.
+        have.  A failed WAL sync ends the process with
+        :data:`~repro.serve.server.EXIT_COMMIT_FAILED`, as a failed
+        commit does: the log is the truth, and a failed ``fsync`` is
+        never retried — after one, a later call may report the lost
+        pages clean.
         """
         while True:
             await asyncio.sleep(self.snapshot_interval)
-            wal_seq = self._sync()
+            wal_seq = self._uncovered()
             if wal_seq is None:
                 continue
+            commit_or_exit(self.events.sync)
             try:
                 self._write(wal_seq)
             except OSError as exc:

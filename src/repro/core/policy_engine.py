@@ -220,9 +220,12 @@ class PolicyEngine:
     Parameters
     ----------
     job:
-        Task lookup: anything supporting ``job[task_id] -> Task``.  In
-        the simulator this is a :class:`~repro.grid.job.Job`; the live
-        service passes a growable task table.
+        Task lookup: anything supporting ``job[task_id] -> task``,
+        where a task is any record with ``task_id``, ``files`` (an
+        iterable of distinct file ids) and ``num_files`` — all the
+        engine and its index read.  In the simulator this is a
+        :class:`~repro.grid.job.Job` of :class:`~repro.grid.job.Task`;
+        the live service passes its table of task records.
     metric:
         One of ``overlap``, ``rest``, ``combined``, ``combined-literal``.
     n:

@@ -427,7 +427,7 @@ class SchedulerServer(FrontEnd):
             if isinstance(outcome, list):  # batched pull
                 return messages.TaskBatch(
                     tasks=[{"task_id": granted.task.task_id,
-                            "files": sorted(granted.task.files),
+                            "files": granted.task.files,
                             "flops": granted.task.flops,
                             "lease_id": granted.lease_id,
                             "job_id": granted.job_id}
@@ -435,7 +435,7 @@ class SchedulerServer(FrontEnd):
                     lease_ttl=service.lease_ttl)
             return messages.TaskAssign(
                 task_id=outcome.task.task_id,
-                files=sorted(outcome.task.files),
+                files=outcome.task.files,
                 flops=outcome.task.flops,
                 lease_id=outcome.lease_id,
                 lease_ttl=outcome.lease_ttl,

@@ -55,7 +55,6 @@ from typing import (Callable, Deque, Dict, Iterable, List, NamedTuple,
 
 from ..core.metrics import FAST_SCORERS
 from ..core.policy_engine import PolicyEngine, SiteFileState
-from ..grid.job import Task
 from ..obs.events import EventLog
 from ..obs.trace import DecisionTracer
 from . import protocol
@@ -91,7 +90,7 @@ class AdmissionRejected(ServiceError):
 @dataclass(frozen=True)
 class Assignment:
     """A granted task: what ``TASK`` puts on the wire."""
-    task: Task
+    task: _TaskRecord
     lease_id: int
     job_id: int
     lease_ttl: float
@@ -157,7 +156,16 @@ class _JobState:
 
 
 class _TaskRecord:
-    """Where one task is: the one place the transitions edit.
+    """One task: what it is, and where it is — the one place the
+    transitions edit.
+
+    ``task_id``, ``files`` and ``flops`` are fixed at admission.
+    ``files`` is a sorted tuple of distinct ids, each the service's one
+    shared ``int`` for that id (:meth:`SchedulerService._new_record`),
+    so it leaves the process — TASK on the wire, the WAL's submit
+    specs, snapshots, steal specs — as it is held.  ``task_id``,
+    ``files`` and ``num_files`` are all :class:`PolicyEngine` reads of
+    a task, so the service's record table is the engine's ``job``.
 
     A task is pending (in the engine and ``job.pending``), out under
     ``lease`` (plus any ``replicas``), exported to a thief under
@@ -166,15 +174,36 @@ class _TaskRecord:
     ``requeue_unacked_exports`` retires the export.
     """
 
-    __slots__ = ("job", "lease", "replicas", "export", "done")
+    __slots__ = ("task_id", "files", "flops", "job", "lease", "replicas",
+                 "export", "done")
 
-    def __init__(self, job: _JobState):
-        self.job = job
+    def __init__(self, task_id: int, files: Tuple[int, ...],
+                 flops: float):
+        self.task_id = task_id
+        self.files = files
+        self.flops = flops
+        #: Set by whoever admits the task, once its job is known.
+        self.job: Optional[_JobState] = None
         self.lease: Optional[_Lease] = None
         #: Replica leases, oldest first (the next primary if it goes).
         self.replicas: Tuple[_Lease, ...] = ()
         self.export: Optional[int] = None
         self.done = False
+
+    @property
+    def num_files(self) -> int:
+        """|t| in the paper's notation."""
+        return len(self.files)
+
+
+def _refuse_bad_task(task_id: int, files: Sequence[int],
+                     flops: float) -> None:
+    """What every admission path refuses: a task with no input files
+    (it could never be scored) or a negative cost."""
+    if not files:
+        raise ServiceError(f"task {task_id} has no input files")
+    if flops < 0:
+        raise ServiceError(f"task {task_id} has negative flops")
 
 
 def _rng_row(rng: random.Random) -> List:
@@ -186,19 +215,6 @@ def _rng_row(rng: random.Random) -> List:
 def _resume_rng(rng: random.Random, row: List) -> None:
     version, internal, gauss = row
     rng.setstate((version, tuple(internal), gauss))
-
-
-def _make_task(task_id: int, files: Sequence[int], flops: float) -> Task:
-    """A task as the service holds it, admitted live or recovered.
-
-    ``frozenset(files)`` of a list grows its table one insert at a
-    time, to 512 slots (8 KB) for a Coadd task's ~78 files; built from
-    a dict it is sized once, to 256.  The two iterate in different
-    orders, which nothing observes: every path that lets a task's
-    files out of the process — TASK on the wire, the WAL's submit
-    specs, snapshots, steal specs — sorts them first."""
-    return Task(task_id=task_id, files=frozenset(dict.fromkeys(files)),
-                flops=float(flops))
 
 
 class _ParkedRequest(NamedTuple):
@@ -250,9 +266,13 @@ class SchedulerService:
         self.name = name
         self.lease_ttl = float(lease_ttl)
         self._clock = clock
-        #: task_id -> Task; also the engine's ``job[id]`` lookup.
-        self._table: Dict[int, Task] = {}
-        self.engine = PolicyEngine(self._table, metric=metric, n=n,
+        #: task_id -> the task and where it is; every transition edits
+        #: this, and it is the engine's ``job[id]`` lookup.
+        self._tasks: Dict[int, _TaskRecord] = {}
+        #: file id -> the one ``int`` every record's ``files`` holds
+        #: for it.
+        self._file_ids: Dict[int, int] = {}
+        self.engine = PolicyEngine(self._tasks, metric=metric, n=n,
                                    rng=random.Random(seed))
         self.stats = ServeStats()
         self.events = events
@@ -262,8 +282,6 @@ class SchedulerService:
             # change it (no RNG use, fires after sampling).
             self.engine.on_decision = tracer.record
         self.stats.bind_live(self, metric=metric)
-        #: task_id -> where the task is; every transition edits this.
-        self._tasks: Dict[int, _TaskRecord] = {}
         #: Tasks out under a primary lease (``outstanding``).
         self._leased = 0
         # Indexes over the records' leases, primaries and replicas.
@@ -452,8 +470,8 @@ class SchedulerService:
         self.stats.record_queue_depth(self.queue_depth)
         if self.events is not None:
             # ``specs`` is what re-creates the tasks on replay.
-            specs = [{"files": sorted(task.files), "flops": task.flops}
-                     for task in map(self._table.__getitem__, task_ids)]
+            specs = [{"files": task.files, "flops": task.flops}
+                     for task in map(self._tasks.__getitem__, task_ids)]
             self.events.emit("submit", job_id=job_id,
                              tasks=len(task_ids), task_ids=task_ids,
                              specs=specs, **extra)
@@ -598,7 +616,7 @@ class SchedulerService:
         task = self.engine.choose(site_id, eligible=eligible)
         latency = self._clock() - start
         overlap = self.engine.overlap(site_id, task.task_id)
-        owner_id = self._tasks[task.task_id].job.job_id
+        owner_id = task.job.job_id
         lease_id = self._next_lease_id
         self._apply_assign(task.task_id, site_id, worker, lease_id)
         self.stats.record_assignment(site_id, latency, overlap > 0,
@@ -660,11 +678,12 @@ class SchedulerService:
                            lease_id, replica=True)
         self.stats.metrics["task_replications"].inc()
         self.stats.metrics["leases_granted"].inc()
-        owner_id = self._tasks[best.task_id].job.job_id
+        task = self._tasks[best.task_id]
+        owner_id = task.job.job_id
         self._emit("assign", task_id=best.task_id, site=entry.site_id,
                    worker=entry.worker, job_id=owner_id,
                    lease_id=lease_id, replica=True)
-        self._deliver(entry, [Assignment(task=self._table[best.task_id],
+        self._deliver(entry, [Assignment(task=task,
                                          lease_id=lease_id,
                                          job_id=owner_id,
                                          lease_ttl=self.lease_ttl)])
@@ -929,10 +948,11 @@ class SchedulerService:
             self.stats.record_steal_request("empty")
             return None
         export_id = self._next_export_id
-        specs = [{"task_id": task.task_id,
-                  "job_id": self._tasks[task.task_id].job.job_id,
-                  "files": sorted(task.files), "flops": task.flops}
-                 for task in map(self._table.__getitem__, chosen)]
+        # Lists, as a replayed ``steal-export`` record holds them: the
+        # export keeps its specs, and a snapshot writes them back out.
+        specs = [{"task_id": task.task_id, "job_id": task.job.job_id,
+                  "files": list(task.files), "flops": task.flops}
+                 for task in map(self._tasks.__getitem__, chosen)]
         self._apply_steal_export(export_id, thief, specs)
         self.stats.metrics["tasks_exported"].inc(len(specs))
         self.stats.record_steal_request("granted")
@@ -970,14 +990,14 @@ class SchedulerService:
         sharing = self.engine.tasks_sharing(
             fid for refs, _total in sites for fid in refs)
         scorer = FAST_SCORERS[self.engine.metric_name]
-        table = self._table
+        tasks = self._tasks
         zero: Dict[int, float] = {}
         ranked: List[Tuple[float, int]] = []
         for job in self._jobs.values():
             if job.origin is not None:
                 continue
             for task_id in job.pending:
-                files = table[task_id].files
+                files = tasks[task_id].files
                 num_files = len(files)
                 best = zero.get(num_files)
                 if best is None:
@@ -1196,8 +1216,8 @@ class SchedulerService:
             "rng": _rng_row(engine.rng),
             "decisions": engine.decisions,
             "tasks_scored": engine.tasks_scored,
-            "tasks": [[task_id, sorted(task.files), task.flops]
-                      for task_id, task in sorted(self._table.items())],
+            "tasks": [[task_id, list(record.files), record.flops]
+                      for task_id, record in records],
             "jobs": [[job_id, *jobs[job]]
                      for job_id, job in sorted(self._jobs.items())],
             "assigned": [lease_row(record.lease)
@@ -1282,19 +1302,20 @@ class SchedulerService:
                 raise ServiceError(
                     f"snapshot {key}={state.get(key)!r} does not match "
                     f"this service's {key}={mine!r}")
-        if self._table or self._jobs:
+        if self._tasks or self._jobs:
             raise ServiceError(
                 "import_state needs a freshly constructed service")
         for site_id, payload in state["sites"]:
             engine.attach_site(site_id, state=SiteFileState.restore(
                 payload["resident"], payload["references"]))
+        tasks = self._tasks
         for task_id, files, flops in state["tasks"]:
-            self._table[task_id] = _make_task(task_id, files, flops)
+            tasks[task_id] = self._new_record(task_id, files, flops)
         for job_id, task_ids, _completed in state["jobs"]:
             job = self._jobs[job_id] = _JobState(job_id)
             job.tasks = len(task_ids)
             for task_id in task_ids:
-                self._tasks[task_id] = _TaskRecord(job)
+                tasks[task_id].job = job
         for task_id in state["completed"]:
             record = self._tasks[task_id]
             record.done = True
@@ -1317,7 +1338,7 @@ class SchedulerService:
             if (not record.done and record.lease is None
                     and record.export is None):
                 record.job.pending.add(task_id)
-                engine.add_task(self._table[task_id])
+                engine.add_task(record)
         for origin, export_id, specs in steal.get("imports", []):
             self._apply_steal_import(origin, export_id, specs)
         for job_id, origin in steal.get("foreign_jobs", []):
@@ -1357,23 +1378,40 @@ class SchedulerService:
     # only code that moves a task between pending / leased / exported /
     # completed; the live methods above and replay_record both call it.
 
+    def _new_record(self, task_id: int, files: Sequence[int],
+                    flops: float) -> _TaskRecord:
+        """A task as the service holds it, admitted live, replayed,
+        stolen or recovered (its job is the caller's to set).
+
+        ``files`` becomes a sorted tuple of its distinct ids, each one
+        taken from ``_file_ids``: ids decoded off the wire or a log
+        are new ``int`` objects per reference, and a Coadd file is
+        referenced by ~9 tasks.  78 ids take 664 B as a tuple; as a
+        ``frozenset`` they took 4 312 B."""
+        _refuse_bad_task(task_id, files, flops)
+        shared = self._file_ids
+        ids = sorted(set(files))
+        return _TaskRecord(task_id, tuple(map(shared.setdefault, ids, ids)),
+                           float(flops))
+
     def _admit(self, job_id: int, task_id: int, spec: Dict,
                origin: Optional[int] = None) -> bool:
         """Make one task known and pending (a known id is a no-op)."""
         if task_id in self._tasks:
             return False
+        record = self._new_record(task_id, spec["files"],
+                                  spec.get("flops", 0.0))
         job = self._jobs.get(job_id)
         if job is None:
             job = self._jobs[job_id] = _JobState(job_id, origin)
             if origin is None:
                 self._next_job_id = max(self._next_job_id,
                                         job_id + self._id_stride)
-        task = _make_task(task_id, spec["files"], spec.get("flops", 0.0))
-        self._table[task_id] = task
-        self.engine.add_task(task)
+        record.job = job
+        self._tasks[task_id] = record
+        self.engine.add_task(record)
         job.tasks += 1
         job.pending.add(task_id)
-        self._tasks[task_id] = _TaskRecord(job)
         return True
 
     def _task(self, task_id: int) -> _TaskRecord:
@@ -1389,7 +1427,7 @@ class SchedulerService:
         engine's), if it is in it."""
         if task_id in record.job.pending:
             record.job.pending.remove(task_id)
-            self.engine.remove_task(self._table[task_id])
+            self.engine.remove_task(record)
 
     def _release_lease(self, lease: _Lease) -> None:
         record = self._tasks[lease.task_id]
@@ -1503,7 +1541,7 @@ class SchedulerService:
             self._release_lease(lease)
         if record.done or self.engine.is_pending(task_id):
             return lease is not None
-        self.engine.add_task(self._table[task_id])
+        self.engine.add_task(record)
         record.job.pending.add(task_id)
         return True
 
@@ -1568,6 +1606,11 @@ class SchedulerService:
                             specs: List[Dict]) -> bool:
         if (origin, export_id) in self._steal_imports:
             return False
+        # Refused whole, before it is held: a bad spec would otherwise
+        # fail its commit halfway, at every recovery.
+        for spec in specs:
+            _refuse_bad_task(spec["task_id"], spec["files"],
+                             spec.get("flops", 0.0))
         self._steal_imports[origin, export_id] = [
             dict(spec) for spec in specs]
         return True

@@ -19,6 +19,7 @@ import time
 import pytest
 
 from repro.cluster.shard import open_shard
+from repro.cluster.snapshot import list_snapshots
 from repro.exp import ExperimentConfig
 from repro.exp.runner import build_job
 from repro.obs.events import iter_events
@@ -220,6 +221,44 @@ def test_a_failed_wal_commit_stops_the_server(tmp_path):
             == len(completed)
     finally:
         durability.events.close()
+
+
+#: ``repro`` with every ``os.fsync`` failing as on a full disk.
+FAILING_FSYNC = """
+import errno, os, sys
+def fsync(_fd):
+    raise OSError(errno.ENOSPC, "No space left on device")
+os.fsync = fsync
+from repro.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_a_failed_snapshot_sync_stops_the_server(tmp_path):
+    """The snapshot loop's WAL barrier is a commit too: a shard whose
+    ``fsync`` fails exits with the failed-commit status at its first
+    snapshot tick, writes no snapshot, and is not retried."""
+    state_dir = str(tmp_path / "state")
+    port_file = str(tmp_path / "port.json")
+    log_path = str(tmp_path / "serve.log")
+    with open(log_path, "w", encoding="utf-8") as handle:
+        proc = subprocess.Popen(
+            [sys.executable, "-c", FAILING_FSYNC, "serve", "--port", "0",
+             "--port-file", port_file, "--state-dir", state_dir,
+             "--snapshot-interval", "0.2"],
+            stdout=handle, stderr=subprocess.STDOUT, env=cli_env())
+        try:
+            assert proc.wait(timeout=30) == EXIT_COMMIT_FAILED
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+    assert os.path.exists(port_file)  # it was serving
+    output = open(log_path, encoding="utf-8").read()
+    assert "WAL commit failed" in output
+    assert "No space left on device" in output
+    assert list_snapshots(state_dir) == []
+    open_shard(state_dir).events.close()  # and it recovers
 
 
 def shard_wal_completions(state_root, shard_count):

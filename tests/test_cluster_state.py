@@ -15,14 +15,14 @@ import os
 
 import pytest
 
-from repro.cluster.shard import (WalGapError, open_shard, recover_service,
-                                 wal_files,
+from repro.cluster.shard import (WalGapError, open_shard, wal_files,
                                  wal_path)
 from repro.cluster.snapshot import (SnapshotError, list_snapshots,
                                     load_latest_snapshot, load_snapshot,
                                     snapshot_path, write_snapshot)
 from repro.obs.events import EventLog, iter_events
 from repro.obs.trace import DecisionTracer
+from repro.serve.server import EXIT_COMMIT_FAILED
 from repro.serve.service import SchedulerService
 
 
@@ -167,14 +167,26 @@ def test_snapshot_loop_survives_a_failed_write(tmp_path, monkeypatch,
     shard.close()
 
 
+class Exited(Exception):
+    """What ``os._exit`` raises here, so the test process lives on."""
+
+
 def test_snapshot_loop_stops_on_a_failed_wal_sync(tmp_path, monkeypatch):
-    """The WAL is the truth: a sync that fails ends the loop."""
+    """The WAL is the truth: a sync that fails ends the process with
+    the failed-commit status, before any snapshot claims it.
+    ``test_cluster_e2e.py`` watches a real shard process do it."""
     shard = open_shard(str(tmp_path), clock=FakeClock(),
                        snapshot_interval=0.01)
     submit(shard.service, SPECS[:1])
     full_disk(monkeypatch)
-    with pytest.raises(OSError):
+
+    def exit_(status):
+        raise Exited(status)
+
+    monkeypatch.setattr(os, "_exit", exit_)
+    with pytest.raises(Exited) as exited:
         asyncio.run(asyncio.wait_for(shard.snapshot_loop(), 10.0))
+    assert exited.value.args == (EXIT_COMMIT_FAILED,)
     assert shard.snapshots_written == 0
 
 
